@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .endo import end_semiring, enumerate_sr
+from .endo import end_semiring, endomorphisms, enumerate_sr
 from .errors import CatalogMissing, Mismatch, ParseError, StaleVersion
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import enumerate_lattices, validate_lattice
@@ -56,7 +57,7 @@ def family_report(lat, max_end=512, verify_simple=True):
     Members are ordered by descending size; equal-size members keep the
     deterministic enumeration order.
     """
-    _, endos = end_semiring(lat, max_size=max_end)
+    end_order = len(endomorphisms(lat, max_count=max_end))
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
     rings = [f.to_semiring() for f in families]
     if verify_simple:
@@ -89,7 +90,7 @@ def family_report(lat, max_end=512, verify_simple=True):
         name=lat.name or f"lat{lat.n}",
         n=lat.n,
         join=lat.join,
-        end_order=len(endos),
+        end_order=end_order,
         members=members,
     )
 
@@ -100,10 +101,16 @@ def _family_worker(args):
     return family_report(lat, max_end=max_end)
 
 
+def worker_count(jobs, tasks):
+    """Worker processes worth starting: at most one per CPU and per task."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def family_reports(lats, max_end=512, jobs=1):
     """Reports for several lattices, in input order regardless of jobs."""
     tasks = [(lat.join, lat.zero, lat.name, max_end) for lat in lats]
-    if jobs <= 1:
+    jobs = worker_count(jobs, len(tasks))
+    if jobs == 1:
         return [_family_worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_family_worker, tasks))
@@ -228,16 +235,16 @@ def parse_record(text):
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if key == "member":
-            entry = {}
-            for item in rest.split():
-                k, v = item.split("=")
-                entry[k] = int(v)
-            members.append(MemberReport(
-                order=entry["order"],
-                has_one=bool(entry["has_one"]),
-                self_anti_iso=bool(entry["self_anti_iso"]),
-                iso_class=entry["iso_class"],
-            ))
+            try:
+                entry = {k: int(v) for k, v in (item.split("=") for item in rest.split())}
+                members.append(MemberReport(
+                    order=entry["order"],
+                    has_one=bool(entry["has_one"]),
+                    self_anti_iso=bool(entry["self_anti_iso"]),
+                    iso_class=entry["iso_class"],
+                ))
+            except (KeyError, ValueError) as exc:
+                raise ParseError(f"bad catalog member entry: {exc}", i + 1)
         else:
             fields[key] = rest
     try:
@@ -288,9 +295,15 @@ def load_catalog(out_dir):
     if version != __version__:
         raise StaleVersion(f"catalog built by {version!r}, tool is {__version__!r}")
     reports = []
-    for line in index_path.read_text().splitlines():
-        name, digest = line.split()
-        text = (out / "entries" / f"{digest}.txt").read_text()
+    for i, line in enumerate(index_path.read_text().splitlines()):
+        parts = line.split()
+        if len(parts) != 2 or not all(c in "0123456789abcdef" for c in parts[1]):
+            raise ParseError(f"bad catalog index entry {line!r}", i + 1)
+        name, digest = parts
+        try:
+            text = (out / "entries" / f"{digest}.txt").read_text()
+        except FileNotFoundError:
+            raise CatalogMissing(f"catalog entry {digest} of {name} is missing")
         report, _ = parse_record(text)
         reports.append(report)
     return reports

@@ -262,6 +262,13 @@ def cmd_catalog(args, out):
     return 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="semirings",
@@ -269,8 +276,9 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker count for sweeps")
+    parser.add_argument("--jobs", type=positive_int, default=1,
+                        help="parallel worker count for sweeps (capped at the CPU "
+                             "and task counts)")
     parser.add_argument("--max-end-size", type=int, default=END_SIZE_LIMIT,
                         help="bound on |End(M)| per lattice")
     parser.add_argument("--max-sr-base", type=int, default=SR_BASE_LIMIT,

@@ -4,13 +4,16 @@ An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
 The elementary maps (zero below a, constant b elsewhere) generate the
 least dense subsemiring; the dense subsemirings form an interval between
-that closure and End(M), enumerated by a closed-set walk.
+that closure and End(M), enumerated by a closed-set walk.  Both use the
+incremental closure of ``closure.py``: a closed set extended by one map
+is re-closed from that map alone, and each pair of maps is combined once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .closure import close, closed_sets
 from .errors import ParseError, SizeLimit
 from .lattice import FiniteLattice
 from .semiring import FiniteSemiring
@@ -173,30 +176,22 @@ def end_semiring(lat, max_size=END_SIZE_LIMIT):
     return sub.to_semiring(name=name), tuple(members)
 
 
-def _closure(lat, seed, max_size):
-    members = set(seed)
-    members.add(zero_map(lat))
-    work = list(members)
+def _products(lat):
+    """Join and both compositions of two endomorphisms."""
     join = lat.join
-    while work:
-        f = work.pop()
-        for g in list(members):
-            for h in (
-                tuple(join[a][b] for a, b in zip(f, g)),
-                tuple(f[v] for v in g),
-                tuple(g[v] for v in f),
-            ):
-                if h not in members:
-                    if len(members) >= max_size:
-                        raise SizeLimit(f"closure exceeds {max_size} elements")
-                    members.add(h)
-                    work.append(h)
-    return frozenset(members)
+
+    def products(f, g):
+        return (tuple([join[a][b] for a, b in zip(f, g)]),
+                tuple([f[v] for v in g]),
+                tuple([g[v] for v in f]))
+
+    return products
 
 
 def dense_closure(lat, max_size=END_SIZE_LIMIT):
     """Least dense subsemiring: the closure of the elementary maps."""
-    members = _closure(lat, elementary_maps(lat), max_size)
+    seeds = [zero_map(lat), *elementary_maps(lat)]
+    members = close(frozenset(), seeds, _products(lat), max_size=max_size)
     return EndoSubsemiring(lat, members, _dense=True)
 
 
@@ -208,20 +203,8 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT, max_families=100000):
     """
     all_endos = endomorphisms(lat, max_count=max_end)
     base = dense_closure(lat, max_size=max_end).members
-    seen = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for f in all_endos:
-            if f in s:
-                continue
-            t = _closure(lat, s | {f}, len(all_endos))
-            if t not in seen:
-                if len(seen) >= max_families:
-                    raise SizeLimit(f"more than {max_families} dense subsemirings")
-                seen.add(t)
-                stack.append(t)
-    families = sorted(seen, key=lambda s: (len(s), sorted(s)))
+    families = closed_sets(base, all_endos, _products(lat), max_count=max_families,
+                           noun="dense subsemirings")
     return [EndoSubsemiring(lat, s, _dense=True) for s in families]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .closure import close, closed_sets
 from .errors import (
     AnnulatorIsEverything,
     ModuleAxiomFail,
@@ -126,47 +127,27 @@ def acts_nonzero(mod):
     return any(v != mod.mzero for row in mod.act for v in row)
 
 
+def _products(mod):
+    """The sum of two module elements; the action closes through the images
+    ``mod.act_t[x]`` of each element instead."""
+    madd = mod.madd
+
+    def products(x, y):
+        return (madd[x][y],)
+
+    return products
+
+
 def close_module_subset(mod, seed):
     """Least subset containing seed and the module zero, closed under
     addition and the action."""
-    members = set(seed)
-    members.add(mod.mzero)
-    work = list(members)
-    madd = mod.madd
-    act = mod.act
-    nr = mod.ring.n
-    while work:
-        x = work.pop()
-        for y in list(members):
-            z = madd[x][y]
-            if z not in members:
-                members.add(z)
-                work.append(z)
-        for r in range(nr):
-            z = act[r][x]
-            if z not in members:
-                members.add(z)
-                work.append(z)
-    return frozenset(members)
+    return close(frozenset(), (mod.mzero, *seed), _products(mod), mod.act_t.__getitem__)
 
 
 def subsemimodules(mod, max_count=100000):
     """All action-stable submonoids, smallest first."""
-    base = close_module_subset(mod, ())
-    seen = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for x in range(mod.m):
-            if x in s:
-                continue
-            t = close_module_subset(mod, s | {x})
-            if t not in seen:
-                if len(seen) >= max_count:
-                    raise SizeLimit(f"more than {max_count} subsemimodules")
-                seen.add(t)
-                stack.append(t)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return closed_sets(close_module_subset(mod, ()), range(mod.m), _products(mod),
+                       mod.act_t.__getitem__, max_count=max_count, noun="subsemimodules")
 
 
 def submodule(mod, subset, name=None):
@@ -540,26 +521,22 @@ def parse_smod(text):
     except ValueError:
         raise ParseError(f"bad count {parts[1]!r}", ln)
 
-    def read_rows(count, width):
-        rows = []
-        while len(rows) < count:
-            line, ln = next_line()
-            parts = line.split()
-            if len(parts) != width:
-                raise ParseError(f"expected {width} entries, got {len(parts)}", ln)
-            try:
-                rows.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise ParseError("non-integer entry", ln)
-        return tuple(rows)
+    def read_row():
+        line, ln = next_line()
+        parts = line.split()
+        if len(parts) != m:
+            raise ParseError(f"expected {m} entries, got {len(parts)}", ln)
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise ParseError("non-integer entry", ln)
 
-    madd = read_rows(m, m)
-    rest = [ln2 for ln2 in lines[pos:] if ln2.strip()]
-    act = tuple(tuple(int(p) for p in ln2.split()) for ln2 in rest)
-    for row in act:
-        if len(row) != m:
-            raise ParseError(f"act row of width {len(row)}, expected {m}")
-    return ring_name, madd, act
+    madd = tuple(read_row() for _ in range(m))
+    last = max((i + 1 for i, line in enumerate(lines) if line.strip()), default=0)
+    act = []
+    while pos < last:
+        act.append(read_row())
+    return ring_name, madd, tuple(act)
 
 
 def load_smod(ring_name, madd, act, ring):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .closure import close, closed_sets
 from .errors import (
     AddNotAssociative,
     AddNotCommutative,
@@ -20,7 +21,6 @@ from .errors import (
     NotCompatible,
     ParseError,
     RightDistFail,
-    SizeLimit,
     ZeroNotAbsorbing,
 )
 from .lattice import validate_lattice
@@ -355,19 +355,19 @@ def restrict(r, subset, name=None):
     return FiniteSemiring(len(members), add, mul, index[r.zero], name)
 
 
+def _products(r):
+    """Sum and both products of two elements."""
+    add, mul = r.add, r.mul
+
+    def products(x, y):
+        return add[x][y], mul[x][y], mul[y][x]
+
+    return products
+
+
 def close_subset(r, seed):
     """Least subset containing seed and zero, closed under + and *."""
-    members = set(seed)
-    members.add(r.zero)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in list(members):
-            for z in (r.add[x][y], r.mul[x][y], r.mul[y][x]):
-                if z not in members:
-                    members.add(z)
-                    work.append(z)
-    return frozenset(members)
+    return close(frozenset(), (r.zero, *seed), _products(r))
 
 
 def subsemirings(r, max_count=100000):
@@ -376,21 +376,8 @@ def subsemirings(r, max_count=100000):
     Walks the closed-set lattice upward from the closure of {zero};
     deterministic order by (size, member tuple).
     """
-    base = close_subset(r, ())
-    seen = {base}
-    stack = [base]
-    while stack:
-        s = stack.pop()
-        for x in range(r.n):
-            if x in s:
-                continue
-            t = close_subset(r, s | {x})
-            if t not in seen:
-                if len(seen) >= max_count:
-                    raise SizeLimit(f"more than {max_count} subsemirings")
-                seen.add(t)
-                stack.append(t)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return closed_sets(close_subset(r, ()), range(r.n), _products(r),
+                       max_count=max_count, noun="subsemirings")
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +419,14 @@ def _generating_sequence(r, colors):
     class_size = {}
     for c in colors:
         class_size[c] = class_size.get(c, 0) + 1
+    products = _products(r)
     members = close_subset(r, ())
     gens = []
     while len(members) < r.n:
         rest = [x for x in range(r.n) if x not in members]
         g = min(rest, key=lambda x: (class_size[colors[x]], x))
         gens.append(g)
-        members = close_subset(r, members | {g})
+        members = close(members, (g,), products)
     return gens
 
 
@@ -539,11 +527,9 @@ def parse_sr(text):
     lines = text.splitlines()
     pos = 0
 
-    def next_line(allow_blank=False):
+    def next_line():
         nonlocal pos
         while pos < len(lines) and not lines[pos].strip():
-            if allow_blank:
-                break
             pos += 1
         if pos >= len(lines):
             raise ParseError("unexpected end of file", len(lines))

@@ -13,10 +13,11 @@ from semirings.catalog import (
     parse_record,
     query_catalog,
     record_text,
+    worker_count,
 )
 from semirings.cli import main
 from semirings.endo import end_semiring
-from semirings.errors import CatalogMissing, StaleVersion
+from semirings.errors import CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
 from semirings.semiring import serialize_sr
 
@@ -135,6 +136,38 @@ def test_catalog_missing_and_stale(tmp_path):
         load_catalog(out_dir)
 
 
+def test_catalog_query_malformed_member_line_exits_two(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next((out_dir / "entries").iterdir())
+    entry.write_text(entry.read_text() + "member order=x\n")
+    with pytest.raises(ParseError):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 2 and text.startswith("parse error:")
+
+
+def test_catalog_query_garbage_index_line_exits_two(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    with (out_dir / "index.txt").open("a") as fh:
+        fh.write("garbage\n")
+    with pytest.raises(ParseError):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 2 and "line 3" in text
+
+
+def test_catalog_query_missing_entry_file(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    next((out_dir / "entries").iterdir()).unlink()
+    with pytest.raises(CatalogMissing):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 1 and "CatalogMissing" in text
+
+
 def test_catalog_record_round_trip():
     report = family_report(load_fixture("n5"))
     text = record_text(report)
@@ -163,6 +196,24 @@ def test_jobs_flag_is_deterministic(tmp_path):
 def test_usage_errors_exit_two(capsys):
     assert main(["min-order"]) == 2  # missing --max-size
     assert main(["unknown-command"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_rejected_before_work(jobs, tmp_path, capsys):
+    out_dir = tmp_path / "cat"
+    assert main(["--jobs", jobs, "catalog", "build", "--max-size", "3",
+                 "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
+def test_worker_count_caps_at_cpus_and_tasks(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(10 ** 9, 100) == 4
+    assert worker_count(3, 100) == 3
+    assert worker_count(10 ** 9, 2) == 2
+    assert worker_count(8, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 5) == 1
 
 
 def test_table1_matches_expected_data():

@@ -1,0 +1,144 @@
+"""The incremental closure and walk against a from-scratch reference.
+
+The reference below re-closes every set from scratch, pairing each popped
+element with every member, and walks by closing ``s | {x}`` anew.  It is
+the algorithm the incremental one replaced, kept here only as an oracle.
+"""
+
+import pytest
+
+from semirings.closure import close
+from semirings.endo import (
+    compose,
+    dense_closure,
+    elementary_maps,
+    end_semiring,
+    endomorphisms,
+    enumerate_sr,
+    pointwise_join,
+    zero_map,
+)
+from semirings.errors import SizeLimit
+from semirings.fixtures import FIXTURE_NAMES, load_fixture
+from semirings.lattice import enumerate_lattices
+from semirings.semimodule import regular_module, subsemimodules
+from semirings.semiring import subsemirings
+
+
+def reference_close(seed, binary, unary=()):
+    members = set(seed)
+    work = list(members)
+    while work:
+        x = work.pop()
+        new = [op(x, y) for y in list(members) for op in binary]
+        new += [op(y, x) for y in list(members) for op in binary]
+        new += [op(x) for op in unary]
+        for z in new:
+            if z not in members:
+                members.add(z)
+                work.append(z)
+    return frozenset(members)
+
+
+def reference_walk(base, universe, close_from_scratch):
+    seen = {base}
+    stack = [base]
+    while stack:
+        s = stack.pop()
+        for x in universe:
+            if x not in s:
+                t = close_from_scratch(s | {x})
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def endo_ops(lat):
+    return (lambda f, g: pointwise_join(lat, f, g), compose)
+
+
+def reference_dense_closure(lat):
+    return reference_close([zero_map(lat), *elementary_maps(lat)], endo_ops(lat))
+
+
+def ring_ops(r):
+    return (lambda x, y: r.add[x][y], lambda x, y: r.mul[x][y])
+
+
+def module_ops(mod):
+    actions = [lambda x, row=row: row[x] for row in mod.act]
+    return (lambda x, y: mod.madd[x][y],), actions
+
+
+def small_lattices():
+    return list(enumerate_lattices(5)) + [load_fixture(n) for n in FIXTURE_NAMES]
+
+
+def test_enumerate_sr_matches_reference():
+    for lat in small_lattices():
+        ops = endo_ops(lat)
+        want = reference_walk(reference_dense_closure(lat), endomorphisms(lat),
+                              lambda s: reference_close(s, ops))
+        assert [f.members for f in enumerate_sr(lat)] == want, lat.name
+
+
+@pytest.mark.parametrize("name, count", [("chain3", 20), ("diamond", 222)])
+def test_subsemirings_match_reference(name, count):
+    r, _ = end_semiring(load_fixture(name))
+    ops = ring_ops(r)
+    want = reference_walk(reference_close([r.zero], ops), range(r.n),
+                          lambda s: reference_close(s, ops))
+    assert len(want) == count
+    assert subsemirings(r) == want
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond"])
+def test_subsemimodules_match_reference(name):
+    r, _ = end_semiring(load_fixture(name))
+    mod = regular_module(r)
+    binary, unary = module_ops(mod)
+    want = reference_walk(reference_close([mod.mzero], binary, unary), range(mod.m),
+                          lambda s: reference_close(s, binary, unary))
+    assert subsemimodules(mod) == want
+
+
+def test_dense_closure_matches_reference_on_size_six():
+    sizes = []
+    for lat in enumerate_lattices(6):
+        if lat.n == 6:
+            got = dense_closure(lat).members
+            assert got == reference_dense_closure(lat), lat.name
+            sizes.append(len(got))
+    assert len(sizes) == 15
+    assert min(sizes) == 98
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond", "n5", "m3"])
+def test_dense_closure_size_limit_boundary(name):
+    lat = load_fixture(name)
+    size = dense_closure(lat).size
+    assert dense_closure(lat, max_size=size).size == size
+    with pytest.raises(SizeLimit):
+        dense_closure(lat, max_size=size - 1)
+
+
+def test_each_pair_is_combined_once_and_base_pairs_never():
+    r, _ = end_semiring(load_fixture("diamond"))
+    pairs = []
+
+    def products(x, y):
+        pairs.append(frozenset((x, y)))
+        return r.add[x][y], r.mul[x][y], r.mul[y][x]
+
+    full = close(frozenset(), range(r.n), products)
+    assert len(full) == r.n
+    assert len(pairs) == len(set(pairs)) == r.n * (r.n + 1) // 2
+
+    base = next(s for s in subsemirings(r) if 1 < len(s) < r.n - 1)
+    x = min(set(range(r.n)) - base)
+    pairs.clear()
+    grown = close(base, (x,), products)
+    new = grown - base
+    assert len(pairs) == len(set(pairs)) == len(base) * len(new) + len(new) * (len(new) + 1) // 2
+    assert all(p & new for p in pairs)

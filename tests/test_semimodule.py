@@ -7,6 +7,7 @@ from semirings.errors import (
     AnnulatorIsEverything,
     ModuleAxiomFail,
     NotALattice,
+    ParseError,
     PreconditionFailed,
 )
 from semirings.fixtures import boolean_semiring, load_fixture, two_element_trivial_mul
@@ -293,3 +294,14 @@ def test_smod_round_trip(nat_chain3):
     assert madd == nat_chain3.madd and act == nat_chain3.act
     mod2 = validate_semimodule(nat_chain3.ring, madd, act)
     assert serialize_smod(mod2) == text
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ring r\nm 1\n0\nz\n", 4),
+    ("ring r\nm 2\n0 1\n1 1\n\n0 0\n0 x\n", 7),
+    ("ring r\nm 2\n0 1\n1 1\n\n0 0\n0 1 1\n", 7),
+])
+def test_parse_smod_bad_action_row_names_its_line(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_smod(text)
+    assert info.value.line == line
