@@ -17,8 +17,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .endo import end_semiring, endomorphisms, enumerate_sr
-from .errors import CatalogMissing, Mismatch, ParseError, StaleVersion
+from .endo import end_semiring, enumerate_sr
+from .errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import enumerate_lattices, validate_lattice
 from .semiring import (
@@ -57,8 +57,8 @@ def family_report(lat, max_end=512, verify_simple=True):
     Members are ordered by descending size; equal-size members keep the
     deterministic enumeration order.
     """
-    end_order = len(endomorphisms(lat, max_count=max_end))
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
+    end_order = families[0].size  # End(M) is dense: the top of the family
     rings = [f.to_semiring() for f in families]
     if verify_simple:
         for r in rings:
@@ -263,6 +263,11 @@ def parse_record(text):
         raise ParseError(f"bad catalog record: {exc}")
 
 
+def _digest(text):
+    """Content address of a record: the first 16 hex digits of its SHA-256."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     """Write one record per lattice class of sizes 2..max_size.
 
@@ -277,7 +282,7 @@ def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     index = []
     for report in reports:
         text = record_text(report)
-        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        digest = _digest(text)
         (entries_dir / f"{digest}.txt").write_text(text)
         index.append((report.name, digest))
     (out / "index.txt").write_text(
@@ -305,6 +310,8 @@ def load_catalog(out_dir):
         except FileNotFoundError:
             raise CatalogMissing(f"catalog entry {digest} of {name} is missing")
         report, _ = parse_record(text)
+        if _digest(text) != digest:
+            raise CatalogCorrupt(f"catalog entry {digest} of {name} does not match its digest")
         reports.append(report)
     return reports
 

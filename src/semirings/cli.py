@@ -92,6 +92,16 @@ def cmd_min_order(args, out):
     return 0
 
 
+def _write_check(info, text, out, fmt):
+    """Write one check result: ``info`` as JSON, or ``text`` as is."""
+    if fmt == "json":
+        out.write(json.dumps({"command": "check", "ok": True, "result": info},
+                             indent=2, sort_keys=True) + "\n")
+    else:
+        out.write(text)
+    return 0
+
+
 def _check_lattice(lat, out, fmt):
     info = {
         "kind": "lattice",
@@ -101,14 +111,10 @@ def _check_lattice(lat, out, fmt):
         "distributive": is_distributive(lat),
         "unique_dense_family": condition_d(lat),
     }
-    if fmt == "json":
-        out.write(json.dumps({"command": "check", "ok": True, "result": info},
-                             indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(f"lattice {lat.name or ''}: n = {lat.n}, top = {lat.top}\n")
-        out.write(f"distributive: {info['distributive']}\n")
-        out.write(f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
-    return 0
+    text = (f"lattice {lat.name or ''}: n = {lat.n}, top = {lat.top}\n"
+            f"distributive: {info['distributive']}\n"
+            f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
+    return _write_check(info, text, out, fmt)
 
 
 def _witness(r):
@@ -131,39 +137,41 @@ def _witness(r):
     }
 
 
-def _check_semiring(r, out, fmt):
+def _semiring_facts(r):
+    """Structure flags and congruence-simplicity of a semiring, with the
+    witness of a congruence-simple non-ring of order > 2."""
     flags = structure_flags(r)
-    simple = is_congruence_simple(r)
-    info = {
-        "kind": "semiring",
-        "n": r.n,
-        "name": r.name,
-        "congruence_simple": simple,
+    facts = {
+        "congruence_simple": is_congruence_simple(r),
         "is_ring": flags.is_ring,
         "add_idempotent": flags.add_idempotent,
         "has_one": flags.has_one,
         "trivial_mul": flags.trivial_mul,
     }
-    witness = None
-    if simple and not flags.is_ring and r.n > 2:
-        witness = _witness(r)
-        info["witness"] = witness
-    if fmt == "json":
-        out.write(json.dumps({"command": "check", "ok": True, "result": info},
-                             indent=2, sort_keys=True) + "\n")
-    else:
-        verdict = "congruence-simple" if simple else "not congruence-simple"
-        ring = "a ring" if flags.is_ring else "not a ring"
-        out.write(f"semiring {r.name or ''}: {verdict}, {ring}, |R| = {r.n}\n")
-        out.write(f"flags: add_idempotent={flags.add_idempotent} has_one={flags.has_one} "
-                  f"trivial_mul={flags.trivial_mul}\n")
-        if witness:
-            out.write(
-                "dense representation witness: recovered lattice of size "
-                f"{witness['recovered_lattice_size']}, irreducible module of size "
-                f"{witness['module_size']}, faithful={witness['faithful']}, "
-                f"dense={witness['dense']}\n")
-    return 0
+    if facts["congruence_simple"] and not flags.is_ring and r.n > 2:
+        facts["witness"] = _witness(r)
+    return facts
+
+
+def _semiring_text(r, facts):
+    verdict = "congruence-simple" if facts["congruence_simple"] else "not congruence-simple"
+    ring = "a ring" if facts["is_ring"] else "not a ring"
+    text = (f"semiring {r.name or ''}: {verdict}, {ring}, |R| = {r.n}\n"
+            f"flags: add_idempotent={facts['add_idempotent']} has_one={facts['has_one']} "
+            f"trivial_mul={facts['trivial_mul']}\n")
+    witness = facts.get("witness")
+    if witness:
+        text += ("dense representation witness: recovered lattice of size "
+                 f"{witness['recovered_lattice_size']}, irreducible module of size "
+                 f"{witness['module_size']}, faithful={witness['faithful']}, "
+                 f"dense={witness['dense']}\n")
+    return text
+
+
+def _check_semiring(r, out, fmt):
+    facts = _semiring_facts(r)
+    info = {"kind": "semiring", "n": r.n, "name": r.name, **facts}
+    return _write_check(info, _semiring_text(r, facts), out, fmt)
 
 
 def _check_subsemiring(path, text, out, fmt):
@@ -179,27 +187,14 @@ def _check_subsemiring(path, text, out, fmt):
     if not sub.is_closed():
         raise ValidationError("member set is not closed under join and composition")
     r = sub.to_semiring(name=f"sub_of_end_{lattice_name}")
-    if fmt != "json":
-        out.write(f"subsemiring of End({lattice_name}): {sub.size} members, "
-                  f"dense={is_dense(sub)}\n")
-        return _check_semiring(r, out, fmt)
-    flags = structure_flags(r)
-    simple = is_congruence_simple(r)
-    info = {
-        "kind": "subsemiring",
-        "lattice": lattice_name,
-        "size": sub.size,
-        "dense": is_dense(sub),
-        "congruence_simple": simple,
-        "is_ring": flags.is_ring,
-        "has_one": flags.has_one,
-        "trivial_mul": flags.trivial_mul,
-    }
-    if simple and not flags.is_ring and r.n > 2:
-        info["witness"] = _witness(r)
-    out.write(json.dumps({"command": "check", "ok": True, "result": info},
-                         indent=2, sort_keys=True) + "\n")
-    return 0
+    dense = is_dense(sub)
+    facts = _semiring_facts(r)
+    text = (f"subsemiring of End({lattice_name}): {sub.size} members, dense={dense}\n"
+            + _semiring_text(r, facts))
+    del facts["add_idempotent"]  # the subsemiring JSON result has no such key
+    info = {"kind": "subsemiring", "lattice": lattice_name, "size": sub.size,
+            "dense": dense, **facts}
+    return _write_check(info, text, out, fmt)
 
 
 def cmd_check(args, out):

@@ -1,10 +1,14 @@
-"""The one subset closure and the one closed-set walk of the package.
+"""The one subset closure, the one closed-set walk and the one congruence
+closure of the package.
 
 Subsemirings of End(M), subsemirings of a Cayley-table semiring and
 subsemimodules are all least sets closed under some binary products and,
 for modules, a unary action.  Each is closed here by :func:`close` and
 enumerated by :func:`closed_sets`; the callers only say what the products
-of two elements are.
+of two elements are.  Semiring congruences, module congruences and plain
+equivalences generated by pairs are all least partitions compatible with
+some translation tables; each is closed by :func:`close_congruence`, and
+the callers only say which tables.
 """
 
 from __future__ import annotations
@@ -81,3 +85,53 @@ def closed_sets(base, universe, products, images=None, *, max_count, noun):
                 seen.add(t)
                 stack.append(t)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def close_congruence(parent, pairs, tables):
+    """Merge ``pairs`` into the union-find forest ``parent``, in place, until
+    the partition is compatible with every table in ``tables``; return the
+    number of blocks left.
+
+    A table ``t`` lists the translations of each element: ``t[u][a]`` is
+    the image of u under the a-th translation.  For a semiring the tables
+    are ``add`` (u + a), ``mul`` (u * a) and ``mul_t`` (a * u); for a
+    module, its addition and the columns of its action (r u).  ``parent``
+    must describe a partition already compatible with ``tables``, as the
+    identity ``list(range(n))`` always is; with ``tables=()`` every
+    partition is.  The result is then the least compatible partition
+    containing the start partition and ``pairs``, by two lemmas:
+
+    - Pushing only the translations of merged roots gives the least
+      congruence.  Each merge joins two roots u and v and pushes
+      ``zip(t[u], t[v])`` for every table, and each pushed pair is popped
+      and merged before the stack runs empty.  Every block is connected by
+      such merge edges and by edges inside start blocks, and the
+      translations of both kinds of edge end in one block; so, by
+      transitivity along a path, do the translations of any two elements
+      of a block: the partition is compatible.  It is also least: by
+      induction every pair on the stack lies in any compatible partition
+      that contains the start and ``pairs``, so the roots it joins do too,
+      and so do their translations.
+    - Stopping as soon as one block remains is exact.  The partition only
+      grows and stays inside the least compatible one, so once it is total
+      that one is total too, and no pair left on the stack could change it.
+    """
+    blocks = sum(1 for x, p in enumerate(parent) if x == p)
+    stack = list(pairs)
+    while stack:
+        u, v = stack.pop()
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            continue
+        parent[v] = u
+        blocks -= 1
+        if blocks == 1:
+            break
+        for t in tables:
+            stack.extend(zip(t[u], t[v]))
+    return blocks

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .closure import close, closed_sets
-from .errors import ParseError, SizeLimit
+from .errors import LineReader, ParseError, SizeLimit
 from .lattice import FiniteLattice
 from .semiring import FiniteSemiring
 
@@ -265,32 +265,27 @@ def identity_is_elementary_sum(lat):
 
 
 def parse_srs(text):
-    lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and not lines[pos].strip():
-        pos += 1
-    if pos >= len(lines):
-        raise ParseError("unexpected end of file", len(lines))
-    parts = lines[pos].split()
+    reader = LineReader(text)
+    line, ln = reader.next()
+    parts = line.split()
     if len(parts) != 2 or parts[0] != "lattice":
-        raise ParseError("expected 'lattice <name>'", pos + 1)
+        raise ParseError("expected 'lattice <name>'", ln)
     lattice_name = parts[1]
     members = []
     width = None
-    for i in range(pos + 1, len(lines)):
-        if not lines[i].strip():
-            continue
-        entries = lines[i].split()
+    while not reader.at_end():
+        line, ln = reader.next()
+        entries = line.split()
         if width is None:
             width = len(entries)
         elif len(entries) != width:
-            raise ParseError(f"expected {width} entries, got {len(entries)}", i + 1)
+            raise ParseError(f"expected {width} entries, got {len(entries)}", ln)
         try:
             members.append(tuple(int(p) for p in entries))
         except ValueError:
-            raise ParseError("non-integer image entry", i + 1)
+            raise ParseError("non-integer image entry", ln)
     if not members:
-        raise ParseError("no members listed", len(lines))
+        raise ParseError("no members listed", len(reader.lines))
     return lattice_name, members
 
 

@@ -98,12 +98,39 @@ class ParseError(Error):
         self.line = line
 
 
+class LineReader:
+    """The non-blank lines of a text, read in order with their 1-based
+    line numbers; the one line reader of every text format."""
+
+    def __init__(self, text):
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def at_end(self):
+        """True when only blank lines remain."""
+        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
+            self.pos += 1
+        return self.pos >= len(self.lines)
+
+    def next(self):
+        """The next non-blank line and its number; ``ParseError`` at the end
+        of the text, numbered ``len(lines)``."""
+        if self.at_end():
+            raise ParseError("unexpected end of file", len(self.lines))
+        self.pos += 1
+        return self.lines[self.pos - 1], self.pos
+
+
 class Mismatch(Error):
     """Computed values disagree with the expected data file."""
 
 
 class CatalogMissing(Error):
     pass
+
+
+class CatalogCorrupt(Error):
+    """A catalog entry's content does not match the digest that names it."""
 
 
 class StaleVersion(Error):

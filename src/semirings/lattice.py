@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import (
     BadZero,
     LimitExceeded,
+    LineReader,
     NotAssociative,
     NotCommutative,
     NotDistributive,
@@ -529,18 +530,7 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
 
 
 def parse_lat(text):
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file", len(lines))
-        pos += 1
-        return lines[pos - 1], pos
-
+    next_line = LineReader(text).next
     first, ln = next_line()
     parts = first.split()
     if len(parts) != 2 or parts[0] != "n":
@@ -577,7 +567,7 @@ def parse_lat(text):
 
 def serialize_lat(lat):
     lines = [f"n {lat.n}"]
-    if lat.name:
+    if lat.name is not None:
         lines.append(f"name {lat.name}")
     for row in lat.join:
         lines.append(" ".join(str(v) for v in row))

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import close, closed_sets
+from .closure import close, close_congruence, closed_sets
 from .errors import (
     AnnulatorIsEverything,
+    LineReader,
     ModuleAxiomFail,
     NotALattice,
     NotCompatible,
@@ -162,36 +163,14 @@ def submodule(mod, subset, name=None):
 # module congruences
 
 
-def _module_principal_parents(mod, pairs):
-    m = mod.m
-    parent = list(range(m))
-    rank = [0] * m
-    madd = mod.madd
-    act_t = mod.act_t
-    stack = list(pairs)
-    while stack:
-        u, v = stack.pop()
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if rank[u] < rank[v]:
-            u, v = v, u
-        parent[v] = u
-        if rank[u] == rank[v]:
-            rank[u] += 1
-        stack.extend(zip(madd[u], madd[v]))
-        stack.extend(zip(act_t[u], act_t[v]))
-    return parent
+def _translations(mod):
+    """Sums with each module element and images under each ring element."""
+    return mod.madd, mod.act_t
 
 
 def module_principal(mod, x, y):
     """Least module congruence identifying x and y."""
-    return Congruence.from_parents(_module_principal_parents(mod, [(x, y)]))
+    return Congruence.generated(mod.m, [(x, y)], _translations(mod))
 
 
 def is_module_congruence(mod, cong):
@@ -224,8 +203,8 @@ def module_congruences(mod, max_count=100000):
     while work:
         c = work.pop()
         for p in principals:
-            joined = Congruence.from_parents(
-                _module_principal_parents(mod, _pairs_of(c) + _pairs_of(p)))
+            joined = Congruence.generated(m, _pairs_of(c) + _pairs_of(p),
+                                          _translations(mod))
             if joined not in found:
                 if len(found) >= max_count:
                     raise SizeLimit(f"more than {max_count} module congruences")
@@ -253,17 +232,17 @@ def maximal_nontotal_congruence(mod):
     can be added, which is exactly maximality.
     """
     m = mod.m
+    tables = _translations(mod)
     current = []
     blocks = Congruence(m, tuple(range(m)))
     for x in range(m):
         for y in range(x + 1, m):
             if blocks.same(x, y):
                 continue
-            parents = _module_principal_parents(mod, current + [(x, y)])
-            cand = Congruence.from_parents(parents)
-            if not cand.is_total():
+            parent = list(range(m))
+            if close_congruence(parent, current + [(x, y)], tables) > 1:
                 current.append((x, y))
-                blocks = cand
+                blocks = Congruence.from_parents(parent)
     return blocks
 
 
@@ -446,19 +425,9 @@ def annulator_quotient(mod):
     if len(ann) == mod.m:
         raise AnnulatorIsEverything("the action is zero everywhere")
     reach = [frozenset(mod.madd[x][a] for a in ann) for x in range(mod.m)]
-    parent = list(range(mod.m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(mod.m):
-        for y in range(x + 1, mod.m):
-            if reach[x] & reach[y]:
-                parent[find(x)] = find(y)
-    cong = Congruence.from_parents(parent)
+    pairs = [(x, y) for x in range(mod.m) for y in range(x + 1, mod.m)
+             if reach[x] & reach[y]]
+    cong = Congruence.generated(mod.m, pairs, ())
     return quotient_module(mod, cong), cong
 
 
@@ -495,18 +464,8 @@ def commutant(r, mod):
 
 
 def parse_smod(text):
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file", len(lines))
-        pos += 1
-        return lines[pos - 1], pos
-
+    reader = LineReader(text)
+    next_line = reader.next
     line, ln = next_line()
     parts = line.split()
     if len(parts) != 2 or parts[0] != "ring":
@@ -532,9 +491,8 @@ def parse_smod(text):
             raise ParseError("non-integer entry", ln)
 
     madd = tuple(read_row() for _ in range(m))
-    last = max((i + 1 for i, line in enumerate(lines) if line.strip()), default=0)
     act = []
-    while pos < last:
+    while not reader.at_end():
         act.append(read_row())
     return ring_name, madd, tuple(act)
 

@@ -2,8 +2,9 @@
 
 Congruences are partitions compatible with both operations; simplicity is
 decided by closing every principal congruence and checking it is total.
-The closure is the hot loop of the whole package, so it works on flat
-lists with an inlined union-find.
+That closure is the hot loop of the whole package: it is the union-find of
+``closure.close_congruence`` over the tables ``add``, ``mul`` and
+``mul_t``, stopped as soon as the congruence is total.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closure import close, closed_sets
+from .closure import close, close_congruence, closed_sets
 from .errors import (
     AddNotAssociative,
     AddNotCommutative,
     BadZero,
     LeftDistFail,
+    LineReader,
     MulNotAssociative,
     NotCompatible,
     ParseError,
@@ -78,6 +80,14 @@ class Congruence:
                 seen[r] = len(seen)
             blocks.append(seen[r])
         return cls(n, tuple(blocks))
+
+    @classmethod
+    def generated(cls, n, pairs, tables):
+        """Least partition of range(n) containing ``pairs`` and compatible
+        with ``tables``, closed by ``closure.close_congruence``."""
+        parent = list(range(n))
+        close_congruence(parent, pairs, tables)
+        return cls.from_parents(parent)
 
     @property
     def num_blocks(self):
@@ -145,53 +155,21 @@ def validate_semiring(add, mul, zero, name=None):
 # congruence closure
 
 
-def _principal_parents(r, x, y, stop_at_total=False):
-    """Union-find closure of the least congruence merging x and y."""
-    n = r.n
-    parent = list(range(n))
-    rank = [0] * n
-    add = r.add
-    mul = r.mul
-    mul_t = r.mul_t
-    blocks = n
-    stack = [(x, y)]
-    while stack:
-        u, v = stack.pop()
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if rank[u] < rank[v]:
-            u, v = v, u
-        parent[v] = u
-        if rank[u] == rank[v]:
-            rank[u] += 1
-        blocks -= 1
-        if blocks == 1 and stop_at_total:
-            return None
-        stack.extend(zip(add[u], add[v]))
-        stack.extend(zip(mul[u], mul[v]))
-        stack.extend(zip(mul_t[u], mul_t[v]))
-    return parent
+def _translations(r):
+    """Sums, right products and left products of each element."""
+    return r.add, r.mul, r.mul_t
 
 
 def principal_congruence(r, x, y):
     """Least congruence identifying x and y."""
-    parents = _principal_parents(r, x, y)
-    return Congruence.from_parents(parents)
+    return Congruence.generated(r.n, [(x, y)], _translations(r))
 
 
 def is_congruence_simple(r):
     """True iff every principal congruence on a distinct pair is total."""
-    for x in range(r.n):
-        for y in range(x + 1, r.n):
-            if _principal_parents(r, x, y, stop_at_total=True) is not None:
-                return False
-    return True
+    tables = _translations(r)
+    return all(close_congruence(list(range(r.n)), [(x, y)], tables) == 1
+               for x in range(r.n) for y in range(x + 1, r.n))
 
 
 def is_semiring_congruence(r, cong):
@@ -292,19 +270,9 @@ def additive_reachability_congruence(r):
             cur = add[cur][x]
         orbits.append(seen)
     translate = [frozenset(add[a][x] for a in range(n)) for x in range(n)]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            if orbits[x] & translate[y] and orbits[y] & translate[x]:
-                parent[find(x)] = find(y)
-    return Congruence.from_parents(parent)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
+             if orbits[x] & translate[y] and orbits[y] & translate[x]]
+    return Congruence.generated(n, pairs, ())
 
 
 def recover_monoid(r):
@@ -524,18 +492,7 @@ def check_iso(r1, r2, mapping, anti=False):
 
 
 def parse_sr(text):
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file", len(lines))
-        pos += 1
-        return lines[pos - 1], pos
-
+    next_line = LineReader(text).next
     line, ln = next_line()
     parts = line.split()
     if len(parts) != 2 or parts[0] != "n":
@@ -577,7 +534,7 @@ def parse_sr(text):
 
 def serialize_sr(r):
     lines = [f"n {r.n}"]
-    if r.name:
+    if r.name is not None:
         lines.append(f"name {r.name}")
     lines.append(f"zero {r.zero}")
     for row in r.add:

@@ -17,7 +17,7 @@ from semirings.catalog import (
 )
 from semirings.cli import main
 from semirings.endo import end_semiring
-from semirings.errors import CatalogMissing, ParseError, StaleVersion
+from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
 from semirings.semiring import serialize_sr
 
@@ -87,6 +87,38 @@ def test_check_srs_file(tmp_path, sr_families):
     assert "42 members, dense=True" in text
     assert "congruence-simple" in text and "|R| = 42" in text
     assert "dense representation witness" in text
+
+
+SRS_JSON_CASES = [
+    ("lattice chain3\n0 0 0\n0 0 1\n0 1 1\n0 1 2\n",
+     {"congruence_simple": False, "dense": False, "has_one": True, "is_ring": False,
+      "kind": "subsemiring", "lattice": "chain3", "size": 4, "trivial_mul": False},
+     "subsemiring of End(chain3): 4 members, dense=False\n"
+     "semiring sub_of_end_chain3: not congruence-simple, not a ring, |R| = 4\n"
+     "flags: add_idempotent=True has_one=True trivial_mul=False\n"),
+    ("lattice chain3\n0 0 0\n0 0 1\n0 0 2\n0 1 1\n0 1 2\n0 2 2\n",
+     {"congruence_simple": True, "dense": True, "has_one": True, "is_ring": False,
+      "kind": "subsemiring", "lattice": "chain3", "size": 6, "trivial_mul": False,
+      "witness": {"dense": True, "faithful": True,
+                  "module_matches_recovered_lattice": True,
+                  "module_size": 3, "recovered_lattice_size": 3}},
+     "subsemiring of End(chain3): 6 members, dense=True\n"
+     "semiring sub_of_end_chain3: congruence-simple, not a ring, |R| = 6\n"
+     "flags: add_idempotent=True has_one=True trivial_mul=False\n"
+     "dense representation witness: recovered lattice of size 3, irreducible "
+     "module of size 3, faithful=True, dense=True\n"),
+]
+
+
+@pytest.mark.parametrize("srs, result, text", SRS_JSON_CASES, ids=["not-simple", "witness"])
+def test_check_srs_json_and_text_are_pinned(tmp_path, srs, result, text):
+    path = tmp_path / "sub.srs"
+    path.write_text(srs)
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 0
+    assert out == json.dumps({"command": "check", "ok": True, "result": result},
+                             indent=2, sort_keys=True) + "\n"
+    assert run_cli("check", str(path)) == (0, text)
 
 
 def test_min_order_below_six_is_empty():
@@ -166,6 +198,20 @@ def test_catalog_query_missing_entry_file(tmp_path):
         load_catalog(out_dir)
     code, text = run_cli("catalog", "query", "--out", str(out_dir))
     assert code == 1 and "CatalogMissing" in text
+
+
+def test_catalog_query_flipped_entry_byte_exits_one(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next((out_dir / "entries").iterdir())
+    data = bytearray(entry.read_bytes())
+    at = data.index(b"end_order ") + len(b"end_order ")
+    data[at] ^= 1  # one digit of End(M)'s order: the record still parses
+    entry.write_bytes(bytes(data))
+    with pytest.raises(CatalogCorrupt):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 1 and "CatalogCorrupt" in text
 
 
 def test_catalog_record_round_trip():

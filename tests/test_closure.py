@@ -1,8 +1,11 @@
-"""The incremental closure and walk against a from-scratch reference.
+"""The incremental closure, the walk and the congruence closure against
+from-scratch references.
 
 The reference below re-closes every set from scratch, pairing each popped
 element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
+The congruence reference relabels blocks until every translation of every
+element lands in the block of the translation of its block's first element.
 """
 
 import pytest
@@ -21,8 +24,20 @@ from semirings.endo import (
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import enumerate_lattices
-from semirings.semimodule import regular_module, subsemimodules
-from semirings.semiring import subsemirings
+from semirings.semimodule import (
+    _pairs_of,
+    module_congruences,
+    module_principal,
+    regular_module,
+    subsemimodules,
+)
+from semirings.semiring import (
+    Congruence,
+    is_congruence_simple,
+    principal_congruence,
+    restrict,
+    subsemirings,
+)
 
 
 def reference_close(seed, binary, unary=()):
@@ -142,3 +157,85 @@ def test_each_pair_is_combined_once_and_base_pairs_never():
     new = grown - base
     assert len(pairs) == len(set(pairs)) == len(base) * len(new) + len(new) * (len(new) + 1) // 2
     assert all(p & new for p in pairs)
+
+
+def reference_congruence(n, pairs, translations):
+    """Least partition of range(n) containing ``pairs`` and mapped into
+    itself by every unary map in ``translations``, by fixpoint iteration."""
+    label = list(range(n))
+
+    def merge(a, b):
+        la, lb = label[a], label[b]
+        if la == lb:
+            return False
+        for i in range(n):
+            if label[i] == lb:
+                label[i] = la
+        return True
+
+    for x, y in pairs:
+        merge(x, y)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            first = label.index(label[x])
+            for t in translations:
+                changed |= merge(t(first), t(x))
+    ids = {}
+    return Congruence(n, tuple(ids.setdefault(b, len(ids)) for b in label))
+
+
+def ring_translations(r):
+    return [f for a in range(r.n) for f in (lambda x, a=a: r.add[a][x],
+                                            lambda x, a=a: r.mul[a][x],
+                                            lambda x, a=a: r.mul[x][a])]
+
+
+def module_translations(mod):
+    return ([lambda x, a=a: mod.madd[a][x] for a in range(mod.m)]
+            + [lambda x, row=row: row[x] for row in mod.act])
+
+
+def reference_module_congruences(mod):
+    ts = module_translations(mod)
+    principals = {reference_congruence(mod.m, [(x, y)], ts)
+                  for x in range(mod.m) for y in range(x + 1, mod.m)}
+    found = {Congruence(mod.m, tuple(range(mod.m)))} | principals
+    work = list(found)
+    while work:
+        c = work.pop()
+        for p in principals:
+            joined = reference_congruence(mod.m, _pairs_of(c) + _pairs_of(p), ts)
+            if joined not in found:
+                found.add(joined)
+                work.append(joined)
+    return found
+
+
+def congruence_test_rings():
+    """Every subsemiring of End(chain3), and the dense ones of End(diamond)."""
+    r, _ = end_semiring(load_fixture("chain3"))
+    params = [pytest.param(restrict(r, s), id=f"chain3-sub{i}-n{len(s)}")
+              for i, s in enumerate(subsemirings(r))]
+    return params + [pytest.param(f.to_semiring(), id=f"diamond-dense{i}-n{f.size}")
+                     for i, f in enumerate(enumerate_sr(load_fixture("diamond")))]
+
+
+@pytest.mark.parametrize("r", congruence_test_rings())
+def test_congruence_closure_matches_reference(r):
+    ts = ring_translations(r)
+    simple = True
+    for x in range(r.n):
+        for y in range(x + 1, r.n):
+            want = reference_congruence(r.n, [(x, y)], ts)
+            assert principal_congruence(r, x, y) == want, (x, y)
+            simple = simple and want.is_total()
+    assert is_congruence_simple(r) == simple
+
+    mod = regular_module(r)
+    ts = module_translations(mod)
+    for x in range(mod.m):
+        for y in range(x + 1, mod.m):
+            assert module_principal(mod, x, y) == reference_congruence(mod.m, [(x, y)], ts)
+    assert set(module_congruences(mod)) == reference_module_congruences(mod)

@@ -146,7 +146,8 @@ def test_module_congruences_of_zero_action(zero_action):
 
 
 def test_maximal_nontotal_congruence_is_maximal(nat_chain3):
-    from semirings.semimodule import _module_principal_parents, _pairs_of
+    from semirings.closure import close_congruence
+    from semirings.semimodule import _pairs_of
     from semirings.semiring import Congruence
 
     c = maximal_nontotal_congruence(nat_chain3)
@@ -159,7 +160,8 @@ def test_maximal_nontotal_congruence_is_maximal(nat_chain3):
         for y in range(x + 1, mod.m):
             if not c.same(x, y):
                 # absorbing any outside pair forces the total relation
-                parents = _module_principal_parents(mod, _pairs_of(c) + [(x, y)])
+                parents = list(range(mod.m))
+                close_congruence(parents, _pairs_of(c) + [(x, y)], (mod.madd, mod.act_t))
                 assert Congruence.from_parents(parents).is_total()
 
 
