@@ -19,7 +19,6 @@ from .lattice import (
     hom_to_l2,
     is_distributive,
     lattice_iso,
-    meet,
     validate_lattice,
 )
 from .semiring import (

@@ -8,10 +8,8 @@ tool version is bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -112,6 +110,8 @@ def family_reports(lats, max_end=512, jobs=1):
     jobs = worker_count(jobs, len(tasks))
     if jobs == 1:
         return [_family_worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_family_worker, tasks))
 
@@ -265,14 +265,30 @@ def parse_record(text):
 
 def _digest(text):
     """Content address of a record: the first 16 hex digits of its SHA-256."""
+    import hashlib  # loads OpenSSL; only catalog commands need it
+
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file and a rename, so
+    a reader sees the old file or the new one, never a partial write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     """Write one record per lattice class of sizes 2..max_size.
 
-    Idempotent: identical tool versions produce identical bytes.
-    Returns the list of (name, digest) pairs.
+    Idempotent: identical tool versions produce identical bytes.  Every
+    file is replaced atomically, entries first and the index after them,
+    so the index never names an entry not yet written; entry files the new
+    index does not list are then removed.  Returns the list of
+    (name, digest) pairs.
     """
     out = Path(out_dir)
     entries_dir = out / "entries"
@@ -283,11 +299,15 @@ def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     for report in reports:
         text = record_text(report)
         digest = _digest(text)
-        (entries_dir / f"{digest}.txt").write_text(text)
+        _write_atomic(entries_dir / f"{digest}.txt", text)
         index.append((report.name, digest))
-    (out / "index.txt").write_text(
-        "".join(f"{name} {digest}\n" for name, digest in sorted(index)))
-    (out / "version.txt").write_text(__version__ + "\n")
+    _write_atomic(out / "index.txt",
+                  "".join(f"{name} {digest}\n" for name, digest in sorted(index)))
+    _write_atomic(out / "version.txt", __version__ + "\n")
+    listed = {f"{digest}.txt" for _, digest in index}
+    for path in entries_dir.glob("*.txt"):
+        if path.name not in listed:
+            path.unlink()
     return index
 
 

@@ -55,8 +55,8 @@ def cmd_table1(args, out):
 def cmd_min_order(args, out):
     """Minimum order of a dense subsemiring over lattices of size >= 6.
 
-    The least member of every dense family is the closure of the
-    elementary maps, so only that closure is computed per lattice."""
+    The least member of every dense family is the set of sums of
+    elementary maps, so only that set is computed per lattice."""
     rows = []
     overall = None
     partial = False
@@ -84,8 +84,10 @@ def cmd_min_order(args, out):
             "partial": partial,
         }, indent=2, sort_keys=True) + "\n")
     else:
-        if overall is None:
+        if not lats:
             out.write("no lattices of size >= 6 in range; empty result\n")
+        elif overall is None:
+            out.write("minimum dense subsemiring order: unknown (every lattice skipped)\n")
         else:
             suffix = " (partial: some lattices skipped)" if partial else ""
             out.write(f"minimum dense subsemiring order: {overall}{suffix}\n")

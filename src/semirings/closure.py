@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import SizeLimit
 
 
-def close(base, seeds, products, images=None, max_size=None):
+def close(base, seeds, products, images=None):
     """Least superset of ``base`` and ``seeds`` closed under ``products``
     and ``images``, as a frozenset.
 
@@ -34,10 +34,6 @@ def close(base, seeds, products, images=None, max_size=None):
       only with the elements already processed, itself included; once the
       worklist is empty every member has been processed, so every pair
       has met exactly once.
-
-    ``SizeLimit`` is raised when a generated element would be added to a
-    set that already holds ``max_size`` members, so a closure larger than
-    ``max_size`` (and larger than ``base`` plus ``seeds``) always raises.
     """
     members = set(base)
     done = list(members)
@@ -54,8 +50,6 @@ def close(base, seeds, products, images=None, max_size=None):
             new.extend(h for h in images(f) if h not in members)
         for h in new:
             if h not in members:
-                if max_size is not None and len(members) >= max_size:
-                    raise SizeLimit(f"closure exceeds {max_size} elements")
                 members.add(h)
                 work.append(h)
     return frozenset(members)

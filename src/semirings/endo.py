@@ -2,18 +2,19 @@
 
 An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
-The elementary maps (zero below a, constant b elsewhere) generate the
-least dense subsemiring; the dense subsemirings form an interval between
-that closure and End(M), enumerated by a closed-set walk.  Both use the
-incremental closure of ``closure.py``: a closed set extended by one map
-is re-closed from that map alone, and each pair of maps is combined once.
+The least dense subsemiring is the set of sums (pointwise joins) of
+elementary maps (zero below a, constant b elsewhere), built with joins
+alone.  The dense subsemirings form an interval between it and End(M),
+enumerated by the closed-set walk of ``closure.py``: a closed set
+extended by one map is re-closed from that map alone, and each pair of
+maps is combined once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .closure import close, closed_sets
+from .closure import closed_sets
 from .errors import LineReader, ParseError, SizeLimit
 from .lattice import FiniteLattice
 from .semiring import FiniteSemiring
@@ -189,15 +190,43 @@ def _products(lat):
 
 
 def dense_closure(lat, max_size=END_SIZE_LIMIT):
-    """Least dense subsemiring: the closure of the elementary maps."""
-    seeds = [zero_map(lat), *elementary_maps(lat)]
-    members = close(frozenset(), seeds, _products(lat), max_size=max_size)
-    return EndoSubsemiring(lat, members, _dense=True)
+    """Least dense subsemiring: the sums of elementary maps.
+
+    The least subsemiring containing the set E of elementary maps is their
+    join-span, the set of pointwise joins of subsets of E (the empty join
+    being the zero map), so no composition is computed:
+
+    - e_{a,b} o e_{c,d} is the zero map when d <= a and e_{c,b} otherwise:
+      x <= c goes to e_{a,b}(0) = 0, and any other x to e_{a,b}(d).
+    - Composition distributes over joins on both sides: f o (g + h) =
+      f o g + f o h because the endomorphism f preserves joins, and
+      (g + h) o f = g o f + h o f holds pointwise.  Also f o 0 = 0 o f = 0.
+    - So the product of two sums of elementary maps is the sum of the
+      pairwise products, each zero or elementary: the span is closed under
+      composition, and under join by construction.  It contains the zero
+      map and E, so it is a dense subsemiring; and every subsemiring
+      containing E is closed under join, so it contains the span.
+
+    The span is built as a fold, adding one elementary map at a time to
+    every sum found so far.  A map already in the span is skipped: the
+    span of a prefix is closed under join, so adding such a map finds
+    nothing new.  ``SizeLimit`` is raised as soon as the span holds more
+    than ``max_size`` maps.
+    """
+    join = lat.join
+    span = {zero_map(lat)}
+    for e in elementary_maps(lat):
+        if e in span:
+            continue
+        span.update([tuple([join[a][b] for a, b in zip(f, e)]) for f in span])
+        if max_size is not None and len(span) > max_size:
+            raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
+    return EndoSubsemiring(lat, frozenset(span), _dense=True)
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT, max_families=100000):
     """All dense subsemirings of End(M), i.e. all closed sets between the
-    closure of the elementary maps and the full endomorphism semiring.
+    sums of elementary maps and the full endomorphism semiring.
 
     Deterministic order: ascending (size, sorted member list).
     """

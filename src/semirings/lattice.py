@@ -58,6 +58,7 @@ class FiniteLattice:
         return self._meet
 
     def meet(self, x, y):
+        """Infimum: the join of all common lower bounds of x and y."""
         return self.meet_table[x][y]
 
     def elements(self):
@@ -148,11 +149,6 @@ def validate_lattice(join_table, zero=0, name=None):
     for x in range(n):
         top = join[top][x]
     return FiniteLattice(n, join, zero, top, tuple(down), name)
-
-
-def meet(lat, x, y):
-    """Infimum: the join of all common lower bounds of x and y."""
-    return lat.meet(x, y)
 
 
 def dual(lat):

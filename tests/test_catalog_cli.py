@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semirings
 from semirings import __version__
 from semirings.catalog import (
     build_catalog,
@@ -134,6 +139,38 @@ def test_min_order_json_shape():
     assert payload["minimum"] is None and payload["rows"] == []
 
 
+def test_min_order_budget_skips_every_lattice_below_98():
+    code, text = run_cli("--max-end-size", "97", "min-order", "--max-size", "6")
+    assert code == 0
+    *rows, last = text.splitlines()
+    assert len(rows) == 15 and all(r.endswith(": skipped (budget)") for r in rows)
+    assert last == "minimum dense subsemiring order: unknown (every lattice skipped)"
+    code, text = run_cli("--format", "json", "--max-end-size", "97",
+                         "min-order", "--max-size", "6")
+    payload = json.loads(text)
+    assert code == 0 and payload["partial"] is True and payload["minimum"] is None
+    assert [r["min_order"] for r in payload["rows"]] == [None] * 15
+
+
+def test_min_order_budget_98_finds_the_minimum():
+    code, text = run_cli("--format", "json", "--max-end-size", "98",
+                         "min-order", "--max-size", "6")
+    payload = json.loads(text)
+    assert code == 0 and payload["minimum"] == 98
+    code, text = run_cli("--max-end-size", "98", "min-order", "--max-size", "6")
+    assert code == 0 and text.splitlines()[-1].startswith("minimum dense subsemiring order: 98")
+
+
+def test_cli_import_loads_neither_openssl_nor_multiprocessing():
+    src = str(Path(semirings.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, semirings.cli; "
+             "print([m for m in ('_hashlib', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_catalog_build_query_cycle(tmp_path):
     out_dir = tmp_path / "cat"
     code, _ = run_cli("catalog", "build", "--max-size", "4", "--out", str(out_dir))
@@ -156,6 +193,44 @@ def test_catalog_rebuild_is_bit_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+def test_catalog_rebuild_prunes_unlisted_entries(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=4)
+    stray = out_dir / "entries" / "0123456789abcdef.txt"
+    stray.write_text("name stray\n")
+    index = build_catalog(out_dir, max_size=3)
+    entries = sorted(p.name for p in (out_dir / "entries").iterdir())
+    assert entries == sorted(f"{digest}.txt" for _, digest in index)
+    assert len(load_catalog(out_dir)) == len(index) == 2
+
+
+def test_catalog_writes_go_through_a_rename(tmp_path, monkeypatch):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    written = []
+    real_write, real_replace = Path.write_text, os.replace
+
+    def write_text(path, *args, **kwargs):
+        written.append(path)
+        return real_write(path, *args, **kwargs)
+
+    def replace(src, dst):
+        if Path(dst).name == "index.txt":
+            raise OSError("disk full")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        build_catalog(out_dir, max_size=4)
+    assert written and all(p.name.endswith(".tmp") for p in written)
+    assert not list(out_dir.rglob("*.tmp"))
+    # the old index and every entry it lists survive the failed rebuild
+    assert all(p.read_bytes() == data for p, data in before.items())
+    assert len(load_catalog(out_dir)) == 2
 
 
 def test_catalog_missing_and_stale(tmp_path):

@@ -4,14 +4,19 @@ from-scratch references.
 The reference below re-closes every set from scratch, pairing each popped
 element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
-The congruence reference relabels blocks until every translation of every
+The least dense subsemiring, now built as the join-span of the elementary
+maps, is checked against the generic closure under join and both
+compositions that it replaced.  The congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
 """
+
+import os
 
 import pytest
 
 from semirings.closure import close
 from semirings.endo import (
+    _products,
     compose,
     dense_closure,
     elementary_maps,
@@ -127,6 +132,28 @@ def test_dense_closure_matches_reference_on_size_six():
             sizes.append(len(got))
     assert len(sizes) == 15
     assert min(sizes) == 98
+
+
+def closure_of_elementary_maps(lat):
+    """The path ``dense_closure`` replaced: the incremental closure of the
+    zero map and the elementary maps under join and both compositions."""
+    return close(frozenset(), [zero_map(lat), *elementary_maps(lat)], _products(lat))
+
+
+def test_dense_closure_is_the_closure_of_the_elementary_maps():
+    for lat in small_lattices():
+        sub = dense_closure(lat)
+        assert sub.members == closure_of_elementary_maps(lat), lat.name
+        assert sub.is_closed(), lat.name
+
+
+@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
+                    reason="set SEMIRINGS_SIZE6=1 to run the size-7 sweep")
+def test_dense_closure_is_the_closure_of_the_elementary_maps_on_size_seven():
+    sevens = [lat for lat in enumerate_lattices(7) if lat.n == 7]
+    assert len(sevens) == 53
+    for lat in sevens:
+        assert dense_closure(lat).members == closure_of_elementary_maps(lat), lat.name
 
 
 @pytest.mark.parametrize("name", ["chain3", "diamond", "n5", "m3"])
