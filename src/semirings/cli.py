@@ -24,7 +24,14 @@ from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, load_s
 from .errors import Error, ParseError, SizeLimit, ValidationError
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import condition_d, enumerate_lattices, is_distributive, lattice_iso, parse_lat
-from .semimodule import find_irreducible, module_lattice, representation
+from .semimodule import (
+    find_irreducible,
+    irreducibility,
+    load_smod,
+    module_lattice,
+    parse_smod,
+    representation,
+)
 from .semiring import is_congruence_simple, parse_sr, structure_flags
 
 
@@ -199,6 +206,23 @@ def _check_subsemiring(path, text, out, fmt):
     return _write_check(info, text, out, fmt)
 
 
+def _check_semimodule(path, text, out, fmt):
+    ring_name, madd, act = parse_smod(text)
+    ring_path = Path(path).parent / f"{ring_name}.sr"
+    if not ring_path.exists():
+        raise ParseError(f"cannot resolve ring {ring_name!r}")
+    mod = load_smod(ring_name, madd, act, parse_sr(ring_path.read_text()))
+    flags = irreducibility(mod)
+    info = {"kind": "semimodule", "ring": ring_name, "m": mod.m,
+            "acts_nonzero": flags.acts_nonzero,
+            "sub_irreducible": flags.sub_irreducible,
+            "quotient_irreducible": flags.quotient_irreducible}
+    text = (f"semimodule over {ring_name}: m = {mod.m}, |R| = {mod.ring.n}\n"
+            f"acts_nonzero={flags.acts_nonzero} sub_irreducible={flags.sub_irreducible} "
+            f"quotient_irreducible={flags.quotient_irreducible}\n")
+    return _write_check(info, text, out, fmt)
+
+
 def cmd_check(args, out):
     path = Path(args.path)
     try:
@@ -213,6 +237,8 @@ def cmd_check(args, out):
             return _check_semiring(parse_sr(text), out, args.format)
         if path.suffix == ".srs":
             return _check_subsemiring(path, text, out, args.format)
+        if path.suffix == ".smod":
+            return _check_semimodule(path, text, out, args.format)
     except ParseError as exc:
         out.write(f"parse error: {exc}\n")
         return 2
@@ -288,7 +314,7 @@ def build_parser():
                            help="least dense subsemiring order over lattices of size >= 6")
     p_min.add_argument("--max-size", type=int, required=True)
 
-    p_check = sub.add_parser("check", help="validate and report on a .lat/.sr/.srs file")
+    p_check = sub.add_parser("check", help="validate and report on a .lat/.sr/.srs/.smod file")
     p_check.add_argument("path")
 
     p_cat = sub.add_parser("catalog", help="build or query the persistent catalog")

@@ -8,7 +8,8 @@ enumerated by :func:`closed_sets`; the callers only say what the products
 of two elements are.  Semiring congruences, module congruences and plain
 equivalences generated by pairs are all least partitions compatible with
 some translation tables; each is closed by :func:`close_congruence`, and
-the callers only say which tables.
+the callers only say which tables.  Whether every principal congruence is
+total is decided on the pairs of :func:`principal_test_pairs` alone.
 """
 
 from __future__ import annotations
@@ -129,3 +130,49 @@ def close_congruence(parent, pairs, tables):
         for t in tables:
             stack.extend(zip(t[u], t[v]))
     return blocks
+
+
+def principal_test_pairs(add):
+    """Pairs whose principal congruences decide simplicity: the covering
+    pairs (c, b), c ⋖ b, of the order x ≤ y iff x + y = y when the
+    commutative addition ``add`` is idempotent, and every pair x < y
+    otherwise.
+
+    A structure whose congruences are compatible with ``add`` (a semiring,
+    or a module with this addition) has only the trivial congruences iff
+    the least congruence containing each returned pair is total, by this
+    lemma.  Let + be idempotent and x θ y for a congruence θ and x ≠ y.
+    Adding x to both sides gives x θ x + y, and likewise y θ x + y; one of
+    x, y differs from w = x + y, say x < w.  If x ≤ z ≤ w, adding z to
+    both sides of x θ w gives z θ w.  Take c with x ≤ c ⋖ w: then c θ w,
+    so every principal congruence Θ(x, y) contains Θ(c, w) for a covering
+    pair, and if those are all total, so is every Θ(x, y).
+
+    The covers come from ``down``-style bitmasks, as in
+    ``lattice.validate_lattice``: ``down[y]`` holds every x ≤ y, and c ⋖ b
+    iff c < b and c lies below no other element strictly below b.
+    """
+    n = len(add)
+    if any(add[x][x] != x for x in range(n)):
+        return [(x, y) for x in range(n) for y in range(x + 1, n)]
+    down = [0] * n
+    for y in range(n):
+        row = add[y]
+        for x in range(n):
+            if row[x] == y:
+                down[y] |= 1 << x
+    pairs = []
+    for b in range(n):
+        strict = down[b] & ~(1 << b)
+        shadowed = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            shadowed |= down[low.bit_length() - 1] & ~low
+            rest ^= low
+        covered = strict & ~shadowed
+        while covered:
+            low = covered & -covered
+            pairs.append((low.bit_length() - 1, b))
+            covered ^= low
+    return pairs

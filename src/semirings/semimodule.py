@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import close, close_congruence, closed_sets
+from .closure import close, close_congruence, closed_sets, principal_test_pairs
 from .errors import (
     AnnulatorIsEverything,
     LineReader,
@@ -284,11 +284,13 @@ def _only_trivial_subs(mod):
 
 
 def _only_trivial_congruences(mod):
-    for x in range(mod.m):
-        for y in range(x + 1, mod.m):
-            if not module_principal(mod, x, y).is_total():
-                return False
-    return True
+    """True iff every principal module congruence on a distinct pair is
+    total, decided on ``closure.principal_test_pairs(mod.madd)``: the
+    covering-pair lemma uses only compatibility with addition, so it holds
+    for modules with idempotent addition as for semirings."""
+    tables = _translations(mod)
+    return all(close_congruence(list(range(mod.m)), [pair], tables) == 1
+               for pair in principal_test_pairs(mod.madd))
 
 
 def irreducibility(mod):

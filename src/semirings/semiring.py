@@ -1,8 +1,9 @@
 """Abstract finite semirings as a pair of Cayley tables.
 
 Congruences are partitions compatible with both operations; simplicity is
-decided by closing every principal congruence and checking it is total.
-That closure is the hot loop of the whole package: it is the union-find of
+decided by closing the principal congruence of each covering pair of the
+additive order (of every pair, when addition is not idempotent) and
+checking it is total.  That closure is the union-find of
 ``closure.close_congruence`` over the tables ``add``, ``mul`` and
 ``mul_t``, stopped as soon as the congruence is total.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closure import close, close_congruence, closed_sets
+from .closure import close, close_congruence, closed_sets, principal_test_pairs
 from .errors import (
     AddNotAssociative,
     AddNotCommutative,
@@ -166,10 +167,19 @@ def principal_congruence(r, x, y):
 
 
 def is_congruence_simple(r):
-    """True iff every principal congruence on a distinct pair is total."""
+    """True iff every principal congruence on a distinct pair is total.
+
+    Only the pairs of ``closure.principal_test_pairs(r.add)`` are closed.
+    When + is idempotent these are the covering pairs c ⋖ b of the order
+    x ≤ y iff x + y = y, by the lemma: if x θ y with x ≠ y, adding x and
+    then z to both sides shows z θ (x + y) for every x ≤ z ≤ x + y, so
+    Θ(x, y) contains Θ(c, b) for some covering pair, and R is
+    congruence-simple iff every Θ(c, b) is total.  Without idempotent
+    addition every pair is closed.
+    """
     tables = _translations(r)
-    return all(close_congruence(list(range(r.n)), [(x, y)], tables) == 1
-               for x in range(r.n) for y in range(x + 1, r.n))
+    return all(close_congruence(list(range(r.n)), [pair], tables) == 1
+               for pair in principal_test_pairs(r.add))
 
 
 def is_semiring_congruence(r, cong):

@@ -2,6 +2,7 @@ import pytest
 
 from semirings.endo import end_semiring, enumerate_sr
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
+from semirings.semimodule import descend_to_irreducible
 
 
 def pytest_configure(config):
@@ -48,4 +49,13 @@ def sr_rings(sr_families):
     return {
         name: [fam.to_semiring() for fam in fams]
         for name, fams in sr_families.items()
+    }
+
+
+@pytest.fixture(scope="session")
+def descents(sr_rings):
+    """(semiring, descent chain) per member of the pipeline families."""
+    return {
+        name: [(r, descend_to_irreducible(r)) for r in sr_rings[name]]
+        for name in ("chain3", "n5", "m3")
     }

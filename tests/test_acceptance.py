@@ -34,7 +34,6 @@ from semirings.semimodule import (
     acts_nonzero,
     annihilator,
     commutant,
-    descend_to_irreducible,
     irreducibility,
     module_lattice,
     representation,
@@ -65,15 +64,6 @@ EXPECTED_SR_ORDERS = {
 }
 
 SIZE6 = os.environ.get("SEMIRINGS_SIZE6") == "1"
-
-
-@pytest.fixture(scope="session")
-def descents(sr_rings):
-    """(semiring, descent chain) per member of the pipeline families."""
-    return {
-        name: [(r, descend_to_irreducible(r)) for r in sr_rings[name]]
-        for name in ("chain3", "n5", "m3")
-    }
 
 
 @pytest.mark.criterion(1, "dense family orders match the classification table")

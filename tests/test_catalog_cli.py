@@ -24,6 +24,7 @@ from semirings.cli import main
 from semirings.endo import end_semiring
 from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
+from semirings.semimodule import regular_module, serialize_smod, validate_semimodule
 from semirings.semiring import serialize_sr
 
 
@@ -124,6 +125,57 @@ def test_check_srs_json_and_text_are_pinned(tmp_path, srs, result, text):
     assert out == json.dumps({"command": "check", "ok": True, "result": result},
                              indent=2, sort_keys=True) + "\n"
     assert run_cli("check", str(path)) == (0, text)
+
+
+def write_end_chain3_modules(tmp_path):
+    """``end_chain3.sr`` and two modules over it: the regular module
+    (``reg.smod``) and End(chain3) acting on chain3 (``nat.smod``)."""
+    lat = load_fixture("chain3")
+    r, members = end_semiring(lat)
+    r.name = "end_chain3"
+    (tmp_path / "end_chain3.sr").write_text(serialize_sr(r))
+    (tmp_path / "reg.smod").write_text(serialize_smod(regular_module(r)))
+    act = tuple(tuple(f) for f in members)
+    (tmp_path / "nat.smod").write_text(serialize_smod(validate_semimodule(r, lat.join, act)))
+
+
+@pytest.mark.parametrize("name, m, irreducible", [("reg", 6, False), ("nat", 3, True)])
+def test_check_smod_json_and_text_are_pinned(tmp_path, name, m, irreducible):
+    write_end_chain3_modules(tmp_path)
+    path = tmp_path / f"{name}.smod"
+    result = {"kind": "semimodule", "ring": "end_chain3", "m": m, "acts_nonzero": True,
+              "sub_irreducible": irreducible, "quotient_irreducible": irreducible}
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 0
+    assert out == json.dumps({"command": "check", "ok": True, "result": result},
+                             indent=2, sort_keys=True) + "\n"
+    assert run_cli("check", str(path)) == (0, (
+        f"semimodule over end_chain3: m = {m}, |R| = 6\n"
+        f"acts_nonzero=True sub_irreducible={irreducible} "
+        f"quotient_irreducible={irreducible}\n"))
+
+
+def test_check_smod_module_axiom_failure_exits_one(tmp_path):
+    write_end_chain3_modules(tmp_path)
+    path = tmp_path / "nat.smod"
+    lines = path.read_text().splitlines()
+    lines[-1] = "0 2 1"  # a swap of 1 and 2 does not preserve joins
+    path.write_text("\n".join(lines) + "\n")
+    code, text = run_cli("check", str(path))
+    assert code == 1
+    assert text.startswith("validation failed: ")
+
+
+@pytest.mark.parametrize("ring_line, message", [
+    ("ring nosuch", "cannot resolve ring 'nosuch'"),
+    ("ring renamed", "ring 'end_chain3' does not match reference 'renamed'"),
+])
+def test_check_smod_unresolved_ring_exits_two(tmp_path, ring_line, message):
+    write_end_chain3_modules(tmp_path)
+    (tmp_path / "renamed.sr").write_text((tmp_path / "end_chain3.sr").read_text())
+    path = tmp_path / "nat.smod"
+    path.write_text(path.read_text().replace("ring end_chain3", ring_line))
+    assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
 
 
 def test_min_order_below_six_is_empty():
@@ -361,3 +413,26 @@ def test_compare_reports_mismatches():
               for r in reports]
     diffs = compare_with_expected(broken)
     assert any("chain3" in d and "99" in d for d in diffs)
+
+
+def test_compare_checks_each_anti_isomorphic_pair_once(monkeypatch):
+    from semirings import catalog
+
+    reports = [family_report(load_fixture(name)) for name in ("lat50a", "lat50b")]
+    built, searched = [], []
+    anti_iso = catalog.semiring_anti_iso
+
+    def counting_end_semiring(lat):
+        built.append(lat.name)
+        return end_semiring(lat)
+
+    def counting_anti_iso(s1, s2):
+        searched.append((s1.n, s2.n))
+        return anti_iso(s1, s2)
+
+    monkeypatch.setattr(catalog, "end_semiring", counting_end_semiring)
+    monkeypatch.setattr(catalog, "semiring_anti_iso", counting_anti_iso)
+    diffs = catalog.compare_with_expected(reports)
+    assert not [d for d in diffs if "anti-isomorphism" in d]
+    assert sorted(built) == ["lat50a", "lat50b"]
+    assert searched == [(50, 50)]

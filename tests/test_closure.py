@@ -8,13 +8,15 @@ The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced.  The congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
+Simplicity, decided on the covering pairs of the additive order, is checked
+against closing every pair.
 """
 
 import os
 
 import pytest
 
-from semirings.closure import close
+from semirings.closure import close, principal_test_pairs
 from semirings.endo import (
     _products,
     compose,
@@ -30,6 +32,7 @@ from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import enumerate_lattices
 from semirings.semimodule import (
+    _only_trivial_congruences,
     _pairs_of,
     module_congruences,
     module_principal,
@@ -42,6 +45,7 @@ from semirings.semiring import (
     principal_congruence,
     restrict,
     subsemirings,
+    validate_semiring,
 )
 
 
@@ -266,3 +270,72 @@ def test_congruence_closure_matches_reference(r):
         for y in range(x + 1, mod.m):
             assert module_principal(mod, x, y) == reference_congruence(mod.m, [(x, y)], ts)
     assert set(module_congruences(mod)) == reference_module_congruences(mod)
+
+
+def covering_pairs_by_definition(add):
+    """Every pair x < y when + is not idempotent; otherwise every c < b of
+    the order x <= y iff x + y = y with no element strictly between."""
+    n = len(add)
+    if any(add[x][x] != x for x in range(n)):
+        return [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+    def below(x, y):
+        return x != y and add[x][y] == y
+
+    return [(c, b) for c in range(n) for b in range(n)
+            if below(c, b) and not any(below(c, z) and below(z, b) for z in range(n))]
+
+
+def all_pairs_simple(r):
+    return all(principal_congruence(r, x, y).is_total()
+               for x in range(r.n) for y in range(x + 1, r.n))
+
+
+def all_pairs_trivial(mod):
+    return all(module_principal(mod, x, y).is_total()
+               for x in range(mod.m) for y in range(x + 1, mod.m))
+
+
+def residue_ring(n):
+    """Z/n as a semiring: a ring, so + is not idempotent."""
+    return validate_semiring([[(x + y) % n for y in range(n)] for x in range(n)],
+                             [[x * y % n for y in range(n)] for x in range(n)], 0,
+                             name=f"Z/{n}")
+
+
+def saturating_semiring():
+    """{0, 1, 2} with the sums and products of naturals capped at 2: not a
+    ring, and 1 + 1 = 2, so + is not idempotent."""
+    return validate_semiring([[min(x + y, 2) for y in range(3)] for x in range(3)],
+                             [[min(x * y, 2) for y in range(3)] for x in range(3)], 0,
+                             name="sat2")
+
+
+def lemma_rings(name):
+    if name == "not-idempotent":
+        return [residue_ring(2), residue_ring(3), residue_ring(4), saturating_semiring()]
+    r, _ = end_semiring(load_fixture(name))
+    return [restrict(r, s) for s in subsemirings(r)]
+
+
+@pytest.mark.parametrize("name, count, simple", [
+    ("chain3", 20, 7), ("diamond", 222, 16), ("not-idempotent", 4, 2)])
+def test_covering_pair_simplicity_matches_all_pairs(name, count, simple):
+    rings = lemma_rings(name)
+    assert len(rings) == count
+    verdicts = []
+    for r in rings:
+        assert sorted(principal_test_pairs(r.add)) == covering_pairs_by_definition(r.add)
+        verdicts.append(is_congruence_simple(r))
+        assert verdicts[-1] == all_pairs_simple(r), (name, r.n, r.name)
+        mod = regular_module(r)
+        assert _only_trivial_congruences(mod) == all_pairs_trivial(mod), (name, r.n, r.name)
+    assert sum(verdicts) == simple
+
+
+def test_covering_pair_irreducibility_matches_all_pairs_on_the_descents(descents):
+    mods = [mod for chains in descents.values() for _, chain in chains for mod in chain]
+    for mod in mods:
+        assert sorted(principal_test_pairs(mod.madd)) == covering_pairs_by_definition(mod.madd)
+        assert _only_trivial_congruences(mod) == all_pairs_trivial(mod), mod.m
+    assert {_only_trivial_congruences(mod) for mod in mods} == {False, True}
