@@ -2,8 +2,8 @@
 
 The library constructs the endomorphism semiring of a finite idempotent
 commutative monoid, enumerates its dense subsemirings, decides
-congruence-simplicity of finite semirings by brute force, and descends to
-irreducible semimodules.  The ``semirings`` console script reproduces the
+congruence-simplicity of finite semirings from the covering pairs of the
+additive order, and descends to irreducible semimodules.  The ``semirings`` console script reproduces the
 classification data for all monoids of up to five elements.
 """
 
