@@ -291,12 +291,13 @@ def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     file is replaced atomically, entries first and the index after them,
     so the index never names an entry not yet written; entry files the new
     index does not list are then removed.  Returns the list of
-    (name, digest) pairs.
+    (name, digest) pairs.  A ``max_size`` above the enumeration limit
+    raises LimitExceeded before anything is created.
     """
+    lats = [l for l in enumerate_lattices(max_size) if l.n >= 2]
     out = Path(out_dir)
     entries_dir = out / "entries"
     entries_dir.mkdir(parents=True, exist_ok=True)
-    lats = [l for l in enumerate_lattices(max_size) if l.n >= 2]
     reports = family_reports(lats, max_end=max_end, jobs=jobs)
     index = []
     for report in reports:

@@ -267,17 +267,8 @@ def embed_ring_of_sets(lat):
 
 
 def _lattice_colors(lat):
-    n = lat.n
-    up = [0] * n
-    for y in range(n):
-        m = lat.down[y]
-        x = 0
-        while m:
-            if m & 1:
-                up[x] |= 1 << y
-            m >>= 1
-            x += 1
-    return _poset_colors(up, list(lat.down), n)
+    # the transpose of the down-sets is the up-sets
+    return _poset_colors(_down_masks(lat.down, lat.n), list(lat.down), lat.n)
 
 
 def lattice_iso(lat1, lat2):
@@ -341,10 +332,16 @@ def lattice_iso(lat1, lat2):
 # ---------------------------------------------------------------------------
 # enumeration of all lattices up to isomorphism
 #
-# Strategy: grow partial orders one maximal element at a time (the new
-# element's strict down-set can be any order ideal), deduplicate by a
-# canonical form, and keep those posets in which every pair has a least
-# upper bound and a global bottom exists.
+# Strategy.  Every lattice L with n >= 2 elements is the ordinal sum
+# 0 + P + 1 of a bottom, the poset P of its n - 2 inner elements, and a
+# top.  An isomorphism of lattices fixes 0 and 1, so two lattices are
+# isomorphic iff their inner posets are, and a finite bounded poset is a
+# lattice iff every pair has a least upper bound.  So grow partial orders
+# one maximal element at a time (the new element's strict down-set can be
+# any order ideal) up to size n - 2 only, deduplicate by a canonical form,
+# add a bottom and a top to each class, and keep those bounded posets in
+# which every pair has a least upper bound (Heitzig and Reinhold, "Counting
+# finite lattices", Algebra Universalis 48, 2002).
 
 
 def _poset_colors(up, down, n):
@@ -382,7 +379,9 @@ def _admissible_perms(colors, n):
         yield perm
 
 
-def _canon_upmasks(up, n):
+def _down_masks(up, n):
+    """Transpose a relation stored as row bitmasks: the down-sets of a
+    poset from its up-sets (and its up-sets from its down-sets)."""
     down = [0] * n
     for x in range(n):
         m = up[x]
@@ -392,7 +391,11 @@ def _canon_upmasks(up, n):
                 down[y] |= 1 << x
             m >>= 1
             y += 1
-    colors = _poset_colors(up, down, n)
+    return down
+
+
+def _canon_upmasks(up, n):
+    colors = _poset_colors(up, _down_masks(up, n), n)
     best = None
     for perm in _admissible_perms(colors, n):
         rows = [0] * n
@@ -412,15 +415,7 @@ def _canon_upmasks(up, n):
 
 
 def _order_ideals(up, n):
-    down = [0] * n
-    for x in range(n):
-        m = up[x]
-        y = 0
-        while m:
-            if m & 1:
-                down[y] |= 1 << x
-            m >>= 1
-            y += 1
+    down = _down_masks(up, n)
     for mask in range(1 << n):
         ok = True
         m = mask
@@ -435,16 +430,34 @@ def _order_ideals(up, n):
             yield mask
 
 
+def _grow_posets(posets, n):
+    """The posets of size n, one canonical up-mask tuple per isomorphism
+    class, from those of size n - 1: every poset has a maximal element,
+    and its strict down-set is an order ideal of the rest."""
+    bit = 1 << (n - 1)
+    return {
+        _canon_upmasks([row | bit if (ideal >> x) & 1 else row
+                        for x, row in enumerate(up)] + [bit], n)
+        for up in posets
+        for ideal in _order_ideals(up, n - 1)
+    }
+
+
+def _bounded(up, k):
+    """Up-mask rows of 0 + P + 1 for a poset P on 0..k-1: P keeps its
+    indices, the bottom is k and the top k + 1."""
+    top = 1 << (k + 1)
+    return [row | top for row in up] + [(1 << (k + 2)) - 1, top]
+
+
 def _poset_to_lattice(up, n):
-    full = (1 << n) - 1
-    if not any(up[b] == full for b in range(n)):
-        return None
+    """Join table of a bounded poset, or None unless every pair has a
+    least upper bound.  The top bounds every pair, so ``uppers`` is never
+    empty."""
     join = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
             uppers = up[x] & up[y]
-            if uppers == 0:
-                return None
             z = None
             m = uppers
             c = 0
@@ -483,41 +496,32 @@ def _canon_join_table(join, n):
 def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     """One validated FiniteLattice per isomorphism class, sizes 1..max_n.
 
-    Deterministic: classes are sorted by (size, canonical join table).
-    Raises LimitExceeded past the configured hard limit.
+    A lattice with n >= 2 elements is 0 + P + 1 for its poset P of n - 2
+    inner elements, and two lattices are isomorphic iff their inner posets
+    are; a bounded poset is a lattice iff every pair has a least upper
+    bound.  So only posets up to size max_n - 2 are generated, one per
+    class, and each is bounded and tested.
+
+    Deterministic: classes are sorted by (size, canonical join table), and
+    the k-th class of size n is named ``lat{n}_{k}``.  Raises
+    LimitExceeded past the configured hard limit.
     """
     if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds limit {limit}")
     if max_n < 1:
         return []
-    results = []
-    posets = {(1,): (1,)}  # canonical up-mask rows -> representative
-    lat_tables = [_canon_join_table([[0]], 1)]
+    out = [validate_lattice(((0,),), zero=0, name="lat1_1")]
+    posets = {()}  # the inner posets of size n - 2, as canonical up-mask rows
     for n in range(2, max_n + 1):
-        nxt = {}
-        for up in posets.values():
-            prev_n = n - 1
-            for ideal in _order_ideals(up, prev_n):
-                new_up = [row | ((1 << (n - 1)) if (ideal >> x) & 1 else 0)
-                          for x, row in enumerate(up)]
-                new_up.append(1 << (n - 1))
-                canon = _canon_upmasks(new_up, n)
-                if canon not in nxt:
-                    nxt[canon] = tuple(new_up)
-        posets = nxt
+        if n > 2:
+            posets = _grow_posets(posets, n - 2)
         tables = set()
-        for up in posets.values():
-            join = _poset_to_lattice(up, n)
+        for up in posets:
+            join = _poset_to_lattice(_bounded(up, n - 2), n)
             if join is not None:
                 tables.add(_canon_join_table(join, n))
-        lat_tables.extend(sorted(tables))
-    out = []
-    for table in sorted(lat_tables, key=lambda t: (len(t), t)):
-        lat = validate_lattice(table, zero=0, name=f"lat{len(table)}")
-        out.append(lat)
-    for i, lat in enumerate(out):
-        same = [l for l in out[: i + 1] if l.n == lat.n]
-        lat.name = f"lat{lat.n}_{len(same)}"
+        out.extend(validate_lattice(table, zero=0, name=f"lat{n}_{k}")
+                   for k, table in enumerate(sorted(tables), 1))
     return out
 
 

@@ -235,6 +235,13 @@ def test_catalog_build_query_cycle(tmp_path):
     assert code == 0 and "2 rows" in text
 
 
+def test_catalog_build_above_the_enumeration_limit_creates_nothing(tmp_path):
+    out_dir = tmp_path / "cat"
+    code, text = run_cli("catalog", "build", "--max-size", "8", "--out", str(out_dir))
+    assert (code, text) == (1, "error: LimitExceeded: max_n=8 exceeds limit 7\n")
+    assert not out_dir.exists()
+
+
 def test_catalog_rebuild_is_bit_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -1,5 +1,7 @@
 """Lattice core: validation, order data, duality, enumeration."""
 
+import hashlib
+import io
 import itertools
 
 import pytest
@@ -11,8 +13,12 @@ from semirings.errors import (
     NotIdempotent,
     ParseError,
 )
+from semirings.cli import main
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
+    _canon_join_table,
+    _canon_upmasks,
+    _order_ideals,
     condition_d,
     dual,
     embed_ring_of_sets,
@@ -294,6 +300,75 @@ def test_enumeration_covers_the_five_element_fixtures():
         fixture = load_fixture(name)
         matches = [l for l in five if lattice_iso(l, fixture) is not None]
         assert len(matches) == 1, name
+
+
+def _reference_poset_to_lattice(up, n):
+    """Join table of a poset with a global bottom in which every pair has
+    a least upper bound, else None."""
+    full = (1 << n) - 1
+    if not any(up[b] == full for b in range(n)):
+        return None
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            uppers = up[x] & up[y]
+            least = [z for z in range(n)
+                     if (uppers >> z) & 1 and (uppers & ~up[z]) == 0]
+            if not least:
+                return None
+            join[x][y] = join[y][x] = least[0]
+    return join
+
+
+def _reference_enumerate_lattices(max_n):
+    """Grow every poset class up to size max_n (not max_n - 2), keep those
+    with a bottom and all joins, and name the k-th class of size n by
+    counting the classes of size n before it."""
+    if max_n < 1:
+        return []
+    posets = {(1,): (1,)}
+    lat_tables = [_canon_join_table([[0]], 1)]
+    for n in range(2, max_n + 1):
+        nxt = {}
+        for up in posets.values():
+            for ideal in _order_ideals(up, n - 1):
+                new_up = [row | ((1 << (n - 1)) if (ideal >> x) & 1 else 0)
+                          for x, row in enumerate(up)]
+                new_up.append(1 << (n - 1))
+                nxt.setdefault(_canon_upmasks(new_up, n), tuple(new_up))
+        posets = nxt
+        tables = set()
+        for up in posets.values():
+            join = _reference_poset_to_lattice(up, n)
+            if join is not None:
+                tables.add(_canon_join_table(join, n))
+        lat_tables.extend(sorted(tables))
+    out = [validate_lattice(t, zero=0) for t in sorted(lat_tables, key=lambda t: (len(t), t))]
+    for i, lat in enumerate(out):
+        lat.name = f"lat{lat.n}_{sum(1 for l in out[: i + 1] if l.n == lat.n)}"
+    return out
+
+
+@pytest.mark.parametrize("max_n", range(1, 8))
+def test_enumeration_matches_growth_to_full_size(max_n):
+    def facts(lats):
+        return [(l.name, l.join, l.zero, l.top, l.down) for l in lats]
+
+    assert facts(enumerate_lattices(max_n)) == facts(_reference_enumerate_lattices(max_n))
+
+
+def test_enumeration_counts_match_a006966_up_to_eight():
+    lats = enumerate_lattices(8, limit=8)
+    counts = [sum(1 for l in lats if l.n == n) for n in range(1, 9)]
+    assert counts == [1, 1, 1, 2, 5, 15, 53, 222]
+
+
+def test_min_order_seven_json_is_pinned():
+    # digest of the output of the grow-to-size-n enumeration kept above
+    out = io.StringIO()
+    assert main(["--format", "json", "min-order", "--max-size", "7"], out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "13f32b2577969e696a4ba7f6ba4b9f797c988185a7d5324c749723cf032e03fc"
 
 
 def test_enumeration_limit():
