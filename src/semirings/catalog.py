@@ -291,14 +291,16 @@ def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
     file is replaced atomically, entries first and the index after them,
     so the index never names an entry not yet written; entry files the new
     index does not list are then removed.  Returns the list of
-    (name, digest) pairs.  A ``max_size`` above the enumeration limit
-    raises LimitExceeded before anything is created.
+    (name, digest) pairs.  Every report is computed before the first
+    directory is made, so a ``max_size`` above the enumeration limit
+    (LimitExceeded) or a lattice over ``max_end`` (SizeLimit) creates
+    nothing.
     """
     lats = [l for l in enumerate_lattices(max_size) if l.n >= 2]
+    reports = family_reports(lats, max_end=max_end, jobs=jobs)
     out = Path(out_dir)
     entries_dir = out / "entries"
     entries_dir.mkdir(parents=True, exist_ok=True)
-    reports = family_reports(lats, max_end=max_end, jobs=jobs)
     index = []
     for report in reports:
         text = record_text(report)

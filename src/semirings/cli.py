@@ -302,9 +302,9 @@ def build_parser():
     parser.add_argument("--jobs", type=positive_int, default=1,
                         help="parallel worker count for sweeps (capped at the CPU "
                              "and task counts)")
-    parser.add_argument("--max-end-size", type=int, default=END_SIZE_LIMIT,
+    parser.add_argument("--max-end-size", type=positive_int, default=END_SIZE_LIMIT,
                         help="bound on |End(M)| per lattice")
-    parser.add_argument("--max-sr-base", type=int, default=SR_BASE_LIMIT,
+    parser.add_argument("--max-sr-base", type=positive_int, default=SR_BASE_LIMIT,
                         help="bound on the base semiring of family enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 

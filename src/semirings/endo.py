@@ -4,7 +4,10 @@ An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
-alone.  The dense subsemirings form an interval between it and End(M),
+alone: while it is built, a map f on n elements is the string of the codes
+f(x) + n·x (``bytes`` when n² <= 256, ``str`` above), and adding an
+elementary map to every sum is one ``translate`` call per sum.  The dense
+subsemirings form an interval between it and End(M),
 enumerated by the closed-set walk of ``closure.py``: a closed set
 extended by one map is re-closed from that map alone, and each pair of
 maps is combined once.
@@ -13,6 +16,7 @@ maps is combined once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .closure import closed_sets
 from .errors import LineReader, ParseError, SizeLimit
@@ -189,6 +193,27 @@ def _products(lat):
     return products
 
 
+def _codec(n):
+    """(pack, table, translate, unpack) for maps on an n-element lattice.
+
+    ``pack`` turns a list of codes below n² into a string, ``bytes`` when
+    n² <= 256 and ``str`` otherwise; ``table`` turns the list of images of
+    the codes 0 .. n² − 1 into a table for ``translate``, which leaves every
+    other code alone; ``unpack`` turns a string back into its codes.
+    """
+    if n * n <= 256:
+        pad = bytes(range(n * n, 256))
+        return bytes, lambda codes: bytes(codes) + pad, bytes.translate, tuple
+
+    def pack(codes):
+        return "".join(map(chr, codes))
+
+    def unpack(s):
+        return tuple(map(ord, s))
+
+    return pack, list, str.translate, unpack
+
+
 def dense_closure(lat, max_size=END_SIZE_LIMIT):
     """Least dense subsemiring: the sums of elementary maps.
 
@@ -212,16 +237,37 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     span of a prefix is closed under join, so adding such a map finds
     nothing new.  ``SizeLimit`` is raised as soon as the span holds more
     than ``max_size`` maps.
+
+    The encoding.  Each map f on the n elements is held as the string of
+    the codes f(x) + n·x for x = 0 .. n − 1 (see ``_codec``).  Code v + n·x
+    names the cell (x, v) and f(x) is its code mod n, so equal strings are
+    equal maps, and strings compare as the image tuples do.  Adding e_{a,b}
+    sends cell (x, v) to (x, join(v, b)) when x is not below a and fixes
+    it otherwise.  That is a substitution of codes, so f + e_{a,b} is
+    ``f.translate(T_ab)`` for its table T_ab, and each step of the fold is
+    one ``translate`` per sum, all in C.  The generators are the e_{a,b}
+    with a ≠ top and b ≠ zero: the others are the zero map, and these are
+    distinct, since a is the largest element sent to zero and b the image
+    of the top.
     """
-    join = lat.join
-    span = {zero_map(lat)}
-    for e in elementary_maps(lat):
+    n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
+    pack, table, translate, unpack = _codec(n)
+    gens = sorted(
+        (pack([(zero if down[a] >> x & 1 else b) + n * x for x in range(n)]), a, b)
+        for a in range(n) if a != lat.top for b in range(n) if b != zero)
+    span = {pack([zero + n * x for x in range(n)])}
+    for e, a, b in gens:
         if e in span:
             continue
-        span.update([tuple([join[a][b] for a, b in zip(f, e)]) for f in span])
+        below = down[a]
+        step = table([(v if below >> x & 1 else join[v][b]) + n * x
+                      for x in range(n) for v in range(n)])
+        span.update(list(map(translate, span, repeat(step))))
         if max_size is not None and len(span) > max_size:
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
-    return EndoSubsemiring(lat, frozenset(span), _dense=True)
+    decode = table([c % n for c in range(n * n)])
+    members = frozenset(map(unpack, map(translate, span, repeat(decode))))
+    return EndoSubsemiring(lat, members, _dense=True)
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT, max_families=100000):

@@ -242,6 +242,14 @@ def test_catalog_build_above_the_enumeration_limit_creates_nothing(tmp_path):
     assert not out_dir.exists()
 
 
+def test_catalog_build_over_the_base_budget_creates_nothing(tmp_path):
+    out_dir = tmp_path / "cat"
+    code, text = run_cli("--max-sr-base", "10", "catalog", "build", "--max-size", "5",
+                         "--out", str(out_dir))
+    assert code == 1 and text.startswith("error: SizeLimit: ")
+    assert not out_dir.exists()
+
+
 def test_catalog_rebuild_is_bit_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -384,6 +392,18 @@ def test_jobs_below_one_is_rejected_before_work(jobs, tmp_path, capsys):
     assert main(["--jobs", jobs, "catalog", "build", "--max-size", "3",
                  "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--max-end-size", "--max-sr-base"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budgets_below_one_are_rejected_before_work(flag, value, tmp_path, capsys):
+    out_dir = tmp_path / "cat"
+    assert main([flag, value, "catalog", "build", "--max-size", "3",
+                 "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    code, text = run_cli(flag, value, "min-order", "--max-size", "6")
+    assert (code, text) == (2, "")
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_worker_count_caps_at_cpus_and_tasks(monkeypatch):

@@ -6,7 +6,9 @@ element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
-compositions that it replaced.  The congruence reference relabels blocks until every translation of every
+compositions that it replaced, and its fold over maps encoded as ``bytes``
+(n² <= 256) or ``str`` against the same fold over image tuples.  The
+congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
 Simplicity, decided on the covering pairs of the additive order, is checked
 against closing every pair.
@@ -30,7 +32,7 @@ from semirings.endo import (
 )
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
-from semirings.lattice import enumerate_lattices
+from semirings.lattice import enumerate_lattices, validate_lattice
 from semirings.semimodule import (
     _only_trivial_congruences,
     _pairs_of,
@@ -158,6 +160,55 @@ def test_dense_closure_is_the_closure_of_the_elementary_maps_on_size_seven():
     assert len(sevens) == 53
     for lat in sevens:
         assert dense_closure(lat).members == closure_of_elementary_maps(lat), lat.name
+
+
+def tuple_fold_dense_closure(lat):
+    """The fold of ``dense_closure`` on image tuples, one lattice join per
+    coordinate of each sum, as it ran before maps were encoded as strings."""
+    join = lat.join
+    span = {zero_map(lat)}
+    for e in elementary_maps(lat):
+        if e in span:
+            continue
+        span.update([tuple([join[a][b] for a, b in zip(f, e)]) for f in span])
+    return frozenset(span)
+
+
+def m_lattice(k):
+    """M_k: a bottom 0, k pairwise incomparable atoms 1..k, and a top k + 1."""
+    n, top = k + 2, k + 1
+    return validate_lattice([[x if x == y else y if x == 0 else x if y == 0 else top
+                              for y in range(n)] for x in range(n)], name=f"M{k}")
+
+
+def test_dense_closure_matches_the_tuple_fold_up_to_size_seven():
+    lats = list(enumerate_lattices(7)) + [load_fixture(n) for n in FIXTURE_NAMES]
+    assert len(lats) == 78 + len(FIXTURE_NAMES)
+    for lat in lats:
+        assert dense_closure(lat).members == tuple_fold_dense_closure(lat), lat.name
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_dense_closure_matches_the_tuple_fold_on_m_k(k):
+    lat = m_lattice(k)
+    assert dense_closure(lat).members == tuple_fold_dense_closure(lat)
+
+
+def test_dense_closure_on_m15_above_the_bytes_encoding():
+    lat = m_lattice(15)
+    assert lat.n ** 2 > 256
+    with pytest.raises(SizeLimit):
+        dense_closure(lat)
+    assert dense_closure(lat, max_size=None).size == 22532
+
+
+@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
+                    reason="set SEMIRINGS_SIZE6=1 to run the M_13 .. M_16 sweep")
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+def test_dense_closure_matches_the_tuple_fold_around_the_bytes_boundary(k):
+    lat = m_lattice(k)
+    got = dense_closure(lat, max_size=None).members
+    assert got == tuple_fold_dense_closure(lat)
 
 
 @pytest.mark.parametrize("name", ["chain3", "diamond", "n5", "m3"])
