@@ -9,7 +9,9 @@ of two elements are.  Semiring congruences, module congruences and plain
 equivalences generated by pairs are all least partitions compatible with
 some translation tables; each is closed by :func:`close_congruence`, and
 the callers only say which tables.  Whether every principal congruence is
-total is decided on the pairs of :func:`principal_test_pairs` alone.
+total is decided on the pairs of :func:`principal_test_pairs` alone, and
+with idempotent addition a closure is known to be total as soon as it
+relates the pair of :func:`zero_top_pair`.
 """
 
 from __future__ import annotations
@@ -82,10 +84,10 @@ def closed_sets(base, universe, products, images=None, *, max_count, noun):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def close_congruence(parent, pairs, tables):
+def close_congruence(parent, pairs, tables, total_pair=None):
     """Merge ``pairs`` into the union-find forest ``parent``, in place, until
     the partition is compatible with every table in ``tables``; return the
-    number of blocks left.
+    number of blocks left, or 1 as soon as the result is known to be total.
 
     A table ``t`` lists the translations of each element: ``t[u][a]`` is
     the image of u under the a-th translation.  For a semiring the tables
@@ -107,11 +109,28 @@ def close_congruence(parent, pairs, tables):
       induction every pair on the stack lies in any compatible partition
       that contains the start and ``pairs``, so the roots it joins do too,
       and so do their translations.
-    - Stopping as soon as one block remains is exact.  The partition only
-      grows and stays inside the least compatible one, so once it is total
-      that one is total too, and no pair left on the stack could change it.
+    - Stopping as soon as the partition is total is exact.  The partition
+      only grows and stays inside the least compatible one, so once it
+      relates two elements that only the total partition relates, that
+      one is total too, and no pair left on the stack could change it.
+      Without ``total_pair`` the closure stops at one block.
+      ``total_pair`` names two elements that no compatible partition but
+      the total one relates, such as :func:`zero_top_pair` when ``add``
+      is one of the tables; the closure then stops as soon as their two
+      roots coincide and returns 1, and ``parent`` is left below the
+      total partition.
     """
     blocks = sum(1 for x, p in enumerate(parent) if x == p)
+    # roots of the two ends of total_pair; -1 and -2 are never roots
+    z, w = -1, -2
+    if total_pair is not None:
+        z, w = total_pair
+        while parent[z] != z:
+            z = parent[z]
+        while parent[w] != w:
+            w = parent[w]
+        if z == w:
+            return 1
     stack = list(pairs)
     while stack:
         u, v = stack.pop()
@@ -125,11 +144,39 @@ def close_congruence(parent, pairs, tables):
             continue
         parent[v] = u
         blocks -= 1
-        if blocks == 1:
-            break
+        if v == z:
+            z = u
+        elif v == w:
+            w = u
+        if z == w or blocks == 1:
+            return 1
         for t in tables:
             stack.extend(zip(t[u], t[v]))
     return blocks
+
+
+def _idempotent(add):
+    return all(add[x][x] == x for x in range(len(add)))
+
+
+def zero_top_pair(add, zero):
+    """``(zero, top)``, with top the sum of all elements, when the
+    commutative addition ``add`` is idempotent and has identity ``zero``;
+    None otherwise.
+
+    Only the total congruence relates the two, by this lemma.  Let + be
+    idempotent.  Then x + top = top for every x, since x already occurs in
+    the sum top.  If a congruence θ compatible with + relates zero and
+    top, adding x to both sides gives x = x + zero θ x + top = top for
+    every x, so θ is total.  :func:`close_congruence` stops on this pair
+    (``total_pair``) long before the closure reaches one block.
+    """
+    if not _idempotent(add):
+        return None
+    top = zero
+    for x in range(len(add)):
+        top = add[top][x]
+    return zero, top
 
 
 def principal_test_pairs(add):
@@ -153,7 +200,7 @@ def principal_test_pairs(add):
     iff c < b and c lies below no other element strictly below b.
     """
     n = len(add)
-    if any(add[x][x] != x for x in range(n)):
+    if not _idempotent(add):
         return [(x, y) for x in range(n) for y in range(x + 1, n)]
     down = [0] * n
     for y in range(n):

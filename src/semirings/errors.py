@@ -114,9 +114,9 @@ class LineReader:
 
     def next(self):
         """The next non-blank line and its number; ``ParseError`` at the end
-        of the text, numbered ``len(lines)``."""
+        of the text, numbered by its last line (line 1 for an empty text)."""
         if self.at_end():
-            raise ParseError("unexpected end of file", len(self.lines))
+            raise ParseError("unexpected end of file", max(1, len(self.lines)))
         self.pos += 1
         return self.lines[self.pos - 1], self.pos
 

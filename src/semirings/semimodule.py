@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import close, close_congruence, closed_sets, principal_test_pairs
+from .closure import (
+    close,
+    close_congruence,
+    closed_sets,
+    principal_test_pairs,
+    zero_top_pair,
+)
 from .errors import (
     AnnulatorIsEverything,
     LineReader,
@@ -229,10 +235,15 @@ def maximal_nontotal_congruence(mod):
 
     Greedy single pass: try to absorb each pair in turn, keeping the
     closure only while it stays nontotal.  After the pass no further pair
-    can be added, which is exactly maximality.
+    can be added, which is exactly maximality.  With idempotent addition
+    a closure that relates the module zero and the top of
+    ``closure.zero_top_pair`` is total (x = x + 0 θ x + top = top), so it
+    is abandoned at that merge; a nontotal closure runs to the end, and
+    the partition kept is the same as with the stop at one block.
     """
     m = mod.m
     tables = _translations(mod)
+    stop = zero_top_pair(mod.madd, mod.mzero)
     current = []
     blocks = Congruence(m, tuple(range(m)))
     for x in range(m):
@@ -240,7 +251,7 @@ def maximal_nontotal_congruence(mod):
             if blocks.same(x, y):
                 continue
             parent = list(range(m))
-            if close_congruence(parent, current + [(x, y)], tables) > 1:
+            if close_congruence(parent, current + [(x, y)], tables, stop) > 1:
                 current.append((x, y))
                 blocks = Congruence.from_parents(parent)
     return blocks
@@ -287,9 +298,11 @@ def _only_trivial_congruences(mod):
     """True iff every principal module congruence on a distinct pair is
     total, decided on ``closure.principal_test_pairs(mod.madd)``: the
     covering-pair lemma uses only compatibility with addition, so it holds
-    for modules with idempotent addition as for semirings."""
+    for modules with idempotent addition as for semirings, and so does the
+    stop on the zero and the top of ``closure.zero_top_pair``."""
     tables = _translations(mod)
-    return all(close_congruence(list(range(mod.m)), [pair], tables) == 1
+    stop = zero_top_pair(mod.madd, mod.mzero)
+    return all(close_congruence(list(range(mod.m)), [pair], tables, stop) == 1
                for pair in principal_test_pairs(mod.madd))
 
 

@@ -5,7 +5,9 @@ decided by closing the principal congruence of each covering pair of the
 additive order (of every pair, when addition is not idempotent) and
 checking it is total.  That closure is the union-find of
 ``closure.close_congruence`` over the tables ``add``, ``mul`` and
-``mul_t``, stopped as soon as the congruence is total.
+``mul_t``, stopped as soon as the congruence is total: with idempotent
+addition, as soon as it relates the zero and the top of the additive
+order (``closure.zero_top_pair``), since x = x + 0 θ x + top = top.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closure import close, close_congruence, closed_sets, principal_test_pairs
+from .closure import (
+    close,
+    close_congruence,
+    closed_sets,
+    principal_test_pairs,
+    zero_top_pair,
+)
 from .errors import (
     AddNotAssociative,
     AddNotCommutative,
@@ -175,10 +183,12 @@ def is_congruence_simple(r):
     then z to both sides shows z θ (x + y) for every x ≤ z ≤ x + y, so
     Θ(x, y) contains Θ(c, b) for some covering pair, and R is
     congruence-simple iff every Θ(c, b) is total.  Without idempotent
-    addition every pair is closed.
+    addition every pair is closed.  Each closure stops once it relates
+    the zero and the top of ``closure.zero_top_pair``.
     """
     tables = _translations(r)
-    return all(close_congruence(list(range(r.n)), [pair], tables) == 1
+    stop = zero_top_pair(r.add, r.zero)
+    return all(close_congruence(list(range(r.n)), [pair], tables, stop) == 1
                for pair in principal_test_pairs(r.add))
 
 

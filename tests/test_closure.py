@@ -11,14 +11,17 @@ compositions that it replaced, and its fold over maps encoded as ``bytes``
 congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
 Simplicity, decided on the covering pairs of the additive order, is checked
-against closing every pair.
+against closing every pair.  Closures that stop once they relate the zero
+and the additive top are checked against closures that run to one block,
+and the greedy maximal nontotal module congruence against the same greedy
+with the one-block stop.
 """
 
 import os
 
 import pytest
 
-from semirings.closure import close, principal_test_pairs
+from semirings.closure import close, close_congruence, principal_test_pairs, zero_top_pair
 from semirings.endo import (
     _products,
     compose,
@@ -36,6 +39,7 @@ from semirings.lattice import enumerate_lattices, validate_lattice
 from semirings.semimodule import (
     _only_trivial_congruences,
     _pairs_of,
+    maximal_nontotal_congruence,
     module_congruences,
     module_principal,
     regular_module,
@@ -390,3 +394,105 @@ def test_covering_pair_irreducibility_matches_all_pairs_on_the_descents(descents
         assert sorted(principal_test_pairs(mod.madd)) == covering_pairs_by_definition(mod.madd)
         assert _only_trivial_congruences(mod) == all_pairs_trivial(mod), mod.m
     assert {_only_trivial_congruences(mod) for mod in mods} == {False, True}
+
+
+def principal_closures(n, pairs, tables, stop=None):
+    """Block count, and the partition when it is nontotal, of the closure
+    of each pair: with the one-block stop, or with the stop on ``stop``."""
+    out = []
+    for pair in pairs:
+        parent = list(range(n))
+        blocks = close_congruence(parent, [pair], tables, stop)
+        out.append((blocks, Congruence.from_parents(parent) if blocks > 1 else None))
+    return out
+
+
+def one_block_maximal_nontotal_congruence(mod):
+    """``maximal_nontotal_congruence`` as it ran before the zero-top stop:
+    every closure runs until it is nontotal or has one block."""
+    m = mod.m
+    tables = (mod.madd, mod.act_t)
+    current = []
+    blocks = Congruence(m, tuple(range(m)))
+    for x in range(m):
+        for y in range(x + 1, m):
+            if blocks.same(x, y):
+                continue
+            parent = list(range(m))
+            if close_congruence(parent, current + [(x, y)], tables) > 1:
+                current.append((x, y))
+                blocks = Congruence.from_parents(parent)
+    return blocks
+
+
+def assert_zero_top_pair(add, zero):
+    """The pair exists iff + is idempotent; its top absorbs every element."""
+    n = len(add)
+    stop = zero_top_pair(add, zero)
+    if any(add[x][x] != x for x in range(n)):
+        assert stop is None
+        return None
+    assert stop[0] == zero
+    top = stop[1]
+    assert all(add[x][top] == top == add[top][x] for x in range(n))
+    return stop
+
+
+def reversed_ring(r):
+    """``r`` with each element x renamed n - 1 - x.  Subsemirings of End(L)
+    list their members in ascending order, so their additive top is the
+    last element; renamed, it is the first."""
+    n = r.n
+
+    def rename(table):
+        return [[n - 1 - table[n - 1 - x][n - 1 - y] for y in range(n)] for x in range(n)]
+
+    return validate_semiring(rename(r.add), rename(r.mul), n - 1 - r.zero)
+
+
+@pytest.mark.parametrize("name, count", [("chain3", 20), ("diamond", 222), ("not-idempotent", 4)])
+def test_zero_top_stop_matches_the_one_block_stop(name, count):
+    rings = lemma_rings(name)
+    assert len(rings) == count
+    rings += [reversed_ring(r) for r in rings]
+    stopped = 0
+    for r in rings:
+        stop = assert_zero_top_pair(r.add, r.zero)
+        assert (stop is None) == (name == "not-idempotent")
+        pairs = [(x, y) for x in range(r.n) for y in range(x + 1, r.n)]
+        tables = (r.add, r.mul, r.mul_t)
+        assert (principal_closures(r.n, pairs, tables, stop)
+                == principal_closures(r.n, pairs, tables)), (name, r.n)
+        covers = principal_closures(r.n, principal_test_pairs(r.add), tables)
+        assert is_congruence_simple(r) == all(blocks == 1 for blocks, _ in covers)
+
+        mod = regular_module(r)
+        assert zero_top_pair(mod.madd, mod.mzero) == stop
+        tables = (mod.madd, mod.act_t)
+        assert (principal_closures(mod.m, pairs, tables, stop)
+                == principal_closures(mod.m, pairs, tables)), (name, r.n)
+        covers = principal_closures(mod.m, principal_test_pairs(mod.madd), tables)
+        assert _only_trivial_congruences(mod) == all(blocks == 1 for blocks, _ in covers)
+        assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod)
+        stopped += stop is not None and stop[0] != stop[1]
+    assert stopped == (0 if name == "not-idempotent" else 2 * (count - 1))
+
+
+def test_zero_top_stop_matches_the_one_block_stop_on_the_descents(descents):
+    mods = [mod for chains in descents.values() for _, chain in chains for mod in chain]
+    for mod in mods:
+        stop = assert_zero_top_pair(mod.madd, mod.mzero)
+        assert stop is not None
+        assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod), mod.m
+
+
+def test_zero_top_stop_ends_a_total_closure_before_one_block():
+    r, _ = end_semiring(load_fixture("diamond"))
+    stop = zero_top_pair(r.add, r.zero)
+    tables = (r.add, r.mul, r.mul_t)
+    parent = list(range(r.n))
+    assert close_congruence(parent, [stop], tables, stop) == 1
+    assert Congruence.from_parents(parent).num_blocks > 1
+    parent = list(range(r.n))
+    assert close_congruence(parent, [stop], tables) == 1
+    assert Congruence.from_parents(parent).is_total()

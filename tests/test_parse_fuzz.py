@@ -4,7 +4,8 @@
 Inputs are arbitrary text, lines of format keywords and numbers, and
 single-token mutations (replace, delete or insert one token) of fixture
 text.  A parsed object must serialize to text that parses back to the same
-object and serializes to the same text again.
+object and serializes to the same text again.  A ``ParseError`` names no
+line or a 1-based line of the text (line 1 for an empty text).
 """
 
 import pytest
@@ -84,7 +85,10 @@ def assert_rejected_or_round_trips(fmt, text):
     load, serialize, identity, _ = FORMATS[fmt]
     try:
         obj = load(text)
-    except (ParseError, ValidationError):
+    except ParseError as exc:
+        assert exc.line is None or 1 <= exc.line <= max(1, len(text.splitlines())), exc
+        return
+    except ValidationError:
         return
     out = serialize(obj)
     back = load(out)
@@ -97,6 +101,16 @@ def test_fixture_texts_round_trip(fmt):
     load, serialize, _, texts = FORMATS[fmt]
     for text in texts:
         assert serialize(load(text)) == text
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n"])
+def test_a_text_without_content_fails_on_a_line_of_it(fmt, text):
+    load = FORMATS[fmt][0]
+    with pytest.raises(ParseError) as info:
+        load(text)
+    assert info.value.line == max(1, len(text.splitlines()))
+    assert_rejected_or_round_trips(fmt, text)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
