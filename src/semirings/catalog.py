@@ -49,19 +49,19 @@ class FamilyReport:
         return [m.order for m in self.members]
 
 
-def family_report(lat, max_end=512, verify_simple=True):
+def family_report(lat, max_end=512):
     """Compute the dense-subsemiring family of a lattice with all flags.
 
     Members are ordered by descending size; equal-size members keep the
-    deterministic enumeration order.
+    deterministic enumeration order.  ``Mismatch`` if a member is not
+    congruence-simple.
     """
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
     end_order = families[0].size  # End(M) is dense: the top of the family
     rings = [f.to_semiring() for f in families]
-    if verify_simple:
-        for r in rings:
-            if not is_congruence_simple(r):
-                raise Mismatch(f"family member of order {r.n} is not congruence-simple")
+    for r in rings:
+        if not is_congruence_simple(r):
+            raise Mismatch(f"family member of order {r.n} is not congruence-simple")
     iso_class = [None] * len(rings)
     next_class = 0
     for i, r in enumerate(rings):

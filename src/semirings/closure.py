@@ -8,8 +8,9 @@ enumerated by :func:`closed_sets`; the callers only say what the products
 of two elements are.  Semiring congruences, module congruences and plain
 equivalences generated by pairs are all least partitions compatible with
 some translation tables; each is closed by :func:`close_congruence`, and
-the callers only say which tables.  Whether every principal congruence is
-total is decided on the pairs of :func:`principal_test_pairs` alone, and
+the callers only say which tables, as they do to :func:`compatible`.
+Whether every principal congruence is total is decided on the pairs of
+:func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.
 """
@@ -153,6 +154,36 @@ def close_congruence(parent, pairs, tables, total_pair=None):
         for t in tables:
             stack.extend(zip(t[u], t[v]))
     return blocks
+
+
+def compatible(blocks, tables):
+    """Whether the partition ``blocks`` (a block id per element) is
+    compatible with the translation ``tables`` of :func:`close_congruence`.
+
+    Each element x is compared with the first element f of its block only,
+    by transitivity: if ``t[x][a]`` and ``t[f][a]`` share a block for every
+    such x, then so do ``t[x][a]`` and ``t[y][a]`` for x, y in one block.
+    """
+    first = {}
+    for x, b in enumerate(blocks):
+        f = first.setdefault(b, x)
+        if f == x:
+            continue
+        for t in tables:
+            for u, v in zip(t[x], t[f]):
+                if blocks[u] != blocks[v]:
+                    return False
+    return True
+
+
+def only_total_principals(add, zero, tables):
+    """Whether every congruence compatible with ``tables``, which include
+    ``add`` with identity ``zero``, is the identity or total: the closure
+    of each pair of :func:`principal_test_pairs` is total, each stopped at
+    the pair of :func:`zero_top_pair`."""
+    stop = zero_top_pair(add, zero)
+    return all(close_congruence(list(range(len(add))), [pair], tables, stop) == 1
+               for pair in principal_test_pairs(add))
 
 
 def _idempotent(add):

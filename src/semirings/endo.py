@@ -341,24 +341,12 @@ def identity_is_elementary_sum(lat):
 
 def parse_srs(text):
     reader = LineReader(text)
-    line, ln = reader.next()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "lattice":
-        raise ParseError("expected 'lattice <name>'", ln)
-    lattice_name = parts[1]
+    lattice_name = reader.field("lattice", "name")
     members = []
-    width = None
+    width = None  # fixed by the first member
     while not reader.at_end():
-        line, ln = reader.next()
-        entries = line.split()
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError(f"expected {width} entries, got {len(entries)}", ln)
-        try:
-            members.append(tuple(int(p) for p in entries))
-        except ValueError:
-            raise ParseError("non-integer image entry", ln)
+        members.append(reader.row(width, "image entry"))
+        width = len(members[0])
     if not members:
         raise ParseError("no members listed", len(reader.lines))
     return lattice_name, members

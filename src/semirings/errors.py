@@ -2,6 +2,9 @@
 
 Validation errors carry a short witness tuple naming the elements that
 violate the axiom, so failures are reproducible by hand.
+
+:class:`LineReader` is the one table reader of the four text formats and
+:func:`check_table` the one table-shape check of the three validators.
 """
 
 
@@ -100,11 +103,14 @@ class ParseError(Error):
 
 class LineReader:
     """The non-blank lines of a text, read in order with their 1-based
-    line numbers; the one line reader of every text format."""
+    line numbers: header lines ``key <value>`` (:meth:`field`,
+    :meth:`int_field`), an optional ``name`` line (:meth:`name`) and rows
+    of integers (:meth:`row`), each error a numbered ``ParseError``."""
 
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
+        self.line = 0  # number of the last line handed out
 
     def at_end(self):
         """True when only blank lines remain."""
@@ -113,12 +119,64 @@ class LineReader:
         return self.pos >= len(self.lines)
 
     def next(self):
-        """The next non-blank line and its number; ``ParseError`` at the end
-        of the text, numbered by its last line (line 1 for an empty text)."""
+        """The next non-blank line, its number kept in ``line``;
+        ``ParseError`` at the end of the text, numbered by its last line
+        (line 1 for an empty text)."""
         if self.at_end():
             raise ParseError("unexpected end of file", max(1, len(self.lines)))
         self.pos += 1
-        return self.lines[self.pos - 1], self.pos
+        self.line = self.pos
+        return self.lines[self.pos - 1]
+
+    def field(self, key, what):
+        """The value of the next line, which must read ``key <what>``."""
+        parts = self.next().split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ParseError(f"expected '{key} <{what}>'", self.line)
+        return parts[1]
+
+    def int_field(self, key, what, bad):
+        """:meth:`field` read as an integer; ``bad`` opens the message
+        naming a value that is not one."""
+        value = self.field(key, what)
+        try:
+            return int(value)
+        except ValueError:
+            raise ParseError(f"{bad} {value!r}", self.line)
+
+    def name(self):
+        """The string after ``name`` if the next line is ``name <string>``
+        (empty if nothing follows); otherwise None, and the next line is
+        left unread."""
+        if self.at_end():
+            return None
+        parts = self.lines[self.pos].split(None, 1)
+        if parts[0] != "name":
+            return None
+        self.next()
+        return parts[1] if len(parts) > 1 else ""
+
+    def row(self, width, noun):
+        """The next line as a tuple of ``width`` integers, or of any number
+        when ``width`` is None; ``noun`` names an entry that is not one."""
+        parts = self.next().split()
+        if width is not None and len(parts) != width:
+            raise ParseError(f"expected {width} entries, got {len(parts)}", self.line)
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"non-integer {noun}", self.line)
+
+
+def check_table(table, width, label=""):
+    """``ParseError`` unless every row of ``table`` has ``width`` entries,
+    each in ``range(width)``; ``label`` names the table in the message."""
+    for i, row in enumerate(table):
+        if len(row) != width:
+            raise ParseError(f"{label}row {i} has length {len(row)}, expected {width}")
+        for v in row:
+            if not (0 <= v < width):
+                raise ParseError(f"{label}entry {v} out of range in row {i}")
 
 
 class Mismatch(Error):

@@ -20,6 +20,7 @@ from .errors import (
     NotDistributive,
     NotIdempotent,
     ParseError,
+    check_table,
 )
 
 ENUM_HARD_LIMIT = 7
@@ -118,12 +119,7 @@ def validate_lattice(join_table, zero=0, name=None):
     n = len(join)
     if n == 0:
         raise BadZero("empty table")
-    for i, row in enumerate(join):
-        if len(row) != n:
-            raise ParseError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not (0 <= v < n):
-                raise ParseError(f"entry {v} out of range in row {i}")
+    check_table(join, n)
     if not (0 <= zero < n):
         raise BadZero("zero index out of range", (zero,))
     for x in range(n):
@@ -530,38 +526,12 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
 
 
 def parse_lat(text):
-    next_line = LineReader(text).next
-    first, ln = next_line()
-    parts = first.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ParseError("expected 'n <count>'", ln)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad count {parts[1]!r}", ln)
+    reader = LineReader(text)
+    n = reader.int_field("n", "count", "bad count")
     if n < 1:
-        raise ParseError("count must be positive", ln)
-    name = None
-    line, ln = next_line()
-    if line.split() and line.split()[0] == "name":
-        name = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
-        line, ln = next_line()
-    rows = []
-    while True:
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries, got {len(parts)}", ln)
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ParseError("non-integer table entry", ln)
-        if len(rows) == n:
-            break
-        line, ln = next_line()
-    for i, row in enumerate(rows):
-        for v in row:
-            if not (0 <= v < n):
-                raise ParseError(f"entry {v} out of range in row {i}")
+        raise ParseError("count must be positive", reader.line)
+    name = reader.name()
+    rows = [reader.row(n, "table entry") for _ in range(n)]
     return validate_lattice(rows, zero=0, name=name)
 
 

@@ -16,7 +16,8 @@ from .closure import (
     close,
     close_congruence,
     closed_sets,
-    principal_test_pairs,
+    compatible,
+    only_total_principals,
     zero_top_pair,
 )
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     SizeLimit,
+    check_table,
 )
 from .endo import EndoSubsemiring, elementary_maps, zero_map
 from .lattice import validate_lattice
@@ -63,20 +65,10 @@ def validate_semimodule(ring, madd, act, name=None):
     madd = tuple(tuple(row) for row in madd)
     act = tuple(tuple(row) for row in act)
     m = len(madd)
-    for i, row in enumerate(madd):
-        if len(row) != m:
-            raise ParseError(f"madd row {i} has length {len(row)}, expected {m}")
-        for v in row:
-            if not (0 <= v < m):
-                raise ParseError(f"madd entry {v} out of range in row {i}")
+    check_table(madd, m, "madd ")
     if len(act) != ring.n:
         raise ParseError(f"act table has {len(act)} rows, expected {ring.n}")
-    for i, row in enumerate(act):
-        if len(row) != m:
-            raise ParseError(f"act row {i} has length {len(row)}, expected {m}")
-        for v in row:
-            if not (0 <= v < m):
-                raise ParseError(f"act entry {v} out of range in row {i}")
+    check_table(act, m, "act ")
     mzero = None
     for e in range(m):
         if all(madd[e][x] == x for x in range(m)):
@@ -180,20 +172,9 @@ def module_principal(mod, x, y):
 
 
 def is_module_congruence(mod, cong):
-    if cong.n != mod.m:
-        return False
-    blk = cong.blocks
-    for x in range(mod.m):
-        for y in range(x + 1, mod.m):
-            if blk[x] != blk[y]:
-                continue
-            for a in range(mod.m):
-                if blk[mod.madd[a][x]] != blk[mod.madd[a][y]]:
-                    return False
-            for r in range(mod.ring.n):
-                if blk[mod.act[r][x]] != blk[mod.act[r][y]]:
-                    return False
-    return True
+    """Whether ``cong`` is compatible with the module addition and the
+    action; the translations by + are the rows of ``madd``, as + commutes."""
+    return cong.n == mod.m and compatible(cong.blocks, _translations(mod))
 
 
 def module_congruences(mod, max_count=100000):
@@ -296,14 +277,10 @@ def _only_trivial_subs(mod):
 
 def _only_trivial_congruences(mod):
     """True iff every principal module congruence on a distinct pair is
-    total, decided on ``closure.principal_test_pairs(mod.madd)``: the
-    covering-pair lemma uses only compatibility with addition, so it holds
-    for modules with idempotent addition as for semirings, and so does the
-    stop on the zero and the top of ``closure.zero_top_pair``."""
-    tables = _translations(mod)
-    stop = zero_top_pair(mod.madd, mod.mzero)
-    return all(close_congruence(list(range(mod.m)), [pair], tables, stop) == 1
-               for pair in principal_test_pairs(mod.madd))
+    total, by ``closure.only_total_principals``: the covering-pair lemma
+    and the zero-top stop use only compatibility with addition, so they
+    hold for modules with idempotent addition as for semirings."""
+    return only_total_principals(mod.madd, mod.mzero, _translations(mod))
 
 
 def irreducibility(mod):
@@ -480,35 +457,12 @@ def commutant(r, mod):
 
 def parse_smod(text):
     reader = LineReader(text)
-    next_line = reader.next
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "ring":
-        raise ParseError("expected 'ring <name>'", ln)
-    ring_name = parts[1]
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "m":
-        raise ParseError("expected 'm <count>'", ln)
-    try:
-        m = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad count {parts[1]!r}", ln)
-
-    def read_row():
-        line, ln = next_line()
-        parts = line.split()
-        if len(parts) != m:
-            raise ParseError(f"expected {m} entries, got {len(parts)}", ln)
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError("non-integer entry", ln)
-
-    madd = tuple(read_row() for _ in range(m))
+    ring_name = reader.field("ring", "name")
+    m = reader.int_field("m", "count", "bad count")
+    madd = tuple(reader.row(m, "entry") for _ in range(m))
     act = []
     while not reader.at_end():
-        act.append(read_row())
+        act.append(reader.row(m, "entry"))
     return ring_name, madd, tuple(act)
 
 

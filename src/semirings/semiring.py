@@ -8,6 +8,8 @@ checking it is total.  That closure is the union-find of
 ``mul_t``, stopped as soon as the congruence is total: with idempotent
 addition, as soon as it relates the zero and the top of the additive
 order (``closure.zero_top_pair``), since x = x + 0 θ x + top = top.
+A given partition is checked against the same tables by
+``closure.compatible``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .closure import (
     close,
     close_congruence,
     closed_sets,
-    principal_test_pairs,
-    zero_top_pair,
+    compatible,
+    only_total_principals,
 )
 from .errors import (
     AddNotAssociative,
@@ -33,6 +35,7 @@ from .errors import (
     ParseError,
     RightDistFail,
     ZeroNotAbsorbing,
+    check_table,
 )
 from .lattice import validate_lattice
 
@@ -127,13 +130,8 @@ def validate_semiring(add, mul, zero, name=None):
     n = len(add)
     if len(mul) != n:
         raise ParseError("add and mul tables disagree in size")
-    for t in (add, mul):
-        for i, row in enumerate(t):
-            if len(row) != n:
-                raise ParseError(f"row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not (0 <= v < n):
-                    raise ParseError(f"entry {v} out of range in row {i}")
+    check_table(add, n)
+    check_table(mul, n)
     if not (0 <= zero < n):
         raise BadZero("zero index out of range", (zero,))
     for x in range(n):
@@ -177,38 +175,18 @@ def principal_congruence(r, x, y):
 def is_congruence_simple(r):
     """True iff every principal congruence on a distinct pair is total.
 
-    Only the pairs of ``closure.principal_test_pairs(r.add)`` are closed.
-    When + is idempotent these are the covering pairs c ⋖ b of the order
-    x ≤ y iff x + y = y, by the lemma: if x θ y with x ≠ y, adding x and
-    then z to both sides shows z θ (x + y) for every x ≤ z ≤ x + y, so
-    Θ(x, y) contains Θ(c, b) for some covering pair, and R is
-    congruence-simple iff every Θ(c, b) is total.  Without idempotent
-    addition every pair is closed.  Each closure stops once it relates
-    the zero and the top of ``closure.zero_top_pair``.
+    Decided by ``closure.only_total_principals``: only the covering pairs
+    of the additive order are closed (every pair when + is not idempotent),
+    by the lemma of ``closure.principal_test_pairs``, and each closure
+    stops once it relates the zero and the top of ``closure.zero_top_pair``.
     """
-    tables = _translations(r)
-    stop = zero_top_pair(r.add, r.zero)
-    return all(close_congruence(list(range(r.n)), [pair], tables, stop) == 1
-               for pair in principal_test_pairs(r.add))
+    return only_total_principals(r.add, r.zero, _translations(r))
 
 
 def is_semiring_congruence(r, cong):
-    if cong.n != r.n:
-        return False
-    blk = cong.blocks
-    add, mul = r.add, r.mul
-    for x in range(r.n):
-        for y in range(x + 1, r.n):
-            if blk[x] != blk[y]:
-                continue
-            for a in range(r.n):
-                if blk[add[a][x]] != blk[add[a][y]]:
-                    return False
-                if blk[mul[a][x]] != blk[mul[a][y]]:
-                    return False
-                if blk[mul[x][a]] != blk[mul[y][a]]:
-                    return False
-    return True
+    """Whether ``cong`` is compatible with + and with both products; the
+    left translations by + are the rows of ``add``, as + commutes."""
+    return cong.n == r.n and compatible(cong.blocks, _translations(r))
 
 
 def quotient_semiring(r, cong, name=None):
@@ -512,43 +490,12 @@ def check_iso(r1, r2, mapping, anti=False):
 
 
 def parse_sr(text):
-    next_line = LineReader(text).next
-    line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ParseError("expected 'n <count>'", ln)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad count {parts[1]!r}", ln)
-    name = None
-    line, ln = next_line()
-    if line.split() and line.split()[0] == "name":
-        name = line.split(None, 1)[1] if len(line.split(None, 1)) > 1 else ""
-        line, ln = next_line()
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "zero":
-        raise ParseError("expected 'zero <index>'", ln)
-    try:
-        zero = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad zero index {parts[1]!r}", ln)
-
-    def read_table():
-        rows = []
-        while len(rows) < n:
-            line, ln = next_line()
-            parts = line.split()
-            if len(parts) != n:
-                raise ParseError(f"expected {n} entries, got {len(parts)}", ln)
-            try:
-                rows.append(tuple(int(p) for p in parts))
-            except ValueError:
-                raise ParseError("non-integer table entry", ln)
-        return tuple(rows)
-
-    add = read_table()
-    mul = read_table()
+    reader = LineReader(text)
+    n = reader.int_field("n", "count", "bad count")
+    name = reader.name()
+    zero = reader.int_field("zero", "index", "bad zero index")
+    add = tuple(reader.row(n, "table entry") for _ in range(n))
+    mul = tuple(reader.row(n, "table entry") for _ in range(n))
     return validate_semiring(add, mul, zero, name=name)
 
 

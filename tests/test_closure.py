@@ -10,8 +10,10 @@ compositions that it replaced, and its fold over maps encoded as ``bytes``
 (n² <= 256) or ``str`` against the same fold over image tuples.  The
 congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
-Simplicity, decided on the covering pairs of the additive order, is checked
-against closing every pair.  Closures that stop once they relate the zero
+The compatibility checks of semiring and module congruences are compared
+with the pair-by-pair definition on every partition of every subsemiring
+of End(chain3).  Simplicity, decided on the covering pairs of the additive
+order, is checked against closing every pair.  Closures that stop once they relate the zero
 and the additive top are checked against closures that run to one block,
 and the greedy maximal nontotal module congruence against the same greedy
 with the one-block stop.
@@ -39,6 +41,7 @@ from semirings.lattice import enumerate_lattices, validate_lattice
 from semirings.semimodule import (
     _only_trivial_congruences,
     _pairs_of,
+    is_module_congruence,
     maximal_nontotal_congruence,
     module_congruences,
     module_principal,
@@ -48,6 +51,7 @@ from semirings.semimodule import (
 from semirings.semiring import (
     Congruence,
     is_congruence_simple,
+    is_semiring_congruence,
     principal_congruence,
     restrict,
     subsemirings,
@@ -394,6 +398,41 @@ def test_covering_pair_irreducibility_matches_all_pairs_on_the_descents(descents
         assert sorted(principal_test_pairs(mod.madd)) == covering_pairs_by_definition(mod.madd)
         assert _only_trivial_congruences(mod) == all_pairs_trivial(mod), mod.m
     assert {_only_trivial_congruences(mod) for mod in mods} == {False, True}
+
+
+def set_partitions(n):
+    """Every partition of range(n), as block ids numbered by first use."""
+    out = [()]
+    for x in range(n):
+        out = [p + (b,) for p in out for b in range(max(p, default=-1) + 2)]
+    return out
+
+
+def compatible_by_definition(blocks, translations):
+    n = len(blocks)
+    return all(blocks[t(x)] == blocks[t(y)]
+               for x in range(n) for y in range(x + 1, n) if blocks[x] == blocks[y]
+               for t in translations)
+
+
+def test_compatibility_matches_the_definition():
+    rings = lemma_rings("chain3")
+    assert len(rings) == 20
+    checked = 0
+    verdicts = set()
+    for r in rings:
+        mod = regular_module(r)
+        ring_ts, module_ts = ring_translations(r), module_translations(mod)
+        for blocks in set_partitions(r.n):
+            cong = Congruence(r.n, blocks)
+            want = compatible_by_definition(blocks, ring_ts)
+            assert is_semiring_congruence(r, cong) == want, (r.n, blocks)
+            want_module = compatible_by_definition(blocks, module_ts)
+            assert is_module_congruence(mod, cong) == want_module, (r.n, blocks)
+            verdicts |= {("ring", want), ("module", want_module)}
+            checked += 1
+    assert checked == 366
+    assert verdicts == {("ring", False), ("ring", True), ("module", False), ("module", True)}
 
 
 def principal_closures(n, pairs, tables, stop=None):

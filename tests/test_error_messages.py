@@ -1,0 +1,152 @@
+"""The exact error of every branch of the four text parsers and of the
+shape checks of the three validators: exception type and ``str(exc)``,
+line number included.
+
+``test_parse_fuzz`` checks only that malformed input raises a typed error;
+this table holds the messages and line numbers themselves.
+"""
+
+import pytest
+
+from semirings.endo import load_srs, parse_srs
+from semirings.errors import BadZero, ParseError
+from semirings.fixtures import boolean_semiring, load_fixture
+from semirings.lattice import parse_lat, validate_lattice
+from semirings.semimodule import load_smod, parse_smod, validate_semimodule
+from semirings.semiring import parse_sr, validate_semiring
+
+CHAIN3 = load_fixture("chain3")
+BOOLEAN = boolean_semiring()
+MADD = ((0, 1), (1, 1))
+
+
+def _srs(text):
+    return load_srs(*parse_srs(text), CHAIN3)
+
+
+def _smod(text):
+    return load_smod(*parse_smod(text), BOOLEAN)
+
+
+def _module(madd, act):
+    return validate_semimodule(BOOLEAN, madd, act)
+
+
+# (id, call, argument, exception type, exact message)
+CASES = [
+    # .lat
+    ("lat-header", parse_lat, "x 3\n", ParseError, "line 1: expected 'n <count>'"),
+    ("lat-header-words", parse_lat, "n 3 4\n", ParseError, "line 1: expected 'n <count>'"),
+    ("lat-bad-count", parse_lat, "n x\n", ParseError, "line 1: bad count 'x'"),
+    ("lat-count-zero", parse_lat, "\nn 0\n", ParseError, "line 2: count must be positive"),
+    ("lat-count-negative", parse_lat, "n -2\n", ParseError, "line 1: count must be positive"),
+    ("lat-row-width", parse_lat, "n 2\nname two\n0 1\n1\n", ParseError,
+     "line 4: expected 2 entries, got 1"),
+    ("lat-name-after-rows", parse_lat, "n 2\n0 1\nname two\n", ParseError,
+     "line 3: non-integer table entry"),
+    ("lat-non-integer", parse_lat, "n 2\n0 x\n", ParseError, "line 2: non-integer table entry"),
+    ("lat-eof-after-count", parse_lat, "n 2\n\n", ParseError, "line 2: unexpected end of file"),
+    ("lat-eof-after-name", parse_lat, "n 1\nname one\n", ParseError,
+     "line 2: unexpected end of file"),
+    ("lat-eof-in-rows", parse_lat, "n 2\n0 1\n", ParseError, "line 2: unexpected end of file"),
+    ("lat-empty", parse_lat, "", ParseError, "line 1: unexpected end of file"),
+    ("lat-out-of-range", parse_lat, "n 2\n0 1\n1 2\n", ParseError,
+     "entry 2 out of range in row 1"),
+    ("lat-negative-entry", parse_lat, "n 2\n-1 1\n1 1\n", ParseError,
+     "entry -1 out of range in row 0"),
+    # .sr
+    ("sr-header", parse_sr, "m 2\n", ParseError, "line 1: expected 'n <count>'"),
+    ("sr-bad-count", parse_sr, "n 1.5\n", ParseError, "line 1: bad count '1.5'"),
+    ("sr-zero-header", parse_sr, "n 1\nname b\nnil 0\n", ParseError,
+     "line 3: expected 'zero <index>'"),
+    ("sr-zero-header-no-name", parse_sr, "n 1\nzero\n", ParseError,
+     "line 2: expected 'zero <index>'"),
+    ("sr-bad-zero", parse_sr, "n 1\nzero q\n", ParseError, "line 2: bad zero index 'q'"),
+    ("sr-row-width", parse_sr, "n 1\nzero 0\n0 0\n", ParseError,
+     "line 3: expected 1 entries, got 2"),
+    ("sr-non-integer", parse_sr, "n 1\nzero 0\n0\n\n?\n", ParseError,
+     "line 5: non-integer table entry"),
+    ("sr-eof-after-count", parse_sr, "n 1\n", ParseError, "line 1: unexpected end of file"),
+    ("sr-eof-after-name", parse_sr, "n 1\nname b\n\n", ParseError,
+     "line 3: unexpected end of file"),
+    ("sr-eof-in-mul", parse_sr, "n 1\nzero 0\n0\n", ParseError,
+     "line 3: unexpected end of file"),
+    ("sr-zero-count", parse_sr, "n 0\nzero 0\n", BadZero,
+     "zero index out of range: witness (0,)"),
+    ("sr-out-of-range", parse_sr, "n 2\nzero 0\n0 1\n1 1\n\n0 0\n0 3\n", ParseError,
+     "entry 3 out of range in row 1"),
+    # .smod
+    ("smod-header", parse_smod, "ring\n", ParseError, "line 1: expected 'ring <name>'"),
+    ("smod-count-header", _smod, "ring boolean\nn 2\n", ParseError,
+     "line 2: expected 'm <count>'"),
+    ("smod-bad-count", _smod, "ring boolean\nm z\n", ParseError, "line 2: bad count 'z'"),
+    ("smod-row-width", _smod, "ring boolean\nm 2\n0\n", ParseError,
+     "line 3: expected 2 entries, got 1"),
+    ("smod-act-width", _smod, "ring boolean\nm 2\n0 1\n1 1\n\n0 0\n1\n", ParseError,
+     "line 7: expected 2 entries, got 1"),
+    ("smod-non-integer", _smod, "ring boolean\nm 2\n0 y\n", ParseError,
+     "line 3: non-integer entry"),
+    ("smod-eof", _smod, "ring boolean\nm 2\n0 1\n", ParseError,
+     "line 3: unexpected end of file"),
+    ("smod-eof-after-ring", _smod, "ring boolean\n\n\n", ParseError,
+     "line 3: unexpected end of file"),
+    ("smod-ring-mismatch", _smod, "ring other\nm 1\n0\n0\n0\n", ParseError,
+     "ring 'boolean' does not match reference 'other'"),
+    ("smod-act-rows", _smod, "ring boolean\nm 2\n0 1\n1 1\n\n0 0\n", ParseError,
+     "act table has 1 rows, expected 2"),
+    ("smod-madd-out-of-range", _smod, "ring boolean\nm 2\n0 1\n1 2\n\n0 0\n0 1\n", ParseError,
+     "madd entry 2 out of range in row 1"),
+    ("smod-act-out-of-range", _smod, "ring boolean\nm 2\n0 1\n1 1\n\n0 0\n0 5\n", ParseError,
+     "act entry 5 out of range in row 1"),
+    # .srs
+    ("srs-header", _srs, "lat chain3\n", ParseError, "line 1: expected 'lattice <name>'"),
+    ("srs-row-width", _srs, "lattice chain3\n0 0 0\n0 1\n", ParseError,
+     "line 3: expected 3 entries, got 2"),
+    ("srs-non-integer", _srs, "lattice chain3\n\n0 a 0\n", ParseError,
+     "line 3: non-integer image entry"),
+    ("srs-no-members", _srs, "lattice chain3\n", ParseError, "line 1: no members listed"),
+    ("srs-no-members-blank", _srs, "lattice chain3\n\n\n", ParseError,
+     "line 3: no members listed"),
+    ("srs-empty", _srs, "\n", ParseError, "line 1: unexpected end of file"),
+    ("srs-lattice-mismatch", _srs, "lattice diamond\n0 0 0\n", ParseError,
+     "lattice 'chain3' does not match reference 'diamond'"),
+    ("srs-not-endomorphism", _srs, "lattice chain3\n0 2 1\n", ParseError,
+     "member (0, 2, 1) is not an endomorphism of chain3"),
+    # validate_lattice
+    ("lattice-empty", validate_lattice, [], BadZero, "empty table"),
+    ("lattice-row-length", validate_lattice, [[0, 1], [1]], ParseError,
+     "row 1 has length 1, expected 2"),
+    ("lattice-out-of-range", validate_lattice, [[0, 2], [2, 1]], ParseError,
+     "entry 2 out of range in row 0"),
+    # validate_semiring
+    ("semiring-sizes", lambda add: validate_semiring(add, [[0]], 0), MADD, ParseError,
+     "add and mul tables disagree in size"),
+    ("semiring-add-row-length", lambda add: validate_semiring(add, MADD, 0), [[0, 1], [1, 1, 1]],
+     ParseError, "row 1 has length 3, expected 2"),
+    ("semiring-mul-row-length", lambda mul: validate_semiring(MADD, mul, 0), [[0], [0, 1]],
+     ParseError, "row 0 has length 1, expected 2"),
+    ("semiring-add-out-of-range", lambda add: validate_semiring(add, MADD, 0), [[0, 1], [1, -1]],
+     ParseError, "entry -1 out of range in row 1"),
+    ("semiring-mul-out-of-range", lambda mul: validate_semiring(MADD, mul, 0), [[0, 0], [0, 9]],
+     ParseError, "entry 9 out of range in row 1"),
+    # validate_semimodule
+    ("module-madd-row-length", lambda madd: _module(madd, MADD), [[0, 1], [1]], ParseError,
+     "madd row 1 has length 1, expected 2"),
+    ("module-madd-out-of-range", lambda madd: _module(madd, MADD), [[0, 7], [1, 1]], ParseError,
+     "madd entry 7 out of range in row 0"),
+    ("module-act-rows", lambda act: _module(MADD, act), [[0, 0]], ParseError,
+     "act table has 1 rows, expected 2"),
+    ("module-act-row-length", lambda act: _module(MADD, act), [[0, 0], [0, 1, 1]], ParseError,
+     "act row 1 has length 3, expected 2"),
+    ("module-act-out-of-range", lambda act: _module(MADD, act), [[0, 2], [0, 1]], ParseError,
+     "act entry 2 out of range in row 0"),
+]
+
+
+@pytest.mark.parametrize("call, arg, error, message",
+                         [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_error_message(call, arg, error, message):
+    with pytest.raises(error) as info:
+        call(arg)
+    assert type(info.value) is error
+    assert str(info.value) == message
