@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .endo import end_semiring, enumerate_sr
-from .errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion
+from .errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import enumerate_lattices, validate_lattice
 from .semiring import (
@@ -322,22 +322,25 @@ def load_catalog(out_dir):
     index_path = out / "index.txt"
     if not index_path.exists():
         raise CatalogMissing(f"no catalog at {out_dir}")
-    version = (out / "version.txt").read_text().strip() if (out / "version.txt").exists() else ""
+    version = read_text(out / "version.txt").strip() if (out / "version.txt").exists() else ""
     if version != __version__:
         raise StaleVersion(f"catalog built by {version!r}, tool is {__version__!r}")
     reports = []
-    for i, line in enumerate(index_path.read_text().splitlines()):
+    for i, line in enumerate(read_text(index_path).splitlines()):
         parts = line.split()
         if len(parts) != 2 or not all(c in "0123456789abcdef" for c in parts[1]):
             raise ParseError(f"bad catalog index entry {line!r}", i + 1)
         name, digest = parts
+        mismatch = f"catalog entry {digest} of {name} does not match its digest"
         try:
-            text = (out / "entries" / f"{digest}.txt").read_text()
+            text = (out / "entries" / f"{digest}.txt").read_text(encoding="utf-8")
         except FileNotFoundError:
             raise CatalogMissing(f"catalog entry {digest} of {name} is missing")
+        except UnicodeDecodeError:
+            raise CatalogCorrupt(mismatch)  # a digest names UTF-8 text
         report, _ = parse_record(text)
         if _digest(text) != digest:
-            raise CatalogCorrupt(f"catalog entry {digest} of {name} does not match its digest")
+            raise CatalogCorrupt(mismatch)
         reports.append(report)
     return reports
 

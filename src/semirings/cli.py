@@ -21,7 +21,7 @@ from .catalog import (
     report_json,
 )
 from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, load_srs, parse_srs
-from .errors import Error, ParseError, SizeLimit, ValidationError
+from .errors import Error, ParseError, SizeLimit, ValidationError, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import condition_d, enumerate_lattices, is_distributive, lattice_iso, parse_lat
 from .semimodule import (
@@ -187,7 +187,7 @@ def _check_subsemiring(path, text, out, fmt):
     lattice_name, members = parse_srs(text)
     lat_path = Path(path).parent / f"{lattice_name}.lat"
     if lat_path.exists():
-        lat = parse_lat(lat_path.read_text())
+        lat = parse_lat(read_text(lat_path))
     elif lattice_name in FIXTURE_NAMES:
         lat = load_fixture(lattice_name)
     else:
@@ -211,7 +211,7 @@ def _check_semimodule(path, text, out, fmt):
     ring_path = Path(path).parent / f"{ring_name}.sr"
     if not ring_path.exists():
         raise ParseError(f"cannot resolve ring {ring_name!r}")
-    mod = load_smod(ring_name, madd, act, parse_sr(ring_path.read_text()))
+    mod = load_smod(ring_name, madd, act, parse_sr(read_text(ring_path)))
     flags = irreducibility(mod)
     info = {"kind": "semimodule", "ring": ring_name, "m": mod.m,
             "acts_nonzero": flags.acts_nonzero,
@@ -226,11 +226,7 @@ def _check_semimodule(path, text, out, fmt):
 def cmd_check(args, out):
     path = Path(args.path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        out.write(f"error: {exc}\n")
-        return 2
-    try:
+        text = read_text(path)
         if path.suffix == ".lat":
             return _check_lattice(parse_lat(text), out, args.format)
         if path.suffix == ".sr":

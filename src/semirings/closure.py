@@ -1,5 +1,5 @@
-"""The one subset closure, the one closed-set walk and the one congruence
-closure of the package.
+"""The one subset closure, the one closed-set walk, the one congruence
+closure and the one isomorphism search and check of the package.
 
 Subsemirings of End(M), subsemirings of a Cayley-table semiring and
 subsemimodules are all least sets closed under some binary products and,
@@ -12,10 +12,14 @@ the callers only say which tables, as they do to :func:`compatible`.
 Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
-relates the pair of :func:`zero_top_pair`.
+relates the pair of :func:`zero_top_pair`.  Lattices and semirings have
+one isomorphism search, :func:`table_iso`, and one isomorphism check,
+:func:`is_table_iso`, over the same translation tables.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import SizeLimit
 
@@ -186,8 +190,9 @@ def only_total_principals(add, zero, tables):
                for pair in principal_test_pairs(add))
 
 
-def _idempotent(add):
-    return all(add[x][x] == x for x in range(len(add)))
+def idempotent(table):
+    """Whether x op x = x for every x of the operation ``table``."""
+    return all(row[x] == x for x, row in enumerate(table))
 
 
 def zero_top_pair(add, zero):
@@ -202,7 +207,7 @@ def zero_top_pair(add, zero):
     every x, so θ is total.  :func:`close_congruence` stops on this pair
     (``total_pair``) long before the closure reaches one block.
     """
-    if not _idempotent(add):
+    if not idempotent(add):
         return None
     top = zero
     for x in range(len(add)):
@@ -231,7 +236,7 @@ def principal_test_pairs(add):
     iff c < b and c lies below no other element strictly below b.
     """
     n = len(add)
-    if not _idempotent(add):
+    if not idempotent(add):
         return [(x, y) for x in range(n) for y in range(x + 1, n)]
     down = [0] * n
     for y in range(n):
@@ -254,3 +259,127 @@ def principal_test_pairs(add):
             pairs.append((low.bit_length() - 1, b))
             covered ^= low
     return pairs
+
+
+def _joint_colors(structures):
+    """Colour refinement run on several ``(tables, zero)`` structures at
+    once, so that colours are comparable across them: an isomorphism maps
+    each element to one of the same colour.
+
+    The first colour of x is whether it is the zero, then per table the
+    number of a with ``t[x][a] == x`` and whether ``t[x][x]`` is the zero.
+    Each round colours x by its colour and the sorted profile of
+    ``(colour of a, colour of t[x][a] per table)`` over all a, and the
+    refinement stops once a round splits no colour class of any structure.
+    """
+    cols = [[(x == zero, *(t[x].count(x) for t in tables), *(t[x][x] == zero for t in tables))
+             for x in range(len(tables[0]))]
+            for tables, zero in structures]
+    count = len({c for col in cols for c in col})
+    while True:
+        sigs = [[(col[x], tuple(sorted(zip(col, *(map(col.__getitem__, t[x]) for t in tables)))))
+                 for x in range(len(col))]
+                for (tables, _), col in zip(structures, cols)]
+        ranks = {}
+        cols = [[ranks.setdefault(s, len(ranks)) for s in sig] for sig in sigs]
+        # each signature holds the old colour, so the classes only split
+        if len(ranks) == count:
+            return cols
+        count = len(ranks)
+
+
+def table_iso(tables1, zero1, tables2, zero2):
+    """An isomorphism of the structure ``tables1`` with zero ``zero1`` onto
+    ``tables2`` with zero ``zero2``, as the tuple of images, or None.
+
+    The tables are translation tables as in :func:`close_congruence`:
+    ``(add, mul, mul_t)`` for a semiring, ``(join,)`` for a lattice.  A
+    mapping f is an isomorphism iff it is a bijection with
+    ``f[zero1] == zero2`` and ``f[t1[x][a]] == t2[f[x]][f[a]]`` for every
+    pair of tables (:func:`is_table_iso`).  Each list must hold the
+    transpose of each of its tables (``mul_t`` of ``mul``; a commutative
+    table is its own), so that ``t[x][a]`` over all tables covers every
+    product of x and a in both orders.
+
+    Backtracking with colour pruning: the zero is mapped first, then the
+    generators picked from the rarest colour classes (the closure of the
+    zero and the earlier generators under every table lacks each one),
+    and each assignment x -> y propagates ``t1[x][w] -> t2[y][f(w)]`` for
+    every w already mapped.  The images of the zero and the generators
+    therefore determine the whole mapping, and every pair of elements
+    meets once in the propagation, so a completed mapping is an
+    isomorphism.
+    """
+    n = len(tables1[0])
+    if len(tables2[0]) != n:
+        return None
+    c1, c2 = _joint_colors(((tables1, zero1), (tables2, zero2)))
+    if sorted(c1) != sorted(c2):
+        return None
+    class_size = Counter(c1)
+
+    def products(x, y):
+        return [t[x][y] for t in tables1]
+
+    gens = []
+    members = close(frozenset(), (zero1,), products)
+    while len(members) < n:
+        g = min((x for x in range(n) if x not in members), key=lambda x: (class_size[c1[x]], x))
+        gens.append(g)
+        members = close(members, (g,), products)
+    pairs = tuple(zip(tables1, tables2))
+    fwd = [None] * n
+    bwd = [None] * n
+    trail = []
+
+    def assign(u, v):
+        """Record u -> v and propagate through every table."""
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            if fwd[a] is not None:
+                if fwd[a] != b:
+                    return False
+                continue
+            if bwd[b] is not None or c1[a] != c2[b]:
+                return False
+            fwd[a] = b
+            bwd[b] = a
+            trail.append(a)
+            for t1, t2 in pairs:
+                row1, row2 = t1[a], t2[b]
+                stack.extend([(row1[w], row2[fwd[w]]) for w in trail])
+        return True
+
+    def rec(k):
+        if k == len(gens):
+            return None not in fwd
+        g = gens[k]
+        for v in range(n):
+            if bwd[v] is not None or c2[v] != c1[g]:
+                continue
+            mark = len(trail)
+            if assign(g, v) and rec(k + 1):
+                return True
+            while len(trail) > mark:
+                a = trail.pop()
+                bwd[fwd[a]] = None
+                fwd[a] = None
+        return False
+
+    if not (assign(zero1, zero2) and rec(0)):
+        return None
+    return tuple(fwd)
+
+
+def is_table_iso(mapping, tables1, zero1, tables2, zero2):
+    """Whether ``mapping`` (the image of each element) is an isomorphism of
+    the structures of :func:`table_iso`: a bijection sending ``zero1`` to
+    ``zero2`` with ``mapping[t1[x][a]] == t2[mapping[x]][mapping[a]]`` for
+    every pair of tables and all x, a."""
+    n = len(tables1[0])
+    if len(tables2[0]) != n or sorted(mapping) != list(range(n)) or mapping[zero1] != zero2:
+        return False
+    image = mapping.__getitem__
+    return all(list(map(image, t1[x])) == list(map(t2[mapping[x]].__getitem__, mapping))
+               for t1, t2 in zip(tables1, tables2) for x in range(n))

@@ -3,9 +3,12 @@
 Validation errors carry a short witness tuple naming the elements that
 violate the axiom, so failures are reproducible by hand.
 
-:class:`LineReader` is the one table reader of the four text formats and
-:func:`check_table` the one table-shape check of the three validators.
+:func:`read_text` reads every input file, :class:`LineReader` is the one
+table reader of the four text formats and :func:`check_table` the one
+table-shape check of the three validators.
 """
+
+from pathlib import Path
 
 
 class Error(Exception):
@@ -101,11 +104,23 @@ class ParseError(Error):
         self.line = line
 
 
+def read_text(path):
+    """The UTF-8 text of the file at ``path``; ``ParseError`` if it cannot
+    be read (missing, a directory, no permission) or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text at byte {exc.start}")
+
+
 class LineReader:
     """The non-blank lines of a text, read in order with their 1-based
     line numbers: header lines ``key <value>`` (:meth:`field`,
-    :meth:`int_field`), an optional ``name`` line (:meth:`name`) and rows
-    of integers (:meth:`row`), each error a numbered ``ParseError``."""
+    :meth:`int_field`, :meth:`count`), an optional ``name`` line
+    (:meth:`name`) and rows of integers (:meth:`row`), each error a
+    numbered ``ParseError``."""
 
     def __init__(self, text):
         self.lines = text.splitlines()
@@ -155,6 +170,13 @@ class LineReader:
             return None
         self.next()
         return parts[1] if len(parts) > 1 else ""
+
+    def count(self, key):
+        """:meth:`int_field` ``key <count>``, which must be at least 1."""
+        n = self.int_field(key, "count", "bad count")
+        if n < 1:
+            raise ParseError("count must be positive", self.line)
+        return n
 
     def row(self, width, noun):
         """The next line as a tuple of ``width`` integers, or of any number

@@ -3,7 +3,10 @@
 A lattice is stored as an explicit n x n join table over element indices
 0..n-1.  The partial order is derived (x <= y iff x + y = y), the meet is
 the join of all common lower bounds, and the top element is the join of
-everything.  All values are immutable after validation.
+everything.  All values are immutable after validation.  Isomorphisms are
+found and checked by the one isomorphism search and the one isomorphism
+check of the package, ``closure.table_iso`` and ``closure.is_table_iso``,
+on the join tables.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .closure import is_table_iso, table_iso
 from .errors import (
     BadZero,
     LimitExceeded,
@@ -19,7 +23,6 @@ from .errors import (
     NotCommutative,
     NotDistributive,
     NotIdempotent,
-    ParseError,
     check_table,
 )
 
@@ -87,15 +90,8 @@ class LatticeIso:
     mapping: tuple
 
     def check(self):
-        src, dst, f = self.source, self.target, self.mapping
-        if sorted(f) != list(range(src.n)):
-            return False
-        if f[src.zero] != dst.zero:
-            return False
-        return all(
-            f[src.join[x][y]] == dst.join[f[x]][f[y]]
-            for x in range(src.n) for y in range(src.n)
-        )
+        src, dst = self.source, self.target
+        return is_table_iso(self.mapping, (src.join,), src.zero, (dst.join,), dst.zero)
 
 
 def _mask_join(join, mask, zero):
@@ -262,67 +258,11 @@ def embed_ring_of_sets(lat):
 # isomorphism testing
 
 
-def _lattice_colors(lat):
-    # the transpose of the down-sets is the up-sets
-    return _poset_colors(_down_masks(lat.down, lat.n), list(lat.down), lat.n)
-
-
 def lattice_iso(lat1, lat2):
-    """Search for an isomorphism; returns a LatticeIso witness or None."""
-    if lat1.n != lat2.n:
-        return None
-    n = lat1.n
-    c1 = _lattice_colors(lat1)
-    c2 = _lattice_colors(lat2)
-    if sorted(c1) != sorted(c2):
-        return None
-    candidates = [[y for y in range(n) if c2[y] == c1[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    mapping = [None] * n
-    used = [False] * n
-    j1, j2 = lat1.join, lat2.join
-    # pairs strictly below their join, checked once the join is assigned
-    decomp = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            z = j1[a][b]
-            if z != a and z != b:
-                decomp[z].append((a, b))
-
-    def consistent(x, y):
-        for x2 in range(n):
-            y2 = mapping[x2] if x2 != x else y
-            if y2 is None:
-                continue
-            w = mapping[j1[x][x2]] if j1[x][x2] != x else y
-            if w is not None and j2[y][y2] != w:
-                return False
-        for a, b in decomp[x]:
-            ya, yb = mapping[a], mapping[b]
-            if ya is not None and yb is not None and j2[ya][yb] != y:
-                return False
-        return True
-
-    def rec(k):
-        if k == n:
-            return True
-        x = order[k]
-        for y in candidates[x]:
-            if used[y] or not consistent(x, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if rec(k + 1):
-                return True
-            mapping[x] = None
-            used[y] = False
-        return False
-
-    if not rec(0):
-        return None
-    iso = LatticeIso(lat1, lat2, tuple(mapping))
-    assert iso.check()
-    return iso
+    """An isomorphism of join tables fixing the zero, found by
+    ``closure.table_iso``; a LatticeIso witness or None."""
+    mapping = table_iso((lat1.join,), lat1.zero, (lat2.join,), lat2.zero)
+    return None if mapping is None else LatticeIso(lat1, lat2, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +467,7 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
 
 def parse_lat(text):
     reader = LineReader(text)
-    n = reader.int_field("n", "count", "bad count")
-    if n < 1:
-        raise ParseError("count must be positive", reader.line)
+    n = reader.count("n")
     name = reader.name()
     rows = [reader.row(n, "table entry") for _ in range(n)]
     return validate_lattice(rows, zero=0, name=name)

@@ -17,6 +17,7 @@ from .closure import (
     close_congruence,
     closed_sets,
     compatible,
+    idempotent,
     only_total_principals,
     zero_top_pair,
 )
@@ -266,15 +267,6 @@ class Irreducibility:
         return self.sub_irreducible and self.quotient_irreducible
 
 
-def _only_trivial_subs(mod):
-    for x in range(mod.m):
-        if x == mod.mzero:
-            continue
-        if len(close_module_subset(mod, (x,))) != mod.m:
-            return False
-    return True
-
-
 def _only_trivial_congruences(mod):
     """True iff every principal module congruence on a distinct pair is
     total, by ``closure.only_total_principals``: the covering-pair lemma
@@ -284,10 +276,13 @@ def _only_trivial_congruences(mod):
 
 
 def irreducibility(mod):
+    """Irreducibility flags; with a nonzero action, the only submodules are
+    zero and the whole module iff every nonzero element generates it, that
+    is iff the least single-generated nonzero submodule is the whole."""
     nz = acts_nonzero(mod)
     return Irreducibility(
         acts_nonzero=nz,
-        sub_irreducible=nz and _only_trivial_subs(mod),
+        sub_irreducible=nz and len(minimal_nonzero_submodule(mod)) == mod.m,
         quotient_irreducible=nz and _only_trivial_congruences(mod),
     )
 
@@ -353,7 +348,7 @@ def find_irreducible(r, check=True):
 
 def module_lattice(mod):
     """The addition table as a lattice; requires idempotent addition."""
-    if any(mod.madd[x][x] != x for x in range(mod.m)):
+    if not idempotent(mod.madd):
         raise NotALattice("module addition is not idempotent")
     return validate_lattice(mod.madd, zero=mod.mzero)
 
@@ -458,7 +453,7 @@ def commutant(r, mod):
 def parse_smod(text):
     reader = LineReader(text)
     ring_name = reader.field("ring", "name")
-    m = reader.int_field("m", "count", "bad count")
+    m = reader.count("m")
     madd = tuple(reader.row(m, "entry") for _ in range(m))
     act = []
     while not reader.at_end():

@@ -9,7 +9,10 @@ checking it is total.  That closure is the union-find of
 addition, as soon as it relates the zero and the top of the additive
 order (``closure.zero_top_pair``), since x = x + 0 θ x + top = top.
 A given partition is checked against the same tables by
-``closure.compatible``.
+``closure.compatible``, and isomorphisms are found and checked on them by
+the one isomorphism search and the one isomorphism check of the package,
+``closure.table_iso`` and ``closure.is_table_iso``; an anti-isomorphism
+is an isomorphism onto the opposite semiring.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from .closure import (
     close_congruence,
     closed_sets,
     compatible,
+    idempotent,
+    is_table_iso,
     only_total_principals,
+    table_iso,
 )
 from .errors import (
     AddNotAssociative,
@@ -233,12 +239,11 @@ def find_absorbing(r):
 
 def structure_flags(r):
     is_ring = all(any(r.add[x][y] == r.zero for y in range(r.n)) for x in range(r.n))
-    add_idem = all(r.add[x][x] == x for x in range(r.n))
     trivial = all(r.mul[x][y] == r.zero for x in range(r.n) for y in range(r.n))
     one = find_one(r)
     return StructureFlags(
         is_ring=is_ring,
-        add_idempotent=add_idem,
+        add_idempotent=idempotent(r.add),
         has_one=one is not None,
         one=one,
         trivial_mul=trivial,
@@ -283,7 +288,7 @@ def recover_monoid(r):
     z = find_absorbing(r)
     if z is None:
         return None
-    if any(r.add[x][x] != x for x in range(r.n)):
+    if not idempotent(r.add):
         return None
     members = sorted({r.mul[x][z] for x in range(r.n)})
     index = {m: i for i, m in enumerate(members)}
@@ -350,121 +355,10 @@ def subsemirings(r, max_count=100000):
 # isomorphism and anti-isomorphism
 
 
-def _joint_colors(rings):
-    """Color refinement run jointly so colors are comparable across rings."""
-    cols = []
-    for r in rings:
-        cols.append([(x == r.zero, r.mul[x][x] == x, r.mul[x][x] == r.zero,
-                      r.add[x][x] == x) for x in range(r.n)])
-    while True:
-        sigs = []
-        for r, col in zip(rings, cols):
-            cur = []
-            for x in range(r.n):
-                profile = sorted(
-                    (col[y], col[r.add[x][y]], col[r.mul[x][y]], col[r.mul[y][x]])
-                    for y in range(r.n)
-                )
-                cur.append((col[x], tuple(profile)))
-            sigs.append(cur)
-        ranks = {s: i for i, s in enumerate(sorted({s for cur in sigs for s in cur}))}
-        new = [[ranks[s] for s in cur] for cur in sigs]
-        stable = all(
-            (old[x] == old[y]) == (cur[x] == cur[y])
-            for old, cur in zip(cols, new)
-            for x in range(len(cur)) for y in range(len(cur))
-        )
-        shared = len({c for cur in cols for c in cur}) == len({c for cur in new for c in cur})
-        if stable and shared:
-            return new
-        cols = new
-
-
-def _generating_sequence(r, colors):
-    """Small generating set, preferring elements from rare color classes."""
-    class_size = {}
-    for c in colors:
-        class_size[c] = class_size.get(c, 0) + 1
-    products = _products(r)
-    members = close_subset(r, ())
-    gens = []
-    while len(members) < r.n:
-        rest = [x for x in range(r.n) if x not in members]
-        g = min(rest, key=lambda x: (class_size[colors[x]], x))
-        gens.append(g)
-        members = close(members, (g,), products)
-    return gens
-
-
 def semiring_iso(r1, r2):
-    """Backtracking isomorphism search with color-refinement pruning.
-
-    Returns the image array of a zero-preserving bijection respecting both
-    operations, or None.
-    """
-    if r1.n != r2.n:
-        return None
-    n = r1.n
-    c1, c2 = _joint_colors((r1, r2))
-    if sorted(c1) != sorted(c2):
-        return None
-    gens = _generating_sequence(r1, c1)
-    fwd = [None] * n
-    bwd = [None] * n
-    add1, mul1 = r1.add, r1.mul
-    add2, mul2 = r2.add, r2.mul
-
-    def assign(u, v, trail):
-        """Record u -> v and propagate through both operations."""
-        stack = [(u, v)]
-        while stack:
-            a, b = stack.pop()
-            if fwd[a] is not None:
-                if fwd[a] != b:
-                    return False
-                continue
-            if bwd[b] is not None or c1[a] != c2[b]:
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            trail.append((a, b))
-            for w in range(n):
-                fw = fwd[w]
-                if fw is None:
-                    continue
-                stack.append((add1[a][w], add2[b][fw]))
-                stack.append((mul1[a][w], mul2[b][fw]))
-                stack.append((mul1[w][a], mul2[fw][b]))
-        return True
-
-    def undo(trail, mark):
-        while len(trail) > mark:
-            a, b = trail.pop()
-            fwd[a] = None
-            bwd[b] = None
-
-    trail = []
-    if not assign(r1.zero, r2.zero, trail):
-        return None
-
-    def rec(k):
-        if k == len(gens):
-            return all(v is not None for v in fwd)
-        g = gens[k]
-        if fwd[g] is not None:
-            return rec(k + 1)
-        for v in range(n):
-            if bwd[v] is not None or c2[v] != c1[g]:
-                continue
-            mark = len(trail)
-            if assign(g, v, trail) and rec(k + 1):
-                return True
-            undo(trail, mark)
-        return False
-
-    if not rec(0):
-        return None
-    return tuple(fwd)
+    """The image tuple of a zero-preserving bijection respecting + and *,
+    or None; found by ``closure.table_iso`` on the translation tables."""
+    return table_iso(_translations(r1), r1.zero, _translations(r2), r2.zero)
 
 
 def semiring_anti_iso(r1, r2):
@@ -473,16 +367,10 @@ def semiring_anti_iso(r1, r2):
 
 
 def check_iso(r1, r2, mapping, anti=False):
-    if sorted(mapping) != list(range(r1.n)) or mapping[r1.zero] != r2.zero:
-        return False
-    for x in range(r1.n):
-        for y in range(r1.n):
-            if mapping[r1.add[x][y]] != r2.add[mapping[x]][mapping[y]]:
-                return False
-            image = r2.mul[mapping[y]][mapping[x]] if anti else r2.mul[mapping[x]][mapping[y]]
-            if mapping[r1.mul[x][y]] != image:
-                return False
-    return True
+    """Whether ``mapping`` is an isomorphism of r1 onto r2 (onto
+    ``opposite(r2)`` when ``anti``), by ``closure.is_table_iso``."""
+    target = opposite(r2) if anti else r2
+    return is_table_iso(mapping, _translations(r1), r1.zero, _translations(target), target.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +379,7 @@ def check_iso(r1, r2, mapping, anti=False):
 
 def parse_sr(text):
     reader = LineReader(text)
-    n = reader.int_field("n", "count", "bad count")
+    n = reader.count("n")
     name = reader.name()
     zero = reader.int_field("zero", "index", "bad zero index")
     add = tuple(reader.row(n, "table entry") for _ in range(n))

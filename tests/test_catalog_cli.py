@@ -1,5 +1,6 @@
 """File formats, catalog persistence, and the command-line surface."""
 
+import hashlib
 import io
 import json
 import os
@@ -178,6 +179,22 @@ def test_check_smod_unresolved_ring_exits_two(tmp_path, ring_line, message):
     assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
 
 
+def test_check_non_utf8_lattice_file_exits_two(tmp_path):
+    path = tmp_path / "bad.lat"
+    path.write_bytes(b"n 1\nname \xff\n0\n")
+    assert run_cli("check", str(path)) == (
+        2, f"parse error: cannot read {path}: not UTF-8 text at byte 9\n")
+
+
+def test_check_srs_next_to_a_lattice_directory_exits_two(tmp_path):
+    (tmp_path / "chain3.lat").mkdir()
+    path = tmp_path / "sub.srs"
+    path.write_text(SRS_JSON_CASES[0][0])
+    code, text = run_cli("check", str(path))
+    assert code == 2
+    assert text.startswith(f"parse error: cannot read {tmp_path / 'chain3.lat'}: ")
+
+
 def test_min_order_below_six_is_empty():
     code, text = run_cli("min-order", "--max-size", "5")
     assert code == 0
@@ -354,6 +371,39 @@ def test_catalog_query_flipped_entry_byte_exits_one(tmp_path):
         load_catalog(out_dir)
     code, text = run_cli("catalog", "query", "--out", str(out_dir))
     assert code == 1 and "CatalogCorrupt" in text
+
+
+def test_catalog_query_non_utf8_entry_exits_one(tmp_path):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next((out_dir / "entries").iterdir())
+    entry.write_bytes(entry.read_bytes() + b"\xff\n")
+    with pytest.raises(CatalogCorrupt):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 1 and "CatalogCorrupt" in text
+
+
+@pytest.mark.parametrize("name", ["index.txt", "version.txt"])
+def test_catalog_query_non_utf8_index_or_version_exits_two(tmp_path, name):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    (out_dir / name).write_bytes(b"\xff\n")
+    with pytest.raises(ParseError):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert (code, text) == (
+        2, f"parse error: cannot read {out_dir / name}: not UTF-8 text at byte 0\n")
+
+
+def test_catalog_index_is_pinned(tmp_path):
+    """The index names each record by the digest of its text, so its hash
+    pins every member's order, has_one, self_anti_iso and iso_class of
+    every lattice up to size 5 across changes to the searches."""
+    out_dir = tmp_path / "cat"
+    assert run_cli("catalog", "build", "--max-size", "5", "--out", str(out_dir))[0] == 0
+    digest = hashlib.sha256((out_dir / "index.txt").read_bytes()).hexdigest()
+    assert digest == "5d5ba153a754fc082e93f1de277ddc958ed98df6cf28e6de2bce134f624bc3a6"
 
 
 def test_catalog_record_round_trip():

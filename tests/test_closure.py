@@ -16,10 +16,15 @@ of End(chain3).  Simplicity, decided on the covering pairs of the additive
 order, is checked against closing every pair.  Closures that stop once they relate the zero
 and the additive top are checked against closures that run to one block,
 and the greedy maximal nontotal module congruence against the same greedy
-with the one-block stop.
+with the one-block stop.  The one isomorphism search and check are
+compared with the lattice search, the semiring search and the semiring
+check they replaced, kept here as references: both searches must agree on
+whether an isomorphism exists, and each mapping found must pass the old
+check.
 """
 
 import os
+import random
 
 import pytest
 
@@ -37,7 +42,15 @@ from semirings.endo import (
 )
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
-from semirings.lattice import enumerate_lattices, validate_lattice
+from semirings.lattice import (
+    LatticeIso,
+    _down_masks,
+    _poset_colors,
+    dual,
+    enumerate_lattices,
+    lattice_iso,
+    validate_lattice,
+)
 from semirings.semimodule import (
     _only_trivial_congruences,
     _pairs_of,
@@ -50,10 +63,15 @@ from semirings.semimodule import (
 )
 from semirings.semiring import (
     Congruence,
+    check_iso,
+    close_subset,
     is_congruence_simple,
     is_semiring_congruence,
     principal_congruence,
+    opposite,
     restrict,
+    semiring_anti_iso,
+    semiring_iso,
     subsemirings,
     validate_semiring,
 )
@@ -535,3 +553,263 @@ def test_zero_top_stop_ends_a_total_closure_before_one_block():
     parent = list(range(r.n))
     assert close_congruence(parent, [stop], tables) == 1
     assert Congruence.from_parents(parent).is_total()
+
+
+# ---------------------------------------------------------------------------
+# the one isomorphism search against the lattice and semiring searches it
+# replaced
+
+
+def reference_lattice_iso(lat1, lat2):
+    """The lattice search that ``closure.table_iso`` replaced: poset
+    colours, elements taken in order of fewest candidates, and each
+    candidate checked against the joins with every mapped element and the
+    mapped pairs joining to it.  The image tuple, or None."""
+    if lat1.n != lat2.n:
+        return None
+    n = lat1.n
+    c1 = _poset_colors(_down_masks(lat1.down, n), list(lat1.down), n)
+    c2 = _poset_colors(_down_masks(lat2.down, n), list(lat2.down), n)
+    if sorted(c1) != sorted(c2):
+        return None
+    candidates = [[y for y in range(n) if c2[y] == c1[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    mapping = [None] * n
+    used = [False] * n
+    j1, j2 = lat1.join, lat2.join
+    decomp = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            z = j1[a][b]
+            if z != a and z != b:
+                decomp[z].append((a, b))
+
+    def consistent(x, y):
+        for x2 in range(n):
+            y2 = mapping[x2] if x2 != x else y
+            if y2 is None:
+                continue
+            w = mapping[j1[x][x2]] if j1[x][x2] != x else y
+            if w is not None and j2[y][y2] != w:
+                return False
+        for a, b in decomp[x]:
+            ya, yb = mapping[a], mapping[b]
+            if ya is not None and yb is not None and j2[ya][yb] != y:
+                return False
+        return True
+
+    def rec(k):
+        if k == n:
+            return True
+        x = order[k]
+        for y in candidates[x]:
+            if used[y] or not consistent(x, y):
+                continue
+            mapping[x] = y
+            used[y] = True
+            if rec(k + 1):
+                return True
+            mapping[x] = None
+            used[y] = False
+        return False
+
+    return tuple(mapping) if rec(0) else None
+
+
+def reference_lattice_check(src, dst, f):
+    """``LatticeIso.check`` as it was before ``closure.is_table_iso``."""
+    if sorted(f) != list(range(src.n)) or f[src.zero] != dst.zero:
+        return False
+    return all(f[src.join[x][y]] == dst.join[f[x]][f[y]]
+               for x in range(src.n) for y in range(src.n))
+
+
+def reference_joint_colors(rings):
+    cols = [[(x == r.zero, r.mul[x][x] == x, r.mul[x][x] == r.zero, r.add[x][x] == x)
+             for x in range(r.n)] for r in rings]
+    while True:
+        sigs = [[(col[x], tuple(sorted(
+                    (col[y], col[r.add[x][y]], col[r.mul[x][y]], col[r.mul[y][x]])
+                    for y in range(r.n))))
+                 for x in range(r.n)] for r, col in zip(rings, cols)]
+        ranks = {s: i for i, s in enumerate(sorted({s for cur in sigs for s in cur}))}
+        new = [[ranks[s] for s in cur] for cur in sigs]
+        stable = all((old[x] == old[y]) == (cur[x] == cur[y])
+                     for old, cur in zip(cols, new)
+                     for x in range(len(cur)) for y in range(len(cur)))
+        shared = len({c for cur in cols for c in cur}) == len({c for cur in new for c in cur})
+        if stable and shared:
+            return new
+        cols = new
+
+
+def reference_semiring_iso(r1, r2):
+    """The semiring search that ``closure.table_iso`` replaced: joint colour
+    refinement on the Cayley tables, generators from rare colour classes,
+    and propagation of each assignment through + and both products."""
+    if r1.n != r2.n:
+        return None
+    n = r1.n
+    c1, c2 = reference_joint_colors((r1, r2))
+    if sorted(c1) != sorted(c2):
+        return None
+    class_size = {}
+    for c in c1:
+        class_size[c] = class_size.get(c, 0) + 1
+    members = close_subset(r1, ())
+    gens = []
+    while len(members) < n:
+        g = min((x for x in range(n) if x not in members),
+                key=lambda x: (class_size[c1[x]], x))
+        gens.append(g)
+        members = close_subset(r1, members | {g})
+    fwd = [None] * n
+    bwd = [None] * n
+    add1, mul1, add2, mul2 = r1.add, r1.mul, r2.add, r2.mul
+
+    def assign(u, v, trail):
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            if fwd[a] is not None:
+                if fwd[a] != b:
+                    return False
+                continue
+            if bwd[b] is not None or c1[a] != c2[b]:
+                return False
+            fwd[a] = b
+            bwd[b] = a
+            trail.append((a, b))
+            for w in range(n):
+                fw = fwd[w]
+                if fw is not None:
+                    stack.append((add1[a][w], add2[b][fw]))
+                    stack.append((mul1[a][w], mul2[b][fw]))
+                    stack.append((mul1[w][a], mul2[fw][b]))
+        return True
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            a, b = trail.pop()
+            fwd[a] = None
+            bwd[b] = None
+
+    trail = []
+    if not assign(r1.zero, r2.zero, trail):
+        return None
+
+    def rec(k):
+        if k == len(gens):
+            return all(v is not None for v in fwd)
+        g = gens[k]
+        if fwd[g] is not None:
+            return rec(k + 1)
+        for v in range(n):
+            if bwd[v] is not None or c2[v] != c1[g]:
+                continue
+            mark = len(trail)
+            if assign(g, v, trail) and rec(k + 1):
+                return True
+            undo(trail, mark)
+        return False
+
+    return tuple(fwd) if rec(0) else None
+
+
+def reference_check_iso(r1, r2, mapping, anti=False):
+    """``check_iso`` as it was before ``closure.is_table_iso``."""
+    if sorted(mapping) != list(range(r1.n)) or mapping[r1.zero] != r2.zero:
+        return False
+    for x in range(r1.n):
+        for y in range(r1.n):
+            if mapping[r1.add[x][y]] != r2.add[mapping[x]][mapping[y]]:
+                return False
+            image = r2.mul[mapping[y]][mapping[x]] if anti else r2.mul[mapping[x]][mapping[y]]
+            if mapping[r1.mul[x][y]] != image:
+                return False
+    return True
+
+
+def shuffled(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def renamed(table, perm):
+    """``table`` with each element x renamed ``perm[x]``."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+def swapped(mapping):
+    """``mapping`` with the images of its first and last element swapped."""
+    f = list(mapping)
+    f[0], f[-1] = f[-1], f[0]
+    return tuple(f)
+
+
+def test_lattice_iso_matches_the_reference_search():
+    lats = enumerate_lattices(6)
+    assert len(lats) == 25
+    found = []
+    for a in lats:
+        perm = shuffled(a.n, a.n)
+        relabelled = validate_lattice(renamed(a.join, perm), zero=perm[a.zero])
+        for b in [b for b in lats if b.n == a.n] + [dual(a), relabelled]:
+            iso = lattice_iso(a, b)
+            assert (iso is None) == (reference_lattice_iso(a, b) is None), (a.name, b)
+            if iso is not None:
+                assert reference_lattice_check(a, b, iso.mapping) and iso.check()
+                bad = LatticeIso(a, b, swapped(iso.mapping))
+                assert bad.check() == reference_lattice_check(a, b, bad.mapping)
+            found.append(iso is not None)
+    # each lattice is isomorphic to itself, to its relabelled copy and,
+    # for the 15 self-dual ones, to its dual
+    assert (len(found), sum(found)) == (257 + 2 * 25, 2 * 25 + 15)
+
+
+def catalog5_members():
+    return [f.to_semiring() for lat in enumerate_lattices(5) if lat.n >= 2
+            for f in enumerate_sr(lat)]
+
+
+def assert_same_semiring_iso(r1, r2, anti=False):
+    """The one search and the reference find an isomorphism of r1 onto r2
+    (onto ``opposite(r2)`` when ``anti``) alike, and the new and the old
+    check agree on the one found and on a broken copy of it."""
+    found = semiring_anti_iso(r1, r2) if anti else semiring_iso(r1, r2)
+    want = reference_semiring_iso(r1, opposite(r2) if anti else r2)
+    assert (found is None) == (want is None), (r1.n, anti)
+    if found is not None:
+        assert reference_check_iso(r1, r2, found, anti) and check_iso(r1, r2, found, anti)
+        bad = swapped(found)
+        assert check_iso(r1, r2, bad, anti) == reference_check_iso(r1, r2, bad, anti)
+    return found is not None
+
+
+@pytest.mark.parametrize("name, count, pairs, isomorphic, self_anti", [
+    ("chain3", 20, 64, 27, 12),
+    ("diamond", 222, 3653, 394, 70),
+    ("catalog5", 16, 22, 19, 14),
+    ("not-idempotent", 4, 5, 4, 4),
+])
+def test_semiring_iso_matches_the_reference_search(name, count, pairs, isomorphic, self_anti):
+    """Every pair of equal order, each ring against a relabelled copy, and
+    each against its opposite; the counts of isomorphic pairs and of
+    self-anti-isomorphic rings are pinned."""
+    rings = catalog5_members() if name == "catalog5" else lemma_rings(name)
+    assert len(rings) == count
+    found = []
+    anti = 0
+    for i, a in enumerate(rings):
+        found += [assert_same_semiring_iso(a, b) for b in rings[i:] if b.n == a.n]
+        perm = shuffled(a.n, i)
+        relabelled = validate_semiring(renamed(a.add, perm), renamed(a.mul, perm), perm[a.zero])
+        assert assert_same_semiring_iso(a, relabelled)
+        anti += assert_same_semiring_iso(a, a, anti=True)
+    assert (len(found), sum(found), anti) == (pairs, isomorphic, self_anti)

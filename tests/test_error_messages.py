@@ -71,8 +71,7 @@ CASES = [
      "line 3: unexpected end of file"),
     ("sr-eof-in-mul", parse_sr, "n 1\nzero 0\n0\n", ParseError,
      "line 3: unexpected end of file"),
-    ("sr-zero-count", parse_sr, "n 0\nzero 0\n", BadZero,
-     "zero index out of range: witness (0,)"),
+    ("sr-zero-count", parse_sr, "n 0\nzero 0\n", ParseError, "line 1: count must be positive"),
     ("sr-out-of-range", parse_sr, "n 2\nzero 0\n0 1\n1 1\n\n0 0\n0 3\n", ParseError,
      "entry 3 out of range in row 1"),
     # .smod
@@ -80,6 +79,8 @@ CASES = [
     ("smod-count-header", _smod, "ring boolean\nn 2\n", ParseError,
      "line 2: expected 'm <count>'"),
     ("smod-bad-count", _smod, "ring boolean\nm z\n", ParseError, "line 2: bad count 'z'"),
+    ("smod-count-zero", _smod, "ring boolean\nm 0\n", ParseError,
+     "line 2: count must be positive"),
     ("smod-row-width", _smod, "ring boolean\nm 2\n0\n", ParseError,
      "line 3: expected 2 entries, got 1"),
     ("smod-act-width", _smod, "ring boolean\nm 2\n0 1\n1 1\n\n0 0\n1\n", ParseError,
