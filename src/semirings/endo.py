@@ -6,8 +6,10 @@ The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone: while it is built, a map f on n elements is the string of the codes
 f(x) + n·x (``bytes`` when n² <= 256, ``str`` above), and adding an
-elementary map to every sum is one ``translate`` call per sum.  The dense
-subsemirings form an interval between it and End(M),
+elementary map to every sum is one ``translate`` call per sum.  The Cayley
+tables of a subsemiring and its closedness test use the same encoded maps:
+each entry, a join or a composite of two members, is one ``translate``
+call.  The dense subsemirings form an interval between it and End(M),
 enumerated by the closed-set walk of ``closure.py``: a closed set
 extended by one map is re-closed from that map alone, and each pair of
 maps is combined once.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .closure import closed_sets
-from .errors import LineReader, ParseError, SizeLimit
+from .errors import LineReader, ParseError, SizeLimit, ValidationError
 from .lattice import FiniteLattice
 from .semiring import FiniteSemiring
 
@@ -143,27 +145,63 @@ class EndoSubsemiring:
     def sorted_members(self):
         return sorted(self.members)
 
+    def _encoded(self):
+        """(member strings, zero string, rows) over the sorted members.
+
+        Each map is the string of its codes (see ``_codec`` and
+        ``dense_closure``), and ``rows`` yields, for each member f in turn,
+        the iterators of the strings of f + g and of f o g over the members g.
+        """
+        lat = self.lattice
+        n, join, cells = lat.n, lat.join, range(lat.n)
+        pack, table, translate, _ = _codec(n)
+        members = self.sorted_members()
+        strings = [pack([v + n * x for x, v in enumerate(f)]) for f in members]
+        zero = pack([lat.zero + n * x for x in cells])
+
+        def rows():
+            for f in members:
+                plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
+                after = table([f[v] + n * x for x in cells for v in cells])
+                yield map(translate, strings, repeat(plus)), map(translate, strings, repeat(after))
+
+        return strings, zero, rows()
+
     def is_closed(self):
-        ms = self.members
-        if zero_map(self.lattice) not in ms:
-            return False
-        for f in ms:
-            for g in ms:
-                if pointwise_join(self.lattice, f, g) not in ms:
-                    return False
-                if compose(f, g) not in ms:
-                    return False
-        return True
+        """True iff the zero map, every join and every composite of members
+        are members, each checked as the encoded strings of ``to_semiring``."""
+        strings, zero, rows = self._encoded()
+        known = set(strings)
+        return zero in known and all(
+            known.issuperset(sums) and known.issuperset(products) for sums, products in rows)
 
     def to_semiring(self, name=None):
-        members = self.sorted_members()
-        index = {m: i for i, m in enumerate(members)}
-        lat = self.lattice
-        add = tuple(
-            tuple(index[pointwise_join(lat, f, g)] for g in members) for f in members
-        )
-        mul = tuple(tuple(index[compose(f, g)] for g in members) for f in members)
-        return FiniteSemiring(len(members), add, mul, index[zero_map(lat)], name)
+        """The Cayley tables over the sorted members, as a ``FiniteSemiring``.
+
+        Each map f on the n elements is the string of the codes f(x) + n·x
+        (see ``_codec``), and both operations are substitutions of codes:
+
+        - f o g is ``g.translate(C_f)`` for the table C_f sending the code
+          v + n·x to f(v) + n·x, since g's code at x is g(x) + n·x.
+        - f + g is ``g.translate(J_f)`` for the table J_f sending v + n·x to
+          join(f(x), v) + n·x, since the join is taken pointwise.
+
+        So each row of ``add`` and ``mul`` is two tables for its member f and
+        one ``translate`` per entry, and a dict from member strings to indices
+        gives the entry.  ``ValidationError`` is raised when the members lack
+        the zero map, a join or a composite.
+        """
+        strings, zero, rows = self._encoded()
+        at = {s: i for i, s in enumerate(strings)}.__getitem__
+        try:
+            zero_index = at(zero)
+            tables = [(tuple(map(at, sums)), tuple(map(at, products)))
+                      for sums, products in rows]
+        except KeyError:
+            raise ValidationError(
+                "member set is not closed under join and composition") from None
+        add, mul = zip(*tables)
+        return FiniteSemiring(len(strings), add, mul, zero_index, name)
 
 
 def is_dense(sub):

@@ -53,7 +53,7 @@ class Semimodule:
     def act_t(self):
         """Columns of the action table: per element, its orbit profile."""
         if self._act_t is None:
-            self._act_t = tuple(tuple(row[x] for row in self.act) for x in range(self.m))
+            self._act_t = tuple(zip(*self.act))
         return self._act_t
 
     def __repr__(self):

@@ -61,7 +61,7 @@ class FiniteSemiring:
     def mul_t(self):
         """Columns of the multiplication table (x -> a*x profiles)."""
         if self._mul_t is None:
-            self._mul_t = tuple(tuple(row[x] for row in self.mul) for x in range(self.n))
+            self._mul_t = tuple(zip(*self.mul))
         return self._mul_t
 
     def __eq__(self, other):

@@ -128,6 +128,20 @@ def test_check_srs_json_and_text_are_pinned(tmp_path, srs, result, text):
     assert run_cli("check", str(path)) == (0, text)
 
 
+@pytest.mark.parametrize("srs", [
+    # closed under join, but 001 o 022 = 011 is missing
+    "lattice chain3\n0 0 0\n0 0 1\n0 2 2\n",
+    # closed under join and composition, but the zero map is missing
+    "lattice chain3\n0 1 1\n0 1 2\n",
+], ids=["missing-composite", "missing-zero"])
+def test_check_srs_not_closed_exits_one(tmp_path, srs):
+    path = tmp_path / "sub.srs"
+    path.write_text(srs)
+    message = "validation failed: member set is not closed under join and composition\n"
+    assert run_cli("check", str(path)) == (1, message)
+    assert run_cli("--format", "json", "check", str(path)) == (1, message)
+
+
 def write_end_chain3_modules(tmp_path):
     """``end_chain3.sr`` and two modules over it: the regular module
     (``reg.smod``) and End(chain3) acting on chain3 (``nat.smod``)."""

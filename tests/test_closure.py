@@ -20,7 +20,9 @@ with the one-block stop.  The one isomorphism search and check are
 compared with the lattice search, the semiring search and the semiring
 check they replaced, kept here as references: both searches must agree on
 whether an isomorphism exists, and each mapping found must pass the old
-check.
+check.  The Cayley tables and the closedness test of a subsemiring of
+End(M), built from maps encoded as strings, are compared with the tuple
+loops they replaced.
 """
 
 import os
@@ -30,17 +32,20 @@ import pytest
 
 from semirings.closure import close, close_congruence, principal_test_pairs, zero_top_pair
 from semirings.endo import (
+    EndoSubsemiring,
     _products,
     compose,
     dense_closure,
+    elementary,
     elementary_maps,
     end_semiring,
     endomorphisms,
     enumerate_sr,
+    identity_map,
     pointwise_join,
     zero_map,
 )
-from semirings.errors import SizeLimit
+from semirings.errors import SizeLimit, ValidationError
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import (
     LatticeIso,
@@ -813,3 +818,114 @@ def test_semiring_iso_matches_the_reference_search(name, count, pairs, isomorphi
         assert assert_same_semiring_iso(a, relabelled)
         anti += assert_same_semiring_iso(a, a, anti=True)
     assert (len(found), sum(found), anti) == (pairs, isomorphic, self_anti)
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables and closedness over encoded maps against the tuple loops
+# they replaced
+
+
+def reference_to_semiring(sub):
+    """The tuple ``to_semiring``: one join or composition of image tuples
+    and one tuple-keyed lookup per entry, as (add, mul, zero)."""
+    members = sub.sorted_members()
+    index = {m: i for i, m in enumerate(members)}
+    lat = sub.lattice
+    add = tuple(tuple(index[pointwise_join(lat, f, g)] for g in members) for f in members)
+    mul = tuple(tuple(index[compose(f, g)] for g in members) for f in members)
+    return add, mul, index[zero_map(lat)]
+
+
+def reference_is_closed(sub):
+    """The tuple ``is_closed``: the zero map, then every join and composite."""
+    ms = sub.members
+    if zero_map(sub.lattice) not in ms:
+        return False
+    for f in ms:
+        for g in ms:
+            if pointwise_join(sub.lattice, f, g) not in ms or compose(f, g) not in ms:
+                return False
+    return True
+
+
+def relabelled_lattice(lat, seed):
+    """``lat`` renamed by a seeded permutation that moves its zero off 0."""
+    perm = shuffled(lat.n, seed)
+    if perm[lat.zero] == 0:
+        perm = perm[1:] + perm[:1]
+    return validate_lattice(renamed(lat.join, perm), zero=perm[lat.zero], name=lat.name)
+
+
+def endo_subsemiring_cases(name):
+    """The closed member sets of one case: the dense families and End(M)
+    of lattices, or every subsemiring of End(chain3) or End(diamond)."""
+    if name in ("chain3", "diamond"):
+        lat = load_fixture(name)
+        r, members = end_semiring(lat)
+        return [EndoSubsemiring(lat, frozenset(members[i] for i in s))
+                for s in subsemirings(r)]
+    if name == "sizes 2-5":
+        lats = [lat for lat in enumerate_lattices(5) if lat.n >= 2]
+    else:
+        lats = [relabelled_lattice(load_fixture(f), seed)
+                for seed, f in enumerate(("chain3", "diamond", "n5", "m3"))]
+        assert all(lat.zero != 0 for lat in lats)
+    subs = []
+    for lat in lats:
+        subs += enumerate_sr(lat)
+        subs.append(EndoSubsemiring(lat, frozenset(endomorphisms(lat))))
+    return subs
+
+
+def assert_same_cayley_tables(sub):
+    r = sub.to_semiring()
+    assert (r.add, r.mul, r.zero) == reference_to_semiring(sub)
+    assert sub.is_closed() and reference_is_closed(sub)
+
+
+def assert_same_closedness(sub):
+    """``is_closed`` agrees with the tuple loops, and ``to_semiring`` of a
+    set that is not closed raises the typed error."""
+    closed = reference_is_closed(sub)
+    assert sub.is_closed() == closed
+    if closed:
+        assert_same_cayley_tables(sub)
+    else:
+        with pytest.raises(ValidationError,
+                           match="^member set is not closed under join and composition$"):
+            sub.to_semiring()
+    return closed
+
+
+@pytest.mark.parametrize("name, count", [
+    ("sizes 2-5", 16 + 9), ("chain3", 20), ("diamond", 222), ("relabelled", 11 + 4)])
+def test_cayley_tables_match_the_tuple_loops(name, count):
+    """Equal tables on every closed set, and equal closedness on each set
+    minus one nonzero member and plus one endomorphism it lacks."""
+    subs = endo_subsemiring_cases(name)
+    assert len(subs) == count
+    variants = closed = 0
+    for sub in subs:
+        assert_same_cayley_tables(sub)
+        lat, ms = sub.lattice, sub.members
+        zero = zero_map(lat)
+        for f in ms - {zero}:
+            variants += 1
+            closed += assert_same_closedness(EndoSubsemiring(lat, ms - {f}))
+        for f in endomorphisms(lat):
+            if f not in ms:
+                variants += 1
+                closed += assert_same_closedness(EndoSubsemiring(lat, ms | {f}))
+    assert 0 < closed < variants
+
+
+def test_cayley_tables_on_m15_above_the_bytes_encoding():
+    lat = m_lattice(15)
+    assert lat.n ** 2 > 256
+    gens = [zero_map(lat), identity_map(lat), elementary(lat, 1, 2), elementary(lat, 3, 4)]
+    sub = EndoSubsemiring(lat, close(frozenset(), gens, _products(lat)))
+    assert sub.size == 25
+    assert_same_cayley_tables(sub)
+    for f in sorted(sub.members)[1:4]:
+        assert not assert_same_closedness(EndoSubsemiring(lat, sub.members - {f}))
+    assert not assert_same_closedness(EndoSubsemiring(lat, sub.members - {zero_map(lat)}))
