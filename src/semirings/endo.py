@@ -145,35 +145,14 @@ class EndoSubsemiring:
     def sorted_members(self):
         return sorted(self.members)
 
-    def _encoded(self):
-        """(member strings, zero string, rows) over the sorted members.
-
-        Each map is the string of its codes (see ``_codec`` and
-        ``dense_closure``), and ``rows`` yields, for each member f in turn,
-        the iterators of the strings of f + g and of f o g over the members g.
-        """
-        lat = self.lattice
-        n, join, cells = lat.n, lat.join, range(lat.n)
-        pack, table, translate, _ = _codec(n)
-        members = self.sorted_members()
-        strings = [pack([v + n * x for x, v in enumerate(f)]) for f in members]
-        zero = pack([lat.zero + n * x for x in cells])
-
-        def rows():
-            for f in members:
-                plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
-                after = table([f[v] + n * x for x in cells for v in cells])
-                yield map(translate, strings, repeat(plus)), map(translate, strings, repeat(after))
-
-        return strings, zero, rows()
-
     def is_closed(self):
         """True iff the zero map, every join and every composite of members
-        are members, each checked as the encoded strings of ``to_semiring``."""
-        strings, zero, rows = self._encoded()
-        known = set(strings)
-        return zero in known and all(
-            known.issuperset(sums) and known.issuperset(products) for sums, products in rows)
+        are members, which is when ``to_semiring`` succeeds."""
+        try:
+            self.to_semiring()
+        except ValidationError:
+            return False
+        return True
 
     def to_semiring(self, name=None):
         """The Cayley tables over the sorted members, as a ``FiniteSemiring``.
@@ -191,17 +170,24 @@ class EndoSubsemiring:
         gives the entry.  ``ValidationError`` is raised when the members lack
         the zero map, a join or a composite.
         """
-        strings, zero, rows = self._encoded()
+        lat = self.lattice
+        n, join, cells = lat.n, lat.join, range(lat.n)
+        pack, table, translate, _ = _codec(n)
+        members = self.sorted_members()
+        strings = [pack([v + n * x for x, v in enumerate(f)]) for f in members]
         at = {s: i for i, s in enumerate(strings)}.__getitem__
+        add, mul = [], []
         try:
-            zero_index = at(zero)
-            tables = [(tuple(map(at, sums)), tuple(map(at, products)))
-                      for sums, products in rows]
+            zero = at(pack([lat.zero + n * x for x in cells]))
+            for f in members:
+                plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
+                after = table([f[v] + n * x for x in cells for v in cells])
+                add.append(tuple(map(at, map(translate, strings, repeat(plus)))))
+                mul.append(tuple(map(at, map(translate, strings, repeat(after)))))
         except KeyError:
             raise ValidationError(
                 "member set is not closed under join and composition") from None
-        add, mul = zip(*tables)
-        return FiniteSemiring(len(strings), add, mul, zero_index, name)
+        return FiniteSemiring(len(strings), tuple(add), tuple(mul), zero, name)
 
 
 def is_dense(sub):

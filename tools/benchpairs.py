@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog5", "min-order7", "walk6", "witness")
 SIDES = ("parent", "change")
+RUN_SECONDS = 10
 
 
 def git(*args):
@@ -45,15 +46,20 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def bench(tree, workload, seed, seconds, trace):
+def bench(tree, workload, seed, trace):
     """The result line of one run, with its round count and ``env`` lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
-    if proc.returncode != 0 or not result["correct"]:
-        raise SystemExit(f"{tree.name} {workload} seed {seed}: run failed")
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if result is None or not result.get("correct"):
+        raise SystemExit(f"{tree.name} {workload} seed {seed}: run failed "
+                         f"(exit {proc.returncode})\n{proc.stderr[-2000:]}")
     info = next(line.split() for line in lines if line.startswith("info workload"))
     result["rounds"] = int(info[info.index("rounds") + 1])
     result["env"] = dict(line[4:].split(" ", 1) for line in lines if line.startswith("env "))
@@ -86,8 +92,8 @@ def main(argv=None):
     parser.add_argument("--all-seed", type=int, required=True)
     parser.add_argument("--trace-workload", choices=WORKLOADS, required=True)
     parser.add_argument("--trace-seed", type=int, required=True)
-    parser.add_argument("--layer", action="append", default=[], help="per-layer metric to keep")
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--layer", action="append", required=True,
+                        help="per-layer metric to keep (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -99,7 +105,7 @@ def main(argv=None):
 
     def both(workload, seed, trace, first):
         order = SIDES if first == "parent" else SIDES[::-1]
-        return {side: bench(trees[side], workload, seed, args.seconds, trace) for side in order}
+        return {side: bench(trees[side], workload, seed, trace) for side in order}
 
     runs = [both(args.workload, seed, 0, SIDES[i % 2]) for i, seed in enumerate(args.seeds)]
     metrics = {}
@@ -112,11 +118,10 @@ def main(argv=None):
     parent, change = metrics[args.metric]["parent"], metrics[args.metric]["change"]
     untraced = {w: both(w, args.all_seed, 0, SIDES[i % 2]) for i, w in enumerate(WORKLOADS)}
     traced = both(args.trace_workload, args.trace_seed, 1, "parent")
-    keep = args.layer or list(traced["parent"]["metrics"])
 
     out = {
         "command": " ".join(["python3", "tools/benchpairs.py", *(argv or sys.argv[1:])]),
-        "run": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        "run": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
                "--trace T, in a fresh git archive of each commit",
         "commits": commits,
         "src_trees": {side: git("rev-parse", f"{commits[side]}:src") for side in SIDES},
@@ -132,7 +137,7 @@ def main(argv=None):
                                        for side in SIDES} for w, r in untraced.items()}},
         "traced": {"workload": args.trace_workload, "seed": args.trace_seed,
                    "metrics": {name: {side: values(traced[side])[name] for side in SIDES}
-                               for name in keep}},
+                               for name in args.layer}},
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     shutil.rmtree(build, ignore_errors=True)
