@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .endo import end_semiring, enumerate_sr
+from .endo import SR_BASE_LIMIT, end_semiring, enumerate_sr
 from .errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import enumerate_lattices, validate_lattice
@@ -49,7 +49,7 @@ class FamilyReport:
         return [m.order for m in self.members]
 
 
-def family_report(lat, max_end=512):
+def family_report(lat, max_end=SR_BASE_LIMIT):
     """Compute the dense-subsemiring family of a lattice with all flags.
 
     Members are ordered by descending size; equal-size members keep the
@@ -104,7 +104,7 @@ def worker_count(jobs, tasks):
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
 
 
-def family_reports(lats, max_end=512, jobs=1):
+def family_reports(lats, max_end=SR_BASE_LIMIT, jobs=1):
     """Reports for several lattices, in input order regardless of jobs."""
     tasks = [(lat.join, lat.zero, lat.name, max_end) for lat in lats]
     jobs = worker_count(jobs, len(tasks))
@@ -141,9 +141,8 @@ def compare_with_expected(reports):
                           ("self_anti_iso", "self_anti_iso"),
                           ("iso_classes", "iso_class")):
             got_vals = [getattr(m, attr) for m in got.members]
-            want_vals = [bool(v) if isinstance(v, bool) else v for v in want[key]]
-            if got_vals != want_vals:
-                diffs.append(f"{name}: {key} {got_vals} != {want_vals}")
+            if got_vals != want[key]:
+                diffs.append(f"{name}: {key} {got_vals} != {want[key]}")
     # The inverse of an anti-isomorphism is one, so each unordered partner
     # pair is checked once, in the order it is first listed.
     checked = set()
@@ -284,7 +283,7 @@ def _write_atomic(path, text):
         tmp.unlink(missing_ok=True)
 
 
-def build_catalog(out_dir, max_size=5, max_end=512, jobs=1):
+def build_catalog(out_dir, max_size=5, max_end=SR_BASE_LIMIT, jobs=1):
     """Write one record per lattice class of sizes 2..max_size.
 
     Idempotent: identical tool versions produce identical bytes.  Every

@@ -233,9 +233,6 @@ def cmd_check(args, out):
             return _check_subsemiring(path, text, out, args.format)
         if path.suffix == ".smod":
             return _check_semimodule(path, text, out, args.format)
-    except ParseError as exc:
-        out.write(f"parse error: {exc}\n")
-        return 2
     except ValidationError as exc:
         out.write(f"validation failed: {exc}\n")
         return 1

@@ -23,6 +23,9 @@ from collections import Counter
 
 from .errors import SizeLimit
 
+# Most closed sets, or module congruences, one enumeration may find.
+SET_LIMIT = 100000
+
 
 def close(base, seeds, products, images=None):
     """Least superset of ``base`` and ``seeds`` closed under ``products``
@@ -63,7 +66,7 @@ def close(base, seeds, products, images=None):
     return frozenset(members)
 
 
-def closed_sets(base, universe, products, images=None, *, max_count, noun):
+def closed_sets(base, universe, products, images=None, *, noun):
     """Every closed set between the closed set ``base`` and ``universe``,
     ordered by ascending (size, sorted members).
 
@@ -71,7 +74,7 @@ def closed_sets(base, universe, products, images=None, *, max_count, noun):
     ``universe`` it lacks, and closed incrementally from that element.
     Every closed set above ``base`` is reached, because it is the closure
     of ``base`` and its members added one at a time.  ``SizeLimit`` is
-    raised once more than ``max_count`` sets exist.
+    raised once more than ``SET_LIMIT`` sets exist.
     """
     seen = {base}
     stack = [base]
@@ -82,8 +85,8 @@ def closed_sets(base, universe, products, images=None, *, max_count, noun):
                 continue
             t = close(s, (x,), products, images)
             if t not in seen:
-                if len(seen) >= max_count:
-                    raise SizeLimit(f"more than {max_count} {noun}")
+                if len(seen) >= SET_LIMIT:
+                    raise SizeLimit(f"more than {SET_LIMIT} {noun}")
                 seen.add(t)
                 stack.append(t)
     return sorted(seen, key=lambda s: (len(s), sorted(s)))

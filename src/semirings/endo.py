@@ -17,7 +17,7 @@ maps is combined once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .closure import closed_sets
@@ -136,7 +136,6 @@ class EndoSubsemiring:
 
     lattice: FiniteLattice
     members: frozenset
-    _dense: object = field(default=None, repr=False, compare=False)
 
     @property
     def size(self):
@@ -192,9 +191,7 @@ class EndoSubsemiring:
 
 def is_dense(sub):
     """True iff the subsemiring contains every elementary map."""
-    if sub._dense is None:
-        sub._dense = all(e in sub.members for e in elementary_maps(sub.lattice))
-    return sub._dense
+    return all(e in sub.members for e in elementary_maps(sub.lattice))
 
 
 def end_semiring(lat, max_size=END_SIZE_LIMIT):
@@ -291,10 +288,10 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
     decode = table([c % n for c in range(n * n)])
     members = frozenset(map(unpack, map(translate, span, repeat(decode))))
-    return EndoSubsemiring(lat, members, _dense=True)
+    return EndoSubsemiring(lat, members)
 
 
-def enumerate_sr(lat, max_end=SR_BASE_LIMIT, max_families=100000):
+def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     """All dense subsemirings of End(M), i.e. all closed sets between the
     sums of elementary maps and the full endomorphism semiring.
 
@@ -302,9 +299,8 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT, max_families=100000):
     """
     all_endos = endomorphisms(lat, max_count=max_end)
     base = dense_closure(lat, max_size=max_end).members
-    families = closed_sets(base, all_endos, _products(lat), max_count=max_families,
-                           noun="dense subsemirings")
-    return [EndoSubsemiring(lat, s, _dense=True) for s in families]
+    families = closed_sets(base, all_endos, _products(lat), noun="dense subsemirings")
+    return [EndoSubsemiring(lat, s) for s in families]
 
 
 def transpose(lat, f):

@@ -23,10 +23,6 @@ def load_fixture(name):
     return parse_lat(fixture_text(name))
 
 
-def all_fixtures():
-    return [load_fixture(name) for name in FIXTURE_NAMES]
-
-
 def boolean_semiring():
     """Two elements, 1 + 1 = 1 and 1 * 1 = 1 (the max/and semiring)."""
     return validate_semiring([[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, name="boolean")

@@ -65,9 +65,6 @@ class FiniteLattice:
         """Infimum: the join of all common lower bounds of x and y."""
         return self.meet_table[x][y]
 
-    def elements(self):
-        return range(self.n)
-
     def __eq__(self, other):
         if not isinstance(other, FiniteLattice):
             return NotImplemented
@@ -268,16 +265,14 @@ def lattice_iso(lat1, lat2):
 # ---------------------------------------------------------------------------
 # enumeration of all lattices up to isomorphism
 #
-# Strategy.  Every lattice L with n >= 2 elements is the ordinal sum
-# 0 + P + 1 of a bottom, the poset P of its n - 2 inner elements, and a
-# top.  An isomorphism of lattices fixes 0 and 1, so two lattices are
-# isomorphic iff their inner posets are, and a finite bounded poset is a
-# lattice iff every pair has a least upper bound.  So grow partial orders
-# one maximal element at a time (the new element's strict down-set can be
-# any order ideal) up to size n - 2 only, deduplicate by a canonical form,
-# add a bottom and a top to each class, and keep those bounded posets in
-# which every pair has a least upper bound (Heitzig and Reinhold, "Counting
-# finite lattices", Algebra Universalis 48, 2002).
+# Strategy.  Removing a coatom from a finite lattice with at least three
+# elements leaves a lattice, so every lattice of size n >= 3 is a lattice
+# of size n - 1 with one new coatom added (Heitzig and Reinhold, "Counting
+# finite lattices", Algebra Universalis 48, 2002, also grow lattices from
+# lattices one element at a time).  Each class is held as its canonical
+# join table, in which the bottom is 0 and the top the last element; the
+# classes of size n are the canonical tables of the coatom extensions of
+# the classes of size n - 1.  No poset that is not a lattice is built.
 
 
 def _poset_colors(up, down, n):
@@ -315,98 +310,35 @@ def _admissible_perms(colors, n):
         yield perm
 
 
-def _down_masks(up, n):
-    """Transpose a relation stored as row bitmasks: the down-sets of a
-    poset from its up-sets (and its up-sets from its down-sets)."""
-    down = [0] * n
-    for x in range(n):
-        m = up[x]
-        y = 0
-        while m:
-            if m & 1:
-                down[y] |= 1 << x
-            m >>= 1
-            y += 1
-    return down
+def _coatom_extensions(join, n):
+    """Join tables of size n that add a coatom to the lattice ``join`` of
+    size n - 1 >= 2 (bottom 0, top n - 2): bottom 0, new coatom n - 2,
+    top n - 1.
 
-
-def _canon_upmasks(up, n):
-    colors = _poset_colors(up, _down_masks(up, n), n)
-    best = None
-    for perm in _admissible_perms(colors, n):
-        rows = [0] * n
-        for x in range(n):
-            m = up[x]
-            y = 0
-            px = perm[x]
-            while m:
-                if m & 1:
-                    rows[px] |= 1 << perm[y]
-                m >>= 1
-                y += 1
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _order_ideals(up, n):
-    down = _down_masks(up, n)
-    for mask in range(1 << n):
-        ok = True
-        m = mask
-        x = 0
-        while m:
-            if m & 1 and down[x] & ~mask:
-                ok = False
-                break
-            m >>= 1
-            x += 1
-        if ok:
-            yield mask
-
-
-def _grow_posets(posets, n):
-    """The posets of size n, one canonical up-mask tuple per isomorphism
-    class, from those of size n - 1: every poset has a maximal element,
-    and its strict down-set is an order ideal of the rest."""
-    bit = 1 << (n - 1)
-    return {
-        _canon_upmasks([row | bit if (ideal >> x) & 1 else row
-                        for x, row in enumerate(up)] + [bit], n)
-        for up in posets
-        for ideal in _order_ideals(up, n - 1)
-    }
-
-
-def _bounded(up, k):
-    """Up-mask rows of 0 + P + 1 for a poset P on 0..k-1: P keeps its
-    indices, the bottom is k and the top k + 1."""
-    top = 1 << (k + 1)
-    return [row | top for row in up] + [(1 << (k + 2)) - 1, top]
-
-
-def _poset_to_lattice(up, n):
-    """Join table of a bounded poset, or None unless every pair has a
-    least upper bound.  The top bounds every pair, so ``uppers`` is never
-    empty."""
-    join = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            uppers = up[x] & up[y]
-            z = None
-            m = uppers
-            c = 0
-            while m:
-                if m & 1 and (uppers & ~up[c]) == 0:
-                    z = c
-                    break
-                m >>= 1
-                c += 1
-            if z is None:
-                return None
-            join[x][y] = join[y][x] = z
-    return join
+    Lemma.  A coatom m of a lattice with at least 3 elements can be
+    removed: two elements whose join was m then have only the top above
+    them, so the rest is a lattice.  Hence every lattice of size n arises
+    from one of size n - 1 by adding a coatom m below the old top t whose
+    strict down-set D is a down-set of the elements other than t that
+    contains the bottom.  Such a D gives a lattice iff every two elements
+    of D join inside D or at t; otherwise that join and m are two
+    incomparable least upper bounds.  In the new table a join that was t
+    becomes m inside D and the top elsewhere, and x + m is m for x in D
+    and the top otherwise.
+    """
+    k = n - 2  # the elements other than t are 0..k-1; m takes t's index k
+    top = n - 1
+    down = [sum(1 << y for y in range(k) if join[y][x] == x) for x in range(k)]
+    for d in range(1, 1 << k, 2):
+        inside = [x for x in range(k) if d >> x & 1]
+        if any(down[x] & ~d for x in inside) or any(
+                join[x][y] < k and not d >> join[x][y] & 1
+                for x in inside for y in inside):
+            continue
+        up = [k if d >> x & 1 else top for x in range(k)]  # x + m
+        rows = [[v if v < k else max(up[x], up[y]) for y, v in enumerate(row[:k])]
+                + [up[x], top] for x, row in enumerate(join[:k])]
+        yield rows + [up + [k, top], [top] * n]
 
 
 def _canon_join_table(join, n):
@@ -432,11 +364,10 @@ def _canon_join_table(join, n):
 def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     """One validated FiniteLattice per isomorphism class, sizes 1..max_n.
 
-    A lattice with n >= 2 elements is 0 + P + 1 for its poset P of n - 2
-    inner elements, and two lattices are isomorphic iff their inner posets
-    are; a bounded poset is a lattice iff every pair has a least upper
-    bound.  So only posets up to size max_n - 2 are generated, one per
-    class, and each is bounded and tested.
+    The classes of sizes 1 and 2 are the chains; every lattice of size
+    n >= 3 adds a coatom to a lattice of size n - 1 (the lemma at
+    ``_coatom_extensions``), so the classes of size n are the canonical
+    join tables of the coatom extensions of the classes of size n - 1.
 
     Deterministic: classes are sorted by (size, canonical join table), and
     the k-th class of size n is named ``lat{n}_{k}``.  Raises
@@ -444,20 +375,15 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     """
     if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds limit {limit}")
-    if max_n < 1:
-        return []
-    out = [validate_lattice(((0,),), zero=0, name="lat1_1")]
-    posets = {()}  # the inner posets of size n - 2, as canonical up-mask rows
-    for n in range(2, max_n + 1):
-        if n > 2:
-            posets = _grow_posets(posets, n - 2)
-        tables = set()
-        for up in posets:
-            join = _poset_to_lattice(_bounded(up, n - 2), n)
-            if join is not None:
-                tables.add(_canon_join_table(join, n))
+    chains = [((0,),), ((0, 1), (1, 1))][:max(max_n, 0)]
+    out = [validate_lattice(table, zero=0, name=f"lat{n}_1")
+           for n, table in enumerate(chains, 1)]
+    tables = chains[1:]
+    for n in range(3, max_n + 1):
+        tables = sorted({_canon_join_table(ext, n)
+                         for join in tables for ext in _coatom_extensions(join, n)})
         out.extend(validate_lattice(table, zero=0, name=f"lat{n}_{k}")
-                   for k, table in enumerate(sorted(tables), 1))
+                   for k, table in enumerate(tables, 1))
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closure import (
+    SET_LIMIT,
     close,
     close_congruence,
     closed_sets,
@@ -32,7 +33,7 @@ from .errors import (
     SizeLimit,
     check_table,
 )
-from .endo import EndoSubsemiring, elementary_maps, zero_map
+from .endo import EndoSubsemiring, is_dense, zero_map
 from .lattice import validate_lattice
 from .semiring import Congruence, is_congruence_simple, structure_flags
 
@@ -144,10 +145,10 @@ def close_module_subset(mod, seed):
     return close(frozenset(), (mod.mzero, *seed), _products(mod), mod.act_t.__getitem__)
 
 
-def subsemimodules(mod, max_count=100000):
+def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
     return closed_sets(close_module_subset(mod, ()), range(mod.m), _products(mod),
-                       mod.act_t.__getitem__, max_count=max_count, noun="subsemimodules")
+                       mod.act_t.__getitem__, noun="subsemimodules")
 
 
 def submodule(mod, subset, name=None):
@@ -178,7 +179,7 @@ def is_module_congruence(mod, cong):
     return cong.n == mod.m and compatible(cong.blocks, _translations(mod))
 
 
-def module_congruences(mod, max_count=100000):
+def module_congruences(mod):
     """Every module congruence, as joins of the principal ones."""
     m = mod.m
     found = {Congruence(m, tuple(range(m)))}
@@ -194,8 +195,8 @@ def module_congruences(mod, max_count=100000):
             joined = Congruence.generated(m, _pairs_of(c) + _pairs_of(p),
                                           _translations(mod))
             if joined not in found:
-                if len(found) >= max_count:
-                    raise SizeLimit(f"more than {max_count} module congruences")
+                if len(found) >= SET_LIMIT:
+                    raise SizeLimit(f"more than {SET_LIMIT} module congruences")
                 found.add(joined)
                 work.append(joined)
     return sorted(found, key=lambda c: (c.num_blocks, c.blocks), reverse=True)
@@ -369,14 +370,12 @@ def representation(r, mod):
     """
     lat = module_lattice(mod)
     maps = tuple(tuple(mod.act[x]) for x in range(r.n))
-    image = frozenset(maps)
-    sub = EndoSubsemiring(lat, image)
-    dense = all(e in image for e in elementary_maps(lat))
+    sub = EndoSubsemiring(lat, frozenset(maps))
     return Representation(
         subsemiring=sub,
         action_maps=maps,
-        faithful=len(image) == r.n,
-        dense=dense,
+        faithful=sub.size == r.n,
+        dense=is_dense(sub),
     )
 
 

@@ -40,6 +40,7 @@ from .errors import (
     NotCompatible,
     ParseError,
     RightDistFail,
+    ValidationError,
     ZeroNotAbsorbing,
     check_table,
 )
@@ -298,9 +299,8 @@ def recover_monoid(r):
 
 def opposite(r):
     """Same addition, reversed multiplication."""
-    mul = tuple(tuple(r.mul[y][x] for y in range(r.n)) for x in range(r.n))
     name = None if r.name is None else r.name + "^op"
-    return FiniteSemiring(r.n, r.add, mul, r.zero, name)
+    return FiniteSemiring(r.n, r.add, r.mul_t, r.zero, name)
 
 
 def product_semiring(r1, r2):
@@ -318,11 +318,19 @@ def product_semiring(r1, r2):
 
 
 def restrict(r, subset, name=None):
-    """Subsemiring on a closed subset containing zero, reindexed sorted."""
+    """Subsemiring on a closed subset containing zero, reindexed sorted.
+
+    ``ValidationError`` is raised when the subset lacks the zero or is not
+    closed under + and *."""
     members = sorted(subset)
     index = {m: i for i, m in enumerate(members)}
-    add = tuple(tuple(index[r.add[a][b]] for b in members) for a in members)
-    mul = tuple(tuple(index[r.mul[a][b]] for b in members) for a in members)
+    if r.zero not in index:
+        raise ValidationError("subset does not contain the zero")
+    try:
+        add = tuple(tuple(index[r.add[a][b]] for b in members) for a in members)
+        mul = tuple(tuple(index[r.mul[a][b]] for b in members) for a in members)
+    except KeyError:
+        raise ValidationError("subset is not closed under + and *") from None
     return FiniteSemiring(len(members), add, mul, index[r.zero], name)
 
 
@@ -341,14 +349,13 @@ def close_subset(r, seed):
     return close(frozenset(), (r.zero, *seed), _products(r))
 
 
-def subsemirings(r, max_count=100000):
+def subsemirings(r):
     """All subsets containing zero closed under both operations.
 
     Walks the closed-set lattice upward from the closure of {zero};
     deterministic order by (size, member tuple).
     """
-    return closed_sets(close_subset(r, ()), range(r.n), _products(r),
-                       max_count=max_count, noun="subsemirings")
+    return closed_sets(close_subset(r, ()), range(r.n), _products(r), noun="subsemirings")
 
 
 # ---------------------------------------------------------------------------

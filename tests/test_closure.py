@@ -49,7 +49,6 @@ from semirings.errors import SizeLimit, ValidationError
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import (
     LatticeIso,
-    _down_masks,
     _poset_colors,
     dual,
     enumerate_lattices,
@@ -563,6 +562,21 @@ def test_zero_top_stop_ends_a_total_closure_before_one_block():
 # ---------------------------------------------------------------------------
 # the one isomorphism search against the lattice and semiring searches it
 # replaced
+
+
+def _down_masks(up, n):
+    """Transpose a relation stored as row bitmasks: the down-sets of a
+    poset from its up-sets (and its up-sets from its down-sets)."""
+    down = [0] * n
+    for x in range(n):
+        m = up[x]
+        y = 0
+        while m:
+            if m & 1:
+                down[y] |= 1 << x
+            m >>= 1
+            y += 1
+    return down
 
 
 def reference_lattice_iso(lat1, lat2):

@@ -7,6 +7,7 @@ from semirings.endo import (
     compose,
     dense_closure,
     elementary,
+    elementary_maps,
     endomorphisms,
     enumerate_sr,
     identity_is_elementary_sum,
@@ -113,6 +114,10 @@ def test_is_dense_cases(lats):
     small = EndoSubsemiring(lat, frozenset({zero_map(lat), identity_map(lat)}))
     assert small.is_closed()
     assert not is_dense(small)
+    dense = dense_closure(lat)
+    for e in elementary_maps(lat):
+        if e != zero_map(lat):
+            assert not is_dense(EndoSubsemiring(lat, dense.members - {e}))
 
 
 def test_enumerate_sr_orders(sr_families):

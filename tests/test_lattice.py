@@ -16,9 +16,10 @@ from semirings.errors import (
 from semirings.cli import main
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
+    _admissible_perms,
     _canon_join_table,
-    _canon_upmasks,
-    _order_ideals,
+    _coatom_extensions,
+    _poset_colors,
     condition_d,
     dual,
     embed_ring_of_sets,
@@ -302,6 +303,32 @@ def test_enumeration_covers_the_five_element_fixtures():
         assert len(matches) == 1, name
 
 
+def _canon_upmasks(up, n):
+    """Canonical form of a poset given by its up-set bitmasks: the least
+    relabelled up-mask tuple over the colour-respecting permutations."""
+    down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
+    colors = _poset_colors(up, down, n)
+    best = None
+    for perm in _admissible_perms(colors, n):
+        rows = [0] * n
+        for x in range(n):
+            for y in range(n):
+                if up[x] >> y & 1:
+                    rows[perm[x]] |= 1 << perm[y]
+        key = tuple(rows)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _order_ideals(up, n):
+    """The down-sets of a poset given by its up-set bitmasks: a set is one
+    iff no element outside it lies below an element inside it."""
+    for mask in range(1 << n):
+        if not any(up[y] & mask for y in range(n) if not mask >> y & 1):
+            yield mask
+
+
 def _reference_poset_to_lattice(up, n):
     """Join table of a poset with a global bottom in which every pair has
     a least upper bound, else None."""
@@ -369,6 +396,46 @@ def test_min_order_seven_json_is_pinned():
     assert main(["--format", "json", "min-order", "--max-size", "7"], out=out) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == "13f32b2577969e696a4ba7f6ba4b9f797c988185a7d5324c749723cf032e03fc"
+
+
+def _without(lat, m):
+    """Join table of ``lat`` without the element m, joins that were m sent
+    to the top; the other elements keep their order."""
+    keep = [x for x in range(lat.n) if x != m]
+    index = {x: i for i, x in enumerate(keep)}
+    return tuple(tuple(index[lat.top if lat.join[x][y] == m else lat.join[x][y]] for y in keep)
+                 for x in keep)
+
+
+def test_removing_a_coatom_leaves_a_lattice_of_one_size_less():
+    lats = enumerate_lattices(7)
+    classes = {n: {l.join for l in lats if l.n == n} for n in range(1, 8)}
+    removed = 0
+    for lat in lats:
+        if lat.n < 3:
+            continue
+        for m in range(lat.n):
+            if sum(lat.leq(m, y) for y in range(lat.n)) != 2:
+                continue  # not a coatom: more than m and the top lie above m
+            table = _without(lat, m)
+            validate_lattice(table)
+            assert _canon_join_table(table, lat.n - 1) in classes[lat.n - 1], (lat.name, m)
+            removed += 1
+    assert removed > len(lats) - 2
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_coatom_extensions_are_lattices_with_a_new_coatom(n):
+    parents = [l for l in enumerate_lattices(n - 1) if l.n == n - 1]
+    count = 0
+    for parent in parents:
+        for table in _coatom_extensions(parent.join, n):
+            lat = validate_lattice(table)
+            assert lat.zero == 0 and lat.top == n - 1
+            assert [y for y in range(n) if lat.leq(n - 2, y)] == [n - 2, n - 1]
+            assert _without(lat, n - 2) == parent.join
+            count += 1
+    assert count >= len([l for l in enumerate_lattices(n) if l.n == n])
 
 
 def test_enumeration_limit():

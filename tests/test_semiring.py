@@ -7,6 +7,7 @@ from semirings.errors import (
     AddNotCommutative,
     LeftDistFail,
     NotCompatible,
+    ValidationError,
     ZeroNotAbsorbing,
 )
 from semirings.fixtures import (
@@ -214,6 +215,20 @@ def test_restrict_builds_valid_semiring(ends):
     for s in subsemirings(r)[:10]:
         sub = restrict(r, s)
         validate_semiring(sub.add, sub.mul, sub.zero)
+
+
+def test_restrict_without_the_zero_is_a_validation_error(ends):
+    r, _ = ends["chain3"]
+    assert r.zero == 0
+    with pytest.raises(ValidationError, match="zero"):
+        restrict(r, [1, 2])
+
+
+def test_restrict_to_a_subset_that_is_not_closed_is_a_validation_error(ends):
+    r, _ = ends["chain3"]
+    assert close_subset(r, [1, 5]) != {0, 1, 5}
+    with pytest.raises(ValidationError, match="not closed"):
+        restrict(r, [0, 1, 5])
 
 
 def test_semiring_iso_negative():
