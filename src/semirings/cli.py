@@ -303,7 +303,7 @@ def build_parser():
 
     p_min = sub.add_parser("min-order",
                            help="least dense subsemiring order over lattices of size >= 6")
-    p_min.add_argument("--max-size", type=int, required=True)
+    p_min.add_argument("--max-size", type=positive_int, required=True)
 
     p_check = sub.add_parser("check", help="validate and report on a .lat/.sr/.srs/.smod file")
     p_check.add_argument("path")
@@ -311,7 +311,7 @@ def build_parser():
     p_cat = sub.add_parser("catalog", help="build or query the persistent catalog")
     p_cat.add_argument("action", choices=("build", "query"))
     p_cat.add_argument("--out", required=True)
-    p_cat.add_argument("--max-size", type=int, default=5)
+    p_cat.add_argument("--max-size", type=positive_int, default=5)
     p_cat.add_argument("--min-order", type=int)
     p_cat.add_argument("--max-order", type=int)
     p_cat.add_argument("--has-one", type=int, choices=(0, 1))

@@ -18,9 +18,9 @@ maps is combined once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, product, repeat
 
-from .closure import closed_sets
+from .closure import closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError
 from .lattice import FiniteLattice
 from .semiring import FiniteSemiring
@@ -254,10 +254,8 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
       containing E is closed under join, so it contains the span.
 
     The span is built as a fold, adding one elementary map at a time to
-    every sum found so far.  A map already in the span is skipped: the
-    span of a prefix is closed under join, so adding such a map finds
-    nothing new.  ``SizeLimit`` is raised as soon as the span holds more
-    than ``max_size`` maps.
+    every sum found so far.  ``SizeLimit`` is raised as soon as the span
+    holds more than ``max_size`` maps.
 
     The encoding.  Each map f on the n elements is held as the string of
     the codes f(x) + n·x for x = 0 .. n − 1 (see ``_codec``).  Code v + n·x
@@ -266,23 +264,38 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     sends cell (x, v) to (x, join(v, b)) when x is not below a and fixes
     it otherwise.  That is a substitution of codes, so f + e_{a,b} is
     ``f.translate(T_ab)`` for its table T_ab, and each step of the fold is
-    one ``translate`` per sum, all in C.  The generators are the e_{a,b}
-    with a ≠ top and b ≠ zero: the others are the zero map, and these are
-    distinct, since a is the largest element sent to zero and b the image
-    of the top.
+    one ``translate`` per sum, all in C.
+
+    The generators.  Only the e_{a,b} with a meet-irreducible (one upper
+    cover) and b join-irreducible (one lower cover) are folded, taken from
+    the covering pairs of ``closure.principal_test_pairs``.  The span is
+    the same: x goes to zero in e_{a,b} + e_{a',b} iff x <= a and x <= a',
+    so e_{a,b} + e_{a',b} = e_{a∧a',b}, and pointwise e_{a,b} + e_{a,b'} =
+    e_{a,b∨b'}.  In a finite lattice every a ≠ top is a meet of
+    meet-irreducibles and every b ≠ zero a join of join-irreducibles, so
+    every e_{a,b} with a ≠ top and b ≠ zero (the others are the zero map)
+    is a sum of generators.  These are distinct, since a is the largest
+    element sent to zero and b the image of the top, and none is a sum of
+    others, so each step finds new sums: if e_{a,b} is the sum of the
+    e_{a_i,b_i}, then every a_i >= a and a is their meet, and the one
+    upper cover a* of a lies below every a_i ≠ a, so b, the image of a*,
+    is the join of the b_i with a_i = a; hence some (a_i, b_i) = (a, b).
+    The step table of e_{a,b} is the identity on the cells (x, v) with x
+    below a and the per-b rows (x, v) -> (x, join(v, b)), built once per
+    lattice, on the others.
     """
     n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
     pack, table, translate, unpack = _codec(n)
-    gens = sorted(
-        (pack([(zero if down[a] >> x & 1 else b) + n * x for x in range(n)]), a, b)
-        for a in range(n) if a != lat.top for b in range(n) if b != zero)
+    covers = principal_test_pairs(join)
+    meet_irr = [a for a in range(n) if sum(c == a for c, _ in covers) == 1]
+    join_irr = [b for b in range(n) if sum(d == b for _, d in covers) == 1]
+    keep = [list(range(n * x, n * x + n)) for x in range(n)]
+    moved = {b: [[join[v][b] + n * x for v in range(n)] for x in range(n)] for b in join_irr}
     span = {pack([zero + n * x for x in range(n)])}
-    for e, a, b in gens:
-        if e in span:
-            continue
+    for a, b in product(meet_irr, join_irr):
         below = down[a]
-        step = table([(v if below >> x & 1 else join[v][b]) + n * x
-                      for x in range(n) for v in range(n)])
+        step = table(list(chain.from_iterable(
+            keep[x] if below >> x & 1 else moved[b][x] for x in range(n))))
         span.update(list(map(translate, span, repeat(step))))
         if max_size is not None and len(span) > max_size:
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")

@@ -124,11 +124,13 @@ def validate_lattice(join_table, zero=0, name=None):
             if join[x][y] != join[y][x]:
                 raise NotCommutative("x + y != y + x", (x, y))
     for x in range(n):
+        row = join[x]
         for y in range(n):
-            jxy = join[x][y]
-            for z in range(n):
-                if join[jxy][z] != join[x][join[y][z]]:
-                    raise NotAssociative("(x+y)+z != x+(y+z)", (x, y, z))
+            # row (x+y) against x + (row y); the first z that differs is the witness
+            lhs, rhs = join[row[y]], tuple(map(row.__getitem__, join[y]))
+            if lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                raise NotAssociative("(x+y)+z != x+(y+z)", (x, y, z))
     down = [0] * n
     for y in range(n):
         for x in range(n):
@@ -273,47 +275,49 @@ def lattice_iso(lat1, lat2):
 # join table, in which the bottom is 0 and the top the last element; the
 # classes of size n are the canonical tables of the coatom extensions of
 # the classes of size n - 1.  No poset that is not a lattice is built.
+# Only a new coatom of largest down-set is added, a canonical choice of
+# the element to remove in the sense of McKay ("Isomorph-free exhaustive
+# generation", J. Algorithms 26, 1998), so fewer tables are canonicalised.
 
 
 def _poset_colors(up, down, n):
-    colors = [(bin(down[x]).count("1"), bin(up[x]).count("1")) for x in range(n)]
-    for _ in range(n):
-        sig = []
-        for x in range(n):
-            below = sorted(colors[y] for y in range(n) if (down[x] >> y) & 1)
-            above = sorted(colors[y] for y in range(n) if (up[x] >> y) & 1)
-            sig.append((colors[x], tuple(below), tuple(above)))
+    """Colour refinement of a poset given by its up- and down-set bitmasks:
+    x starts as (|down-set|, |up-set|), and each round colours x by the
+    rank of its colour with the sorted colours of its down-set and of its
+    up-set.  It stops once a round adds no colour class: every signature
+    holds the old colour, so the classes only split, and an equal count
+    means an equal partition (the test ``closure._joint_colors`` uses)."""
+    below = [[y for y in range(n) if down[x] >> y & 1] for x in range(n)]
+    above = [[y for y in range(n) if up[x] >> y & 1] for x in range(n)]
+    colors = [(len(below[x]), len(above[x])) for x in range(n)]
+    count = len(set(colors))
+    while True:
+        get = colors.__getitem__
+        sig = [(colors[x], tuple(sorted(map(get, below[x]))), tuple(sorted(map(get, above[x]))))
+               for x in range(n)]
         ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if all((colors[x] == colors[y]) == (new[x] == new[y])
-               for x in range(n) for y in range(n)):
-            return new
-        colors = new
-    return colors
+        colors = [ranks[s] for s in sig]
+        if len(ranks) == count:
+            return colors
+        count = len(ranks)
 
 
-def _admissible_perms(colors, n):
+def _admissible_orders(colors, n):
+    """The orderings of 0..n-1 that list the colour classes one after
+    another in colour order, each class in every order; the i-th element
+    of an ordering takes the label i."""
     groups = {}
     for x in range(n):
         groups.setdefault(colors[x], []).append(x)
-    keys = sorted(groups)
-    slots = []
-    start = 0
-    for k in keys:
-        slots.append((groups[k], start))
-        start += len(groups[k])
-    for choice in itertools.product(*[itertools.permutations(g) for g, _ in slots]):
-        perm = [0] * n
-        for (g, base), ordering in zip(slots, choice):
-            for offset, x in enumerate(ordering):
-                perm[x] = base + offset
-        yield perm
+    for choice in itertools.product(*[itertools.permutations(groups[k]) for k in sorted(groups)]):
+        yield list(itertools.chain.from_iterable(choice))
 
 
 def _coatom_extensions(join, n):
     """Join tables of size n that add a coatom to the lattice ``join`` of
     size n - 1 >= 2 (bottom 0, top n - 2): bottom 0, new coatom n - 2,
-    top n - 1.
+    top n - 1.  Only the extensions in which no other coatom has a larger
+    down-set than the new one are kept.
 
     Lemma.  A coatom m of a lattice with at least 3 elements can be
     removed: two elements whose join was m then have only the top above
@@ -325,11 +329,27 @@ def _coatom_extensions(join, n):
     incomparable least upper bounds.  In the new table a join that was t
     becomes m inside D and the top elsewhere, and x + m is m for x in D
     and the top otherwise.
+
+    Pruning.  The other coatoms of the extension are the old coatoms not
+    in D, with their down-sets unchanged; m's down-set is D and m.  Take
+    any lattice L of size n >= 3 and remove a coatom m of largest
+    down-set: the rest is a lattice of size n - 1, isomorphic to one of
+    the classes, and adding m back to that class with the image of m's
+    strict down-set as D gives a table isomorphic to L in which no other
+    coatom has a larger down-set than m.  So the kept extensions of the
+    classes of size n - 1 still reach every class of size n (80 tables
+    instead of 116 for the 53 classes of size 7, 341 instead of 541 for
+    the 222 of size 8).
     """
     k = n - 2  # the elements other than t are 0..k-1; m takes t's index k
     top = n - 1
     down = [sum(1 << y for y in range(k) if join[y][x] == x) for x in range(k)]
+    coatoms = [(1 << c, bin(down[c]).count("1")) for c in range(k)
+               if not any(down[y] >> c & 1 for y in range(k) if y != c)]
     for d in range(1, 1 << k, 2):
+        size = bin(d).count("1") + 1  # m and its strict down-set d
+        if any(size < below for bit, below in coatoms if not d & bit):
+            continue
         inside = [x for x in range(k) if d >> x & 1]
         if any(down[x] & ~d for x in inside) or any(
                 join[x][y] < k and not d >> join[x][y] & 1
@@ -342,6 +362,12 @@ def _coatom_extensions(join, n):
 
 
 def _canon_join_table(join, n):
+    """The least relabelled join table over the orderings of
+    ``_admissible_orders``, in which colour classes take consecutive labels
+    in colour order.  Row i of the table relabelled along the ordering
+    ``order`` (with label[order[i]] = i) is the row of order[i], so each
+    candidate is built row by row and dropped at its first row above the
+    least table found so far."""
     up = [0] * n
     down = [0] * n
     for x in range(n):
@@ -349,15 +375,24 @@ def _canon_join_table(join, n):
             if join[x][y] == y:
                 up[x] |= 1 << y
                 down[y] |= 1 << x
-    colors = _poset_colors(up, down, n)
     best = None
-    for perm in _admissible_perms(colors, n):
-        key = tuple(
-            tuple(perm[join[x][y]] for y in sorted(range(n), key=perm.__getitem__))
-            for x in sorted(range(n), key=perm.__getitem__)
-        )
-        if best is None or key < best:
-            best = key
+    label = [0] * n
+    for order in _admissible_orders(_poset_colors(up, down, n), n):
+        for i, x in enumerate(order):
+            label[x] = i
+        key = []
+        tied = best is not None  # every row so far equals best's
+        for i, x in enumerate(order):
+            jx = join[x]
+            row = tuple([label[jx[y]] for y in order])
+            if tied and row != best[i]:
+                if row > best[i]:
+                    break
+                tied = False
+            key.append(row)
+        else:
+            if not tied:
+                best = tuple(key)
     return best
 
 
@@ -367,7 +402,8 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     The classes of sizes 1 and 2 are the chains; every lattice of size
     n >= 3 adds a coatom to a lattice of size n - 1 (the lemma at
     ``_coatom_extensions``), so the classes of size n are the canonical
-    join tables of the coatom extensions of the classes of size n - 1.
+    join tables of the kept coatom extensions of the classes of size
+    n - 1.
 
     Deterministic: classes are sorted by (size, canonical join table), and
     the k-th class of size n is named ``lat{n}_{k}``.  Raises

@@ -470,6 +470,16 @@ def test_budgets_below_one_are_rejected_before_work(flag, value, tmp_path, capsy
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "six"])
+def test_max_size_below_one_is_rejected_before_work(value, tmp_path, capsys):
+    out_dir = tmp_path / "cat"
+    assert main(["catalog", "build", "--max-size", value, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    code, text = run_cli("--format", "json", "min-order", "--max-size", value)
+    assert (code, text) == (2, "")
+    assert "--max-size" in capsys.readouterr().err
+
+
 def test_worker_count_caps_at_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert worker_count(10 ** 9, 100) == 4

@@ -3,12 +3,14 @@
 import hashlib
 import io
 import itertools
+import random
 
 import pytest
 
 from semirings.errors import (
     BadZero,
     LimitExceeded,
+    NotAssociative,
     NotDistributive,
     NotIdempotent,
     ParseError,
@@ -16,7 +18,6 @@ from semirings.errors import (
 from semirings.cli import main
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
-    _admissible_perms,
     _canon_join_table,
     _coatom_extensions,
     _poset_colors,
@@ -49,6 +50,27 @@ def test_validate_rejects_bad_zero():
     # neutral element of the max table is 0, not 1
     with pytest.raises(BadZero):
         validate_lattice(MAX_TABLE(3), zero=1)
+
+
+def test_associativity_witness_is_the_first_failing_triple():
+    # every commutative idempotent table on 4 elements with neutral 0
+    n = 4
+    pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n)]
+    failures = 0
+    for values in itertools.product(range(n), repeat=len(pairs)):
+        join = [[max(x, y) if 0 in (x, y) or x == y else 0 for y in range(n)] for x in range(n)]
+        for (x, y), v in zip(pairs, values):
+            join[x][y] = join[y][x] = v
+        want = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                     if join[join[x][y]][z] != join[x][join[y][z]]), None)
+        if want is None:
+            validate_lattice(join)
+            continue
+        failures += 1
+        with pytest.raises(NotAssociative) as info:
+            validate_lattice(join)
+        assert info.value.witness == want
+    assert failures > 0
 
 
 def test_validate_diamond():
@@ -303,13 +325,99 @@ def test_enumeration_covers_the_five_element_fixtures():
         assert len(matches) == 1, name
 
 
+def _order_masks(join, n):
+    """The up-set and down-set bitmasks of the order of a join table."""
+    up = [0] * n
+    down = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if join[x][y] == y:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+    return up, down
+
+
+def _reference_poset_colors(up, down, n):
+    """Colour refinement as it was before it stopped on the class count:
+    a round ends the refinement when it leaves every pair of elements as
+    equal or unequal as before."""
+    colors = [(bin(down[x]).count("1"), bin(up[x]).count("1")) for x in range(n)]
+    for _ in range(n):
+        sig = []
+        for x in range(n):
+            below = sorted(colors[y] for y in range(n) if (down[x] >> y) & 1)
+            above = sorted(colors[y] for y in range(n) if (up[x] >> y) & 1)
+            sig.append((colors[x], tuple(below), tuple(above)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if all((colors[x] == colors[y]) == (new[x] == new[y])
+               for x in range(n) for y in range(n)):
+            return new
+        colors = new
+    return colors
+
+
+def _reference_admissible_perms(colors, n):
+    """Every permutation giving the colour classes consecutive labels in
+    colour order: ``perm[x]`` is the new label of x."""
+    groups = {}
+    for x in range(n):
+        groups.setdefault(colors[x], []).append(x)
+    keys = sorted(groups)
+    slots = []
+    start = 0
+    for k in keys:
+        slots.append((groups[k], start))
+        start += len(groups[k])
+    for choice in itertools.product(*[itertools.permutations(g) for g, _ in slots]):
+        perm = [0] * n
+        for (g, base), ordering in zip(slots, choice):
+            for offset, x in enumerate(ordering):
+                perm[x] = base + offset
+        yield perm
+
+
+def _reference_canon_join_table(join, n):
+    """The canonical join table as it was before candidates were built from
+    the inverse permutation and cut short: every admissible relabelled
+    table in full, rows and columns sorted by their new labels."""
+    colors = _reference_poset_colors(*_order_masks(join, n), n)
+    best = None
+    for perm in _reference_admissible_perms(colors, n):
+        key = tuple(
+            tuple(perm[join[x][y]] for y in sorted(range(n), key=perm.__getitem__))
+            for x in sorted(range(n), key=perm.__getitem__)
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _reference_coatom_extensions(join, n):
+    """Every coatom extension of the lattice ``join`` of size n - 1, as
+    ``_coatom_extensions`` yields them without its down-set pruning."""
+    k = n - 2
+    top = n - 1
+    down = [sum(1 << y for y in range(k) if join[y][x] == x) for x in range(k)]
+    for d in range(1, 1 << k, 2):
+        inside = [x for x in range(k) if d >> x & 1]
+        if any(down[x] & ~d for x in inside) or any(
+                join[x][y] < k and not d >> join[x][y] & 1
+                for x in inside for y in inside):
+            continue
+        up = [k if d >> x & 1 else top for x in range(k)]
+        rows = [[v if v < k else max(up[x], up[y]) for y, v in enumerate(row[:k])]
+                + [up[x], top] for x, row in enumerate(join[:k])]
+        yield rows + [up + [k, top], [top] * n]
+
+
 def _canon_upmasks(up, n):
     """Canonical form of a poset given by its up-set bitmasks: the least
     relabelled up-mask tuple over the colour-respecting permutations."""
     down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
-    colors = _poset_colors(up, down, n)
+    colors = _reference_poset_colors(up, down, n)
     best = None
-    for perm in _admissible_perms(colors, n):
+    for perm in _reference_admissible_perms(colors, n):
         rows = [0] * n
         for x in range(n):
             for y in range(n):
@@ -350,11 +458,12 @@ def _reference_poset_to_lattice(up, n):
 def _reference_enumerate_lattices(max_n):
     """Grow every poset class up to size max_n (not max_n - 2), keep those
     with a bottom and all joins, and name the k-th class of size n by
-    counting the classes of size n before it."""
+    counting the classes of size n before it.  Nothing of the package's
+    canonical form is used."""
     if max_n < 1:
         return []
     posets = {(1,): (1,)}
-    lat_tables = [_canon_join_table([[0]], 1)]
+    lat_tables = [_reference_canon_join_table([[0]], 1)]
     for n in range(2, max_n + 1):
         nxt = {}
         for up in posets.values():
@@ -368,7 +477,7 @@ def _reference_enumerate_lattices(max_n):
         for up in posets.values():
             join = _reference_poset_to_lattice(up, n)
             if join is not None:
-                tables.add(_canon_join_table(join, n))
+                tables.add(_reference_canon_join_table(join, n))
         lat_tables.extend(sorted(tables))
     out = [validate_lattice(t, zero=0) for t in sorted(lat_tables, key=lambda t: (len(t), t))]
     for i, lat in enumerate(out):
@@ -434,6 +543,71 @@ def test_coatom_extensions_are_lattices_with_a_new_coatom(n):
             assert _without(lat, n - 2) == parent.join
             count += 1
     assert count >= len([l for l in enumerate_lattices(n) if l.n == n])
+
+
+def _relabelled(join, perm):
+    """The table of ``join`` with each x renamed perm[x]."""
+    n = len(join)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[join[x][y]]
+    return out
+
+
+def _extensions_by_size(max_n):
+    lats = enumerate_lattices(max_n, limit=8)
+    return {n: [table for parent in lats if parent.n == n - 1
+                for table in _reference_coatom_extensions(parent.join, n)]
+            for n in range(3, max_n + 1)}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_canonical_form_matches_the_reference_on_every_extension(n):
+    rng = random.Random(n)
+    for table in _extensions_by_size(n)[n]:
+        want = _reference_canon_join_table(table, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = _relabelled(table, perm)
+        for t in (table, copy):
+            masks = _order_masks(t, n)
+            assert _poset_colors(*masks, n) == _reference_poset_colors(*masks, n)
+        assert _canon_join_table(table, n) == want
+        assert _canon_join_table(copy, n) == want
+        assert _reference_canon_join_table(copy, n) == want
+
+
+def test_enumeration_up_to_eight_is_pinned():
+    # names and tables of the enumeration before the down-set pruning
+    lats = enumerate_lattices(8, limit=8)
+    digest = hashlib.sha256(repr([(l.name, l.join) for l in lats]).encode()).hexdigest()
+    assert digest == "f6639c514ccf2ae63636f055adbe2f5115655f1484910fc73a4dab091d4ff360"
+
+
+def test_pruning_keeps_80_tables_at_seven_and_341_at_eight():
+    lats = enumerate_lattices(7)
+    kept = {n: sum(1 for l in lats if l.n == n - 1 for _ in _coatom_extensions(l.join, n))
+            for n in (7, 8)}
+    unpruned = {n: len(tables) for n, tables in _extensions_by_size(8).items()}
+    assert (kept[7], kept[8]) == (80, 341)
+    assert (unpruned[7], unpruned[8]) == (116, 541)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_removing_a_coatom_of_largest_down_set_is_undone_by_a_kept_extension(n):
+    lats = enumerate_lattices(n, limit=8)
+    parents = {l.join for l in lats if l.n == n - 1}
+    for lat in (l for l in lats if l.n == n):
+        coatoms = [m for m in range(lat.n) if sum(lat.leq(m, y) for y in range(n)) == 2]
+        largest = max(bin(lat.down[m]).count("1") for m in coatoms)
+        for m in coatoms:
+            if bin(lat.down[m]).count("1") != largest:
+                continue
+            parent = _canon_join_table(_without(lat, m), n - 1)
+            assert parent in parents, (lat.name, m)
+            assert any(_canon_join_table(ext, n) == lat.join
+                       for ext in _coatom_extensions(parent, n)), (lat.name, m)
 
 
 def test_enumeration_limit():

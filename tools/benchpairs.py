@@ -6,7 +6,10 @@
 Each commit is extracted with ``git archive`` into ``.bench_build/parent``
 and ``.bench_build/change`` (paths of equal length), and every run is
 ``python3 perfbench/run.py --workload W --seed S --seconds 10 --trace T``
-inside one of them, one run at a time.  The file holds:
+inside one of them, one run at a time; ``.bench_build`` is removed at the
+end, also when a run fails.  ``--metric`` and ``--layer`` take the names of
+the end-to-end and per-layer metrics in ``BENCHMARK.json``, checked before
+any run.  The file holds:
 
 - ``pairs``: for each seed, one untraced run of ``--workload`` on each side,
   back to back, alternating which side runs first; each side's median and
@@ -30,6 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog5", "min-order7", "walk6", "witness")
 SIDES = ("parent", "change")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+LAYERS = tuple(m["name"] for m in BENCHMARK["per_layer"])
 RUN_SECONDS = 10
 
 
@@ -87,62 +93,64 @@ def main(argv=None):
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--metric", required=True, help="the end-to-end metric claimed")
+    parser.add_argument("--metric", required=True, choices=METRICS,
+                        help="the end-to-end metric claimed")
     parser.add_argument("--seeds", type=seed_range, required=True, help="first-last")
     parser.add_argument("--all-seed", type=int, required=True)
     parser.add_argument("--trace-workload", choices=WORKLOADS, required=True)
     parser.add_argument("--trace-seed", type=int, required=True)
-    parser.add_argument("--layer", action="append", required=True,
+    parser.add_argument("--layer", action="append", required=True, choices=LAYERS, metavar="NAME",
                         help="per-layer metric to keep (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     build = ROOT / ".bench_build"
     trees = dict(zip(SIDES, (build / side for side in SIDES)))
-    commits = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
-    for side in SIDES:
-        extract(commits[side], trees[side])
+    try:
+        commits = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
+        for side in SIDES:
+            extract(commits[side], trees[side])
 
-    def both(workload, seed, trace, first):
-        order = SIDES if first == "parent" else SIDES[::-1]
-        return {side: bench(trees[side], workload, seed, trace) for side in order}
+        def both(workload, seed, trace, first):
+            order = SIDES if first == "parent" else SIDES[::-1]
+            return {side: bench(trees[side], workload, seed, trace) for side in order}
 
-    runs = [both(args.workload, seed, 0, SIDES[i % 2]) for i, seed in enumerate(args.seeds)]
-    metrics = {}
-    for name in runs[0]["parent"]["metrics"]:
-        got = {side: [values(run[side])[name] for run in runs] for side in SIDES}
-        wins = sum(c < p for p, c in zip(got["parent"], got["change"]))
-        metrics[name] = {**{side: summary(got[side]) for side in SIDES},
-                         "runs": {side: [round(x, 4) for x in got[side]] for side in SIDES},
-                         "change_wins": f"{wins}/{len(runs)}"}
-    parent, change = metrics[args.metric]["parent"], metrics[args.metric]["change"]
-    untraced = {w: both(w, args.all_seed, 0, SIDES[i % 2]) for i, w in enumerate(WORKLOADS)}
-    traced = both(args.trace_workload, args.trace_seed, 1, "parent")
+        runs = [both(args.workload, seed, 0, SIDES[i % 2]) for i, seed in enumerate(args.seeds)]
+        metrics = {}
+        for name in runs[0]["parent"]["metrics"]:
+            got = {side: [values(run[side])[name] for run in runs] for side in SIDES}
+            wins = sum(c < p for p, c in zip(got["parent"], got["change"]))
+            metrics[name] = {**{side: summary(got[side]) for side in SIDES},
+                             "runs": {side: [round(x, 4) for x in got[side]] for side in SIDES},
+                             "change_wins": f"{wins}/{len(runs)}"}
+        parent, change = metrics[args.metric]["parent"], metrics[args.metric]["change"]
+        untraced = {w: both(w, args.all_seed, 0, SIDES[i % 2]) for i, w in enumerate(WORKLOADS)}
+        traced = both(args.trace_workload, args.trace_seed, 1, "parent")
 
-    out = {
-        "command": " ".join(["python3", "tools/benchpairs.py", *(argv or sys.argv[1:])]),
-        "run": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
-               "--trace T, in a fresh git archive of each commit",
-        "commits": commits,
-        "src_trees": {side: git("rev-parse", f"{commits[side]}:src") for side in SIDES},
-        "machine": {key: runs[0]["parent"]["env"][key] for key in ("cpu", "nproc", "python")},
-        "claim": {"workload": args.workload, "metric": args.metric,
-                  "parent_median": parent["median"], "change_median": change["median"],
-                  "parent_iqr": round(parent["q3"] - parent["q1"], 4),
-                  "change_wins": metrics[args.metric]["change_wins"]},
-        "pairs": {"workload": args.workload, "seeds": args.seeds, "metrics": metrics,
-                  "rounds": {side: [run[side]["rounds"] for run in runs] for side in SIDES}},
-        "untraced": {"seed": args.all_seed,
-                     "workloads": {w: {side: {**values(r[side]), "rounds": r[side]["rounds"]}
-                                       for side in SIDES} for w, r in untraced.items()}},
-        "traced": {"workload": args.trace_workload, "seed": args.trace_seed,
-                   "metrics": {name: {side: values(traced[side])[name] for side in SIDES}
-                               for name in args.layer}},
-    }
+        out = {
+            "command": " ".join(["python3", "tools/benchpairs.py", *(argv or sys.argv[1:])]),
+            "run": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
+                   "--trace T, in a fresh git archive of each commit",
+            "commits": commits,
+            "src_trees": {side: git("rev-parse", f"{commits[side]}:src") for side in SIDES},
+            "machine": {key: runs[0]["parent"]["env"][key] for key in ("cpu", "nproc", "python")},
+            "claim": {"workload": args.workload, "metric": args.metric,
+                      "parent_median": parent["median"], "change_median": change["median"],
+                      "parent_iqr": round(parent["q3"] - parent["q1"], 4),
+                      "change_wins": metrics[args.metric]["change_wins"]},
+            "pairs": {"workload": args.workload, "seeds": args.seeds, "metrics": metrics,
+                      "rounds": {side: [run[side]["rounds"] for run in runs] for side in SIDES}},
+            "untraced": {"seed": args.all_seed,
+                         "workloads": {w: {side: {**values(r[side]), "rounds": r[side]["rounds"]}
+                                           for side in SIDES} for w, r in untraced.items()}},
+            "traced": {"workload": args.trace_workload, "seed": args.trace_seed,
+                       "metrics": {name: {side: values(traced[side])[name] for side in SIDES}
+                                   for name in args.layer}},
+        }
+    finally:
+        shutil.rmtree(build, ignore_errors=True)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
-    shutil.rmtree(build, ignore_errors=True)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
