@@ -1,6 +1,6 @@
 """The exact error of every branch of the four text parsers and of the
-shape checks of the three validators: exception type and ``str(exc)``,
-line number included.
+shape and axiom checks of the three validators: exception type and
+``str(exc)``, line number and witness included.
 
 ``test_parse_fuzz`` checks only that malformed input raises a typed error;
 this table holds the messages and line numbers themselves.
@@ -9,7 +9,20 @@ this table holds the messages and line numbers themselves.
 import pytest
 
 from semirings.endo import load_srs, parse_srs
-from semirings.errors import BadZero, ParseError
+from semirings.errors import (
+    AddNotAssociative,
+    AddNotCommutative,
+    BadZero,
+    LeftDistFail,
+    ModuleAxiomFail,
+    MulNotAssociative,
+    NotAssociative,
+    NotCommutative,
+    NotIdempotent,
+    ParseError,
+    RightDistFail,
+    ZeroNotAbsorbing,
+)
 from semirings.fixtures import boolean_semiring, load_fixture
 from semirings.lattice import parse_lat, validate_lattice
 from semirings.semimodule import load_smod, parse_smod, validate_semimodule
@@ -18,6 +31,15 @@ from semirings.semiring import parse_sr, validate_semiring
 CHAIN3 = load_fixture("chain3")
 BOOLEAN = boolean_semiring()
 MADD = ((0, 1), (1, 1))
+# Tables that break one axiom each (``AXIOM_CASES``): x + y = x on {1, 2}
+# with identity 0 is a non-commutative band, and 1 + 2 = 3, 2 + 3 = 1,
+# 1 + 3 = 2 with identity 0 an idempotent commutative non-associative table.
+LEFT_BAND = ((0, 1, 2), (1, 1, 1), (2, 2, 2))
+NON_ASSOC = ((0, 1, 2, 3), (1, 1, 3, 2), (2, 3, 2, 1), (3, 2, 1, 3))
+CHAIN3_JOIN = ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+ZERO2 = ((0, 0), (0, 0))
+ZERO3 = ((0, 0, 0),) * 3
+ZERO4 = ((0, 0, 0, 0),) * 4
 
 
 def _srs(text):
@@ -141,6 +163,53 @@ CASES = [
      "act row 1 has length 3, expected 2"),
     ("module-act-out-of-range", lambda act: _module(MADD, act), [[0, 2], [0, 1]], ParseError,
      "act entry 2 out of range in row 0"),
+] + [
+    # validate_lattice axioms
+    ("lattice-idempotent", validate_lattice, ((0, 1), (1, 0)), NotIdempotent,
+     "x + x != x: witness (1,)"),
+    ("lattice-zero", lambda join: validate_lattice(join, zero=1), MADD, BadZero,
+     "zero + x != x: witness (0,)"),
+    ("lattice-commutative", validate_lattice, LEFT_BAND, NotCommutative,
+     "x + y != y + x: witness (1, 2)"),
+    ("lattice-associative", validate_lattice, NON_ASSOC, NotAssociative,
+     "(x+y)+z != x+(y+z): witness (1, 1, 2)"),
+    # validate_semiring axioms
+    ("semiring-zero", lambda zero: validate_semiring(MADD, MADD, zero), 1, BadZero,
+     "zero + x != x: witness (0,)"),
+    ("semiring-zero-absorbing", lambda mul: validate_semiring(MADD, mul, 0), MADD,
+     ZeroNotAbsorbing, "zero * x != zero: witness (1,)"),
+    ("semiring-add-commutative", lambda add: validate_semiring(add, ZERO3, 0), LEFT_BAND,
+     AddNotCommutative, "x + y != y + x: witness (1, 2)"),
+    ("semiring-add-associative", lambda add: validate_semiring(add, ZERO4, 0), NON_ASSOC,
+     AddNotAssociative, "(x+y)+z != x+(y+z): witness (1, 1, 2)"),
+    ("semiring-mul-associative",
+     lambda mul: validate_semiring(((0, 1, 2), (1, 1, 1), (2, 1, 2)), mul, 0),
+     ((0, 0, 0), (0, 1, 0), (0, 1, 0)), MulNotAssociative, "(xy)z != x(yz): witness (1, 2, 1)"),
+    ("semiring-left-distributive",
+     lambda mul: validate_semiring(((0, 1, 2), (1, 0, 2), (2, 2, 2)), mul, 0),
+     ((0, 0, 0), (0, 0, 1), (0, 0, 2)), LeftDistFail, "x(y+z) != xy+xz: witness (1, 2, 2)"),
+    ("semiring-right-distributive",
+     lambda mul: validate_semiring(((0, 1, 2), (1, 0, 2), (2, 2, 2)), mul, 0),
+     ((0, 0, 0), (0, 0, 0), (0, 1, 2)), RightDistFail, "(x+y)z != xz+yz: witness (2, 2, 1)"),
+    # validate_semimodule axioms, over the boolean semiring
+    ("module-neutral", lambda madd: _module(madd, ZERO2), ((1, 1), (1, 1)), ModuleAxiomFail,
+     "addition has no neutral element"),
+    ("module-commutative", lambda madd: _module(madd, (ZERO3[0], (0, 1, 2))), LEFT_BAND,
+     ModuleAxiomFail, "x + y != y + x: witness (1, 2)"),
+    ("module-associative", lambda madd: _module(madd, (ZERO4[0], (0, 1, 2, 3))), NON_ASSOC,
+     ModuleAxiomFail, "(x+y)+z != x+(y+z): witness (1, 1, 2)"),
+    ("module-zero-acts", lambda act: _module(MADD, act), ((0, 1), (0, 1)), ModuleAxiomFail,
+     "0_R x != 0_M: witness (1,)"),
+    # r 0_M = r (0_R x) = (r 0_R) x = 0_M follows from the other axioms, so
+    # this table also breaks r(sx) = (rs)x, which is checked after it
+    ("module-acts-on-zero", lambda act: _module(MADD, act), ((0, 0), (1, 1)), ModuleAxiomFail,
+     "r 0_M != 0_M: witness (1,)"),
+    ("module-action-associative", lambda act: _module(CHAIN3_JOIN, act),
+     (ZERO3[0], (0, 0, 1)), ModuleAxiomFail, "r(sx) != (rs)x: witness (1, 1, 2)"),
+    ("module-ring-distributive", lambda act: _module(((0, 1), (1, 0)), act), ZERO2[:1] + ((0, 1),),
+     ModuleAxiomFail, "(r+s)x != rx+sx: witness (1, 1, 1)"),
+    ("module-module-distributive", lambda act: _module(CHAIN3_JOIN, act),
+     (ZERO3[0], (0, 1, 0)), ModuleAxiomFail, "r(x+y) != rx+ry: witness (1, 1, 2)"),
 ]
 
 
