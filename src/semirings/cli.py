@@ -242,7 +242,7 @@ def cmd_check(args, out):
 
 def cmd_catalog(args, out):
     if args.action == "build":
-        index = build_catalog(args.out, max_size=args.max_size,
+        index = build_catalog(args.out, max_size=5 if args.max_size is None else args.max_size,
                               max_end=args.max_sr_base, jobs=args.jobs)
         if args.format == "json":
             out.write(json.dumps({
@@ -311,12 +311,17 @@ def build_parser():
     p_cat = sub.add_parser("catalog", help="build or query the persistent catalog")
     p_cat.add_argument("action", choices=("build", "query"))
     p_cat.add_argument("--out", required=True)
-    p_cat.add_argument("--max-size", type=positive_int, default=5)
-    p_cat.add_argument("--min-order", type=int)
-    p_cat.add_argument("--max-order", type=int)
-    p_cat.add_argument("--has-one", type=int, choices=(0, 1))
-    p_cat.add_argument("--lattice-size", type=int)
+    p_cat.add_argument("--max-size", type=positive_int, help="build only (default 5)")
+    p_cat.add_argument("--min-order", type=int, help="query only")
+    p_cat.add_argument("--max-order", type=int, help="query only")
+    p_cat.add_argument("--has-one", type=int, choices=(0, 1), help="query only")
+    p_cat.add_argument("--lattice-size", type=int, help="query only")
     return parser
+
+
+# the catalog flags that only the other action reads
+FOREIGN_FLAGS = {"build": ("min_order", "max_order", "has_one", "lattice_size"),
+                 "query": ("max_size",)}
 
 
 def main(argv=None, out=None):
@@ -324,6 +329,11 @@ def main(argv=None, out=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "catalog":
+            foreign = [f"--{key.replace('_', '-')}" for key in FOREIGN_FLAGS[args.action]
+                       if getattr(args, key) is not None]
+            if foreign:
+                parser.error(f"catalog {args.action} does not take {', '.join(foreign)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

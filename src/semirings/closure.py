@@ -12,9 +12,10 @@ the callers only say which tables, as they do to :func:`compatible`.
 Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
-relates the pair of :func:`zero_top_pair`.  Lattices and semirings have
-one isomorphism search, :func:`table_iso`, and one isomorphism check,
-:func:`is_table_iso`, over the same translation tables.
+relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
+the order of a lattice or of an idempotent addition.  Lattices and
+semirings have one isomorphism search, :func:`table_iso`, and one
+isomorphism check, :func:`is_table_iso`, over the same translation tables.
 """
 
 from __future__ import annotations
@@ -218,6 +219,12 @@ def zero_top_pair(add, zero):
     return zero, top
 
 
+def down_masks(add):
+    """The order x ≤ y iff x + y = y of the commutative table ``add`` as
+    down-set bitmasks: bit x of ``down[y]`` is set iff y + x = y."""
+    return tuple([sum(1 << x for x, v in enumerate(row) if v == y) for y, row in enumerate(add)])
+
+
 def principal_test_pairs(add):
     """Pairs whose principal congruences decide simplicity: the covering
     pairs (c, b), c ⋖ b, of the order x ≤ y iff x + y = y when the
@@ -234,19 +241,14 @@ def principal_test_pairs(add):
     so every principal congruence Θ(x, y) contains Θ(c, w) for a covering
     pair, and if those are all total, so is every Θ(x, y).
 
-    The covers come from ``down``-style bitmasks, as in
-    ``lattice.validate_lattice``: ``down[y]`` holds every x ≤ y, and c ⋖ b
-    iff c < b and c lies below no other element strictly below b.
+    The covers come from the bitmasks of :func:`down_masks`: ``down[y]``
+    holds every x ≤ y, and c ⋖ b iff c < b and c lies below no other
+    element strictly below b.
     """
     n = len(add)
     if not idempotent(add):
         return [(x, y) for x in range(n) for y in range(x + 1, n)]
-    down = [0] * n
-    for y in range(n):
-        row = add[y]
-        for x in range(n):
-            if row[x] == y:
-                down[y] |= 1 << x
+    down = down_masks(add)
     pairs = []
     for b in range(n):
         strict = down[b] & ~(1 << b)

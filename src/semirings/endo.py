@@ -22,7 +22,7 @@ from itertools import chain, product, repeat
 
 from .closure import closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, homomorphisms
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
@@ -44,61 +44,9 @@ def is_endomorphism(lat, image):
 
 
 def endomorphisms(lat, max_count=None):
-    """All endomorphisms as lex-sorted image tuples.
-
-    Walks the elements in a linear extension; values at joins of earlier
-    elements are forced, so branching happens only at join-irreducibles.
-    """
-    n = lat.n
-    join = lat.join
-    order = sorted(range(n), key=lambda x: (bin(lat.down[x]).count("1"), x))
-    decomp = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            z = join[x][y]
-            if z != x and z != y:
-                decomp[z].append((x, y))
-    below = [[y for y in range(n) if y != x and lat.leq(y, x)] for x in range(n)]
-    results = []
-    img = [None] * n
-
-    def rec(k):
-        if k == n:
-            results.append(tuple(img))
-            if max_count is not None and len(results) > max_count:
-                raise SizeLimit(f"more than {max_count} endomorphisms")
-            return
-        z = order[k]
-        if z == lat.zero:
-            img[z] = lat.zero
-            rec(k + 1)
-            img[z] = None
-            return
-        pairs = decomp[z]
-        if pairs:
-            x0, y0 = pairs[0]
-            v = join[img[x0]][img[y0]]
-            for x, y in pairs[1:]:
-                if join[img[x]][img[y]] != v:
-                    return
-            for w in below[z]:
-                if join[img[w]][v] != v:
-                    return
-            img[z] = v
-            rec(k + 1)
-            img[z] = None
-        else:
-            lower = lat.zero
-            for w in below[z]:
-                lower = join[lower][img[w]]
-            for v in range(n):
-                if join[lower][v] == v:
-                    img[z] = v
-                    rec(k + 1)
-            img[z] = None
-
-    rec(0)
-    return sorted(results)
+    """All endomorphisms as lex-sorted image tuples, by the walk of
+    ``lattice.homomorphisms``; ``SizeLimit`` past ``max_count``."""
+    return homomorphisms(lat, lat, max_count)
 
 
 def identity_map(lat):

@@ -4,8 +4,8 @@ Validation errors carry a short witness tuple naming the elements that
 violate the axiom, so failures are reproducible by hand.
 
 :func:`read_text` reads every input file, :class:`LineReader` is the one
-table reader of the four text formats and :func:`check_table` the one
-table-shape check of the three validators.
+table reader of the four text formats, and :func:`check_table` and
+:func:`check_axiom` are the one shape and one axiom check of the validators.
 """
 
 from pathlib import Path
@@ -199,6 +199,30 @@ def check_table(table, width, label=""):
         for v in row:
             if not (0 <= v < width):
                 raise ParseError(f"{label}entry {v} out of range in row {i}")
+
+
+def check_axiom(error, message, cases):
+    """Raise ``error(message, (*key, z))`` for the first ``(key, lhs, rhs)``
+    in ``cases`` whose rows (two tuples) differ, z being the first position
+    where they do.  Every axiom of the three validators is such an equation
+    between rows, ``key`` naming the elements that fix them, so with
+    ``cases`` in key order the witness is the lexicographically first."""
+    for key, lhs, rhs in cases:
+        if lhs != rhs:
+            z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            raise error(message, (*key, z))
+
+
+def commutative_cases(t):
+    """Cases of x·y = y·x: row x of ``t`` against column x, which first
+    differ at some y > x (one at y < x would show in row y first)."""
+    return zip([(x,) for x in range(len(t))], t, zip(*t))
+
+
+def associative_cases(t):
+    """Cases of (x·y)·z = x·(y·z): row x·y of ``t`` against row y mapped by row x."""
+    return (((x, y), t[v], tuple(map(row.__getitem__, t[y])))
+            for x, row in enumerate(t) for y, v in enumerate(row))
 
 
 class Mismatch(Error):

@@ -3,10 +3,10 @@
 A lattice is stored as an explicit n x n join table over element indices
 0..n-1.  The partial order is derived (x <= y iff x + y = y), the meet is
 the join of all common lower bounds, and the top element is the join of
-everything.  All values are immutable after validation.  Isomorphisms are
-found and checked by the one isomorphism search and the one isomorphism
-check of the package, ``closure.table_iso`` and ``closure.is_table_iso``,
-on the join tables.
+everything.  Only a table from outside the package is validated.
+Isomorphisms are found and checked by the one isomorphism search and the
+one isomorphism check of the package, ``closure.table_iso`` and
+``closure.is_table_iso``, on the join tables.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .closure import is_table_iso, table_iso
+from .closure import down_masks, is_table_iso, table_iso
 from .errors import (
     BadZero,
     LimitExceeded,
@@ -23,28 +23,34 @@ from .errors import (
     NotCommutative,
     NotDistributive,
     NotIdempotent,
+    SizeLimit,
+    associative_cases,
+    check_axiom,
     check_table,
+    commutative_cases,
 )
 
 ENUM_HARD_LIMIT = 7
 
 
 class FiniteLattice:
-    """Validated join table plus derived order data.
+    """A lattice's join table (a tuple of rows) plus derived order data.
 
-    ``down[x]`` is the bitmask of elements <= x; ``zero`` is the neutral
-    element and ``top`` the absorbing one.  Instances hash and compare by
-    their table, so they can be used as set members and dict keys.
+    Nothing is checked: a table from outside the package goes through
+    ``validate_lattice`` first.  ``down[x]`` is the bitmask of elements
+    <= x (``closure.down_masks``), ``zero`` the neutral element and ``top``
+    the element whose down-set is every element.  Instances hash and
+    compare by their table, so they can be set members and dict keys.
     """
 
     __slots__ = ("n", "join", "zero", "top", "down", "name", "_meet")
 
-    def __init__(self, n, join, zero, top, down, name=None):
-        self.n = n
+    def __init__(self, join, zero=0, name=None):
+        self.n = len(join)
         self.join = join
         self.zero = zero
-        self.top = top
-        self.down = down
+        self.down = down_masks(join)
+        self.top = self.down.index((1 << self.n) - 1)
         self.name = name
         self._meet = None
 
@@ -103,10 +109,12 @@ def _mask_join(join, mask, zero):
 
 
 def validate_lattice(join_table, zero=0, name=None):
-    """Check the idempotent-commutative-monoid axioms and derive order data.
+    """The FiniteLattice of a join table from outside the package.
 
-    Raises NotCommutative / NotAssociative / NotIdempotent / BadZero with a
-    witness naming the offending elements.
+    After the shape checks, ``errors.check_axiom`` checks four axioms in
+    this order, each raising its error on the first witness: x + x = x
+    (NotIdempotent), zero + x = x (BadZero), x + y = y + x
+    (NotCommutative) and (x + y) + z = x + (y + z) (NotAssociative).
     """
     join = tuple(tuple(row) for row in join_table)
     n = len(join)
@@ -115,75 +123,89 @@ def validate_lattice(join_table, zero=0, name=None):
     check_table(join, n)
     if not (0 <= zero < n):
         raise BadZero("zero index out of range", (zero,))
-    for x in range(n):
-        if join[x][x] != x:
-            raise NotIdempotent("x + x != x", (x,))
-        if join[zero][x] != x:
-            raise BadZero("zero + x != x", (x,))
-        for y in range(x + 1, n):
-            if join[x][y] != join[y][x]:
-                raise NotCommutative("x + y != y + x", (x, y))
-    for x in range(n):
-        row = join[x]
-        for y in range(n):
-            # row (x+y) against x + (row y); the first z that differs is the witness
-            lhs, rhs = join[row[y]], tuple(map(row.__getitem__, join[y]))
-            if lhs != rhs:
-                z = next(z for z in range(n) if lhs[z] != rhs[z])
-                raise NotAssociative("(x+y)+z != x+(y+z)", (x, y, z))
-    down = [0] * n
-    for y in range(n):
-        for x in range(n):
-            if join[x][y] == y:
-                down[y] |= 1 << x
-    top = 0
-    for x in range(n):
-        top = join[top][x]
-    return FiniteLattice(n, join, zero, top, tuple(down), name)
+    ident = tuple(range(n))
+    diagonal = tuple(map(tuple.__getitem__, join, ident))
+    check_axiom(NotIdempotent, "x + x != x", [((), diagonal, ident)])
+    check_axiom(BadZero, "zero + x != x", [((), join[zero], ident)])
+    check_axiom(NotCommutative, "x + y != y + x", commutative_cases(join))
+    check_axiom(NotAssociative, "(x+y)+z != x+(y+z)", associative_cases(join))
+    return FiniteLattice(join, zero, name)
 
 
 def dual(lat):
     """Order-reversed lattice: joins become meets, zero becomes top."""
     name = None if lat.name is None else lat.name + "~"
-    return validate_lattice(lat.meet_table, zero=lat.top, name=name)
+    # the meet table of a lattice is a lattice, with the top as its zero
+    return FiniteLattice(lat.meet_table, zero=lat.top, name=name)
+
+
+def homomorphisms(src, dst, max_count=None):
+    """All zero- and join-preserving maps from the lattice ``src`` to the
+    lattice ``dst``, lex-sorted image tuples; ``SizeLimit`` past ``max_count``.
+
+    Walks ``src`` in a linear extension of its order from its zero, sent to
+    the zero.  At a join z = x + y of two elements other than z the value
+    is forced to f(x) + f(y) in ``dst``, which must agree over all such
+    pairs and lie above the values below z; so only join-irreducibles
+    branch, over every value above the join of the values below them.
+    """
+    n, sjoin, djoin, dzero = src.n, src.join, dst.join, dst.zero
+    order = sorted(range(n), key=lambda x: (bin(src.down[x]).count("1"), x))
+    below = [[y for y in range(n) if y != x and src.leq(y, x)] for x in range(n)]
+    decomp = [[(x, y) for x in below[z] for y in below[z] if x < y and sjoin[x][y] == z]
+              for z in range(n)]
+    noun = "endomorphisms" if src is dst else "homomorphisms"
+    results = []
+    img = [None] * n
+    img[src.zero] = dzero  # order[0], the one element with one below it
+
+    def rec(k):
+        if k == n:
+            results.append(tuple(img))
+            if max_count is not None and len(results) > max_count:
+                raise SizeLimit(f"more than {max_count} {noun}")
+            return
+        z = order[k]
+        pairs = decomp[z]
+        if pairs:
+            x0, y0 = pairs[0]
+            v = djoin[img[x0]][img[y0]]
+            for x, y in pairs[1:]:
+                if djoin[img[x]][img[y]] != v:
+                    return
+            for w in below[z]:
+                if djoin[img[w]][v] != v:
+                    return
+            img[z] = v
+            rec(k + 1)
+        else:
+            lower = dzero
+            for w in below[z]:
+                lower = djoin[lower][img[w]]
+            for v in range(dst.n):
+                if djoin[lower][v] == v:
+                    img[z] = v
+                    rec(k + 1)
+
+    rec(1)
+    return sorted(results)
 
 
 def hom_to_l2(lat):
     """All monoid homomorphisms into the two-element lattice ({0,1}, max).
 
     Returns (hom lattice H, e_index, homs) where homs[i] is the i-th
-    homomorphism as a 0/1 image tuple, H is the lattice they form under
-    pointwise max, and e_index[a] locates the map x -> 0 iff x <= a.
-    The indexing a -> e_index[a] is a bijection.
+    homomorphism as a 0/1 image tuple, from ``homomorphisms``, H is the
+    lattice they form under pointwise max, and e_index[a] locates the map
+    x -> 0 iff x <= a.  The indexing a -> e_index[a] is a bijection.
     """
     n = lat.n
-    join = lat.join
-    homs = []
-    for bits in range(1 << n):
-        img = tuple((bits >> x) & 1 for x in range(n))
-        if img[lat.zero] != 0:
-            continue
-        ok = True
-        for x in range(n):
-            for y in range(x, n):
-                if img[join[x][y]] != (img[x] | img[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            homs.append(img)
-    homs.sort()
+    homs = homomorphisms(lat, FiniteLattice(((0, 1), (1, 1))))
     index = {h: i for i, h in enumerate(homs)}
-    table = tuple(
-        tuple(index[tuple(a | b for a, b in zip(f, g))] for g in homs)
-        for f in homs
-    )
-    hom_lat = validate_lattice(table, zero=index[tuple(0 for _ in range(n))])
-    e_index = tuple(
-        index[tuple(0 if lat.leq(x, a) else 1 for x in range(n))]
-        for a in range(n)
-    )
+    table = tuple(tuple(index[tuple(a | b for a, b in zip(f, g))] for g in homs) for f in homs)
+    # pointwise joins of homomorphisms are homomorphisms, the zero map the zero
+    hom_lat = FiniteLattice(table, zero=index[(0,) * n])
+    e_index = tuple(index[tuple(0 if lat.leq(x, a) else 1 for x in range(n))] for a in range(n))
     return hom_lat, e_index, tuple(homs)
 
 
@@ -343,7 +365,7 @@ def _coatom_extensions(join, n):
     """
     k = n - 2  # the elements other than t are 0..k-1; m takes t's index k
     top = n - 1
-    down = [sum(1 << y for y in range(k) if join[y][x] == x) for x in range(k)]
+    down = down_masks(join[:k])
     coatoms = [(1 << c, bin(down[c]).count("1")) for c in range(k)
                if not any(down[y] >> c & 1 for y in range(k) if y != c)]
     for d in range(1, 1 << k, 2):
@@ -368,13 +390,8 @@ def _canon_join_table(join, n):
     ``order`` (with label[order[i]] = i) is the row of order[i], so each
     candidate is built row by row and dropped at its first row above the
     least table found so far."""
-    up = [0] * n
-    down = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if join[x][y] == y:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
+    down = down_masks(join)
+    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
     best = None
     label = [0] * n
     for order in _admissible_orders(_poset_colors(up, down, n), n):
@@ -397,7 +414,7 @@ def _canon_join_table(join, n):
 
 
 def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
-    """One validated FiniteLattice per isomorphism class, sizes 1..max_n.
+    """One FiniteLattice per isomorphism class, sizes 1..max_n.
 
     The classes of sizes 1 and 2 are the chains; every lattice of size
     n >= 3 adds a coatom to a lattice of size n - 1 (the lemma at
@@ -412,14 +429,13 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds limit {limit}")
     chains = [((0,),), ((0, 1), (1, 1))][:max(max_n, 0)]
-    out = [validate_lattice(table, zero=0, name=f"lat{n}_1")
-           for n, table in enumerate(chains, 1)]
+    # each table is a lattice: a chain, or by the lemma at _coatom_extensions
+    out = [FiniteLattice(table, name=f"lat{n}_1") for n, table in enumerate(chains, 1)]
     tables = chains[1:]
     for n in range(3, max_n + 1):
         tables = sorted({_canon_join_table(ext, n)
                          for join in tables for ext in _coatom_extensions(join, n)})
-        out.extend(validate_lattice(table, zero=0, name=f"lat{n}_{k}")
-                   for k, table in enumerate(tables, 1))
+        out.extend(FiniteLattice(table, name=f"lat{n}_{k}") for k, table in enumerate(tables, 1))
     return out
 
 

@@ -31,10 +31,13 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     SizeLimit,
+    associative_cases,
+    check_axiom,
     check_table,
+    commutative_cases,
 )
 from .endo import EndoSubsemiring, is_dense, zero_map
-from .lattice import validate_lattice
+from .lattice import FiniteLattice
 from .semiring import Congruence, is_congruence_simple, structure_flags
 
 
@@ -62,8 +65,15 @@ class Semimodule:
 
 
 def validate_semimodule(ring, madd, act, name=None):
-    """Check monoid and action axioms; the module zero is detected as the
-    neutral element of the addition table."""
+    """The Semimodule of an addition and an action table from outside the
+    package, over the validated semiring ``ring``.
+
+    After the shape checks, the module zero is the first neutral element
+    of ``madd``, and ``errors.check_axiom`` checks seven axioms in this
+    order, each raising ModuleAxiomFail on the first witness: x + y = y + x,
+    (x + y) + z = x + (y + z), 0_R x = 0_M, r 0_M = 0_M, r(sx) = (rs)x,
+    (r + s)x = rx + sx and r(x + y) = rx + ry.
+    """
     madd = tuple(tuple(row) for row in madd)
     act = tuple(tuple(row) for row in act)
     m = len(madd)
@@ -71,41 +81,24 @@ def validate_semimodule(ring, madd, act, name=None):
     if len(act) != ring.n:
         raise ParseError(f"act table has {len(act)} rows, expected {ring.n}")
     check_table(act, m, "act ")
-    mzero = None
-    for e in range(m):
-        if all(madd[e][x] == x for x in range(m)):
-            mzero = e
-            break
+    cells = tuple(range(m))
+    mzero = next((e for e in cells if madd[e] == cells), None)
     if mzero is None:
         raise ModuleAxiomFail("addition has no neutral element")
-    for x in range(m):
-        for y in range(x + 1, m):
-            if madd[x][y] != madd[y][x]:
-                raise ModuleAxiomFail("x + y != y + x", (x, y))
-    for x in range(m):
-        for y in range(m):
-            axy = madd[x][y]
-            for z in range(m):
-                if madd[axy][z] != madd[x][madd[y][z]]:
-                    raise ModuleAxiomFail("(x+y)+z != x+(y+z)", (x, y, z))
-    for x in range(m):
-        if act[ring.zero][x] != mzero:
-            raise ModuleAxiomFail("0_R x != 0_M", (x,))
-    for r in range(ring.n):
-        if act[r][mzero] != mzero:
-            raise ModuleAxiomFail("r 0_M != 0_M", (r,))
-        for s in range(ring.n):
-            rs = ring.mul[r][s]
-            r_plus_s = ring.add[r][s]
-            for x in range(m):
-                if act[r][act[s][x]] != act[rs][x]:
-                    raise ModuleAxiomFail("r(sx) != (rs)x", (r, s, x))
-                if act[r_plus_s][x] != madd[act[r][x]][act[s][x]]:
-                    raise ModuleAxiomFail("(r+s)x != rx+sx", (r, s, x))
-        for x in range(m):
-            for y in range(m):
-                if act[r][madd[x][y]] != madd[act[r][x]][act[r][y]]:
-                    raise ModuleAxiomFail("r(x+y) != rx+ry", (r, x, y))
+    check_axiom(ModuleAxiomFail, "x + y != y + x", commutative_cases(madd))
+    check_axiom(ModuleAxiomFail, "(x+y)+z != x+(y+z)", associative_cases(madd))
+    check_axiom(ModuleAxiomFail, "0_R x != 0_M", [((), act[ring.zero], (mzero,) * m)])
+    check_axiom(ModuleAxiomFail, "r 0_M != 0_M",
+                [((), tuple(row[mzero] for row in act), (mzero,) * ring.n)])
+    check_axiom(ModuleAxiomFail, "r(sx) != (rs)x", (
+        ((r, s), tuple(map(row.__getitem__, act[s])), act[v])
+        for r, row in enumerate(act) for s, v in enumerate(ring.mul[r])))
+    check_axiom(ModuleAxiomFail, "(r+s)x != rx+sx", (
+        ((r, s), act[v], tuple(madd[a][b] for a, b in zip(row, act[s])))
+        for r, row in enumerate(act) for s, v in enumerate(ring.add[r])))
+    check_axiom(ModuleAxiomFail, "r(x+y) != rx+ry", (
+        ((r, x), tuple(map(row.__getitem__, madd[x])), tuple(map(madd[row[x]].__getitem__, row)))
+        for r, row in enumerate(act) for x in cells))
     return Semimodule(ring, m, madd, act, mzero, name)
 
 
@@ -118,10 +111,8 @@ def regular_module(ring):
 def natural_module(sub):
     """A subsemiring of End(M) acting on M by application."""
     lat = sub.lattice
-    members = sub.sorted_members()
-    ring = sub.to_semiring()
-    act = tuple(tuple(f[x] for x in range(lat.n)) for f in members)
-    return validate_semimodule(ring, lat.join, act)
+    # endomorphisms act on a lattice, its zero neutral, as a module
+    return Semimodule(sub.to_semiring(), lat.n, lat.join, tuple(sub.sorted_members()), lat.zero)
 
 
 def acts_nonzero(mod):
@@ -351,7 +342,8 @@ def module_lattice(mod):
     """The addition table as a lattice; requires idempotent addition."""
     if not idempotent(mod.madd):
         raise NotALattice("module addition is not idempotent")
-    return validate_lattice(mod.madd, zero=mod.mzero)
+    # a module's addition is a commutative monoid; idempotent, a lattice
+    return FiniteLattice(mod.madd, zero=mod.mzero)
 
 
 @dataclass(frozen=True)

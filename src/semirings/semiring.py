@@ -42,9 +42,12 @@ from .errors import (
     RightDistFail,
     ValidationError,
     ZeroNotAbsorbing,
+    associative_cases,
+    check_axiom,
     check_table,
+    commutative_cases,
 )
-from .lattice import validate_lattice
+from .lattice import FiniteLattice
 
 
 class FiniteSemiring:
@@ -131,7 +134,15 @@ def total_congruence(n):
 
 
 def validate_semiring(add, mul, zero, name=None):
-    """Check all semiring axioms; raise the named axiom error on failure."""
+    """The FiniteSemiring of two Cayley tables from outside the package.
+
+    After the shape checks, ``errors.check_axiom`` checks seven axioms in
+    this order, each raising its error on the first witness: zero + x = x
+    (BadZero), zero * x = zero = x * zero (ZeroNotAbsorbing), x + y = y + x
+    (AddNotCommutative), (x + y) + z = x + (y + z) (AddNotAssociative),
+    (xy)z = x(yz) (MulNotAssociative), x(y + z) = xy + xz (LeftDistFail)
+    and (x + y)z = xz + yz (RightDistFail).
+    """
     add = tuple(tuple(row) for row in add)
     mul = tuple(tuple(row) for row in mul)
     n = len(add)
@@ -141,27 +152,19 @@ def validate_semiring(add, mul, zero, name=None):
     check_table(mul, n)
     if not (0 <= zero < n):
         raise BadZero("zero index out of range", (zero,))
-    for x in range(n):
-        if add[zero][x] != x:
-            raise BadZero("zero + x != x", (x,))
-        if mul[zero][x] != zero or mul[x][zero] != zero:
-            raise ZeroNotAbsorbing("zero * x != zero", (x,))
-        for y in range(x + 1, n):
-            if add[x][y] != add[y][x]:
-                raise AddNotCommutative("x + y != y + x", (x, y))
-    for x in range(n):
-        for y in range(n):
-            axy = add[x][y]
-            mxy = mul[x][y]
-            for z in range(n):
-                if add[axy][z] != add[x][add[y][z]]:
-                    raise AddNotAssociative("(x+y)+z != x+(y+z)", (x, y, z))
-                if mul[mxy][z] != mul[x][mul[y][z]]:
-                    raise MulNotAssociative("(xy)z != x(yz)", (x, y, z))
-                if mul[x][add[y][z]] != add[mxy][mul[x][z]]:
-                    raise LeftDistFail("x(y+z) != xy+xz", (x, y, z))
-                if mul[add[x][y]][z] != add[mul[x][z]][mul[y][z]]:
-                    raise RightDistFail("(x+y)z != xz+yz", (x, y, z))
+    cells = range(n)
+    check_axiom(BadZero, "zero + x != x", [((), add[zero], tuple(cells))])
+    both_sides = tuple(zip(mul[zero], [row[zero] for row in mul]))
+    check_axiom(ZeroNotAbsorbing, "zero * x != zero", [((), both_sides, ((zero, zero),) * n)])
+    check_axiom(AddNotCommutative, "x + y != y + x", commutative_cases(add))
+    check_axiom(AddNotAssociative, "(x+y)+z != x+(y+z)", associative_cases(add))
+    check_axiom(MulNotAssociative, "(xy)z != x(yz)", associative_cases(mul))
+    check_axiom(LeftDistFail, "x(y+z) != xy+xz", (
+        ((x, y), tuple(map(mul[x].__getitem__, add[y])), tuple(map(add[v].__getitem__, mul[x])))
+        for x in cells for y, v in enumerate(mul[x])))
+    check_axiom(RightDistFail, "(x+y)z != xz+yz", (
+        ((x, y), mul[v], tuple(add[a][b] for a, b in zip(mul[x], mul[y])))
+        for x in cells for y, v in enumerate(add[x])))
     return FiniteSemiring(n, add, mul, zero, name)
 
 
@@ -207,7 +210,8 @@ def quotient_semiring(r, cong, name=None):
             reps[cong.blocks[x]] = x
     add = tuple(tuple(cong.blocks[r.add[a][b]] for b in reps) for a in reps)
     mul = tuple(tuple(cong.blocks[r.mul[a][b]] for b in reps) for a in reps)
-    return validate_semiring(add, mul, cong.blocks[r.zero], name=name)
+    # a quotient by a compatible partition satisfies every axiom r does
+    return FiniteSemiring(k, add, mul, cong.blocks[r.zero], name)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +298,8 @@ def recover_monoid(r):
     members = sorted({r.mul[x][z] for x in range(r.n)})
     index = {m: i for i, m in enumerate(members)}
     table = tuple(tuple(index[r.add[a][b]] for b in members) for a in members)
-    return validate_lattice(table, zero=index[r.zero])
+    # r·z + s·z = (r+s)·z and 0·z = 0: a submonoid of the idempotent addition
+    return FiniteLattice(table, zero=index[r.zero])
 
 
 def opposite(r):
@@ -305,16 +310,15 @@ def opposite(r):
 
 def product_semiring(r1, r2):
     """Direct product; element (x, y) is encoded as x * r2.n + y."""
-    n = r1.n * r2.n
-    def enc(x, y):
-        return x * r2.n + y
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for x1, y1 in itertools.product(range(r1.n), range(r2.n)):
-        for x2, y2 in itertools.product(range(r1.n), range(r2.n)):
-            add[enc(x1, y1)][enc(x2, y2)] = enc(r1.add[x1][x2], r2.add[y1][y2])
-            mul[enc(x1, y1)][enc(x2, y2)] = enc(r1.mul[x1][x2], r2.mul[y1][y2])
-    return validate_semiring(add, mul, enc(r1.zero, r2.zero))
+    pairs = list(itertools.product(range(r1.n), range(r2.n)))  # (x, y) is x * r2.n + y
+
+    def table(t1, t2):
+        return tuple(tuple(t1[x1][x2] * r2.n + t2[y1][y2] for x2, y2 in pairs)
+                     for x1, y1 in pairs)
+
+    # the axioms hold componentwise
+    return FiniteSemiring(len(pairs), table(r1.add, r2.add), table(r1.mul, r2.mul),
+                          r1.zero * r2.n + r2.zero)
 
 
 def restrict(r, subset, name=None):

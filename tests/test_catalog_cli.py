@@ -480,6 +480,41 @@ def test_max_size_below_one_is_rejected_before_work(value, tmp_path, capsys):
     assert "--max-size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--min-order", "5", "--has-one", "1"], "--min-order, --has-one"),
+    (["--max-order", "9"], "--max-order"),
+    (["--lattice-size", "4", "--max-size", "3"], "--lattice-size"),
+])
+def test_catalog_build_rejects_query_flags_before_work(flags, named, tmp_path, capsys):
+    out_dir = tmp_path / "cat"
+    code, text = run_cli("catalog", "build", *flags, "--out", str(out_dir))
+    assert (code, text) == (2, "")
+    assert not out_dir.exists()
+    assert f"catalog build does not take {named}" in capsys.readouterr().err
+
+
+def test_catalog_query_rejects_max_size_before_work(tmp_path, capsys):
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    for argv in (["catalog", "query", "--max-size", "3", "--out", str(out_dir)],
+                 ["catalog", "query", "--out", str(tmp_path / "missing"), "--max-size", "3",
+                  "--min-order", "1"]):
+        assert run_cli(*argv) == (2, "")
+        assert "catalog query does not take --max-size" in capsys.readouterr().err
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 0 and text.endswith(" rows\n")
+
+
+def test_catalog_build_max_size_defaults_to_five(tmp_path, monkeypatch):
+    from semirings import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "build_catalog", lambda out, **kwargs: calls.append(kwargs) or [])
+    assert run_cli("catalog", "build", "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli("catalog", "build", "--max-size", "2", "--out", str(tmp_path / "b"))[0] == 0
+    assert [kwargs["max_size"] for kwargs in calls] == [5, 2]
+
+
 def test_worker_count_caps_at_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert worker_count(10 ** 9, 100) == 4

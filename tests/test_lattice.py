@@ -14,6 +14,7 @@ from semirings.errors import (
     NotDistributive,
     NotIdempotent,
     ParseError,
+    SizeLimit,
 )
 from semirings.cli import main
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
@@ -26,6 +27,7 @@ from semirings.lattice import (
     embed_ring_of_sets,
     enumerate_lattices,
     hom_to_l2,
+    homomorphisms,
     is_distributive,
     lattice_iso,
     parse_lat,
@@ -179,6 +181,68 @@ def test_hom_bijection_turns_meets_into_joins(lats):
                 lhs = e_index[lat.meet(a, b)]
                 rhs = hom_lat.join[e_index[a]][e_index[b]]
                 assert lhs == rhs
+
+
+def _reference_hom_to_l2(lat):
+    """The former ``hom_to_l2``: every 0/1 image tuple that sends the zero
+    to 0 and preserves joins, by brute force over all 2^n tuples, then
+    the table of their pointwise joins."""
+    n = lat.n
+    join = lat.join
+    homs = []
+    for bits in range(1 << n):
+        img = tuple((bits >> x) & 1 for x in range(n))
+        if img[lat.zero] != 0:
+            continue
+        ok = True
+        for x in range(n):
+            for y in range(x, n):
+                if img[join[x][y]] != (img[x] | img[y]):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            homs.append(img)
+    homs.sort()
+    index = {h: i for i, h in enumerate(homs)}
+    table = tuple(
+        tuple(index[tuple(a | b for a, b in zip(f, g))] for g in homs)
+        for f in homs
+    )
+    hom_lat = validate_lattice(table, zero=index[tuple(0 for _ in range(n))])
+    e_index = tuple(
+        index[tuple(0 if lat.leq(x, a) else 1 for x in range(n))]
+        for a in range(n)
+    )
+    return hom_lat, e_index, tuple(homs)
+
+
+def test_hom_to_l2_matches_the_brute_force_up_to_six(lats):
+    for lat in enumerate_lattices(6) + list(lats.values()):
+        hom_lat, e_index, homs = hom_to_l2(lat)
+        want_lat, want_e_index, want_homs = _reference_hom_to_l2(lat)
+        assert (homs, e_index) == (want_homs, want_e_index)
+        assert (hom_lat.join, hom_lat.zero, hom_lat.top, hom_lat.down) == \
+            (want_lat.join, want_lat.zero, want_lat.top, want_lat.down)
+
+
+def test_homomorphisms_match_the_brute_force():
+    small = enumerate_lattices(4)
+    pairs = list(itertools.product(small, repeat=2))
+    pairs += [(src, dst) for src in enumerate_lattices(5) if src.n == 5
+              for dst in (load_fixture("chain3"), load_fixture("diamond"))]
+    for src, dst in pairs:
+        want = [img for img in itertools.product(range(dst.n), repeat=src.n)
+                if img[src.zero] == dst.zero
+                and all(img[src.join[x][y]] == dst.join[img[x]][img[y]]
+                        for x in range(src.n) for y in range(src.n))]
+        assert homomorphisms(src, dst) == want, (src.name, dst.name)
+    chain3, diamond = load_fixture("chain3"), load_fixture("diamond")
+    with pytest.raises(SizeLimit, match="more than 3 homomorphisms"):
+        homomorphisms(chain3, diamond, max_count=3)
+    with pytest.raises(SizeLimit, match="more than 3 endomorphisms"):
+        homomorphisms(diamond, diamond, max_count=3)
 
 
 def test_distributivity_flags():

@@ -84,8 +84,13 @@ def summary(xs):
 
 
 def seed_range(text):
+    """The seeds ``first-last``, at least two (the summary takes quartiles),
+    checked by argument parsing before any checkout is extracted."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need first-last with first < last, got {text!r}")
+    return seeds
 
 
 def main(argv=None):
