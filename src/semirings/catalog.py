@@ -72,7 +72,8 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
             if iso_class[j] is None and rings[j].n == r.n:
                 mapping = semiring_iso(r, rings[j])
                 if mapping is not None:
-                    assert check_iso(r, rings[j], mapping)
+                    if not check_iso(r, rings[j], mapping):
+                        raise Mismatch(f"isomorphism found for order {r.n} fails its check")
                     iso_class[j] = next_class
         next_class += 1
     members = tuple(

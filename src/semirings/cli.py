@@ -32,7 +32,7 @@ from .semimodule import (
     parse_smod,
     representation,
 )
-from .semiring import is_congruence_simple, parse_sr, structure_flags
+from .semiring import is_congruence_simple, parse_sr, recover_monoid, structure_flags
 
 
 def cmd_table1(args, out):
@@ -129,8 +129,6 @@ def _check_lattice(lat, out, fmt):
 def _witness(r):
     """Recovered lattice and dense irreducible representation for a
     congruence-simple non-ring of order > 2."""
-    from .semiring import recover_monoid
-
     lat = recover_monoid(r)
     if lat is None:
         return None
@@ -299,14 +297,17 @@ def build_parser():
                         help="bound on the base semiring of family enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="reproduce the small-lattice classification table")
+    p_table = sub.add_parser("table1", help="reproduce the small-lattice classification table")
+    p_table.set_defaults(run=cmd_table1)
 
     p_min = sub.add_parser("min-order",
                            help="least dense subsemiring order over lattices of size >= 6")
     p_min.add_argument("--max-size", type=positive_int, required=True)
+    p_min.set_defaults(run=cmd_min_order)
 
     p_check = sub.add_parser("check", help="validate and report on a .lat/.sr/.srs/.smod file")
     p_check.add_argument("path")
+    p_check.set_defaults(run=cmd_check)
 
     p_cat = sub.add_parser("catalog", help="build or query the persistent catalog")
     p_cat.add_argument("action", choices=("build", "query"))
@@ -316,6 +317,7 @@ def build_parser():
     p_cat.add_argument("--max-order", type=int, help="query only")
     p_cat.add_argument("--has-one", type=int, choices=(0, 1), help="query only")
     p_cat.add_argument("--lattice-size", type=int, help="query only")
+    p_cat.set_defaults(run=cmd_catalog)
     return parser
 
 
@@ -337,22 +339,13 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "table1":
-            return cmd_table1(args, out)
-        if args.command == "min-order":
-            return cmd_min_order(args, out)
-        if args.command == "check":
-            return cmd_check(args, out)
-        if args.command == "catalog":
-            return cmd_catalog(args, out)
+        return args.run(args, out)
     except ParseError as exc:
         out.write(f"parse error: {exc}\n")
         return 2
     except Error as exc:
         out.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

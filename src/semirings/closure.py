@@ -1,21 +1,25 @@
 """The one subset closure, the one closed-set walk, the one congruence
-closure and the one isomorphism search and check of the package.
+closure, the one table relabelling and the one isomorphism search and
+check of the package.
 
 Subsemirings of End(M), subsemirings of a Cayley-table semiring and
 subsemimodules are all least sets closed under some binary products and,
 for modules, a unary action.  Each is closed here by :func:`close` and
 enumerated by :func:`closed_sets`; the callers only say what the products
-of two elements are.  Semiring congruences, module congruences and plain
-equivalences generated by pairs are all least partitions compatible with
-some translation tables; each is closed by :func:`close_congruence`, and
-the callers only say which tables, as they do to :func:`compatible`.
+of two elements are, for a table structure by :func:`table_products`.
+Semiring congruences, module congruences and plain equivalences
+generated by pairs are all least partitions compatible with some
+translation tables; each is closed by :func:`close_congruence`, and the
+callers only say which tables, as they do to :func:`compatible`.
 Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
-the order of a lattice or of an idempotent addition.  Lattices and
-semirings have one isomorphism search, :func:`table_iso`, and one
-isomorphism check, :func:`is_table_iso`, over the same translation tables.
+the order of a lattice or of an idempotent addition.  Every quotient and
+restriction of a semiring or a module relabels its tables by
+:func:`relabel`.  Lattices and semirings have one isomorphism search,
+:func:`table_iso`, and one isomorphism check, :func:`is_table_iso`, over
+the same translation tables.
 """
 
 from __future__ import annotations
@@ -65,6 +69,26 @@ def close(base, seeds, products, images=None):
                 members.add(h)
                 work.append(h)
     return frozenset(members)
+
+
+def table_products(tables):
+    """The ``products`` of :func:`close` for a structure given by its
+    translation ``tables`` (see :func:`close_congruence`): ``t[x][y]`` for
+    every table, which covers both orders when each list holds the
+    transpose of each of its tables (``add``, ``mul`` and ``mul_t``)."""
+
+    def products(x, y):
+        return [t[x][y] for t in tables]
+
+    return products
+
+
+def relabel(table, rows, cols, label):
+    """``label[table[a][b]]`` for a in ``rows`` and b in ``cols``, as a
+    tuple of rows: the table of a quotient (``rows`` the block
+    representatives, ``label`` the block ids) or of a restriction
+    (``rows`` the sorted members, ``label`` their positions)."""
+    return tuple(tuple(label[table[a][b]] for b in cols) for a in rows)
 
 
 def closed_sets(base, universe, products, images=None, *, noun):
@@ -322,10 +346,7 @@ def table_iso(tables1, zero1, tables2, zero2):
     if sorted(c1) != sorted(c2):
         return None
     class_size = Counter(c1)
-
-    def products(x, y):
-        return [t[x][y] for t in tables1]
-
+    products = table_products(tables1)
     gens = []
     members = close(frozenset(), (zero1,), products)
     while len(members) < n:

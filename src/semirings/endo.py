@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 
 from .closure import closed_sets, principal_test_pairs
-from .errors import LineReader, ParseError, SizeLimit, ValidationError
+from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import FiniteLattice, homomorphisms
-from .semiring import FiniteSemiring
+from .semiring import FiniteSemiring, recover_monoid, semiring_iso
 
 END_SIZE_LIMIT = 20000
 SR_BASE_LIMIT = 512
@@ -134,7 +134,7 @@ class EndoSubsemiring:
         except KeyError:
             raise ValidationError(
                 "member set is not closed under join and composition") from None
-        return FiniteSemiring(len(strings), tuple(add), tuple(mul), zero, name)
+        return FiniteSemiring(tuple(add), tuple(mul), zero, name)
 
 
 def is_dense(sub):
@@ -288,8 +288,6 @@ def iso_to_dense_subsemiring(r, max_end=SR_BASE_LIMIT):
     because an isomorphism of dense subsemirings forces an isomorphism of
     the underlying monoids, so the search space is just that one family.
     """
-    from .semiring import recover_monoid, semiring_iso
-
     lat = recover_monoid(r)
     if lat is None:
         return None
@@ -344,8 +342,4 @@ def load_srs(lattice_name, members, lat):
 
 
 def serialize_srs(sub):
-    name = sub.lattice.name or "unnamed"
-    lines = [f"lattice {name}"]
-    for m in sub.sorted_members():
-        lines.append(" ".join(str(v) for v in m))
-    return "\n".join(lines) + "\n"
+    return format_tables([f"lattice {sub.lattice.name or 'unnamed'}"], sub.sorted_members())

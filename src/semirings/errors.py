@@ -4,8 +4,9 @@ Validation errors carry a short witness tuple naming the elements that
 violate the axiom, so failures are reproducible by hand.
 
 :func:`read_text` reads every input file, :class:`LineReader` is the one
-table reader of the four text formats, and :func:`check_table` and
-:func:`check_axiom` are the one shape and one axiom check of the validators.
+table reader of the four text formats and :func:`format_tables` the one
+writer, and :func:`check_table` and :func:`check_axiom` are the one shape
+and one axiom check of the validators.
 """
 
 from pathlib import Path
@@ -188,6 +189,18 @@ class LineReader:
             return tuple(int(p) for p in parts)
         except ValueError:
             raise ParseError(f"non-integer {noun}", self.line)
+
+
+def format_tables(header, *tables):
+    """The text of a table file, as :class:`LineReader` reads it back: the
+    ``header`` lines, then the rows of each table, with a blank line
+    between two tables."""
+    lines = list(header)
+    for i, table in enumerate(tables):
+        if i:
+            lines.append("")
+        lines.extend(" ".join(map(str, row)) for row in table)
+    return "\n".join(lines) + "\n"
 
 
 def check_table(table, width, label=""):

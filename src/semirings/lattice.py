@@ -28,6 +28,7 @@ from .errors import (
     check_axiom,
     check_table,
     commutative_cases,
+    format_tables,
 )
 
 ENUM_HARD_LIMIT = 7
@@ -98,6 +99,7 @@ class LatticeIso:
 
 
 def _mask_join(join, mask, zero):
+    """The fold of ``join`` from ``zero`` over the elements of ``mask``."""
     acc = zero
     x = 0
     while mask:
@@ -222,18 +224,8 @@ def is_distributive(lat):
 
 def lower_meet(lat, a):
     """Meet of every element not below a (top when that set is empty)."""
-    mask = ((1 << lat.n) - 1) & ~lat.down[a]
-    if mask == 0:
-        return lat.top
-    acc = None
-    x = 0
-    mt = lat.meet_table
-    while mask:
-        if mask & 1:
-            acc = x if acc is None else mt[acc][x]
-        mask >>= 1
-        x += 1
-    return acc
+    # the top is the identity of meet, as the zero is of join
+    return _mask_join(lat.meet_table, ((1 << lat.n) - 1) & ~lat.down[a], lat.top)
 
 
 def condition_d(lat):
@@ -452,9 +444,5 @@ def parse_lat(text):
 
 
 def serialize_lat(lat):
-    lines = [f"n {lat.n}"]
-    if lat.name is not None:
-        lines.append(f"name {lat.name}")
-    for row in lat.join:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    name = [] if lat.name is None else [f"name {lat.name}"]
+    return format_tables([f"n {lat.n}", *name], lat.join)

@@ -20,6 +20,8 @@ from .closure import (
     compatible,
     idempotent,
     only_total_principals,
+    relabel,
+    table_products,
     zero_top_pair,
 )
 from .errors import (
@@ -35,18 +37,22 @@ from .errors import (
     check_axiom,
     check_table,
     commutative_cases,
+    format_tables,
 )
-from .endo import EndoSubsemiring, is_dense, zero_map
+from .endo import EndoSubsemiring, compose, endomorphisms, identity_map, is_dense, zero_map
 from .lattice import FiniteLattice
 from .semiring import Congruence, is_congruence_simple, structure_flags
 
 
 class Semimodule:
+    """The addition ``madd`` on 0..m-1, m = len(madd), with identity
+    ``mzero``, and the action ``act[r][x]`` of ``ring``; unchecked."""
+
     __slots__ = ("ring", "m", "madd", "act", "mzero", "name", "_act_t")
 
-    def __init__(self, ring, m, madd, act, mzero, name=None):
+    def __init__(self, ring, madd, act, mzero, name=None):
         self.ring = ring
-        self.m = m
+        self.m = len(madd)
         self.madd = madd
         self.act = act
         self.mzero = mzero
@@ -99,12 +105,12 @@ def validate_semimodule(ring, madd, act, name=None):
     check_axiom(ModuleAxiomFail, "r(x+y) != rx+ry", (
         ((r, x), tuple(map(row.__getitem__, madd[x])), tuple(map(madd[row[x]].__getitem__, row)))
         for r, row in enumerate(act) for x in cells))
-    return Semimodule(ring, m, madd, act, mzero, name)
+    return Semimodule(ring, madd, act, mzero, name)
 
 
 def regular_module(ring):
     """The semiring acting on itself by left multiplication."""
-    return Semimodule(ring, ring.n, ring.add, ring.mul, ring.zero,
+    return Semimodule(ring, ring.add, ring.mul, ring.zero,
                       name=None if ring.name is None else f"{ring.name}_reg")
 
 
@@ -112,42 +118,39 @@ def natural_module(sub):
     """A subsemiring of End(M) acting on M by application."""
     lat = sub.lattice
     # endomorphisms act on a lattice, its zero neutral, as a module
-    return Semimodule(sub.to_semiring(), lat.n, lat.join, tuple(sub.sorted_members()), lat.zero)
+    return Semimodule(sub.to_semiring(), lat.join, tuple(sub.sorted_members()), lat.zero)
 
 
 def acts_nonzero(mod):
     return any(v != mod.mzero for row in mod.act for v in row)
 
 
-def _products(mod):
-    """The sum of two module elements; the action closes through the images
-    ``mod.act_t[x]`` of each element instead."""
-    madd = mod.madd
-
-    def products(x, y):
-        return (madd[x][y],)
-
-    return products
-
-
 def close_module_subset(mod, seed):
     """Least subset containing seed and the module zero, closed under
     addition and the action."""
-    return close(frozenset(), (mod.mzero, *seed), _products(mod), mod.act_t.__getitem__)
+    # the sums are the products; the action closes through the images act_t[x]
+    return close(frozenset(), (mod.mzero, *seed), table_products((mod.madd,)),
+                 mod.act_t.__getitem__)
 
 
 def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
-    return closed_sets(close_module_subset(mod, ()), range(mod.m), _products(mod),
+    return closed_sets(close_module_subset(mod, ()), range(mod.m), table_products((mod.madd,)),
                        mod.act_t.__getitem__, noun="subsemimodules")
 
 
 def submodule(mod, subset, name=None):
+    """The submodule on a closed ``subset``, reindexed sorted."""
     members = sorted(subset)
-    index = {x: i for i, x in enumerate(members)}
-    madd = tuple(tuple(index[mod.madd[a][b]] for b in members) for a in members)
-    act = tuple(tuple(index[mod.act[r][b]] for b in members) for r in range(mod.ring.n))
-    return Semimodule(mod.ring, len(members), madd, act, index[mod.mzero], name)
+    return _relabelled(mod, members, {x: i for i, x in enumerate(members)}, name)
+
+
+def _relabelled(mod, keep, label, name):
+    """The module on ``keep``, each element x renamed ``label[x]``: a
+    quotient or a submodule, its tables by ``closure.relabel``; every ring
+    element keeps its row of the action."""
+    return Semimodule(mod.ring, relabel(mod.madd, keep, keep, label),
+                      relabel(mod.act, range(mod.ring.n), keep, label), label[mod.mzero], name)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +197,9 @@ def module_congruences(mod):
 
 
 def _pairs_of(cong):
-    reps = {}
-    pairs = []
-    for x, b in enumerate(cong.blocks):
-        if b in reps:
-            pairs.append((reps[b], x))
-        else:
-            reps[b] = x
-    return pairs
+    """Pairs (first element of its block, x) whose closure is ``cong``."""
+    reps = cong.reps
+    return [(reps[b], x) for x, b in enumerate(cong.blocks) if reps[b] != x]
 
 
 def maximal_nontotal_congruence(mod):
@@ -234,14 +232,7 @@ def maximal_nontotal_congruence(mod):
 def quotient_module(mod, cong, name=None):
     if not is_module_congruence(mod, cong):
         raise NotCompatible("partition is not a module congruence")
-    k = cong.num_blocks
-    reps = [None] * k
-    for x in range(mod.m):
-        if reps[cong.blocks[x]] is None:
-            reps[cong.blocks[x]] = x
-    madd = tuple(tuple(cong.blocks[mod.madd[a][b]] for b in reps) for a in reps)
-    act = tuple(tuple(cong.blocks[mod.act[r][b]] for b in reps) for r in range(mod.ring.n))
-    return Semimodule(mod.ring, k, madd, act, cong.blocks[mod.mzero], name)
+    return _relabelled(mod, cong.reps, cong.blocks, name)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +304,13 @@ def descend_to_irreducible(r, check=True):
     chain.append(m1)
     cur = m1
     while True:
-        flags = irreducibility(cur)
-        if flags.irreducible:
-            return chain
-        if not flags.acts_nonzero:
+        if not acts_nonzero(cur):
             raise PreconditionFailed("descent reached a zero-action module")
-        if not flags.sub_irreducible:
-            nxt = submodule(cur, minimal_nonzero_submodule(cur))
+        sub = minimal_nonzero_submodule(cur)
+        if len(sub) < cur.m:
+            nxt = submodule(cur, sub)
+        elif _only_trivial_congruences(cur):
+            return chain
         else:
             nxt = quotient_module(cur, maximal_nontotal_congruence(cur))
         if nxt.m >= cur.m:
@@ -413,8 +404,6 @@ def commutant(r, mod):
     """Endomorphisms of the module lattice commuting with every action map.
 
     Returns (EndoSubsemiring, is_semifield, is_trivial)."""
-    from .endo import compose, endomorphisms, identity_map
-
     lat = module_lattice(mod)
     maps = [tuple(mod.act[x]) for x in range(r.n)]
     members = [
@@ -459,11 +448,4 @@ def load_smod(ring_name, madd, act, ring):
 
 
 def serialize_smod(mod):
-    name = mod.ring.name or "unnamed"
-    lines = [f"ring {name}", f"m {mod.m}"]
-    for row in mod.madd:
-        lines.append(" ".join(str(v) for v in row))
-    lines.append("")
-    for row in mod.act:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return format_tables([f"ring {mod.ring.name or 'unnamed'}", f"m {mod.m}"], mod.madd, mod.act)

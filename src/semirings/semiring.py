@@ -28,7 +28,9 @@ from .closure import (
     idempotent,
     is_table_iso,
     only_total_principals,
+    relabel,
     table_iso,
+    table_products,
 )
 from .errors import (
     AddNotAssociative,
@@ -46,15 +48,19 @@ from .errors import (
     check_axiom,
     check_table,
     commutative_cases,
+    format_tables,
 )
 from .lattice import FiniteLattice
 
 
 class FiniteSemiring:
+    """Cayley tables ``add`` and ``mul`` on 0..n-1, n = len(add), with
+    additive identity ``zero``; unchecked."""
+
     __slots__ = ("n", "add", "mul", "zero", "name", "_mul_t")
 
-    def __init__(self, n, add, mul, zero, name=None):
-        self.n = n
+    def __init__(self, add, mul, zero, name=None):
+        self.n = len(add)
         self.add = add
         self.mul = mul
         self.zero = zero
@@ -84,7 +90,8 @@ class FiniteSemiring:
 
 @dataclass(frozen=True)
 class Congruence:
-    """Partition given as a block id per element, ids numbered by first use."""
+    """Partition given as a block id per element, ids 0..k-1; the
+    constructors number them by first use."""
 
     n: int
     blocks: tuple
@@ -110,6 +117,14 @@ class Congruence:
         parent = list(range(n))
         close_congruence(parent, pairs, tables)
         return cls.from_parents(parent)
+
+    @property
+    def reps(self):
+        """The first element of each block, indexed by block id."""
+        reps = [None] * self.num_blocks
+        for x in reversed(range(self.n)):
+            reps[self.blocks[x]] = x
+        return reps
 
     @property
     def num_blocks(self):
@@ -165,7 +180,7 @@ def validate_semiring(add, mul, zero, name=None):
     check_axiom(RightDistFail, "(x+y)z != xz+yz", (
         ((x, y), mul[v], tuple(add[a][b] for a, b in zip(mul[x], mul[y])))
         for x in cells for y, v in enumerate(add[x])))
-    return FiniteSemiring(n, add, mul, zero, name)
+    return FiniteSemiring(add, mul, zero, name)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +218,15 @@ def quotient_semiring(r, cong, name=None):
     """Semiring on the blocks of a congruence; raises NotCompatible."""
     if not is_semiring_congruence(r, cong):
         raise NotCompatible("partition is not a semiring congruence")
-    k = cong.num_blocks
-    reps = [None] * k
-    for x in range(r.n):
-        if reps[cong.blocks[x]] is None:
-            reps[cong.blocks[x]] = x
-    add = tuple(tuple(cong.blocks[r.add[a][b]] for b in reps) for a in reps)
-    mul = tuple(tuple(cong.blocks[r.mul[a][b]] for b in reps) for a in reps)
     # a quotient by a compatible partition satisfies every axiom r does
-    return FiniteSemiring(k, add, mul, cong.blocks[r.zero], name)
+    return _relabelled(r, cong.reps, cong.blocks, name)
+
+
+def _relabelled(r, keep, label, name):
+    """The semiring on ``keep``, each element x renamed ``label[x]``: a
+    quotient or a restriction, its tables by ``closure.relabel``."""
+    return FiniteSemiring(relabel(r.add, keep, keep, label), relabel(r.mul, keep, keep, label),
+                          label[r.zero], name)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +312,14 @@ def recover_monoid(r):
         return None
     members = sorted({r.mul[x][z] for x in range(r.n)})
     index = {m: i for i, m in enumerate(members)}
-    table = tuple(tuple(index[r.add[a][b]] for b in members) for a in members)
     # r·z + s·z = (r+s)·z and 0·z = 0: a submonoid of the idempotent addition
-    return FiniteLattice(table, zero=index[r.zero])
+    return FiniteLattice(relabel(r.add, members, members, index), zero=index[r.zero])
 
 
 def opposite(r):
     """Same addition, reversed multiplication."""
     name = None if r.name is None else r.name + "^op"
-    return FiniteSemiring(r.n, r.add, r.mul_t, r.zero, name)
+    return FiniteSemiring(r.add, r.mul_t, r.zero, name)
 
 
 def product_semiring(r1, r2):
@@ -317,8 +331,7 @@ def product_semiring(r1, r2):
                      for x1, y1 in pairs)
 
     # the axioms hold componentwise
-    return FiniteSemiring(len(pairs), table(r1.add, r2.add), table(r1.mul, r2.mul),
-                          r1.zero * r2.n + r2.zero)
+    return FiniteSemiring(table(r1.add, r2.add), table(r1.mul, r2.mul), r1.zero * r2.n + r2.zero)
 
 
 def restrict(r, subset, name=None):
@@ -331,26 +344,14 @@ def restrict(r, subset, name=None):
     if r.zero not in index:
         raise ValidationError("subset does not contain the zero")
     try:
-        add = tuple(tuple(index[r.add[a][b]] for b in members) for a in members)
-        mul = tuple(tuple(index[r.mul[a][b]] for b in members) for a in members)
+        return _relabelled(r, members, index, name)
     except KeyError:
         raise ValidationError("subset is not closed under + and *") from None
-    return FiniteSemiring(len(members), add, mul, index[r.zero], name)
-
-
-def _products(r):
-    """Sum and both products of two elements."""
-    add, mul = r.add, r.mul
-
-    def products(x, y):
-        return add[x][y], mul[x][y], mul[y][x]
-
-    return products
 
 
 def close_subset(r, seed):
     """Least subset containing seed and zero, closed under + and *."""
-    return close(frozenset(), (r.zero, *seed), _products(r))
+    return close(frozenset(), (r.zero, *seed), table_products(_translations(r)))
 
 
 def subsemirings(r):
@@ -359,7 +360,8 @@ def subsemirings(r):
     Walks the closed-set lattice upward from the closure of {zero};
     deterministic order by (size, member tuple).
     """
-    return closed_sets(close_subset(r, ()), range(r.n), _products(r), noun="subsemirings")
+    return closed_sets(close_subset(r, ()), range(r.n), table_products(_translations(r)),
+                       noun="subsemirings")
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +401,5 @@ def parse_sr(text):
 
 
 def serialize_sr(r):
-    lines = [f"n {r.n}"]
-    if r.name is not None:
-        lines.append(f"name {r.name}")
-    lines.append(f"zero {r.zero}")
-    for row in r.add:
-        lines.append(" ".join(str(v) for v in row))
-    lines.append("")
-    for row in r.mul:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    name = [] if r.name is None else [f"name {r.name}"]
+    return format_tables([f"n {r.n}", *name, f"zero {r.zero}"], r.add, r.mul)

@@ -23,7 +23,7 @@ from semirings.catalog import (
 )
 from semirings.cli import main
 from semirings.endo import end_semiring
-from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
+from semirings.errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
 from semirings.semimodule import regular_module, serialize_smod, validate_semimodule
 from semirings.semiring import serialize_sr
@@ -533,6 +533,17 @@ def test_table1_matches_expected_data():
     orders = {row["name"]: [m["order"] for m in row["members"]]
               for row in payload["rows"]}
     assert orders["m3"] == [50, 47, 46, 46, 46, 45, 44]
+    # the digest pins every flag of every row and the JSON layout
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "84aca631095d653b193e91e5adfd024af42e5c26111f076c41966487eddb396f")
+
+
+def test_family_report_raises_mismatch_on_an_iso_that_fails_its_check(monkeypatch):
+    from semirings import catalog
+
+    monkeypatch.setattr(catalog, "check_iso", lambda r1, r2, mapping: False)
+    with pytest.raises(Mismatch, match="^isomorphism found for order 46 fails its check$"):
+        catalog.family_report(load_fixture("m3"))
 
 
 def test_compare_reports_mismatches():

@@ -23,18 +23,21 @@ from semirings.semimodule import (
     find_irreducible,
     irreducibility,
     maximal_nontotal_congruence,
+    minimal_nonzero_submodule,
     module_congruences,
     module_lattice,
     module_principal,
     natural_module,
     parse_smod,
+    quotient_module,
     regular_module,
     representation,
     serialize_smod,
+    submodule,
     subsemimodules,
     validate_semimodule,
 )
-from semirings.semiring import product_semiring, validate_semiring
+from semirings.semiring import product_semiring, restrict, subsemirings, validate_semiring
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +215,62 @@ def test_descent_invariants(ends):
     for mod in chain[1:]:
         flags = irreducibility(mod)
         assert flags.sub_irreducible or flags.quotient_irreducible
+
+
+def reference_descent(r, steps):
+    """The descent loop that decided each step by ``irreducibility``; the
+    kind of each step after the first quotient is appended to ``steps``."""
+    m0 = regular_module(r)
+    chain = [m0, quotient_module(m0, maximal_nontotal_congruence(m0))]
+    while True:
+        cur = chain[-1]
+        flags = irreducibility(cur)
+        if flags.irreducible:
+            return chain
+        if not flags.acts_nonzero:
+            raise PreconditionFailed("descent reached a zero-action module")
+        if not flags.sub_irreducible:
+            steps.append("sub")
+            nxt = submodule(cur, minimal_nonzero_submodule(cur))
+        else:
+            steps.append("quotient")
+            nxt = quotient_module(cur, maximal_nontotal_congruence(cur))
+        if nxt.m >= cur.m:
+            raise PreconditionFailed("descent stopped shrinking")
+        chain.append(nxt)
+
+
+def descent_outcome(descend, r):
+    try:
+        return [(m.m, m.madd, m.act, m.mzero) for m in descend(r)]
+    except PreconditionFailed as exc:
+        return str(exc)
+
+
+def test_descent_matches_the_irreducibility_loop_with_one_search_per_step(monkeypatch):
+    """Unchecked descents from every subsemiring of End(chain3) and
+    End(diamond), most of them not congruence-simple, pass to submodules
+    and stop on a zero action; each module after the first quotient is
+    searched for its minimal nonzero submodule once."""
+    from semirings import semimodule
+
+    rings = []
+    for name in ("chain3", "diamond"):
+        r, _ = end_semiring(load_fixture(name))
+        rings += [restrict(r, s) for s in subsemirings(r)]
+    steps = []
+    want = [descent_outcome(lambda r: reference_descent(r, steps), r) for r in rings]
+    assert "sub" in steps
+    assert "descent reached a zero-action module" in want
+    searched = []
+    search = semimodule.minimal_nonzero_submodule
+    monkeypatch.setattr(semimodule, "minimal_nonzero_submodule",
+                        lambda mod: searched.append(mod) or search(mod))
+    for r, expected in zip(rings, want):
+        searched.clear()
+        assert descent_outcome(lambda r: descend_to_irreducible(r, check=False), r) == expected
+        if isinstance(expected, list):
+            assert len(searched) == len(expected) - 1
 
 
 def test_representation_tautological(ends, lats):

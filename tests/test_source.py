@@ -1,0 +1,36 @@
+"""The package source: no ``assert`` statement, which ``python -O`` strips,
+and no import inside a function but the two that keep OpenSSL and
+multiprocessing out of the commands that do not need them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "semirings").glob("*.py"))
+LAZY_IMPORTS = {("catalog.py", "hashlib"), ("catalog.py", "concurrent.futures")}
+
+
+def test_the_package_has_sources():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_lazy_imports_sit_in_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found.update((path.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((path.name, "." * node.level + (node.module or "")))
+    assert found <= LAZY_IMPORTS
