@@ -94,12 +94,6 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     )
 
 
-def _family_worker(args):
-    join, zero, name, max_end = args
-    lat = FiniteLattice(join, zero=zero, name=name)  # a lattice's, from family_reports
-    return family_report(lat, max_end=max_end)
-
-
 def worker_count(jobs, tasks):
     """Worker processes worth starting: at most one per CPU and per task."""
     return max(1, min(jobs, os.cpu_count() or 1, tasks))
@@ -107,14 +101,14 @@ def worker_count(jobs, tasks):
 
 def family_reports(lats, max_end=SR_BASE_LIMIT, jobs=1):
     """Reports for several lattices, in input order regardless of jobs."""
-    tasks = [(lat.join, lat.zero, lat.name, max_end) for lat in lats]
-    jobs = worker_count(jobs, len(tasks))
+    budgets = [max_end] * len(lats)
+    jobs = worker_count(jobs, len(lats))
     if jobs == 1:
-        return [_family_worker(t) for t in tasks]
+        return list(map(family_report, lats, budgets))
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_family_worker, tasks))
+        return list(pool.map(family_report, lats, budgets))
 
 
 def expected_families():

@@ -21,11 +21,11 @@ from .catalog import (
     report_json,
 )
 from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, load_srs, parse_srs
-from .errors import Error, ParseError, SizeLimit, ValidationError, read_text
+from .errors import Error, Mismatch, ParseError, SizeLimit, ValidationError, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .lattice import condition_d, enumerate_lattices, is_distributive, lattice_iso, parse_lat
+from .lattice import condition_d, enumerate_lattices, is_distributive, parse_lat
 from .semimodule import (
-    find_irreducible,
+    ideal_module,
     irreducibility,
     load_smod,
     module_lattice,
@@ -128,19 +128,22 @@ def _check_lattice(lat, out, fmt):
 
 def _witness(r):
     """Recovered lattice and dense irreducible representation for a
-    congruence-simple non-ring of order > 2."""
-    lat = recover_monoid(r)
-    if lat is None:
+    congruence-simple non-ring of order > 2: the action on the left ideal
+    R·z (``semimodule.ideal_module``), confirmed irreducible; see
+    ``endo.iso_to_dense_subsemiring`` for why it is the witness."""
+    mod = ideal_module(r)
+    if mod is None:
         return None
-    mod = find_irreducible(r, check=False)
+    if not irreducibility(mod).irreducible:
+        raise Mismatch("the left ideal R·z is not an irreducible module")
     rep = representation(r, mod)
-    iso = lattice_iso(module_lattice(mod), lat)
+    lat = recover_monoid(r)
     return {
         "recovered_lattice_size": lat.n,
         "module_size": mod.m,
         "faithful": rep.faithful,
         "dense": rep.dense,
-        "module_matches_recovered_lattice": iso is not None,
+        "module_matches_recovered_lattice": module_lattice(mod) == lat,
     }
 
 

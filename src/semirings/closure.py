@@ -188,17 +188,18 @@ def close_congruence(parent, pairs, tables, total_pair=None):
     return blocks
 
 
-def compatible(blocks, tables):
+def compatible(blocks, reps, tables):
     """Whether the partition ``blocks`` (a block id per element) is
-    compatible with the translation ``tables`` of :func:`close_congruence`.
+    compatible with the translation ``tables`` of :func:`close_congruence`;
+    ``reps`` holds an element of each block, indexed by block id (as
+    ``Congruence.reps`` does).
 
-    Each element x is compared with the first element f of its block only,
+    Each element x is compared with the representative f of its block only,
     by transitivity: if ``t[x][a]`` and ``t[f][a]`` share a block for every
     such x, then so do ``t[x][a]`` and ``t[y][a]`` for x, y in one block.
     """
-    first = {}
     for x, b in enumerate(blocks):
-        f = first.setdefault(b, x)
+        f = reps[b]
         if f == x:
             continue
         for t in tables:

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
-from .closure import closed_sets, principal_test_pairs
+from .closure import closed_sets, principal_test_pairs, relabel
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import FiniteLattice, homomorphisms
-from .semiring import FiniteSemiring, recover_monoid, semiring_iso
+from .semiring import FiniteSemiring, absorbing_ideal, recover_monoid
 
 END_SIZE_LIMIT = 20000
 SR_BASE_LIMIT = 512
@@ -279,25 +279,38 @@ def transpose(lat, f):
     return tuple(out)
 
 
-def iso_to_dense_subsemiring(r, max_end=SR_BASE_LIMIT):
+def iso_to_dense_subsemiring(r):
     """Decide whether a finite semiring is isomorphic to a dense subsemiring
     of the endomorphism semiring of some finite idempotent commutative
-    monoid, and return (monoid, member) as a witness, else None.
+    monoid, and return (``recover_monoid(r)``, the image subsemiring) as a
+    witness, else None.
 
-    Only the monoid rebuilt from the additively absorbing element can work,
-    because an isomorphism of dense subsemirings forces an isomorphism of
-    the underlying monoids, so the search space is just that one family.
+    That is exactly when R acts faithfully on its left ideal R·z
+    (``semiring.absorbing_ideal``, z additively absorbing) with a dense
+    image, by this lemma:
+
+    - If R ≅ D, a dense subsemiring of End(M), then z = e_{0,top}, the
+      largest endomorphism, and r∘z = e_{0,r(top)}.  D holds every e_{a,b}
+      and e_{0,m}(top) = m, so D·z = {e_{0,m} : m in M}, a copy of M with
+      e_{0,m} + e_{0,m'} = e_{0,m∨m'}, on which s acts as on M:
+      s∘e_{0,m} = e_{0,s(m)}.  The natural action is faithful and D is
+      dense.
+    - Conversely, R·z is an idempotent submonoid (xz + yz = (x+y)z,
+      0·z = 0), a lattice, and sending x to its action on R·z is a
+      semiring homomorphism R → End(R·z) (the distributive and
+      associative laws, and x·0 = 0).  So a faithful action with a dense
+      image is an isomorphism onto a dense subsemiring.
     """
-    lat = recover_monoid(r)
-    if lat is None:
+    ideal = absorbing_ideal(r)
+    if ideal is None:
         return None
-    for fam in enumerate_sr(lat, max_end=max_end):
-        if fam.size != r.n:
-            continue
-        mapping = semiring_iso(r, fam.to_semiring())
-        if mapping is not None:
-            return lat, fam
-    return None
+    index = {m: i for i, m in enumerate(ideal)}
+    # the action rows of R on R·z, the relabelling ``semimodule.submodule`` makes
+    image = EndoSubsemiring(recover_monoid(r),
+                            frozenset(relabel(r.mul, range(r.n), ideal, index)))
+    if image.size != r.n or not is_dense(image):
+        return None
+    return image.lattice, image
 
 
 def identity_is_elementary_sum(lat):

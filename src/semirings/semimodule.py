@@ -41,7 +41,7 @@ from .errors import (
 )
 from .endo import EndoSubsemiring, compose, endomorphisms, identity_map, is_dense, zero_map
 from .lattice import FiniteLattice
-from .semiring import Congruence, is_congruence_simple, structure_flags
+from .semiring import Congruence, absorbing_ideal, is_congruence_simple, structure_flags
 
 
 class Semimodule:
@@ -139,6 +139,15 @@ def subsemimodules(mod):
                        mod.act_t.__getitem__, noun="subsemimodules")
 
 
+def ideal_module(r):
+    """The left ideal R·z of ``semiring.absorbing_ideal`` as a submodule
+    of the regular module, or None when R has no such ideal.  On a
+    congruence-simple non-ring of order > 2 it is the irreducible module
+    of the dense representation (``endo.iso_to_dense_subsemiring``)."""
+    ideal = absorbing_ideal(r)
+    return None if ideal is None else submodule(regular_module(r), ideal)
+
+
 def submodule(mod, subset, name=None):
     """The submodule on a closed ``subset``, reindexed sorted."""
     members = sorted(subset)
@@ -170,7 +179,7 @@ def module_principal(mod, x, y):
 def is_module_congruence(mod, cong):
     """Whether ``cong`` is compatible with the module addition and the
     action; the translations by + are the rows of ``madd``, as + commutes."""
-    return cong.n == mod.m and compatible(cong.blocks, _translations(mod))
+    return cong.n == mod.m and compatible(cong.blocks, cong.reps, _translations(mod))
 
 
 def module_congruences(mod):
@@ -284,13 +293,30 @@ def minimal_nonzero_submodule(mod):
 
 
 def descend_to_irreducible(r, check=True):
-    """The irreducible-semimodule descent.
+    """The irreducible-semimodule descent: the chain M0, M1, then S if S
+    is smaller than M1, then S/θ_S if S has a nontrivial congruence.
 
-    Starts from the semiring acting on itself, quotients by a maximal
-    nontotal congruence, then alternately passes to a minimal nonzero
-    subsemimodule or quotients again until both kinds of structure are
-    trivial.  Sizes strictly decrease after the first quotient, so this
-    terminates.  Returns the full chain of modules.
+    M0 is the semiring acting on itself, M1 = M0/θ for a maximal nontotal
+    congruence θ, S the minimal single-generated nonzero submodule of M1
+    and θ_S a maximal nontotal congruence of S.  A quotient by a maximal
+    nontotal congruence has only the trivial congruences (those of M0/θ
+    are the congruences of M0 above θ), so M1 and S/θ_S need no
+    congruence test.  S and S/θ_S need no submodule search either, by two
+    lemmas:
+
+    - (A) A minimal single-generated nonzero submodule S is generated by
+      each of its nonzero elements: for y ≠ 0 in S, ⟨y⟩ ⊆ S, and ⟨y⟩ is
+      no smaller than S by minimality.
+    - (B) Every quotient of such an S keeps this property, since the
+      quotient map π sends ⟨y⟩ onto ⟨π(y)⟩: each nonzero π(y) generates
+      π(⟨y⟩) = π(S).
+
+    So nothing follows S/θ_S.  Each module after M0 must act nonzero
+    (``PreconditionFailed`` otherwise), and each step shrinks the module:
+    S is a proper subset of M1, and θ_S is not the identity when S has a
+    nontrivial congruence, since the greedy pass of
+    ``maximal_nontotal_congruence`` keeps the first pair whose closure is
+    nontotal.  Returns the chain of modules.
     """
     if check:
         flags = structure_flags(r)
@@ -299,24 +325,21 @@ def descend_to_irreducible(r, check=True):
         if not is_congruence_simple(r):
             raise PreconditionFailed("semiring is not congruence-simple")
     m0 = regular_module(r)
-    chain = [m0]
-    m1 = quotient_module(m0, maximal_nontotal_congruence(m0))
-    chain.append(m1)
-    cur = m1
-    while True:
-        if not acts_nonzero(cur):
-            raise PreconditionFailed("descent reached a zero-action module")
-        sub = minimal_nonzero_submodule(cur)
-        if len(sub) < cur.m:
-            nxt = submodule(cur, sub)
-        elif _only_trivial_congruences(cur):
-            return chain
-        else:
-            nxt = quotient_module(cur, maximal_nontotal_congruence(cur))
-        if nxt.m >= cur.m:
-            raise PreconditionFailed("descent stopped shrinking")
-        cur = nxt
-        chain.append(cur)
+    chain = [m0, _acting(quotient_module(m0, maximal_nontotal_congruence(m0)))]
+    sub = minimal_nonzero_submodule(chain[1])
+    if len(sub) < chain[1].m:
+        s = _acting(submodule(chain[1], sub))
+        chain.append(s)
+        if not _only_trivial_congruences(s):
+            chain.append(_acting(quotient_module(s, maximal_nontotal_congruence(s))))
+    return chain
+
+
+def _acting(mod):
+    """``mod``, after checking that its action is nonzero."""
+    if not acts_nonzero(mod):
+        raise PreconditionFailed("descent reached a zero-action module")
+    return mod
 
 
 def find_irreducible(r, check=True):

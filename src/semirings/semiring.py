@@ -211,7 +211,7 @@ def is_congruence_simple(r):
 def is_semiring_congruence(r, cong):
     """Whether ``cong`` is compatible with + and with both products; the
     left translations by + are the rows of ``add``, as + commutes."""
-    return cong.n == r.n and compatible(cong.blocks, _translations(r))
+    return cong.n == r.n and compatible(cong.blocks, cong.reps, _translations(r))
 
 
 def quotient_semiring(r, cong, name=None):
@@ -298,22 +298,36 @@ def additive_reachability_congruence(r):
     return Congruence.generated(n, pairs, ())
 
 
+def absorbing_ideal(r):
+    """The left ideal R·z of the additively absorbing element z, as the
+    sorted elements {x·z}; None when there is no such z or addition is not
+    idempotent.
+
+    It is a submonoid of the addition, x·z + y·z = (x+y)·z and 0·z = 0,
+    and stable under left multiplication, s·(x·z) = (s·x)·z: a left
+    submodule of the regular module, and with idempotent addition a
+    lattice (``recover_monoid``).
+    """
+    z = find_absorbing(r)
+    if z is None or not idempotent(r.add):
+        return None
+    return sorted({row[z] for row in r.mul})
+
+
 def recover_monoid(r):
     """Rebuild the underlying lattice from an additively idempotent semiring
-    with an additively absorbing element z, as the submonoid {r*z}.
+    with an additively absorbing element z, as the addition of R·z
+    (``absorbing_ideal``).
 
     Returns None when no absorbing element exists or addition is not
     idempotent.
     """
-    z = find_absorbing(r)
-    if z is None:
+    ideal = absorbing_ideal(r)
+    if ideal is None:
         return None
-    if not idempotent(r.add):
-        return None
-    members = sorted({r.mul[x][z] for x in range(r.n)})
-    index = {m: i for i, m in enumerate(members)}
-    # r·z + s·z = (r+s)·z and 0·z = 0: a submonoid of the idempotent addition
-    return FiniteLattice(relabel(r.add, members, members, index), zero=index[r.zero])
+    index = {m: i for i, m in enumerate(ideal)}
+    # R·z is a submonoid of the idempotent addition, so a lattice
+    return FiniteLattice(relabel(r.add, ideal, ideal, index), zero=index[r.zero])
 
 
 def opposite(r):

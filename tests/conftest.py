@@ -3,6 +3,7 @@ import pytest
 from semirings.endo import end_semiring, enumerate_sr
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.semimodule import descend_to_irreducible
+from semirings.semiring import restrict, subsemirings
 
 
 def pytest_configure(config):
@@ -59,3 +60,14 @@ def descents(sr_rings):
         name: [(r, descend_to_irreducible(r)) for r in sr_rings[name]]
         for name in ("chain3", "n5", "m3")
     }
+
+
+@pytest.fixture(scope="session")
+def end_subsemirings(ends):
+    """Every subsemiring of End(chain3), End(diamond) and End(chain4), as
+    restricted Cayley tables, per lattice name."""
+    out = {}
+    for name in ("chain3", "diamond", "chain4"):
+        rend, _ = ends[name]
+        out[name] = [restrict(rend, subset) for subset in subsemirings(rend)]
+    return out

@@ -16,6 +16,7 @@ from semirings.endo import (
     elementary,
     endomorphisms,
     enumerate_sr,
+    is_dense,
     iso_to_dense_subsemiring,
     zero_map,
 )
@@ -44,11 +45,10 @@ from semirings.semiring import (
     check_iso,
     is_congruence_simple,
     is_semiring_congruence,
-    restrict,
+    recover_monoid,
     semiring_anti_iso,
     semiring_iso,
     structure_flags,
-    subsemirings,
 )
 
 EXPECTED_SR_ORDERS = {
@@ -91,12 +91,11 @@ def test_criterion_03_simplicity(sr_rings):
 
 
 @pytest.mark.criterion(4, "simple iff isomorphic-to-dense over all subsemirings "
-                          "of End(chain3) and End(diamond)")
-def test_criterion_04_simple_iff_iso_to_dense(ends):
-    for name in ("chain3", "diamond"):
-        rend, _ = ends[name]
-        for subset in subsemirings(rend):
-            r = restrict(rend, subset)
+                          "of End(chain3), End(diamond) and End(chain4)")
+def test_criterion_04_simple_iff_iso_to_dense(end_subsemirings):
+    positive = 0
+    for name, rings in end_subsemirings.items():
+        for i, r in enumerate(rings):
             flags = structure_flags(r)
             simple = is_congruence_simple(r)
             if flags.trivial_mul and simple:
@@ -106,7 +105,14 @@ def test_criterion_04_simple_iff_iso_to_dense(ends):
             if simple:
                 assert flags.add_idempotent
             witness = iso_to_dense_subsemiring(r)
-            assert simple == (witness is not None), (name, sorted(subset))
+            assert simple == (witness is not None), (name, i)
+            if witness is not None:
+                positive += 1
+                lat, sub = witness
+                assert is_dense(sub) and sub.size == r.n, (name, i)
+                assert semiring_iso(r, sub.to_semiring()) is not None, (name, i)
+                assert lat == sub.lattice == recover_monoid(r), (name, i)
+    assert positive == 10
 
 
 @pytest.mark.criterion(5, "descent reaches a faithful dense irreducible module "
@@ -152,8 +158,6 @@ def test_criterion_07_one_element_flags(sr_rings):
 @pytest.mark.criterion(8, "the three order-46 members are isomorphic and no "
                           "other family members are")
 def test_criterion_08_isomorphy(sr_rings):
-    from semirings.semiring import recover_monoid
-
     for name in FIXTURE_NAMES:
         rings = sr_rings[name]
         for r1, r2 in itertools.combinations(rings, 2):

@@ -21,12 +21,20 @@ from semirings.catalog import (
     record_text,
     worker_count,
 )
-from semirings.cli import main
+from semirings.cli import _semiring_facts, main
 from semirings.endo import end_semiring
 from semirings.errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
-from semirings.semimodule import regular_module, serialize_smod, validate_semimodule
-from semirings.semiring import serialize_sr
+from semirings.lattice import lattice_iso
+from semirings.semimodule import (
+    descend_to_irreducible,
+    module_lattice,
+    regular_module,
+    representation,
+    serialize_smod,
+    validate_semimodule,
+)
+from semirings.semiring import is_congruence_simple, recover_monoid, serialize_sr, structure_flags
 
 
 def run_cli(*argv):
@@ -65,6 +73,47 @@ def test_check_semiring_witness(tmp_path):
     assert "dense representation witness" in text
     assert "recovered lattice of size 4" in text
     assert "faithful=True" in text and "dense=True" in text
+
+
+def reference_witness(r, chain=None):
+    """The witness ``check`` reported before it read R·z: the last module
+    of the descent ``chain`` (computed when not given), its representation,
+    and a lattice isomorphism search against the recovered monoid."""
+    lat = recover_monoid(r)
+    if lat is None:
+        return None
+    mod = (chain or descend_to_irreducible(r, check=False))[-1]
+    rep = representation(r, mod)
+    return {
+        "recovered_lattice_size": lat.n,
+        "module_size": mod.m,
+        "faithful": rep.faithful,
+        "dense": rep.dense,
+        "module_matches_recovered_lattice": lattice_iso(module_lattice(mod), lat) is not None,
+    }
+
+
+def test_witness_matches_the_descent_reference(descents, end_subsemirings):
+    cases = [(r, chain) for chains in descents.values() for r, chain in chains]
+    for rings in end_subsemirings.values():
+        cases += [(r, None) for r in rings
+                  if r.n > 2 and not structure_flags(r).is_ring and is_congruence_simple(r)]
+    assert len(cases) == 20
+    for r, chain in cases:
+        assert _semiring_facts(r)["witness"] == reference_witness(r, chain)
+
+
+def test_check_exits_one_when_the_ideal_is_not_irreducible(tmp_path, monkeypatch):
+    from semirings import cli
+    from semirings.semimodule import Irreducibility
+
+    monkeypatch.setattr(cli, "irreducibility", lambda mod: Irreducibility(True, False, True))
+    r, _ = end_semiring(load_fixture("chain3"))
+    r.name = "end_chain3"
+    path = tmp_path / "end_chain3.sr"
+    path.write_text(serialize_sr(r))
+    assert run_cli("check", str(path)) == (
+        1, "error: Mismatch: the left ideal R·z is not an irreducible module\n")
 
 
 def test_check_malformed_file(tmp_path):

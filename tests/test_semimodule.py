@@ -10,7 +10,7 @@ from semirings.errors import (
     ParseError,
     PreconditionFailed,
 )
-from semirings.fixtures import boolean_semiring, load_fixture, two_element_trivial_mul
+from semirings.fixtures import boolean_semiring, field_f2, load_fixture, two_element_trivial_mul
 from semirings.lattice import lattice_iso
 from semirings.semimodule import (
     acts_nonzero,
@@ -21,6 +21,7 @@ from semirings.semimodule import (
     commutant,
     descend_to_irreducible,
     find_irreducible,
+    ideal_module,
     irreducibility,
     maximal_nontotal_congruence,
     minimal_nonzero_submodule,
@@ -37,7 +38,7 @@ from semirings.semimodule import (
     subsemimodules,
     validate_semimodule,
 )
-from semirings.semiring import product_semiring, restrict, subsemirings, validate_semiring
+from semirings.semiring import product_semiring, recover_monoid, validate_semiring
 
 
 @pytest.fixture(scope="module")
@@ -247,17 +248,15 @@ def descent_outcome(descend, r):
         return str(exc)
 
 
-def test_descent_matches_the_irreducibility_loop_with_one_search_per_step(monkeypatch):
-    """Unchecked descents from every subsemiring of End(chain3) and
-    End(diamond), most of them not congruence-simple, pass to submodules
-    and stop on a zero action; each module after the first quotient is
-    searched for its minimal nonzero submodule once."""
+def test_descent_matches_the_irreducibility_loop_with_one_search_per_step(
+        monkeypatch, end_subsemirings):
+    """Unchecked descents from every subsemiring of End(chain3),
+    End(diamond) and End(chain4), most of them not congruence-simple, pass
+    to submodules and stop on a zero action; only the first quotient is
+    searched for its minimal nonzero submodule, once per descent."""
     from semirings import semimodule
 
-    rings = []
-    for name in ("chain3", "diamond"):
-        r, _ = end_semiring(load_fixture(name))
-        rings += [restrict(r, s) for s in subsemirings(r)]
+    rings = [r for name in ("chain3", "diamond", "chain4") for r in end_subsemirings[name]]
     steps = []
     want = [descent_outcome(lambda r: reference_descent(r, steps), r) for r in rings]
     assert "sub" in steps
@@ -270,7 +269,16 @@ def test_descent_matches_the_irreducibility_loop_with_one_search_per_step(monkey
         searched.clear()
         assert descent_outcome(lambda r: descend_to_irreducible(r, check=False), r) == expected
         if isinstance(expected, list):
-            assert len(searched) == len(expected) - 1
+            assert len(searched) == 1
+
+
+def test_ideal_module_is_the_natural_module_of_end(ends, lats):
+    for name in ("chain3", "diamond", "n5"):
+        mod = ideal_module(ends[name][0])
+        assert irreducibility(mod).irreducible
+        assert module_lattice(mod) == recover_monoid(ends[name][0])
+        assert lattice_iso(module_lattice(mod), lats[name]) is not None
+    assert ideal_module(field_f2()) is None
 
 
 def test_representation_tautological(ends, lats):
@@ -287,8 +295,6 @@ def test_representation_of_zero_action_not_faithful(zero_action):
 
 
 def test_representation_requires_idempotent_addition():
-    from semirings.fixtures import field_f2
-
     r = field_f2()
     with pytest.raises(NotALattice):
         representation(r, regular_module(r))
