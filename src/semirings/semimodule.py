@@ -294,29 +294,33 @@ def minimal_nonzero_submodule(mod):
 
 def descend_to_irreducible(r, check=True):
     """The irreducible-semimodule descent: the chain M0, M1, then S if S
-    is smaller than M1, then S/θ_S if S has a nontrivial congruence.
+    is smaller than M1.
 
     M0 is the semiring acting on itself, M1 = M0/θ for a maximal nontotal
-    congruence θ, S the minimal single-generated nonzero submodule of M1
-    and θ_S a maximal nontotal congruence of S.  A quotient by a maximal
-    nontotal congruence has only the trivial congruences (those of M0/θ
-    are the congruences of M0 above θ), so M1 and S/θ_S need no
-    congruence test.  S and S/θ_S need no submodule search either, by two
-    lemmas:
+    congruence θ, and S the minimal single-generated nonzero submodule of
+    M1.  M1 has only the trivial congruences, since those of M0/θ are the
+    congruences of M0 above θ.  S is irreducible by two lemmas, so no
+    step follows it:
 
-    - (A) A minimal single-generated nonzero submodule S is generated by
-      each of its nonzero elements: for y ≠ 0 in S, ⟨y⟩ ⊆ S, and ⟨y⟩ is
-      no smaller than S by minimality.
-    - (B) Every quotient of such an S keeps this property, since the
-      quotient map π sends ⟨y⟩ onto ⟨π(y)⟩: each nonzero π(y) generates
-      π(⟨y⟩) = π(S).
+    - (A) S is generated by each of its nonzero elements: for y ≠ 0 in S,
+      ⟨y⟩ ⊆ S, and ⟨y⟩ is no smaller than S by minimality.  So {0} and S
+      are the only submodules of S.
+    - (B) S has only the trivial congruences.  Let σ be a congruence of S
+      other than the identity.  Its zero class is a submodule of S
+      (x σ 0 and y σ 0 give x + y σ 0, and rx σ r0 = 0), so by (A) it is
+      S, and σ is total, or it is {0}.  Suppose it is {0}.  The units of
+      M1 (the elements with an additive inverse) in S form a submodule
+      too (ru + r(−u) = r0 = 0), so S holds no unit but 0, or S is a
+      finite group.  If S is a group, x σ y gives x − y σ 0, so x = y,
+      and σ is the identity.  Otherwise the pairs (m + u, m + v), m in
+      M1 and u σ v, generate a congruence Θ of M1 containing σ (their
+      translates by + and by the action are such pairs again), and
+      m + u = 0 makes u a unit of S, so u = 0, m = 0 and, as v σ u,
+      v = 0: the class of 0 under Θ is {0}.  Then Θ is neither the identity nor
+      total, against M1 having only the trivial congruences.
 
-    So nothing follows S/θ_S.  Each module after M0 must act nonzero
-    (``PreconditionFailed`` otherwise), and each step shrinks the module:
-    S is a proper subset of M1, and θ_S is not the identity when S has a
-    nontrivial congruence, since the greedy pass of
-    ``maximal_nontotal_congruence`` keeps the first pair whose closure is
-    nontotal.  Returns the chain of modules.
+    M1 and S must act nonzero (``PreconditionFailed`` otherwise).
+    Returns the chain of modules.
     """
     if check:
         flags = structure_flags(r)
@@ -328,10 +332,7 @@ def descend_to_irreducible(r, check=True):
     chain = [m0, _acting(quotient_module(m0, maximal_nontotal_congruence(m0)))]
     sub = minimal_nonzero_submodule(chain[1])
     if len(sub) < chain[1].m:
-        s = _acting(submodule(chain[1], sub))
-        chain.append(s)
-        if not _only_trivial_congruences(s):
-            chain.append(_acting(quotient_module(s, maximal_nontotal_congruence(s))))
+        chain.append(_acting(submodule(chain[1], sub)))
     return chain
 
 
