@@ -307,17 +307,18 @@ def descend_to_irreducible(r, check=True):
       are the only submodules of S.
     - (B) S has only the trivial congruences.  Let σ be a congruence of S
       other than the identity.  Its zero class is a submodule of S
-      (x σ 0 and y σ 0 give x + y σ 0, and rx σ r0 = 0), so by (A) it is
+      (x σ 0 and y σ 0 give x + y σ 0 and rx σ r0 = 0), so by (A) it is
       S, and σ is total, or it is {0}.  Suppose it is {0}.  The units of
-      M1 (the elements with an additive inverse) in S form a submodule
-      too (ru + r(−u) = r0 = 0), so S holds no unit but 0, or S is a
-      finite group.  If S is a group, x σ y gives x − y σ 0, so x = y,
-      and σ is the identity.  Otherwise the pairs (m + u, m + v), m in
-      M1 and u σ v, generate a congruence Θ of M1 containing σ (their
-      translates by + and by the action are such pairs again), and
-      m + u = 0 makes u a unit of S, so u = 0, m = 0 and, as v σ u,
-      v = 0: the class of 0 under Θ is {0}.  Then Θ is neither the identity nor
-      total, against M1 having only the trivial congruences.
+      M1 (the elements with an additive inverse) that lie in S form a
+      submodule too (ru + r(−u) = r0 = 0), so by (A) S holds no unit but
+      0, or S consists of units and is a finite group.  If S is a group,
+      x σ y gives x − y σ 0, so x = y, and σ is the identity.  Otherwise
+      the pairs (m + u, m + v), m in M1 and u σ v, generate a congruence
+      Θ of M1 containing σ (their translates by + and by the action are
+      such pairs again), and m + u = 0 makes u a unit of S, so u = 0,
+      m = 0 and, as v σ u, v = 0: the class of 0 under Θ is {0}.  Then Θ
+      is neither the identity nor total, against M1 having only the
+      trivial congruences.
 
     M1 and S must act nonzero (``PreconditionFailed`` otherwise).
     Returns the chain of modules.
