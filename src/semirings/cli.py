@@ -130,7 +130,7 @@ def _witness(r):
     """Recovered lattice and dense irreducible representation for a
     congruence-simple non-ring of order > 2: the action on the left ideal
     R·z (``semimodule.ideal_module``), confirmed irreducible; see
-    ``endo.iso_to_dense_subsemiring`` for why it is the witness."""
+    ``semimodule.iso_to_dense_subsemiring`` for why it is the witness."""
     mod = ideal_module(r)
     if mod is None:
         return None
@@ -295,9 +295,10 @@ def build_parser():
                         help="parallel worker count for sweeps (capped at the CPU "
                              "and task counts)")
     parser.add_argument("--max-end-size", type=positive_int, default=END_SIZE_LIMIT,
-                        help="bound on |End(M)| per lattice")
+                        help="bound on the least dense subsemiring that min-order "
+                             "builds per lattice")
     parser.add_argument("--max-sr-base", type=positive_int, default=SR_BASE_LIMIT,
-                        help="bound on the base semiring of family enumeration")
+                        help="bound on |End(M)| per lattice for catalog build")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table1", help="reproduce the small-lattice classification table")

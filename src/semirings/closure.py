@@ -15,7 +15,8 @@ Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
-the order of a lattice or of an idempotent addition.  Every quotient and
+the order of a lattice or of an idempotent addition, and :func:`identity`
+the zero of an addition.  Every quotient and
 restriction of a semiring or a module relabels its tables by
 :func:`relabel`.  Lattices and semirings have one isomorphism search,
 :func:`table_iso`, and one isomorphism check, :func:`is_table_iso`, over
@@ -222,6 +223,14 @@ def only_total_principals(add, zero, tables):
 def idempotent(table):
     """Whether x op x = x for every x of the operation ``table``."""
     return all(row[x] == x for x, row in enumerate(table))
+
+
+def identity(table):
+    """The first x whose row of the operation ``table`` (a tuple of tuples)
+    is the identity row, x op y = y for every y; None if there is none.
+    A commutative operation has at most one identity."""
+    cells = tuple(range(len(table)))
+    return next((x for x, row in enumerate(table) if row == cells), None)
 
 
 def zero_top_pair(add, zero):

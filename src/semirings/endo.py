@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
-from .closure import closed_sets, principal_test_pairs, relabel
+from .closure import closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import FiniteLattice, homomorphisms
-from .semiring import FiniteSemiring, absorbing_ideal, recover_monoid
+from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
 SR_BASE_LIMIT = 512
@@ -115,7 +115,9 @@ class EndoSubsemiring:
         So each row of ``add`` and ``mul`` is two tables for its member f and
         one ``translate`` per entry, and a dict from member strings to indices
         gives the entry.  ``ValidationError`` is raised when the members lack
-        the zero map, a join or a composite.
+        the zero map, a join or a composite.  The zero map is looked up
+        explicitly: a join-closed set without it can still have an
+        additive identity, which ``FiniteSemiring`` would take as its zero.
         """
         lat = self.lattice
         n, join, cells = lat.n, lat.join, range(lat.n)
@@ -125,7 +127,7 @@ class EndoSubsemiring:
         at = {s: i for i, s in enumerate(strings)}.__getitem__
         add, mul = [], []
         try:
-            zero = at(pack([lat.zero + n * x for x in cells]))
+            at(pack([lat.zero + n * x for x in cells]))  # KeyError without the zero map
             for f in members:
                 plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
                 after = table([f[v] + n * x for x in cells for v in cells])
@@ -134,7 +136,7 @@ class EndoSubsemiring:
         except KeyError:
             raise ValidationError(
                 "member set is not closed under join and composition") from None
-        return FiniteSemiring(tuple(add), tuple(mul), zero, name)
+        return FiniteSemiring(tuple(add), tuple(mul), name)
 
 
 def is_dense(sub):
@@ -142,9 +144,10 @@ def is_dense(sub):
     return all(e in sub.members for e in elementary_maps(sub.lattice))
 
 
-def end_semiring(lat, max_size=END_SIZE_LIMIT):
-    """(End(M) as a FiniteSemiring, lex-sorted member tuples)."""
-    members = endomorphisms(lat, max_count=max_size)
+def end_semiring(lat):
+    """(End(M) as a FiniteSemiring, lex-sorted member tuples); ``SizeLimit``
+    past ``END_SIZE_LIMIT`` members."""
+    members = endomorphisms(lat, max_count=END_SIZE_LIMIT)
     name = None if lat.name is None else f"End({lat.name})"
     sub = EndoSubsemiring(lat, frozenset(members))
     return sub.to_semiring(name=name), tuple(members)
@@ -256,10 +259,12 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     """All dense subsemirings of End(M), i.e. all closed sets between the
     sums of elementary maps and the full endomorphism semiring.
 
-    Deterministic order: ascending (size, sorted member list).
+    Deterministic order: ascending (size, sorted member list).  Only
+    End(M) is bounded, by ``max_end``: the least dense subsemiring lies
+    inside it.
     """
     all_endos = endomorphisms(lat, max_count=max_end)
-    base = dense_closure(lat, max_size=max_end).members
+    base = dense_closure(lat, max_size=None).members
     families = closed_sets(base, all_endos, _products(lat), noun="dense subsemirings")
     return [EndoSubsemiring(lat, s) for s in families]
 
@@ -277,40 +282,6 @@ def transpose(lat, f):
                 acc = join[acc][x]
         out.append(acc)
     return tuple(out)
-
-
-def iso_to_dense_subsemiring(r):
-    """Decide whether a finite semiring is isomorphic to a dense subsemiring
-    of the endomorphism semiring of some finite idempotent commutative
-    monoid, and return (``recover_monoid(r)``, the image subsemiring) as a
-    witness, else None.
-
-    That is exactly when R acts faithfully on its left ideal R·z
-    (``semiring.absorbing_ideal``, z additively absorbing) with a dense
-    image, by this lemma:
-
-    - If R ≅ D, a dense subsemiring of End(M), then z = e_{0,top}, the
-      largest endomorphism, and r∘z = e_{0,r(top)}.  D holds every e_{a,b}
-      and e_{0,m}(top) = m, so D·z = {e_{0,m} : m in M}, a copy of M with
-      e_{0,m} + e_{0,m'} = e_{0,m∨m'}, on which s acts as on M:
-      s∘e_{0,m} = e_{0,s(m)}.  The natural action is faithful and D is
-      dense.
-    - Conversely, R·z is an idempotent submonoid (xz + yz = (x+y)z,
-      0·z = 0), a lattice, and sending x to its action on R·z is a
-      semiring homomorphism R → End(R·z) (the distributive and
-      associative laws, and x·0 = 0).  So a faithful action with a dense
-      image is an isomorphism onto a dense subsemiring.
-    """
-    ideal = absorbing_ideal(r)
-    if ideal is None:
-        return None
-    index = {m: i for i, m in enumerate(ideal)}
-    # the action rows of R on R·z, the relabelling ``semimodule.submodule`` makes
-    image = EndoSubsemiring(recover_monoid(r),
-                            frozenset(relabel(r.mul, range(r.n), ideal, index)))
-    if image.size != r.n or not is_dense(image):
-        return None
-    return image.lattice, image
 
 
 def identity_is_elementary_sum(lat):

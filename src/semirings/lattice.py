@@ -39,18 +39,20 @@ class FiniteLattice:
 
     Nothing is checked: a table from outside the package goes through
     ``validate_lattice`` first.  ``down[x]`` is the bitmask of elements
-    <= x (``closure.down_masks``), ``zero`` the neutral element and ``top``
-    the element whose down-set is every element.  Instances hash and
-    compare by their table, so they can be set members and dict keys.
+    <= x (``closure.down_masks``), ``zero`` the bottom, whose down-set is
+    the least mask (every other down-set holds the bottom and one more
+    element), and ``top`` the element whose down-set is every element.
+    Instances hash and compare by their table, so they can be set members
+    and dict keys.
     """
 
     __slots__ = ("n", "join", "zero", "top", "down", "name", "_meet")
 
-    def __init__(self, join, zero=0, name=None):
+    def __init__(self, join, name=None):
         self.n = len(join)
         self.join = join
-        self.zero = zero
         self.down = down_masks(join)
+        self.zero = self.down.index(min(self.down))
         self.top = self.down.index((1 << self.n) - 1)
         self.name = name
         self._meet = None
@@ -75,10 +77,10 @@ class FiniteLattice:
     def __eq__(self, other):
         if not isinstance(other, FiniteLattice):
             return NotImplemented
-        return self.n == other.n and self.zero == other.zero and self.join == other.join
+        return self.join == other.join
 
     def __hash__(self):
-        return hash((self.n, self.zero, self.join))
+        return hash(self.join)
 
     def __repr__(self):
         label = self.name or f"lattice<{self.n}>"
@@ -131,14 +133,15 @@ def validate_lattice(join_table, zero=0, name=None):
     check_axiom(BadZero, "zero + x != x", [((), join[zero], ident)])
     check_axiom(NotCommutative, "x + y != y + x", commutative_cases(join))
     check_axiom(NotAssociative, "(x+y)+z != x+(y+z)", associative_cases(join))
-    return FiniteLattice(join, zero, name)
+    # zero + x = x makes the declared zero the bottom
+    return FiniteLattice(join, name)
 
 
 def dual(lat):
     """Order-reversed lattice: joins become meets, zero becomes top."""
     name = None if lat.name is None else lat.name + "~"
-    # the meet table of a lattice is a lattice, with the top as its zero
-    return FiniteLattice(lat.meet_table, zero=lat.top, name=name)
+    # the meet table of a lattice is a lattice, with the top as its bottom
+    return FiniteLattice(lat.meet_table, name=name)
 
 
 def homomorphisms(src, dst, max_count=None):
@@ -206,7 +209,7 @@ def hom_to_l2(lat):
     index = {h: i for i, h in enumerate(homs)}
     table = tuple(tuple(index[tuple(a | b for a, b in zip(f, g))] for g in homs) for f in homs)
     # pointwise joins of homomorphisms are homomorphisms, the zero map the zero
-    hom_lat = FiniteLattice(table, zero=index[(0,) * n])
+    hom_lat = FiniteLattice(table)
     e_index = tuple(index[tuple(0 if lat.leq(x, a) else 1 for x in range(n))] for a in range(n))
     return hom_lat, e_index, tuple(homs)
 

@@ -19,6 +19,7 @@ from .closure import (
     closed_sets,
     compatible,
     idempotent,
+    identity,
     only_total_principals,
     relabel,
     table_products,
@@ -45,17 +46,18 @@ from .semiring import Congruence, absorbing_ideal, is_congruence_simple, structu
 
 
 class Semimodule:
-    """The addition ``madd`` on 0..m-1, m = len(madd), with identity
-    ``mzero``, and the action ``act[r][x]`` of ``ring``; unchecked."""
+    """The addition ``madd`` on 0..m-1, m = len(madd), with ``mzero`` its
+    identity read by ``closure.identity``, and the action ``act[r][x]`` of
+    ``ring``; unchecked."""
 
     __slots__ = ("ring", "m", "madd", "act", "mzero", "name", "_act_t")
 
-    def __init__(self, ring, madd, act, mzero, name=None):
+    def __init__(self, ring, madd, act, name=None):
         self.ring = ring
         self.m = len(madd)
         self.madd = madd
         self.act = act
-        self.mzero = mzero
+        self.mzero = identity(madd)
         self.name = name
         self._act_t = None
 
@@ -75,10 +77,11 @@ def validate_semimodule(ring, madd, act, name=None):
     package, over the validated semiring ``ring``.
 
     After the shape checks, the module zero is the first neutral element
-    of ``madd``, and ``errors.check_axiom`` checks seven axioms in this
-    order, each raising ModuleAxiomFail on the first witness: x + y = y + x,
-    (x + y) + z = x + (y + z), 0_R x = 0_M, r 0_M = 0_M, r(sx) = (rs)x,
-    (r + s)x = rx + sx and r(x + y) = rx + ry.
+    of ``madd`` (``closure.identity``), and ``errors.check_axiom`` checks
+    six axioms in this order, each raising ModuleAxiomFail on the first
+    witness: x + y = y + x, (x + y) + z = x + (y + z), 0_R x = 0_M,
+    r(sx) = (rs)x, (r + s)x = rx + sx and r(x + y) = rx + ry.  Then
+    r 0_M = 0_M holds too: r 0_M = r(0_R 0_M) = (r 0_R) 0_M = 0_R 0_M = 0_M.
     """
     madd = tuple(tuple(row) for row in madd)
     act = tuple(tuple(row) for row in act)
@@ -87,15 +90,12 @@ def validate_semimodule(ring, madd, act, name=None):
     if len(act) != ring.n:
         raise ParseError(f"act table has {len(act)} rows, expected {ring.n}")
     check_table(act, m, "act ")
-    cells = tuple(range(m))
-    mzero = next((e for e in cells if madd[e] == cells), None)
+    mzero = identity(madd)
     if mzero is None:
         raise ModuleAxiomFail("addition has no neutral element")
     check_axiom(ModuleAxiomFail, "x + y != y + x", commutative_cases(madd))
     check_axiom(ModuleAxiomFail, "(x+y)+z != x+(y+z)", associative_cases(madd))
     check_axiom(ModuleAxiomFail, "0_R x != 0_M", [((), act[ring.zero], (mzero,) * m)])
-    check_axiom(ModuleAxiomFail, "r 0_M != 0_M",
-                [((), tuple(row[mzero] for row in act), (mzero,) * ring.n)])
     check_axiom(ModuleAxiomFail, "r(sx) != (rs)x", (
         ((r, s), tuple(map(row.__getitem__, act[s])), act[v])
         for r, row in enumerate(act) for s, v in enumerate(ring.mul[r])))
@@ -104,13 +104,13 @@ def validate_semimodule(ring, madd, act, name=None):
         for r, row in enumerate(act) for s, v in enumerate(ring.add[r])))
     check_axiom(ModuleAxiomFail, "r(x+y) != rx+ry", (
         ((r, x), tuple(map(row.__getitem__, madd[x])), tuple(map(madd[row[x]].__getitem__, row)))
-        for r, row in enumerate(act) for x in cells))
-    return Semimodule(ring, madd, act, mzero, name)
+        for r, row in enumerate(act) for x in range(m)))
+    return Semimodule(ring, madd, act, name)
 
 
 def regular_module(ring):
     """The semiring acting on itself by left multiplication."""
-    return Semimodule(ring, ring.add, ring.mul, ring.zero,
+    return Semimodule(ring, ring.add, ring.mul,
                       name=None if ring.name is None else f"{ring.name}_reg")
 
 
@@ -118,7 +118,7 @@ def natural_module(sub):
     """A subsemiring of End(M) acting on M by application."""
     lat = sub.lattice
     # endomorphisms act on a lattice, its zero neutral, as a module
-    return Semimodule(sub.to_semiring(), lat.join, tuple(sub.sorted_members()), lat.zero)
+    return Semimodule(sub.to_semiring(), lat.join, tuple(sub.sorted_members()))
 
 
 def acts_nonzero(mod):
@@ -143,23 +143,54 @@ def ideal_module(r):
     """The left ideal R·z of ``semiring.absorbing_ideal`` as a submodule
     of the regular module, or None when R has no such ideal.  On a
     congruence-simple non-ring of order > 2 it is the irreducible module
-    of the dense representation (``endo.iso_to_dense_subsemiring``)."""
+    of the dense representation (``iso_to_dense_subsemiring``)."""
     ideal = absorbing_ideal(r)
     return None if ideal is None else submodule(regular_module(r), ideal)
 
 
-def submodule(mod, subset, name=None):
+def iso_to_dense_subsemiring(r):
+    """Decide whether a finite semiring is isomorphic to a dense subsemiring
+    of the endomorphism semiring of some finite idempotent commutative
+    monoid, and return (the lattice of R·z, the image subsemiring) as a
+    witness, else None.
+
+    That is exactly when R acts faithfully on its left ideal R·z
+    (``ideal_module``, z additively absorbing) with a dense image, as
+    ``representation`` decides, by this lemma:
+
+    - If R ≅ D, a dense subsemiring of End(M), then z = e_{0,top}, the
+      largest endomorphism, and r∘z = e_{0,r(top)}.  D holds every e_{a,b}
+      and e_{0,m}(top) = m, so D·z = {e_{0,m} : m in M}, a copy of M with
+      e_{0,m} + e_{0,m'} = e_{0,m∨m'}, on which s acts as on M:
+      s∘e_{0,m} = e_{0,s(m)}.  The natural action is faithful and D is
+      dense.
+    - Conversely, R·z is an idempotent submonoid (xz + yz = (x+y)z,
+      0·z = 0), a lattice, and sending x to its action on R·z is a
+      semiring homomorphism R → End(R·z) (the distributive and
+      associative laws, and x·0 = 0).  So a faithful action with a dense
+      image is an isomorphism onto a dense subsemiring.
+    """
+    mod = ideal_module(r)
+    if mod is None:
+        return None
+    rep = representation(r, mod)
+    if not (rep.faithful and rep.dense):
+        return None
+    return rep.subsemiring.lattice, rep.subsemiring
+
+
+def submodule(mod, subset):
     """The submodule on a closed ``subset``, reindexed sorted."""
     members = sorted(subset)
-    return _relabelled(mod, members, {x: i for i, x in enumerate(members)}, name)
+    return _relabelled(mod, members, {x: i for i, x in enumerate(members)})
 
 
-def _relabelled(mod, keep, label, name):
+def _relabelled(mod, keep, label):
     """The module on ``keep``, each element x renamed ``label[x]``: a
     quotient or a submodule, its tables by ``closure.relabel``; every ring
     element keeps its row of the action."""
     return Semimodule(mod.ring, relabel(mod.madd, keep, keep, label),
-                      relabel(mod.act, range(mod.ring.n), keep, label), label[mod.mzero], name)
+                      relabel(mod.act, range(mod.ring.n), keep, label))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +216,7 @@ def is_module_congruence(mod, cong):
 def module_congruences(mod):
     """Every module congruence, as joins of the principal ones."""
     m = mod.m
-    found = {Congruence(m, tuple(range(m)))}
+    found = {Congruence(range(m))}
     principals = set()
     for x in range(m):
         for y in range(x + 1, m):
@@ -226,7 +257,7 @@ def maximal_nontotal_congruence(mod):
     tables = _translations(mod)
     stop = zero_top_pair(mod.madd, mod.mzero)
     current = []
-    blocks = Congruence(m, tuple(range(m)))
+    blocks = Congruence(range(m))
     for x in range(m):
         for y in range(x + 1, m):
             if blocks.same(x, y):
@@ -238,10 +269,10 @@ def maximal_nontotal_congruence(mod):
     return blocks
 
 
-def quotient_module(mod, cong, name=None):
+def quotient_module(mod, cong):
     if not is_module_congruence(mod, cong):
         raise NotCompatible("partition is not a module congruence")
-    return _relabelled(mod, cong.reps, cong.blocks, name)
+    return _relabelled(mod, cong.reps, cong.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +390,7 @@ def module_lattice(mod):
     if not idempotent(mod.madd):
         raise NotALattice("module addition is not idempotent")
     # a module's addition is a commutative monoid; idempotent, a lattice
-    return FiniteLattice(mod.madd, zero=mod.mzero)
+    return FiniteLattice(mod.madd)
 
 
 @dataclass(frozen=True)
@@ -394,14 +425,7 @@ def annihilator(mod, x):
 
 def annihilator_congruence(mod):
     """Partition of module elements by equal annihilator sets."""
-    keys = {}
-    blocks = []
-    for x in range(mod.m):
-        k = annihilator(mod, x)
-        if k not in keys:
-            keys[k] = len(keys)
-        blocks.append(keys[k])
-    return Congruence(mod.m, tuple(blocks))
+    return Congruence(annihilator(mod, x) for x in range(mod.m))
 
 
 def annulator(mod):

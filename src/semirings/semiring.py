@@ -26,6 +26,7 @@ from .closure import (
     closed_sets,
     compatible,
     idempotent,
+    identity,
     is_table_iso,
     only_total_principals,
     relabel,
@@ -55,15 +56,16 @@ from .lattice import FiniteLattice
 
 class FiniteSemiring:
     """Cayley tables ``add`` and ``mul`` on 0..n-1, n = len(add), with
-    additive identity ``zero``; unchecked."""
+    ``zero`` the additive identity read from ``add`` by
+    ``closure.identity``; unchecked."""
 
     __slots__ = ("n", "add", "mul", "zero", "name", "_mul_t")
 
-    def __init__(self, add, mul, zero, name=None):
+    def __init__(self, add, mul, name=None):
         self.n = len(add)
         self.add = add
         self.mul = mul
-        self.zero = zero
+        self.zero = identity(add)
         self.name = name
         self._mul_t = None
 
@@ -77,11 +79,10 @@ class FiniteSemiring:
     def __eq__(self, other):
         if not isinstance(other, FiniteSemiring):
             return NotImplemented
-        return (self.n, self.zero, self.add, self.mul) == (
-            other.n, other.zero, other.add, other.mul)
+        return (self.add, self.mul) == (other.add, other.mul)
 
     def __hash__(self):
-        return hash((self.n, self.zero, self.add, self.mul))
+        return hash((self.add, self.mul))
 
     def __repr__(self):
         label = self.name or f"semiring<{self.n}>"
@@ -90,25 +91,26 @@ class FiniteSemiring:
 
 @dataclass(frozen=True)
 class Congruence:
-    """Partition given as a block id per element, ids 0..k-1; the
-    constructors number them by first use."""
+    """Partition of 0..n-1 given by one hashable label per element, n the
+    number of labels.  ``blocks`` numbers the blocks 0..k-1 by first use,
+    so any two labellings of one partition give equal congruences."""
 
-    n: int
     blocks: tuple
+
+    def __init__(self, labels):
+        ids = {}
+        object.__setattr__(self, "blocks", tuple([ids.setdefault(b, len(ids)) for b in labels]))
 
     @classmethod
     def from_parents(cls, parents):
-        n = len(parents)
-        seen = {}
-        blocks = []
-        for x in range(n):
-            r = x
-            while parents[r] != r:
-                r = parents[r]
-            if r not in seen:
-                seen[r] = len(seen)
-            blocks.append(seen[r])
-        return cls(n, tuple(blocks))
+        """The partition of a union-find forest, labelled by roots."""
+
+        def root(x):
+            while parents[x] != x:
+                x = parents[x]
+            return x
+
+        return cls(map(root, range(len(parents))))
 
     @classmethod
     def generated(cls, n, pairs, tables):
@@ -117,6 +119,10 @@ class Congruence:
         parent = list(range(n))
         close_congruence(parent, pairs, tables)
         return cls.from_parents(parent)
+
+    @property
+    def n(self):
+        return len(self.blocks)
 
     @property
     def reps(self):
@@ -141,11 +147,11 @@ class Congruence:
 
 
 def identity_congruence(n):
-    return Congruence(n, tuple(range(n)))
+    return Congruence(range(n))
 
 
 def total_congruence(n):
-    return Congruence(n, tuple(0 for _ in range(n)))
+    return Congruence([0] * n)
 
 
 def validate_semiring(add, mul, zero, name=None):
@@ -180,7 +186,8 @@ def validate_semiring(add, mul, zero, name=None):
     check_axiom(RightDistFail, "(x+y)z != xz+yz", (
         ((x, y), mul[v], tuple(add[a][b] for a, b in zip(mul[x], mul[y])))
         for x in cells for y, v in enumerate(add[x])))
-    return FiniteSemiring(add, mul, zero, name)
+    # zero + x = x makes the declared zero the identity of add
+    return FiniteSemiring(add, mul, name)
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +221,18 @@ def is_semiring_congruence(r, cong):
     return cong.n == r.n and compatible(cong.blocks, cong.reps, _translations(r))
 
 
-def quotient_semiring(r, cong, name=None):
+def quotient_semiring(r, cong):
     """Semiring on the blocks of a congruence; raises NotCompatible."""
     if not is_semiring_congruence(r, cong):
         raise NotCompatible("partition is not a semiring congruence")
     # a quotient by a compatible partition satisfies every axiom r does
-    return _relabelled(r, cong.reps, cong.blocks, name)
+    return _relabelled(r, cong.reps, cong.blocks)
 
 
-def _relabelled(r, keep, label, name):
+def _relabelled(r, keep, label):
     """The semiring on ``keep``, each element x renamed ``label[x]``: a
     quotient or a restriction, its tables by ``closure.relabel``."""
-    return FiniteSemiring(relabel(r.add, keep, keep, label), relabel(r.mul, keep, keep, label),
-                          label[r.zero], name)
+    return FiniteSemiring(relabel(r.add, keep, keep, label), relabel(r.mul, keep, keep, label))
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +333,13 @@ def recover_monoid(r):
         return None
     index = {m: i for i, m in enumerate(ideal)}
     # R·z is a submonoid of the idempotent addition, so a lattice
-    return FiniteLattice(relabel(r.add, ideal, ideal, index), zero=index[r.zero])
+    return FiniteLattice(relabel(r.add, ideal, ideal, index))
 
 
 def opposite(r):
     """Same addition, reversed multiplication."""
     name = None if r.name is None else r.name + "^op"
-    return FiniteSemiring(r.add, r.mul_t, r.zero, name)
+    return FiniteSemiring(r.add, r.mul_t, name)
 
 
 def product_semiring(r1, r2):
@@ -345,10 +351,10 @@ def product_semiring(r1, r2):
                      for x1, y1 in pairs)
 
     # the axioms hold componentwise
-    return FiniteSemiring(table(r1.add, r2.add), table(r1.mul, r2.mul), r1.zero * r2.n + r2.zero)
+    return FiniteSemiring(table(r1.add, r2.add), table(r1.mul, r2.mul))
 
 
-def restrict(r, subset, name=None):
+def restrict(r, subset):
     """Subsemiring on a closed subset containing zero, reindexed sorted.
 
     ``ValidationError`` is raised when the subset lacks the zero or is not
@@ -358,7 +364,7 @@ def restrict(r, subset, name=None):
     if r.zero not in index:
         raise ValidationError("subset does not contain the zero")
     try:
-        return _relabelled(r, members, index, name)
+        return _relabelled(r, members, index)
     except KeyError:
         raise ValidationError("subset is not closed under + and *") from None
 

@@ -17,7 +17,6 @@ from semirings.endo import (
     endomorphisms,
     enumerate_sr,
     is_dense,
-    iso_to_dense_subsemiring,
     zero_map,
 )
 from semirings.fixtures import (
@@ -36,6 +35,7 @@ from semirings.semimodule import (
     annihilator,
     commutant,
     irreducibility,
+    iso_to_dense_subsemiring,
     module_lattice,
     representation,
 )

@@ -295,7 +295,7 @@ def reference_congruence(n, pairs, translations):
             for t in translations:
                 changed |= merge(t(first), t(x))
     ids = {}
-    return Congruence(n, tuple(ids.setdefault(b, len(ids)) for b in label))
+    return Congruence(tuple(ids.setdefault(b, len(ids)) for b in label))
 
 
 def ring_translations(r):
@@ -313,7 +313,7 @@ def reference_module_congruences(mod):
     ts = module_translations(mod)
     principals = {reference_congruence(mod.m, [(x, y)], ts)
                   for x in range(mod.m) for y in range(x + 1, mod.m)}
-    found = {Congruence(mod.m, tuple(range(mod.m)))} | principals
+    found = {Congruence(tuple(range(mod.m)))} | principals
     work = list(found)
     while work:
         c = work.pop()
@@ -446,7 +446,7 @@ def test_compatibility_matches_the_definition():
         mod = regular_module(r)
         ring_ts, module_ts = ring_translations(r), module_translations(mod)
         for blocks in set_partitions(r.n):
-            cong = Congruence(r.n, blocks)
+            cong = Congruence(blocks)
             want = compatible_by_definition(blocks, ring_ts)
             assert is_semiring_congruence(r, cong) == want, (r.n, blocks)
             want_module = compatible_by_definition(blocks, module_ts)
@@ -474,7 +474,7 @@ def one_block_maximal_nontotal_congruence(mod):
     m = mod.m
     tables = (mod.madd, mod.act_t)
     current = []
-    blocks = Congruence(m, tuple(range(m)))
+    blocks = Congruence(tuple(range(m)))
     for x in range(m):
         for y in range(x + 1, m):
             if blocks.same(x, y):

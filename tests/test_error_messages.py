@@ -200,10 +200,10 @@ CASES = [
      ModuleAxiomFail, "(x+y)+z != x+(y+z): witness (1, 1, 2)"),
     ("module-zero-acts", lambda act: _module(MADD, act), ((0, 1), (0, 1)), ModuleAxiomFail,
      "0_R x != 0_M: witness (1,)"),
-    # r 0_M = r (0_R x) = (r 0_R) x = 0_M follows from the other axioms, so
-    # this table also breaks r(sx) = (rs)x, which is checked after it
+    # r 0_M = r (0_R 0_M) = (r 0_R) 0_M = 0_M follows from the other axioms,
+    # so a table breaking it is named by r(sx) = (rs)x
     ("module-acts-on-zero", lambda act: _module(MADD, act), ((0, 0), (1, 1)), ModuleAxiomFail,
-     "r 0_M != 0_M: witness (1,)"),
+     "r(sx) != (rs)x: witness (1, 0, 0)"),
     ("module-action-associative", lambda act: _module(CHAIN3_JOIN, act),
      (ZERO3[0], (0, 0, 1)), ModuleAxiomFail, "r(sx) != (rs)x: witness (1, 1, 2)"),
     ("module-ring-distributive", lambda act: _module(((0, 1), (1, 0)), act), ZERO2[:1] + ((0, 1),),

@@ -8,7 +8,8 @@ package builds all of them with ``closure.relabel`` and the block
 representatives of ``Congruence.reps``; the tables must be equal on every
 principal congruence and every subsemiring of End(chain3) and
 End(diamond), and on the principal congruences and single-generated
-submodules of the modules of the fixture descents.
+submodules of the modules of the fixture descents.  A partition may be
+given by any labels, and every structure reads its zero from its tables.
 """
 
 import random
@@ -16,19 +17,30 @@ import random
 import pytest
 
 from semirings.closure import principal_test_pairs
-from semirings.endo import end_semiring
+from semirings.endo import end_semiring, zero_map
+from semirings.errors import NotCompatible
 from semirings.fixtures import load_fixture
+from semirings.lattice import dual, hom_to_l2
 from semirings.semimodule import (
     _pairs_of,
     close_module_subset,
+    ideal_module,
+    maximal_nontotal_congruence,
+    minimal_nonzero_submodule,
+    module_lattice,
     module_principal,
+    natural_module,
     quotient_module,
+    regular_module,
     submodule,
 )
 from semirings.semiring import (
     Congruence,
+    absorbing_ideal,
+    opposite,
     principal_congruence,
     quotient_semiring,
+    recover_monoid,
     restrict,
     subsemirings,
 )
@@ -123,16 +135,109 @@ def test_module_quotients_and_submodules_match_the_relabel_loops(descents):
     assert proper_quotients > 0 and proper_subs > 0
 
 
-def test_reps_do_not_need_ids_numbered_by_first_use():
-    cong = Congruence(6, (2, 0, 2, 1, 0, 1))
-    assert cong.reps == reference_reps(cong) == [1, 3, 0]
+def test_labels_are_renumbered_by_first_use():
+    cong = Congruence((2, 0, 2, 1, 0, 1))
+    assert cong.n == 6 and cong.blocks == (0, 1, 0, 2, 1, 2)
+    assert cong.reps == reference_reps(cong) == [0, 1, 3]
     assert _pairs_of(cong) == [(0, 2), (1, 4), (3, 5)]
+    assert Congruence("abacbc") == cong
     r, _ = end_semiring(load_fixture("diamond"))
     rng = random.Random(0)
     for x in range(1, r.n):
         cong = principal_congruence(r, 0, x)
         perm = list(range(cong.num_blocks))
         rng.shuffle(perm)
-        renumbered = Congruence(r.n, tuple(perm[b] for b in cong.blocks))
-        assert renumbered.reps == reference_reps(renumbered)
-        assert [renumbered.reps[perm[b]] for b in range(cong.num_blocks)] == cong.reps
+        assert Congruence(perm[b] for b in cong.blocks) == cong
+        assert Congruence(frozenset({perm[b]}) for b in cong.blocks).blocks == cong.blocks
+
+
+def test_quotients_take_any_labels_and_reject_a_wrong_length():
+    r, _ = end_semiring(load_fixture("chain3"))
+    mod = regular_module(r)
+    quotients = ((quotient_semiring, r, tables), (quotient_module, mod, module_tables))
+    for quotient, structure, shape in quotients:
+        for labels in [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 6), (), (0,) * 7]:
+            with pytest.raises(NotCompatible):
+                quotient(structure, Congruence(labels))
+        assert shape(quotient(structure, Congruence((0, 1, 2, 3, 4, 6)))) == shape(structure)
+    # labels out of first-use order give what the renumbered partition gives
+    rng = random.Random(1)
+    cases = [((2, 0, 2, 1, 0, 1), (0, 1, 0, 2, 1, 2))]
+    for _ in range(300):
+        labels = [rng.choice((0, 1, 2, 7, "x")) for _ in range(rng.randrange(4, 9))]
+        ids = {}
+        cases.append((labels, tuple(ids.setdefault(b, len(ids)) for b in labels)))
+    for labels, renumbered in cases:
+        for quotient, structure, shape in quotients:
+            try:
+                got = shape(quotient(structure, Congruence(labels)))
+            except NotCompatible:
+                with pytest.raises(NotCompatible):
+                    quotient(structure, Congruence(renumbered))
+            else:
+                assert got == shape(quotient(structure, Congruence(renumbered)))
+    # principal congruences relabelled, on every subsemiring of End(chain3)
+    proper = 0
+    for sub in (restrict(r, s) for s in subsemirings(r)):
+        sub_mod = regular_module(sub)
+        for x in range(sub.n):
+            for y in range(x + 1, sub.n):
+                cong = principal_congruence(sub, x, y)
+                labels = [f"block{9 - b}" for b in cong.blocks]
+                want = tables(quotient_semiring(sub, cong))
+                assert tables(quotient_semiring(sub, Congruence(labels))) == want
+                cong = module_principal(sub_mod, x, y)
+                labels = [(9 - b,) for b in cong.blocks]
+                want = module_tables(quotient_module(sub_mod, cong))
+                assert module_tables(quotient_module(sub_mod, Congruence(labels))) == want
+                proper += 1 < cong.num_blocks < sub.n
+    assert proper > 0
+
+
+def test_derived_zeros_equal_the_zeros_the_builders_passed(lats, ends, sr_families, sr_rings,
+                                                           end_subsemirings, descents):
+    """Each structure reads its zero from its tables; it is the one the
+    constructors were given before: 0 for a parsed lattice, the top for a
+    dual, the zero map for a hom lattice and for End(M) and its dense
+    subsemirings, the position of the zero in a restriction, its block in a
+    quotient, the ring's zero in a regular module and the lattice's zero in
+    a natural module."""
+    for lat in lats.values():
+        assert lat.zero == 0 and dual(lat).zero == lat.top
+        hom_lat, _, homs = hom_to_l2(lat)
+        assert homs[hom_lat.zero] == (0,) * lat.n
+    for name, (r, members) in ends.items():
+        assert members[r.zero] == zero_map(lats[name])
+    for name, fams in sr_families.items():
+        for fam, r in zip(fams, sr_rings[name], strict=True):
+            assert fam.sorted_members()[r.zero] == zero_map(fam.lattice)
+        assert natural_module(fams[0]).mzero == lats[name].zero
+    count = 0
+    for name, subs in end_subsemirings.items():
+        rend, _ = ends[name]
+        for subset, sub in zip(subsemirings(rend), subs, strict=True):
+            assert sub.zero == sorted(subset).index(rend.zero)
+            assert opposite(sub).zero == regular_module(sub).mzero == sub.zero
+            ideal = absorbing_ideal(sub)
+            if ideal is not None:
+                assert recover_monoid(sub).zero == ideal.index(sub.zero)
+                assert ideal_module(sub).mzero == ideal.index(sub.zero)
+            for x in range(1, sub.n):
+                cong = principal_congruence(sub, sub.zero, x)
+                assert quotient_semiring(sub, cong).zero == cong.blocks[sub.zero]
+            count += 1
+    assert count == 20 + 222 + 710
+    # 0_R acts as the zero map, so its row of the action holds only the zero
+    # the builder passed: the block or the position of the zero of M0
+    for chains in descents.values():
+        for r, chain in chains:
+            assert all(set(mod.act[r.zero]) == {mod.mzero} for mod in chain)
+    # the m3 members (orders 44 to 50) take seconds to find their congruence
+    for r, chain in descents["chain3"] + descents["n5"]:
+        m0, m1 = chain[:2]
+        assert m0.mzero == r.zero
+        assert m1.mzero == maximal_nontotal_congruence(m0).blocks[m0.mzero]
+        if len(chain) == 3:
+            members = sorted(minimal_nonzero_submodule(m1))
+            assert chain[2].mzero == members.index(m1.mzero)
+        assert module_lattice(chain[-1]).zero == chain[-1].mzero

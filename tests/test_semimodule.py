@@ -131,7 +131,7 @@ def _oracle_module_congruences(mod):
 
     return {
         c for blocks in _all_partitions(mod.m)
-        if is_module_congruence(mod, c := Congruence(mod.m, blocks))
+        if is_module_congruence(mod, c := Congruence(blocks))
     }
 
 
