@@ -27,6 +27,16 @@ from .semiring import (
     structure_flags,
 )
 
+# The interpreter's built-in SHA-256, which, unlike hashlib, does not load
+# OpenSSL; None on an interpreter built without it.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        _sha256 = None
+
 
 @dataclass(frozen=True)
 class MemberReport:
@@ -262,8 +272,11 @@ def parse_record(text):
 
 
 def _digest(text):
-    """Content address of a record: the first 16 hex digits of its SHA-256."""
-    import hashlib  # loads OpenSSL; only catalog commands need it
+    """Content address of a record: the first 16 hex digits of its SHA-256,
+    from the built-in module resolved at import, else from hashlib."""
+    if _sha256 is not None:
+        return _sha256(text.encode()).hexdigest()[:16]
+    import hashlib  # loads OpenSSL; only without the built-in SHA-256
 
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 

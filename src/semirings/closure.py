@@ -26,6 +26,7 @@ the same translation tables.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add
 
 from .errors import SizeLimit
 
@@ -310,17 +311,30 @@ def _joint_colors(structures):
     Each round colours x by its colour and the sorted profile of
     ``(colour of a, colour of t[x][a] per table)`` over all a, and the
     refinement stops once a round splits no colour class of any structure.
+    Colours are numbered by first appearance, from 0 to ``count - 1``, so a
+    profile entry is written as one integer with these colours as its
+    digits in base ``count``.  That code is injective, so the profiles, and
+    with them the numbered colours, are those of the entries as tuples.
     """
-    cols = [[(x == zero, *(t[x].count(x) for t in tables), *(t[x][x] == zero for t in tables))
+    ranks = {}
+    cols = [[ranks.setdefault((x == zero, *(t[x].count(x) for t in tables),
+                               *(t[x][x] == zero for t in tables)), len(ranks))
              for x in range(len(tables[0]))]
             for tables, zero in structures]
-    count = len({c for col in cols for c in col})
+    count = len(ranks)
     while True:
-        sigs = [[(col[x], tuple(sorted(zip(col, *(map(col.__getitem__, t[x]) for t in tables)))))
-                 for x in range(len(col))]
-                for (tables, _), col in zip(structures, cols)]
         ranks = {}
-        cols = [[ranks.setdefault(s, len(ranks)) for s in sig] for sig in sigs]
+        new = []
+        for (tables, _), col in zip(structures, cols):
+            digits = [(t, [c * count ** k for c in col]) for k, t in enumerate(tables, 1)]
+            sig = []
+            for x, c in enumerate(col):
+                entries = col
+                for t, scaled in digits:
+                    entries = map(add, entries, map(scaled.__getitem__, t[x]))
+                sig.append((c, tuple(sorted(entries))))
+            new.append([ranks.setdefault(s, len(ranks)) for s in sig])
+        cols = new
         # each signature holds the old colour, so the classes only split
         if len(ranks) == count:
             return cols

@@ -303,6 +303,20 @@ def test_cli_import_loads_neither_openssl_nor_multiprocessing():
     assert out.strip() == "[]"
 
 
+def test_catalog_build_and_query_do_not_load_openssl(tmp_path):
+    """The record digests come from the interpreter's built-in SHA-256."""
+    src = str(Path(semirings.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out_dir = str(tmp_path / "cat")
+    probe = ("import sys; from semirings.cli import main; "
+             f"codes = (main(['catalog', 'build', '--max-size', '3', '--out', {out_dir!r}]), "
+             f"main(['catalog', 'query', '--out', {out_dir!r}])); "
+             "print(codes, '_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "(0, 0) False"
+
+
 def test_catalog_build_query_cycle(tmp_path):
     out_dir = tmp_path / "cat"
     code, _ = run_cli("catalog", "build", "--max-size", "4", "--out", str(out_dir))

@@ -20,7 +20,8 @@ with the one-block stop.  The one isomorphism search and check are
 compared with the lattice search, the semiring search and the semiring
 check they replaced, kept here as references: both searches must agree on
 whether an isomorphism exists, and each mapping found must pass the old
-check.  The Cayley tables and the closedness test of a subsemiring of
+check.  The colour refinement, which codes each profile entry as an
+integer, must colour exactly as the tuple profiles it replaced.  The Cayley tables and the closedness test of a subsemiring of
 End(M), built from maps encoded as strings, are compared with the tuple
 loops they replaced.
 """
@@ -30,7 +31,13 @@ import random
 
 import pytest
 
-from semirings.closure import close, close_congruence, principal_test_pairs, zero_top_pair
+from semirings.closure import (
+    _joint_colors,
+    close,
+    close_congruence,
+    principal_test_pairs,
+    zero_top_pair,
+)
 from semirings.endo import (
     EndoSubsemiring,
     _products,
@@ -832,6 +839,55 @@ def test_semiring_iso_matches_the_reference_search(name, count, pairs, isomorphi
         assert assert_same_semiring_iso(a, relabelled)
         anti += assert_same_semiring_iso(a, a, anti=True)
     assert (len(found), sum(found), anti) == (pairs, isomorphic, self_anti)
+
+
+def tuple_joint_colors(structures):
+    """``closure._joint_colors`` as it was before its profile entries were
+    coded as integers: each entry is the tuple of colours itself."""
+    cols = [[(x == zero, *(t[x].count(x) for t in tables), *(t[x][x] == zero for t in tables))
+             for x in range(len(tables[0]))]
+            for tables, zero in structures]
+    count = len({c for col in cols for c in col})
+    while True:
+        sigs = [[(col[x], tuple(sorted(zip(col, *(map(col.__getitem__, t[x]) for t in tables)))))
+                 for x in range(len(col))]
+                for (tables, _), col in zip(structures, cols)]
+        ranks = {}
+        cols = [[ranks.setdefault(s, len(ranks)) for s in sig] for sig in sigs]
+        if len(ranks) == count:
+            return cols
+        count = len(ranks)
+
+
+def colour_cases(name):
+    """``(tables, zero)`` structures and the duals that ``table_iso``
+    meets them with: opposites of rings, duals of lattices."""
+    if name == "lattices7":
+        lats = [lat for lat in enumerate_lattices(7) if lat.n >= 2]
+        return ([((lat.join,), lat.zero) for lat in lats],
+                [((d.join,), d.zero) for d in map(dual, lats)])
+    rings = catalog5_members() if name == "catalog5" else lemma_rings(name)
+    return ([((r.add, r.mul, r.mul_t), r.zero) for r in rings],
+            [((r.add, r.mul_t, r.mul), r.zero) for r in rings])
+
+
+@pytest.mark.parametrize("name, count, pairs", [
+    ("catalog5", 16, 22 + 16),
+    ("lattices7", 77, 1571 + 77),
+    ("chain3", 20, 64 + 20),
+    ("diamond", 222, 3653 + 222),
+])
+def test_joint_colors_match_the_tuple_profiles(name, count, pairs):
+    """Every equal-order pair and each structure against its dual get the
+    same colour numbers from the integer profiles as from the tuples."""
+    structures, duals = colour_cases(name)
+    assert len(structures) == count
+    cases = [(a, b) for i, a in enumerate(structures) for b in structures[i:]
+             if len(a[0][0]) == len(b[0][0])]
+    cases += list(zip(structures, duals))
+    assert len(cases) == pairs
+    for case in cases:
+        assert _joint_colors(case) == tuple_joint_colors(case)
 
 
 # ---------------------------------------------------------------------------

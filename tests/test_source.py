@@ -1,6 +1,9 @@
 """The package source: no ``assert`` statement, which ``python -O`` strips,
-and no import inside a function but the two that keep OpenSSL and
-multiprocessing out of the commands that do not need them."""
+and no import inside a function but two.  The lazy ``concurrent.futures``
+keeps multiprocessing out of the commands that do not need it.  The lazy
+``hashlib`` serves only the fallback of the catalog digest on an
+interpreter built without its own SHA-256 module; everywhere else no
+command loads OpenSSL."""
 
 import ast
 from pathlib import Path
