@@ -21,9 +21,10 @@ compared with the lattice search, the semiring search and the semiring
 check they replaced, kept here as references: both searches must agree on
 whether an isomorphism exists, and each mapping found must pass the old
 check.  The colour refinement, which codes each profile entry as an
-integer, must colour exactly as the tuple profiles it replaced.  The Cayley tables and the closedness test of a subsemiring of
-End(M), built from maps encoded as strings, are compared with the tuple
-loops they replaced.
+integer, must colour exactly as the tuple profiles it replaced.  The
+Cayley tables and the closedness test of a subsemiring of End(M), built
+from maps encoded as strings, are compared with the tuple loops they
+replaced.
 """
 
 import os
