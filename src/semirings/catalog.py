@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -48,11 +49,20 @@ class MemberReport:
 
 @dataclass(frozen=True)
 class FamilyReport:
+    """The dense family of the lattice with table ``join``, largest member
+    first."""
+
     name: str
-    n: int
     join: tuple
-    end_order: int
     members: tuple
+
+    @property
+    def n(self):
+        return len(self.join)
+
+    @property
+    def end_order(self):
+        return self.members[0].order  # End(M) is dense: the top of the family
 
     @property
     def sr_orders(self):
@@ -67,7 +77,6 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     congruence-simple.
     """
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
-    end_order = families[0].size  # End(M) is dense: the top of the family
     rings = [f.to_semiring() for f in families]
     for r in rings:
         if not is_congruence_simple(r):
@@ -95,13 +104,7 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
         )
         for i, r in enumerate(rings)
     )
-    return FamilyReport(
-        name=lat.name or f"lat{lat.n}",
-        n=lat.n,
-        join=lat.join,
-        end_order=end_order,
-        members=members,
-    )
+    return FamilyReport(name=lat.name or f"lat{lat.n}", join=lat.join, members=members)
 
 
 def worker_count(jobs, tasks):
@@ -194,21 +197,19 @@ def render_report_table(reports):
     return "\n".join(lines)
 
 
+def member_json(m):
+    """The JSON object of a member, in table1 rows and catalog query rows."""
+    return {"order": m.order, "has_one": m.has_one, "self_anti_iso": m.self_anti_iso,
+            "iso_class": m.iso_class}
+
+
 def report_json(report):
     return {
         "name": report.name,
         "n": report.n,
         "join": [list(row) for row in report.join],
         "end_order": report.end_order,
-        "members": [
-            {
-                "order": m.order,
-                "has_one": m.has_one,
-                "self_anti_iso": m.self_anti_iso,
-                "iso_class": m.iso_class,
-            }
-            for m in report.members
-        ],
+        "members": [member_json(m) for m in report.members],
     }
 
 
@@ -217,58 +218,73 @@ def report_json(report):
 
 
 def record_text(report):
+    """The text of a record, one ``key value`` line each, which
+    :func:`parse_record` reads back."""
     lines = [
         f"name {report.name}",
         f"n {report.n}",
-        "join " + " ; ".join(" ".join(str(v) for v in row) for row in report.join),
+        "join " + " ; ".join(" ".join(map(str, row)) for row in report.join),
         f"end_order {report.end_order}",
-        "sr_orders " + " ".join(str(m.order) for m in report.members),
+        "sr_orders " + " ".join(map(str, report.sr_orders)),
+        *(f"member order={m.order} has_one={int(m.has_one)} "
+          f"self_anti_iso={int(m.self_anti_iso)} iso_class={m.iso_class}" for m in report.members),
+        f"version {__version__}",
     ]
-    for m in report.members:
-        lines.append(
-            f"member order={m.order} has_one={int(m.has_one)} "
-            f"self_anti_iso={int(m.self_anti_iso)} iso_class={m.iso_class}"
-        )
-    lines.append(f"version {__version__}")
     return "\n".join(lines) + "\n"
 
 
+# the value of a member line, after "member "
+_MEMBER = re.compile(r"order=(\d+) has_one=([01]) self_anti_iso=([01]) iso_class=(\d+)",
+                     re.ASCII)
+
+
 def parse_record(text):
-    fields = {}
-    members = []
-    for i, line in enumerate(text.splitlines()):
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        key = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if key == "member":
-            try:
-                entry = {k: int(v) for k, v in (item.split("=") for item in rest.split())}
-                members.append(MemberReport(
-                    order=entry["order"],
-                    has_one=bool(entry["has_one"]),
-                    self_anti_iso=bool(entry["self_anti_iso"]),
-                    iso_class=entry["iso_class"],
-                ))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad catalog member entry: {exc}", i + 1)
-        else:
-            fields[key] = rest
+    """The report of a record in the layout :func:`record_text` writes.
+
+    Each line is read by its key, in this order: ``name``, ``n``,
+    ``join``, ``end_order``, ``sr_orders``, one ``member`` line per order
+    in ``sr_orders`` and ``version``, whose value is not read (the
+    catalog's ``version.txt`` is its one version check).  ``n``,
+    ``end_order`` and each member's order must be the size of the join
+    table, the first order and the member's order in ``sr_orders``.  Any
+    other text is a ``ParseError`` naming its line.
+    """
+    lines = text.splitlines()
+    number = 0
+
+    def value(key):
+        nonlocal number
+        if number == len(lines):
+            raise ValueError("unexpected end of record")
+        number += 1
+        found, _, rest = lines[number - 1].partition(" ")
+        if found != key:
+            raise ValueError(f"expected a '{key}' line")
+        return rest
+
     try:
-        join = tuple(
-            tuple(int(v) for v in row.split())
-            for row in fields["join"].split(";")
-        )
-        return FamilyReport(
-            name=fields["name"],
-            n=int(fields["n"]),
-            join=join,
-            end_order=int(fields["end_order"]),
-            members=tuple(members),
-        ), fields.get("version", "")
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad catalog record: {exc}")
+        name, n = value("name"), value("n")
+        join = tuple(tuple(map(int, row.split(" "))) for row in value("join").split(" ; "))
+        if n != str(len(join)):
+            raise ValueError(f"join has {len(join)} rows, but n is {n}")
+        end_order, orders = value("end_order"), value("sr_orders").split(" ")
+        if end_order != orders[0]:
+            raise ValueError(f"sr_orders starts at {orders[0]}, but end_order is {end_order}")
+        members = []
+        for order in orders:
+            fields = _MEMBER.fullmatch(value("member"))
+            if fields is None or fields[1] != order:
+                raise ValueError(f"expected 'member order={order} has_one=0|1 "
+                                 "self_anti_iso=0|1 iso_class=<int>'")
+            members.append(MemberReport(int(order), fields[2] == "1", fields[3] == "1",
+                                        int(fields[4])))
+        value("version")
+        if number < len(lines):
+            number += 1
+            raise ValueError("expected the end of the record")
+    except ValueError as exc:
+        raise ParseError(f"bad catalog record: {exc}", max(1, number))
+    return FamilyReport(name=name, join=join, members=tuple(members))
 
 
 def _digest(text):
@@ -346,27 +362,19 @@ def load_catalog(out_dir):
             raise CatalogMissing(f"catalog entry {digest} of {name} is missing")
         except UnicodeDecodeError:
             raise CatalogCorrupt(mismatch)  # a digest names UTF-8 text
-        report, _ = parse_record(text)
         if _digest(text) != digest:
             raise CatalogCorrupt(mismatch)
-        reports.append(report)
+        reports.append(parse_record(text))
     return reports
 
 
 def query_catalog(out_dir, min_order=None, max_order=None, has_one=None,
                   lattice_size=None):
-    """Rows of (lattice name, n, member) matching the filters."""
-    reports = load_catalog(out_dir)
-    rows = []
-    for r in reports:
-        if lattice_size is not None and r.n != lattice_size:
-            continue
-        for m in r.members:
-            if min_order is not None and m.order < min_order:
-                continue
-            if max_order is not None and m.order > max_order:
-                continue
-            if has_one is not None and m.has_one != has_one:
-                continue
-            rows.append((r.name, r.n, m))
-    return rows
+    """Rows of (lattice name, n, member) matching the filters, ``has_one``
+    given as a bool or as 0 or 1."""
+    return [(r.name, r.n, m) for r in load_catalog(out_dir)
+            if lattice_size is None or r.n == lattice_size
+            for m in r.members
+            if (min_order is None or m.order >= min_order)
+            and (max_order is None or m.order <= max_order)
+            and (has_one is None or m.has_one == has_one)]

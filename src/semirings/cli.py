@@ -16,6 +16,7 @@ from .catalog import (
     build_catalog,
     compare_with_expected,
     fixture_reports,
+    member_json,
     query_catalog,
     render_report_table,
     report_json,
@@ -243,8 +244,11 @@ def cmd_check(args, out):
 
 def cmd_catalog(args, out):
     if args.action == "build":
-        index = build_catalog(args.out, max_size=5 if args.max_size is None else args.max_size,
-                              max_end=args.max_sr_base, jobs=args.jobs)
+        try:
+            index = build_catalog(args.out, max_size=5 if args.max_size is None else args.max_size,
+                                  max_end=args.max_sr_base, jobs=args.jobs)
+        except OSError as exc:
+            raise ParseError(f"cannot write catalog at {args.out}: {exc.strerror or exc}")
         if args.format == "json":
             out.write(json.dumps({
                 "command": "catalog build",
@@ -253,21 +257,12 @@ def cmd_catalog(args, out):
         else:
             out.write(f"wrote {len(index)} entries to {args.out}\n")
         return 0
-    rows = query_catalog(
-        args.out,
-        min_order=args.min_order,
-        max_order=args.max_order,
-        has_one=None if args.has_one is None else bool(args.has_one),
-        lattice_size=args.lattice_size,
-    )
+    rows = query_catalog(args.out, min_order=args.min_order, max_order=args.max_order,
+                         has_one=args.has_one, lattice_size=args.lattice_size)
     if args.format == "json":
         out.write(json.dumps({
             "command": "catalog query",
-            "rows": [
-                {"lattice": name, "n": n, "order": m.order, "has_one": m.has_one,
-                 "self_anti_iso": m.self_anti_iso, "iso_class": m.iso_class}
-                for name, n, m in rows
-            ],
+            "rows": [{"lattice": name, "n": n, **member_json(m)} for name, n, m in rows],
         }, indent=2, sort_keys=True) + "\n")
     else:
         for name, n, m in rows:

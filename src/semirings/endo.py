@@ -305,14 +305,18 @@ def identity_is_elementary_sum(lat):
 def parse_srs(text):
     reader = LineReader(text)
     lattice_name = reader.field("lattice", "name")
-    members = []
+    members = {}  # each member and the line it is listed on
     width = None  # fixed by the first member
     while not reader.at_end():
-        members.append(reader.row(width, "image entry"))
-        width = len(members[0])
+        member = reader.row(width, "image entry")
+        if member in members:
+            raise ParseError(f"member {member} already listed on line {members[member]}",
+                             reader.line)
+        members[member] = reader.line
+        width = len(member)
     if not members:
         raise ParseError("no members listed", len(reader.lines))
-    return lattice_name, members
+    return lattice_name, list(members)
 
 
 def load_srs(lattice_name, members, lat):

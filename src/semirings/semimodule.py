@@ -50,15 +50,14 @@ class Semimodule:
     identity read by ``closure.identity``, and the action ``act[r][x]`` of
     ``ring``; unchecked."""
 
-    __slots__ = ("ring", "m", "madd", "act", "mzero", "name", "_act_t")
+    __slots__ = ("ring", "m", "madd", "act", "mzero", "_act_t")
 
-    def __init__(self, ring, madd, act, name=None):
+    def __init__(self, ring, madd, act):
         self.ring = ring
         self.m = len(madd)
         self.madd = madd
         self.act = act
         self.mzero = identity(madd)
-        self.name = name
         self._act_t = None
 
     @property
@@ -72,7 +71,7 @@ class Semimodule:
         return f"Semimodule(m={self.m}, ring_n={self.ring.n})"
 
 
-def validate_semimodule(ring, madd, act, name=None):
+def validate_semimodule(ring, madd, act):
     """The Semimodule of an addition and an action table from outside the
     package, over the validated semiring ``ring``.
 
@@ -105,13 +104,12 @@ def validate_semimodule(ring, madd, act, name=None):
     check_axiom(ModuleAxiomFail, "r(x+y) != rx+ry", (
         ((r, x), tuple(map(row.__getitem__, madd[x])), tuple(map(madd[row[x]].__getitem__, row)))
         for r, row in enumerate(act) for x in range(m)))
-    return Semimodule(ring, madd, act, name)
+    return Semimodule(ring, madd, act)
 
 
 def regular_module(ring):
     """The semiring acting on itself by left multiplication."""
-    return Semimodule(ring, ring.add, ring.mul,
-                      name=None if ring.name is None else f"{ring.name}_reg")
+    return Semimodule(ring, ring.add, ring.mul)
 
 
 def natural_module(sub):
@@ -361,7 +359,9 @@ def descend_to_irreducible(r, check=True):
         if not is_congruence_simple(r):
             raise PreconditionFailed("semiring is not congruence-simple")
     m0 = regular_module(r)
-    chain = [m0, _acting(quotient_module(m0, maximal_nontotal_congruence(m0)))]
+    theta = maximal_nontotal_congruence(m0)
+    # close_congruence closed theta under the module's translations: a congruence
+    chain = [m0, _acting(_relabelled(m0, theta.reps, theta.blocks))]
     sub = minimal_nonzero_submodule(chain[1])
     if len(sub) < chain[1].m:
         chain.append(_acting(submodule(chain[1], sub)))

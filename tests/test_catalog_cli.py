@@ -404,15 +404,79 @@ def test_catalog_missing_and_stale(tmp_path):
         load_catalog(out_dir)
 
 
+def redigest(out_dir, entry, text):
+    """Replace ``entry`` by ``text`` under the name of its digest and point
+    the index at it, so that the edited entry matches its digest."""
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    entry.unlink()
+    (entry.parent / f"{digest}.txt").write_text(text)
+    index = out_dir / "index.txt"
+    index.write_text(index.read_text().replace(f" {entry.stem}\n", f" {digest}\n"))
+
+
 def test_catalog_query_malformed_member_line_exits_two(tmp_path):
     out_dir = tmp_path / "cat"
     build_catalog(out_dir, max_size=3)
     entry = next((out_dir / "entries").iterdir())
-    entry.write_text(entry.read_text() + "member order=x\n")
+    lines = entry.read_text().splitlines(keepends=True)
+    lines[5] = "member order=x\n"  # the first member line
+    redigest(out_dir, entry, "".join(lines))
     with pytest.raises(ParseError):
         load_catalog(out_dir)
     code, text = run_cli("catalog", "query", "--out", str(out_dir))
-    assert code == 2 and text.startswith("parse error:")
+    assert code == 2 and text.startswith("parse error: line 6: bad catalog record: ")
+
+
+@pytest.mark.parametrize("old, new, parses", [
+    ("has_one=1", "has_one=0", True),
+    ("\nn 3\n", "\nn x3\n", False),
+    ("member order=", "member ord=", False),
+], ids=["still-parses", "bad-n", "bad-member-key"])
+def test_catalog_query_edited_entry_exits_one(tmp_path, old, new, parses):
+    """The digest is checked before the record is parsed, so an edited
+    entry is corrupt whether or not it still parses."""
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next(p for p in (out_dir / "entries").iterdir() if "name lat3_1" in p.read_text())
+    text = entry.read_text().replace(old, new, 1)
+    entry.write_text(text)
+    if parses:
+        parse_record(text)
+    else:
+        with pytest.raises(ParseError):
+            parse_record(text)
+    with pytest.raises(CatalogCorrupt):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 1 and text.startswith("error: CatalogCorrupt: ")
+
+
+CHAIN3_RECORD = ("name chain3\nn 3\njoin 0 1 2 ; 1 1 2 ; 2 2 2\nend_order 6\nsr_orders 6\n"
+                 "member order=6 has_one=1 self_anti_iso=1 iso_class=0\nversion 0.1.0\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "unexpected end of record"),
+    ("n 3\n" + CHAIN3_RECORD, 1, "expected a 'name' line"),
+    (CHAIN3_RECORD.replace("n 3", "n x3"), 3, "join has 3 rows, but n is x3"),
+    (CHAIN3_RECORD.replace("; 1 1 2", "; 1 x 2"), 3,
+     "invalid literal for int() with base 10: 'x'"),
+    (CHAIN3_RECORD.replace("end_order 6", "end_order 7"), 5,
+     "sr_orders starts at 6, but end_order is 7"),
+    (CHAIN3_RECORD.replace("sr_orders 6", "sr_orders 6 2"), 7, "expected a 'member' line"),
+    (CHAIN3_RECORD.replace("has_one=1", "has_one=2"), 6,
+     "expected 'member order=6 has_one=0|1 self_anti_iso=0|1 iso_class=<int>'"),
+    (CHAIN3_RECORD.replace("version 0.1.0\n", ""), 6, "unexpected end of record"),
+    (CHAIN3_RECORD + "member order=2 has_one=0 self_anti_iso=0 iso_class=1\n", 8,
+     "expected the end of the record"),
+], ids=["empty", "key-order", "n", "join", "end-order", "member-count", "member-flag",
+        "no-version", "trailing-line"])
+def test_parse_record_reads_only_the_written_layout(text, line, message):
+    assert record_text(parse_record(CHAIN3_RECORD)).replace(__version__, "0.1.0") == \
+        CHAIN3_RECORD
+    with pytest.raises(ParseError) as info:
+        parse_record(text)
+    assert str(info.value) == f"line {line}: bad catalog record: {message}"
 
 
 def test_catalog_query_garbage_index_line_exits_two(tmp_path):
@@ -424,6 +488,14 @@ def test_catalog_query_garbage_index_line_exits_two(tmp_path):
         load_catalog(out_dir)
     code, text = run_cli("catalog", "query", "--out", str(out_dir))
     assert code == 2 and "line 3" in text
+
+
+def test_catalog_build_onto_a_file_exits_two(tmp_path):
+    out_file = tmp_path / "taken"
+    out_file.write_text("not a directory\n")
+    code, text = run_cli("catalog", "build", "--max-size", "2", "--out", str(out_file))
+    assert (code, text) == (2, f"parse error: cannot write catalog at {out_file}: Not a directory\n")
+    assert out_file.read_text() == "not a directory\n"
 
 
 def test_catalog_query_missing_entry_file(tmp_path):
@@ -442,7 +514,7 @@ def test_catalog_query_flipped_entry_byte_exits_one(tmp_path):
     entry = next((out_dir / "entries").iterdir())
     data = bytearray(entry.read_bytes())
     at = data.index(b"end_order ") + len(b"end_order ")
-    data[at] ^= 1  # one digit of End(M)'s order: the record still parses
+    data[at] ^= 1  # one digit of End(M)'s order
     entry.write_bytes(bytes(data))
     with pytest.raises(CatalogCorrupt):
         load_catalog(out_dir)
@@ -486,8 +558,7 @@ def test_catalog_index_is_pinned(tmp_path):
 def test_catalog_record_round_trip():
     report = family_report(load_fixture("n5"))
     text = record_text(report)
-    back, version = parse_record(text)
-    assert version == __version__
+    back = parse_record(text)
     assert back == report and record_text(back) == text
 
 
@@ -619,8 +690,8 @@ def test_compare_reports_mismatches():
     # partial report lists only flag the missing fixtures, wrong values diff
     diffs = compare_with_expected(reports)
     assert all("no report computed" in d for d in diffs)
-    broken = [replace(r, end_order=99) if r.name == "chain3" else r
-              for r in reports]
+    broken = [replace(r, members=(replace(r.members[0], order=99),)) if r.name == "chain3"
+              else r for r in reports]
     diffs = compare_with_expected(broken)
     assert any("chain3" in d and "99" in d for d in diffs)
 

@@ -127,6 +127,8 @@ CASES = [
      "line 3: expected 3 entries, got 2"),
     ("srs-non-integer", _srs, "lattice chain3\n\n0 a 0\n", ParseError,
      "line 3: non-integer image entry"),
+    ("srs-repeated-member", _srs, "lattice chain3\n0 0 0\n0 1 2\n\n0 0 0\n", ParseError,
+     "line 5: member (0, 0, 0) already listed on line 2"),
     ("srs-no-members", _srs, "lattice chain3\n", ParseError, "line 1: no members listed"),
     ("srs-no-members-blank", _srs, "lattice chain3\n\n\n", ParseError,
      "line 3: no members listed"),

@@ -130,7 +130,7 @@ def reference_validate_semiring(add, mul, zero, name=None):
     return n, add, mul, zero, name
 
 
-def reference_validate_semimodule(ring, madd, act, name=None):
+def reference_validate_semimodule(ring, madd, act):
     madd = tuple(tuple(row) for row in madd)
     act = tuple(tuple(row) for row in act)
     m = len(madd)
@@ -171,7 +171,7 @@ def reference_validate_semimodule(ring, madd, act, name=None):
             for y in range(m):
                 if act[r][madd[x][y]] != madd[act[r][x]][act[r][y]]:
                     raise ModuleAxiomFail("r(x+y) != rx+ry", (r, x, y))
-    return m, madd, act, mzero, name
+    return m, madd, act, mzero
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def _semiring_facts(r):
 
 
 def _module_facts(mod):
-    return mod.m, mod.madd, mod.act, mod.mzero, mod.name
+    return mod.m, mod.madd, mod.act, mod.mzero
 
 
 def test_lattice_mutations_match_the_reference():
@@ -435,8 +435,7 @@ def _assert_valid_semiring(r):
 
 
 def _assert_valid_module(mod):
-    assert _module_facts(validate_semimodule(mod.ring, mod.madd, mod.act, name=mod.name)) == \
-        _module_facts(mod)
+    assert _module_facts(validate_semimodule(mod.ring, mod.madd, mod.act)) == _module_facts(mod)
 
 
 def test_enumerated_lattices_duals_and_hom_lattices_are_valid():
