@@ -16,17 +16,11 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .endo import SR_BASE_LIMIT, end_semiring, enumerate_sr
+from .endo import SR_BASE_LIMIT, conjugate, enumerate_sr, identity_map, transpose
 from .errors import CatalogCorrupt, CatalogMissing, Mismatch, ParseError, StaleVersion, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .lattice import FiniteLattice, enumerate_lattices
-from .semiring import (
-    check_iso,
-    is_congruence_simple,
-    semiring_anti_iso,
-    semiring_iso,
-    structure_flags,
-)
+from .lattice import FiniteLattice, dual, enumerate_lattices, lattice_iso
+from .semiring import is_congruence_simple
 
 # The interpreter's built-in SHA-256, which, unlike hashlib, does not load
 # OpenSSL; None on an interpreter built without it.
@@ -77,34 +71,54 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     congruence-simple.
     """
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
-    rings = [f.to_semiring() for f in families]
-    for r in rings:
-        if not is_congruence_simple(r):
-            raise Mismatch(f"family member of order {r.n} is not congruence-simple")
-    iso_class = [None] * len(rings)
-    next_class = 0
-    for i, r in enumerate(rings):
-        if iso_class[i] is not None:
-            continue
-        iso_class[i] = next_class
-        for j in range(i + 1, len(rings)):
-            if iso_class[j] is None and rings[j].n == r.n:
-                mapping = semiring_iso(r, rings[j])
-                if mapping is not None:
-                    if not check_iso(r, rings[j], mapping):
-                        raise Mismatch(f"isomorphism found for order {r.n} fails its check")
-                    iso_class[j] = next_class
-        next_class += 1
-    members = tuple(
-        MemberReport(
-            order=r.n,
-            has_one=structure_flags(r).has_one,
-            self_anti_iso=semiring_anti_iso(r, r) is not None,
-            iso_class=iso_class[i],
-        )
-        for i, r in enumerate(rings)
-    )
-    return FamilyReport(name=lat.name or f"lat{lat.n}", join=lat.join, members=members)
+    for f in families:
+        if not is_congruence_simple(f.to_semiring()):
+            raise Mismatch(f"family member of order {f.size} is not congruence-simple")
+    return FamilyReport(name=lat.name or f"lat{lat.n}", join=lat.join,
+                        members=member_reports(lat, families))
+
+
+def member_reports(lat, families):
+    """The reports of the dense subsemirings ``families`` of End(M), M the
+    lattice ``lat``, End(M) first, read off M by these lemmas alone.
+
+    - Isomorphy.  Every isomorphism φ from a dense R to a dense S is a
+      conjugation r -> ψ∘r∘ψ⁻¹ by an isomorphism ψ of their lattices.  φ
+      fixes the additively absorbing z = e_{0,top}, so it carries the left
+      ideal R·z = {e_{0,m}}, a copy of M (the lemma of
+      ``semimodule.iso_to_dense_subsemiring``), onto S·z; ψ is read off
+      φ(e_{0,m}) = e_{0,ψ(m)}, and φ(r)∘e_{0,ψ(m)} = φ(r∘e_{0,m}) =
+      e_{0,ψ(r(m))} gives φ(r) = ψ∘r∘ψ⁻¹.  So two members are isomorphic
+      iff one orbit of Aut(M), acting by conjugation, holds both: the
+      orbit is the class key, and classes are numbered by first member.
+    - Aut(M) consists of the bijective members of End(M): if f is a
+      bijective join homomorphism and f(x) <= f(y), then f(x ∨ y) = f(y),
+      so x ∨ y = y.
+    - Anti-isomorphy.  ``endo.transpose`` is an anti-isomorphism
+      End(M) -> End(M^d) with e_{a,b}^T = e^d_{b,a}, so S^op is isomorphic
+      to S^T, a dense subsemiring of End(M^d).  By the isomorphy lemma,
+      S ≅ S^T needs an isomorphism τ: M^d -> M, and then holds iff
+      τ∘S^T∘τ⁻¹ lies in the orbit of S; any τ serves, the others being
+      α∘τ with α in Aut(M).
+    - A one e of S satisfies e∘e_{0,b} = e_{0,b}, which at the top reads
+      e(b) = b, so S has a one iff the identity is a member (on one
+      element the identity is the zero map, the one of the zero ring).
+    """
+    end = families[0].members  # End(M) is dense: the top of the family
+    autos = [f for f in end if len(set(f)) == lat.n]
+    flip = lattice_iso(dual(lat), lat)
+    transposed = {f: transpose(lat, f) for f in end}
+    ident = identity_map(lat)
+    classes = {}
+    reports = []
+    for s in families:
+        orbit = frozenset(conjugate(a, s.members) for a in autos)
+        self_anti = flip is not None and conjugate(
+            flip.mapping, map(transposed.__getitem__, s.members)) in orbit
+        reports.append(MemberReport(order=s.size, has_one=ident in s.members,
+                                    self_anti_iso=self_anti,
+                                    iso_class=classes.setdefault(orbit, len(classes))))
+    return tuple(reports)
 
 
 def worker_count(jobs, tasks):
@@ -163,11 +177,11 @@ def compare_with_expected(reports):
         r2 = byname.get(partner)
         if r1 is None or r2 is None:
             continue
-        # each report's table is that of a lattice it was computed from
-        s1, _ = end_semiring(FiniteLattice(r1.join, name=name))
-        s2, _ = end_semiring(FiniteLattice(r2.join, name=partner))
-        mapping = semiring_anti_iso(s1, s2)
-        if mapping is None or not check_iso(s1, s2, mapping, anti=True):
+        # End(L1) is anti-isomorphic to End(L2) iff End(L1) ≅ End(L2^d), by
+        # the transpose, iff L1 ≅ L2^d, by the isomorphy lemma of
+        # member_reports; each report's table is that of its lattice
+        lat1 = FiniteLattice(r1.join, name=name)
+        if lattice_iso(lat1, dual(FiniteLattice(r2.join, name=partner))) is None:
             diffs.append(f"{name}: no anti-isomorphism onto End({partner})")
     return diffs
 
@@ -364,7 +378,10 @@ def load_catalog(out_dir):
             raise CatalogCorrupt(mismatch)  # a digest names UTF-8 text
         if _digest(text) != digest:
             raise CatalogCorrupt(mismatch)
-        reports.append(parse_record(text))
+        try:
+            reports.append(parse_record(text))
+        except ParseError as exc:
+            raise ParseError(f"catalog entry {digest} of {name}: {exc}") from None
     return reports
 
 

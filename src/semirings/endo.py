@@ -284,6 +284,13 @@ def transpose(lat, f):
     return tuple(out)
 
 
+def conjugate(s, maps):
+    """The frozenset of the maps s∘f∘s⁻¹ for f in ``maps``, for a bijection
+    ``s`` given by its image tuple."""
+    inverse = sorted(range(len(s)), key=s.__getitem__)
+    return frozenset(tuple([s[f[x]] for x in inverse]) for f in maps)
+
+
 def identity_is_elementary_sum(lat):
     """Whether the identity is the pointwise join of all elementary maps
     lying below it.  Holds exactly when the dense subsemiring is unique."""
