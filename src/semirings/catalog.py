@@ -64,7 +64,8 @@ class FamilyReport:
 
 
 def family_report(lat, max_end=SR_BASE_LIMIT):
-    """Compute the dense-subsemiring family of a lattice with all flags.
+    """Compute the dense-subsemiring family of a lattice with all flags,
+    read off the lattice by :func:`member_reports`.
 
     Members are ordered by descending size; equal-size members keep the
     deterministic enumeration order.  ``Mismatch`` if a member is not
