@@ -302,22 +302,24 @@ def parse_record(text):
     return FamilyReport(name=name, join=join, members=tuple(members))
 
 
-def _digest(text):
-    """Content address of a record: the first 16 hex digits of its SHA-256,
-    from the built-in module resolved at import, else from hashlib."""
+def _digest(data):
+    """Content address of a record: the first 16 hex digits of the SHA-256
+    of its UTF-8 bytes ``data``, from the built-in module resolved at
+    import, else from hashlib."""
     if _sha256 is not None:
-        return _sha256(text.encode()).hexdigest()[:16]
+        return _sha256(data).hexdigest()[:16]
     import hashlib  # loads OpenSSL; only without the built-in SHA-256
 
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _write_atomic(path, text):
-    """Write ``text`` to ``path`` through a temporary file and a rename, so
-    a reader sees the old file or the new one, never a partial write."""
+    """Write the UTF-8 bytes of ``text`` to ``path`` through a temporary
+    file and a rename, so a reader sees the old file or the new one, never
+    a partial write."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(text.encode())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -343,7 +345,7 @@ def build_catalog(out_dir, max_size=5, max_end=SR_BASE_LIMIT, jobs=1):
     index = []
     for report in reports:
         text = record_text(report)
-        digest = _digest(text)
+        digest = _digest(text.encode())
         _write_atomic(entries_dir / f"{digest}.txt", text)
         index.append((report.name, digest))
     _write_atomic(out / "index.txt",
@@ -370,18 +372,18 @@ def load_catalog(out_dir):
         if len(parts) != 2 or not all(c in "0123456789abcdef" for c in parts[1]):
             raise ParseError(f"bad catalog index entry {line!r}", i + 1)
         name, digest = parts
-        mismatch = f"catalog entry {digest} of {name} does not match its digest"
+        path = out / "entries" / f"{digest}.txt"
         try:
-            text = (out / "entries" / f"{digest}.txt").read_text(encoding="utf-8")
+            data = path.read_bytes()
         except FileNotFoundError:
             raise CatalogMissing(f"catalog entry {digest} of {name} is missing")
-        except UnicodeDecodeError:
-            raise CatalogCorrupt(mismatch)  # a digest names UTF-8 text
-        if _digest(text) != digest:
-            raise CatalogCorrupt(mismatch)
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+        if _digest(data) != digest:
+            raise CatalogCorrupt(f"catalog entry {digest} of {name} does not match its digest")
         try:
-            reports.append(parse_record(text))
-        except ParseError as exc:
+            reports.append(parse_record(data.decode()))
+        except (ParseError, UnicodeDecodeError) as exc:
             raise ParseError(f"catalog entry {digest} of {name}: {exc}") from None
     return reports
 

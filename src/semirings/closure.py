@@ -10,7 +10,8 @@ of two elements are, for a table structure by :func:`table_products`.
 Semiring congruences, module congruences and plain equivalences
 generated by pairs are all least partitions compatible with some
 translation tables; each is closed by :func:`close_congruence`, and the
-callers only say which tables, as they do to :func:`compatible`.
+callers only say which tables.  A given partition is compatible exactly
+when closing the pairs that generate it gives it back.
 Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
@@ -119,31 +120,29 @@ def closed_sets(base, universe, products, images=None, *, noun):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def close_congruence(parent, pairs, tables, total_pair=None):
-    """Merge ``pairs`` into the union-find forest ``parent``, in place, until
-    the partition is compatible with every table in ``tables``; return the
-    number of blocks left, or 1 as soon as the result is known to be total.
+def close_congruence(n, pairs, tables, total_pair=None):
+    """Least partition of range(n) containing ``pairs`` and compatible with
+    every table in ``tables``, as one block label per element; None as
+    soon as a merge makes it total.
 
     A table ``t`` lists the translations of each element: ``t[u][a]`` is
     the image of u under the a-th translation.  For a semiring the tables
     are ``add`` (u + a), ``mul`` (u * a) and ``mul_t`` (a * u); for a
-    module, its addition and the columns of its action (r u).  ``parent``
-    must describe a partition already compatible with ``tables``, as the
-    identity ``list(range(n))`` always is; with ``tables=()`` every
-    partition is.  The result is then the least compatible partition
-    containing the start partition and ``pairs``, by two lemmas:
+    module, its addition and the columns of its action (r u); with
+    ``tables=()`` the result is the equivalence generated by ``pairs``.
+    The closure is a union-find forest, started from the identity
+    partition and private to this function, by three lemmas:
 
     - Pushing only the translations of merged roots gives the least
       congruence.  Each merge joins two roots u and v and pushes
       ``zip(t[u], t[v])`` for every table, and each pushed pair is popped
       and merged before the stack runs empty.  Every block is connected by
-      such merge edges and by edges inside start blocks, and the
-      translations of both kinds of edge end in one block; so, by
-      transitivity along a path, do the translations of any two elements
-      of a block: the partition is compatible.  It is also least: by
-      induction every pair on the stack lies in any compatible partition
-      that contains the start and ``pairs``, so the roots it joins do too,
-      and so do their translations.
+      such merge edges, and the translations of a merge edge end in one
+      block; so, by transitivity along a path, do the translations of any
+      two elements of a block: the partition is compatible.  It is also
+      least: by induction every pair on the stack lies in any compatible
+      partition that contains ``pairs``, so the roots it joins do too, and
+      so do their translations.
     - Stopping as soon as the partition is total is exact.  The partition
       only grows and stays inside the least compatible one, so once it
       relates two elements that only the total partition relates, that
@@ -152,20 +151,18 @@ def close_congruence(parent, pairs, tables, total_pair=None):
       ``total_pair`` names two elements that no compatible partition but
       the total one relates, such as :func:`zero_top_pair` when ``add``
       is one of the tables; the closure then stops as soon as their two
-      roots coincide and returns 1, and ``parent`` is left below the
-      total partition.
+      roots coincide, before the forest has one block.
+    - Compatibility of a given partition P is decided by closing.  Let
+      ``pairs`` relate each element to the first element of its block in
+      P (``Congruence.pairs``), so that the equivalence they generate is
+      P.  Their closure is then the least compatible partition containing
+      P; it equals P exactly when P is compatible, since a compatible P is
+      its own least compatible superset and the closure is compatible.
     """
-    blocks = sum(1 for x, p in enumerate(parent) if x == p)
+    parent = list(range(n))
+    blocks = n
     # roots of the two ends of total_pair; -1 and -2 are never roots
-    z, w = -1, -2
-    if total_pair is not None:
-        z, w = total_pair
-        while parent[z] != z:
-            z = parent[z]
-        while parent[w] != w:
-            w = parent[w]
-        if z == w:
-            return 1
+    z, w = (-1, -2) if total_pair is None else total_pair
     stack = list(pairs)
     while stack:
         u, v = stack.pop()
@@ -184,31 +181,15 @@ def close_congruence(parent, pairs, tables, total_pair=None):
         elif v == w:
             w = u
         if z == w or blocks == 1:
-            return 1
+            return None
         for t in tables:
             stack.extend(zip(t[u], t[v]))
-    return blocks
-
-
-def compatible(blocks, reps, tables):
-    """Whether the partition ``blocks`` (a block id per element) is
-    compatible with the translation ``tables`` of :func:`close_congruence`;
-    ``reps`` holds an element of each block, indexed by block id (as
-    ``Congruence.reps`` does).
-
-    Each element x is compared with the representative f of its block only,
-    by transitivity: if ``t[x][a]`` and ``t[f][a]`` share a block for every
-    such x, then so do ``t[x][a]`` and ``t[y][a]`` for x, y in one block.
-    """
-    for x, b in enumerate(blocks):
-        f = reps[b]
-        if f == x:
-            continue
-        for t in tables:
-            for u, v in zip(t[x], t[f]):
-                if blocks[u] != blocks[v]:
-                    return False
-    return True
+    labels = []
+    for x in range(n):
+        while parent[x] != x:
+            x = parent[x]
+        labels.append(x)
+    return labels
 
 
 def only_total_principals(add, zero, tables):
@@ -217,7 +198,7 @@ def only_total_principals(add, zero, tables):
     of each pair of :func:`principal_test_pairs` is total, each stopped at
     the pair of :func:`zero_top_pair`."""
     stop = zero_top_pair(add, zero)
-    return all(close_congruence(list(range(len(add))), [pair], tables, stop) == 1
+    return all(close_congruence(len(add), [pair], tables, stop) is None
                for pair in principal_test_pairs(add))
 
 

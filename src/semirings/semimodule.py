@@ -17,7 +17,6 @@ from .closure import (
     close,
     close_congruence,
     closed_sets,
-    compatible,
     idempotent,
     identity,
     only_total_principals,
@@ -207,8 +206,10 @@ def module_principal(mod, x, y):
 
 def is_module_congruence(mod, cong):
     """Whether ``cong`` is compatible with the module addition and the
-    action; the translations by + are the rows of ``madd``, as + commutes."""
-    return cong.n == mod.m and compatible(cong.blocks, cong.reps, _translations(mod))
+    action; the translations by + are the rows of ``madd``, as + commutes.
+    By the last lemma of ``closure.close_congruence``, it is exactly when
+    the closure of ``cong.pairs`` is ``cong``."""
+    return cong.n == mod.m and Congruence.generated(mod.m, cong.pairs, _translations(mod)) == cong
 
 
 def module_congruences(mod):
@@ -224,20 +225,13 @@ def module_congruences(mod):
     while work:
         c = work.pop()
         for p in principals:
-            joined = Congruence.generated(m, _pairs_of(c) + _pairs_of(p),
-                                          _translations(mod))
+            joined = Congruence.generated(m, c.pairs + p.pairs, _translations(mod))
             if joined not in found:
                 if len(found) >= SET_LIMIT:
                     raise SizeLimit(f"more than {SET_LIMIT} module congruences")
                 found.add(joined)
                 work.append(joined)
     return sorted(found, key=lambda c: (c.num_blocks, c.blocks), reverse=True)
-
-
-def _pairs_of(cong):
-    """Pairs (first element of its block, x) whose closure is ``cong``."""
-    reps = cong.reps
-    return [(reps[b], x) for x, b in enumerate(cong.blocks) if reps[b] != x]
 
 
 def maximal_nontotal_congruence(mod):
@@ -260,10 +254,10 @@ def maximal_nontotal_congruence(mod):
         for y in range(x + 1, m):
             if blocks.same(x, y):
                 continue
-            parent = list(range(m))
-            if close_congruence(parent, current + [(x, y)], tables, stop) > 1:
+            labels = close_congruence(m, current + [(x, y)], tables, stop)
+            if labels is not None:
                 current.append((x, y))
-                blocks = Congruence.from_parents(parent)
+                blocks = Congruence(labels)
     return blocks
 
 

@@ -8,11 +8,11 @@ checking it is total.  That closure is the union-find of
 ``mul_t``, stopped as soon as the congruence is total: with idempotent
 addition, as soon as it relates the zero and the top of the additive
 order (``closure.zero_top_pair``), since x = x + 0 θ x + top = top.
-A given partition is checked against the same tables by
-``closure.compatible``, and isomorphisms are found and checked on them by
-the one isomorphism search and the one isomorphism check of the package,
-``closure.table_iso`` and ``closure.is_table_iso``; an anti-isomorphism
-is an isomorphism onto the opposite semiring.
+A given partition is compatible exactly when closing the pairs that
+generate it gives it back.  Isomorphisms are found and checked on the
+same tables by the one isomorphism search and the one isomorphism check
+of the package, ``closure.table_iso`` and ``closure.is_table_iso``; an
+anti-isomorphism is an isomorphism onto the opposite semiring.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .closure import (
     close,
     close_congruence,
     closed_sets,
-    compatible,
     idempotent,
     identity,
     is_table_iso,
@@ -102,23 +101,11 @@ class Congruence:
         object.__setattr__(self, "blocks", tuple([ids.setdefault(b, len(ids)) for b in labels]))
 
     @classmethod
-    def from_parents(cls, parents):
-        """The partition of a union-find forest, labelled by roots."""
-
-        def root(x):
-            while parents[x] != x:
-                x = parents[x]
-            return x
-
-        return cls(map(root, range(len(parents))))
-
-    @classmethod
     def generated(cls, n, pairs, tables):
         """Least partition of range(n) containing ``pairs`` and compatible
         with ``tables``, closed by ``closure.close_congruence``."""
-        parent = list(range(n))
-        close_congruence(parent, pairs, tables)
-        return cls.from_parents(parent)
+        labels = close_congruence(n, pairs, tables)
+        return cls([0] * n if labels is None else labels)
 
     @property
     def n(self):
@@ -131,6 +118,13 @@ class Congruence:
         for x in reversed(range(self.n)):
             reps[self.blocks[x]] = x
         return reps
+
+    @property
+    def pairs(self):
+        """Pairs (first element of its block, x) that generate the
+        partition as an equivalence."""
+        reps = self.reps
+        return [(reps[b], x) for x, b in enumerate(self.blocks) if reps[b] != x]
 
     @property
     def num_blocks(self):
@@ -217,8 +211,10 @@ def is_congruence_simple(r):
 
 def is_semiring_congruence(r, cong):
     """Whether ``cong`` is compatible with + and with both products; the
-    left translations by + are the rows of ``add``, as + commutes."""
-    return cong.n == r.n and compatible(cong.blocks, cong.reps, _translations(r))
+    left translations by + are the rows of ``add``, as + commutes.  By the
+    last lemma of ``closure.close_congruence``, it is exactly when the
+    closure of ``cong.pairs`` is ``cong``."""
+    return cong.n == r.n and Congruence.generated(r.n, cong.pairs, _translations(r)) == cong
 
 
 def quotient_semiring(r, cong):

@@ -372,9 +372,9 @@ def test_catalog_writes_go_through_a_rename(tmp_path, monkeypatch):
     build_catalog(out_dir, max_size=3)
     before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
     written = []
-    real_write, real_replace = Path.write_text, os.replace
+    real_write, real_replace = Path.write_bytes, os.replace
 
-    def write_text(path, *args, **kwargs):
+    def write_bytes(path, *args, **kwargs):
         written.append(path)
         return real_write(path, *args, **kwargs)
 
@@ -383,7 +383,7 @@ def test_catalog_writes_go_through_a_rename(tmp_path, monkeypatch):
             raise OSError("disk full")
         return real_replace(src, dst)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(OSError, match="disk full"):
         build_catalog(out_dir, max_size=4)
@@ -404,14 +404,16 @@ def test_catalog_missing_and_stale(tmp_path):
         load_catalog(out_dir)
 
 
-def redigest(out_dir, entry, text):
-    """Replace ``entry`` by ``text`` under the name of its digest and point
-    the index at it, so that the edited entry matches its digest."""
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+def redigest(out_dir, entry, data):
+    """Replace ``entry`` by the bytes ``data`` under the name of their
+    digest and point the index at it, so that the edited entry matches its
+    digest; return the digest."""
+    digest = hashlib.sha256(data).hexdigest()[:16]
     entry.unlink()
-    (entry.parent / f"{digest}.txt").write_text(text)
+    (entry.parent / f"{digest}.txt").write_bytes(data)
     index = out_dir / "index.txt"
     index.write_text(index.read_text().replace(f" {entry.stem}\n", f" {digest}\n"))
+    return digest
 
 
 def test_catalog_query_malformed_member_line_exits_two(tmp_path):
@@ -420,12 +422,10 @@ def test_catalog_query_malformed_member_line_exits_two(tmp_path):
     entry = next((out_dir / "entries").iterdir())
     lines = entry.read_text().splitlines(keepends=True)
     lines[5] = "member order=x\n"  # the first member line
-    text = "".join(lines)
-    redigest(out_dir, entry, text)
+    digest = redigest(out_dir, entry, "".join(lines).encode())
     with pytest.raises(ParseError):
         load_catalog(out_dir)
     code, out = run_cli("catalog", "query", "--out", str(out_dir))
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     name = lines[0].split()[1]
     assert code == 2 and out.startswith(
         f"parse error: catalog entry {digest} of {name}: line 6: bad catalog record: ")
@@ -535,6 +535,35 @@ def test_catalog_query_non_utf8_entry_exits_one(tmp_path):
         load_catalog(out_dir)
     code, text = run_cli("catalog", "query", "--out", str(out_dir))
     assert code == 1 and "CatalogCorrupt" in text
+
+
+def test_catalog_query_non_utf8_entry_under_its_own_digest_exits_two(tmp_path):
+    """An entry whose bytes match their digest but are not UTF-8 text is
+    a parse error, read as bytes and decoded only after the digest."""
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next((out_dir / "entries").iterdir())
+    name = entry.read_text().split()[1]
+    digest = redigest(out_dir, entry, b"\xff" + entry.read_bytes())
+    with pytest.raises(ParseError):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert code == 2 and text.startswith(
+        f"parse error: catalog entry {digest} of {name}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_catalog_query_directory_entry_exits_two(tmp_path):
+    """An entry that exists but cannot be read is a parse error, as an
+    unreadable index or version file is, not a traceback."""
+    out_dir = tmp_path / "cat"
+    build_catalog(out_dir, max_size=3)
+    entry = next((out_dir / "entries").iterdir())
+    entry.unlink()
+    entry.mkdir()
+    with pytest.raises(ParseError):
+        load_catalog(out_dir)
+    code, text = run_cli("catalog", "query", "--out", str(out_dir))
+    assert (code, text) == (2, f"parse error: cannot read {entry}: Is a directory\n")
 
 
 @pytest.mark.parametrize("name", ["index.txt", "version.txt"])

@@ -4,6 +4,8 @@ from-scratch references.
 The reference below re-closes every set from scratch, pairing each popped
 element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
+The dense-family walk over maps is also compared with the same walk over
+the Cayley table of End(M), which could replace it.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced, and its fold over maps encoded as ``bytes``
@@ -32,11 +34,14 @@ import random
 
 import pytest
 
+from semirings import closure
 from semirings.closure import (
     _joint_colors,
     close,
     close_congruence,
+    closed_sets,
     principal_test_pairs,
+    table_products,
     zero_top_pair,
 )
 from semirings.endo import (
@@ -65,7 +70,6 @@ from semirings.lattice import (
 )
 from semirings.semimodule import (
     _only_trivial_congruences,
-    _pairs_of,
     is_module_congruence,
     maximal_nontotal_congruence,
     module_congruences,
@@ -145,6 +149,45 @@ def test_enumerate_sr_matches_reference():
         want = reference_walk(reference_dense_closure(lat), endomorphisms(lat),
                               lambda s: reference_close(s, ops))
         assert [f.members for f in enumerate_sr(lat)] == want, lat.name
+
+
+def dense_family_over_the_end_table(lat):
+    """The dense family walked over the Cayley table of End(M): the closed
+    sets of ``end_semiring(lat)`` under + and both products, started from
+    the indices of ``dense_closure``, with each index set mapped back to
+    its maps."""
+    r, members = end_semiring(lat)
+    index = {f: i for i, f in enumerate(members)}
+    base = frozenset(index[f] for f in dense_closure(lat).members)
+    sets = closed_sets(base, range(r.n), table_products((r.add, r.mul, r.mul_t)),
+                       noun="dense subsemirings")
+    return [frozenset(members[i] for i in s) for s in sets]
+
+
+def test_enumerate_sr_matches_the_walk_over_the_end_table():
+    for lat in small_lattices():
+        assert [f.members for f in enumerate_sr(lat)] == dense_family_over_the_end_table(lat), \
+            lat.name
+
+
+@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
+                    reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.parametrize("k", range(1, 14))
+def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
+    lat = next(lat for lat in enumerate_lattices(6) if lat.name == f"lat6_{k}")
+    assert [f.members for f in enumerate_sr(lat)] == dense_family_over_the_end_table(lat)
+
+
+def test_closed_sets_raise_size_limit_past_set_limit(monkeypatch):
+    # with no products every subset of range(3) is closed: 8 sets
+    def walk():
+        return closed_sets(frozenset(), range(3), lambda x, y: (), noun="sets")
+
+    monkeypatch.setattr(closure, "SET_LIMIT", 8)
+    assert len(walk()) == 8
+    monkeypatch.setattr(closure, "SET_LIMIT", 7)
+    with pytest.raises(SizeLimit, match="more than 7 sets"):
+        walk()
 
 
 @pytest.mark.parametrize("name, count", [("chain3", 20), ("diamond", 222)])
@@ -326,7 +369,7 @@ def reference_module_congruences(mod):
     while work:
         c = work.pop()
         for p in principals:
-            joined = reference_congruence(mod.m, _pairs_of(c) + _pairs_of(p), ts)
+            joined = reference_congruence(mod.m, c.pairs + p.pairs, ts)
             if joined not in found:
                 found.add(joined)
                 work.append(joined)
@@ -466,13 +509,13 @@ def test_compatibility_matches_the_definition():
 
 
 def principal_closures(n, pairs, tables, stop=None):
-    """Block count, and the partition when it is nontotal, of the closure
-    of each pair: with the one-block stop, or with the stop on ``stop``."""
+    """The closure of each pair, as its partition when it is nontotal and
+    None when it is total: with the one-block stop, or with the stop on
+    ``stop``."""
     out = []
     for pair in pairs:
-        parent = list(range(n))
-        blocks = close_congruence(parent, [pair], tables, stop)
-        out.append((blocks, Congruence.from_parents(parent) if blocks > 1 else None))
+        labels = close_congruence(n, [pair], tables, stop)
+        out.append(None if labels is None else Congruence(labels))
     return out
 
 
@@ -487,10 +530,10 @@ def one_block_maximal_nontotal_congruence(mod):
         for y in range(x + 1, m):
             if blocks.same(x, y):
                 continue
-            parent = list(range(m))
-            if close_congruence(parent, current + [(x, y)], tables) > 1:
+            labels = close_congruence(m, current + [(x, y)], tables)
+            if labels is not None:
                 current.append((x, y))
-                blocks = Congruence.from_parents(parent)
+                blocks = Congruence(labels)
     return blocks
 
 
@@ -533,7 +576,7 @@ def test_zero_top_stop_matches_the_one_block_stop(name, count):
         assert (principal_closures(r.n, pairs, tables, stop)
                 == principal_closures(r.n, pairs, tables)), (name, r.n)
         covers = principal_closures(r.n, principal_test_pairs(r.add), tables)
-        assert is_congruence_simple(r) == all(blocks == 1 for blocks, _ in covers)
+        assert is_congruence_simple(r) == all(c is None for c in covers)
 
         mod = regular_module(r)
         assert zero_top_pair(mod.madd, mod.mzero) == stop
@@ -541,7 +584,7 @@ def test_zero_top_stop_matches_the_one_block_stop(name, count):
         assert (principal_closures(mod.m, pairs, tables, stop)
                 == principal_closures(mod.m, pairs, tables)), (name, r.n)
         covers = principal_closures(mod.m, principal_test_pairs(mod.madd), tables)
-        assert _only_trivial_congruences(mod) == all(blocks == 1 for blocks, _ in covers)
+        assert _only_trivial_congruences(mod) == all(c is None for c in covers)
         assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod)
         stopped += stop is not None and stop[0] != stop[1]
     assert stopped == (0 if name == "not-idempotent" else 2 * (count - 1))
@@ -555,16 +598,30 @@ def test_zero_top_stop_matches_the_one_block_stop_on_the_descents(descents):
         assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod), mod.m
 
 
+class CountedRows:
+    """A translation table that counts the rows read from it."""
+
+    def __init__(self, table, reads):
+        self.table, self.reads = table, reads
+
+    def __getitem__(self, u):
+        self.reads.append(u)
+        return self.table[u]
+
+
 def test_zero_top_stop_ends_a_total_closure_before_one_block():
     r, _ = end_semiring(load_fixture("diamond"))
     stop = zero_top_pair(r.add, r.zero)
-    tables = (r.add, r.mul, r.mul_t)
-    parent = list(range(r.n))
-    assert close_congruence(parent, [stop], tables, stop) == 1
-    assert Congruence.from_parents(parent).num_blocks > 1
-    parent = list(range(r.n))
-    assert close_congruence(parent, [stop], tables) == 1
-    assert Congruence.from_parents(parent).is_total()
+    reads = []
+    tables = [CountedRows(t, reads) for t in (r.add, r.mul, r.mul_t)]
+    # the first merge relates the zero and the top: no translation is read,
+    # so the forest still holds n - 1 > 1 blocks when the closure stops
+    assert close_congruence(r.n, [stop], tables, stop) is None
+    assert reads == [] and r.n > 2
+    # without the stop it merges until one block: each of the n - 2 merges
+    # before the last reads the rows of both roots in all three tables
+    assert close_congruence(r.n, [stop], tables) is None
+    assert len(reads) == 6 * (r.n - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,15 @@ def catalog5_records(tmp_path_factory):
 
 def test_digests_of_the_catalog_records_are_hashlib_digests(catalog5_records):
     for digest, text in catalog5_records.items():
-        assert _digest(text) == hashlib_digest(text) == digest
+        assert _digest(text.encode()) == hashlib_digest(text) == digest
 
 
 def test_the_hashlib_fallback_gives_the_same_digests(catalog5_records, monkeypatch):
     monkeypatch.setattr(catalog, "_sha256", None)
     for digest, text in catalog5_records.items():
-        assert _digest(text) == digest
+        assert _digest(text.encode()) == digest
     for text in ("", "name é\n", "∨ ∧ 𝔽\n"):
-        assert _digest(text) == hashlib_digest(text)
+        assert _digest(text.encode()) == hashlib_digest(text)
 
 
 NON_ASCII = st.characters(min_codepoint=0x80, exclude_categories=("Cs",))
@@ -47,4 +47,4 @@ NON_ASCII = st.characters(min_codepoint=0x80, exclude_categories=("Cs",))
 @settings(max_examples=300, deadline=None)
 @given(st.text() | st.text(alphabet=NON_ASCII, min_size=1))
 def test_digests_of_any_text_are_hashlib_digests(text):
-    assert _digest(text) == hashlib_digest(text)
+    assert _digest(text.encode()) == hashlib_digest(text)

@@ -143,6 +143,8 @@ CASES = [
      "row 1 has length 1, expected 2"),
     ("lattice-out-of-range", validate_lattice, [[0, 2], [2, 1]], ParseError,
      "entry 2 out of range in row 0"),
+    ("lattice-zero-out-of-range", lambda zero: validate_lattice(MADD, zero=zero), 2, BadZero,
+     "zero index out of range: witness (2,)"),
     # validate_semiring
     ("semiring-sizes", lambda add: validate_semiring(add, [[0]], 0), MADD, ParseError,
      "add and mul tables disagree in size"),
@@ -154,6 +156,8 @@ CASES = [
      ParseError, "entry -1 out of range in row 1"),
     ("semiring-mul-out-of-range", lambda mul: validate_semiring(MADD, mul, 0), [[0, 0], [0, 9]],
      ParseError, "entry 9 out of range in row 1"),
+    ("semiring-zero-out-of-range", lambda zero: validate_semiring(MADD, MADD, zero), -1, BadZero,
+     "zero index out of range: witness (-1,)"),
     # validate_semimodule
     ("module-madd-row-length", lambda madd: _module(madd, MADD), [[0, 1], [1]], ParseError,
      "madd row 1 has length 1, expected 2"),

@@ -22,7 +22,6 @@ from semirings.errors import NotCompatible
 from semirings.fixtures import load_fixture
 from semirings.lattice import dual, hom_to_l2
 from semirings.semimodule import (
-    _pairs_of,
     close_module_subset,
     ideal_module,
     maximal_nontotal_congruence,
@@ -139,7 +138,7 @@ def test_labels_are_renumbered_by_first_use():
     cong = Congruence((2, 0, 2, 1, 0, 1))
     assert cong.n == 6 and cong.blocks == (0, 1, 0, 2, 1, 2)
     assert cong.reps == reference_reps(cong) == [0, 1, 3]
-    assert _pairs_of(cong) == [(0, 2), (1, 4), (3, 5)]
+    assert cong.pairs == [(0, 2), (1, 4), (3, 5)]
     assert Congruence("abacbc") == cong
     r, _ = end_semiring(load_fixture("diamond"))
     rng = random.Random(0)

@@ -9,6 +9,7 @@ from semirings.errors import (
     NotALattice,
     ParseError,
     PreconditionFailed,
+    SizeLimit,
 )
 from semirings.fixtures import boolean_semiring, field_f2, load_fixture, two_element_trivial_mul
 from semirings.lattice import lattice_iso
@@ -149,10 +150,24 @@ def test_module_congruences_of_zero_action(zero_action):
     assert any(c.is_total() for c in congs)
 
 
+def test_module_congruences_raise_size_limit_past_set_limit(monkeypatch):
+    from semirings import semimodule
+
+    # chain4 with a zero action: 8 congruences, one of them a join of
+    # principal ones that only the walk finds
+    lat = load_fixture("chain4")
+    mod = validate_semimodule(boolean_semiring(), lat.join, ((0,) * lat.n,) * 2)
+    principals = {module_principal(mod, x, y) for x in range(mod.m) for y in range(x + 1, mod.m)}
+    assert len(module_congruences(mod)) == 8 > len(principals) + 1
+    monkeypatch.setattr(semimodule, "SET_LIMIT", 8)
+    assert len(module_congruences(mod)) == 8
+    monkeypatch.setattr(semimodule, "SET_LIMIT", 7)
+    with pytest.raises(SizeLimit, match="more than 7 module congruences"):
+        module_congruences(mod)
+
+
 def test_maximal_nontotal_congruence_is_maximal(nat_chain3):
     from semirings.closure import close_congruence
-    from semirings.semimodule import _pairs_of
-    from semirings.semiring import Congruence
 
     c = maximal_nontotal_congruence(nat_chain3)
     assert c.is_identity()  # the natural module is already quotient-irreducible
@@ -164,9 +179,7 @@ def test_maximal_nontotal_congruence_is_maximal(nat_chain3):
         for y in range(x + 1, mod.m):
             if not c.same(x, y):
                 # absorbing any outside pair forces the total relation
-                parents = list(range(mod.m))
-                close_congruence(parents, _pairs_of(c) + [(x, y)], (mod.madd, mod.act_t))
-                assert Congruence.from_parents(parents).is_total()
+                assert close_congruence(mod.m, c.pairs + [(x, y)], (mod.madd, mod.act_t)) is None
 
 
 def test_irreducibility_flags(nat_chain3, zero_action):
