@@ -130,8 +130,8 @@ def close_congruence(n, pairs, tables, total_pair=None):
     are ``add`` (u + a), ``mul`` (u * a) and ``mul_t`` (a * u); for a
     module, its addition and the columns of its action (r u); with
     ``tables=()`` the result is the equivalence generated by ``pairs``.
-    The closure is a union-find forest, started from the identity
-    partition and private to this function, by three lemmas:
+    The closure runs a union-find forest of its own, started from the
+    identity partition; three lemmas make it exact:
 
     - Pushing only the translations of merged roots gives the least
       congruence.  Each merge joins two roots u and v and pushes
