@@ -21,17 +21,11 @@ from .catalog import (
     render_report_table,
     report_json,
 )
-from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, load_srs, parse_srs
+from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, parse_srs
 from .errors import Error, Mismatch, ParseError, SizeLimit, ValidationError, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import condition_d, enumerate_lattices, is_distributive, parse_lat
-from .semimodule import (
-    ideal_module,
-    irreducibility,
-    load_smod,
-    parse_smod,
-    representation,
-)
+from .semimodule import ideal_module, irreducibility, parse_smod, representation
 from .semiring import is_congruence_simple, parse_sr, recover_monoid, structure_flags
 
 
@@ -185,56 +179,82 @@ def _check_semiring(r, out, fmt):
     return _write_check(info, _semiring_text(r, facts), out, fmt)
 
 
-def _check_subsemiring(path, text, out, fmt):
-    lattice_name, members = parse_srs(text)
-    lat_path = Path(path).parent / f"{lattice_name}.lat"
-    if lat_path.exists():
-        lat = parse_lat(read_text(lat_path))
-    elif lattice_name in FIXTURE_NAMES:
-        lat = load_fixture(lattice_name)
-    else:
-        raise ParseError(f"cannot resolve lattice {lattice_name!r}")
-    sub = load_srs(lattice_name, members, lat)
-    r = sub.to_semiring(name=f"sub_of_end_{lattice_name}")
+def _check_subsemiring(sub, out, fmt):
+    name = sub.lattice.name
+    r = sub.to_semiring(name=f"sub_of_end_{name}")
     dense = is_dense(sub)
     facts = _semiring_facts(r)
-    text = (f"subsemiring of End({lattice_name}): {sub.size} members, dense={dense}\n"
+    text = (f"subsemiring of End({name}): {sub.size} members, dense={dense}\n"
             + _semiring_text(r, facts))
     del facts["add_idempotent"]  # the subsemiring JSON result has no such key
-    info = {"kind": "subsemiring", "lattice": lattice_name, "size": sub.size,
+    info = {"kind": "subsemiring", "lattice": name, "size": sub.size,
             "dense": dense, **facts}
     return _write_check(info, text, out, fmt)
 
 
-def _check_semimodule(path, text, out, fmt):
-    ring_name, madd, act = parse_smod(text)
-    ring_path = Path(path).parent / f"{ring_name}.sr"
-    if not ring_path.exists():
-        raise ParseError(f"cannot resolve ring {ring_name!r}")
-    mod = load_smod(ring_name, madd, act, parse_sr(read_text(ring_path)))
+def _check_semimodule(mod, out, fmt):
     flags = irreducibility(mod)
-    info = {"kind": "semimodule", "ring": ring_name, "m": mod.m,
+    info = {"kind": "semimodule", "ring": mod.ring.name, "m": mod.m,
             "acts_nonzero": flags.acts_nonzero,
             "sub_irreducible": flags.sub_irreducible,
             "quotient_irreducible": flags.quotient_irreducible}
-    text = (f"semimodule over {ring_name}: m = {mod.m}, |R| = {mod.ring.n}\n"
+    text = (f"semimodule over {mod.ring.name}: m = {mod.m}, |R| = {mod.ring.n}\n"
             f"acts_nonzero={flags.acts_nonzero} sub_irreducible={flags.sub_irreducible} "
             f"quotient_irreducible={flags.quotient_irreducible}\n")
     return _write_check(info, text, out, fmt)
+
+
+# what a .srs or .smod file may name, by the suffix of the named file:
+# the noun of the messages, the reader of that file and the bundled names
+REFERENCED = {".lat": ("lattice", parse_lat, FIXTURE_NAMES), ".sr": ("ring", parse_sr, ())}
+
+
+def reference_resolver(directory, suffix):
+    """The function that maps a name a file in ``directory`` refers to onto
+    the structure it names: the file ``{name}{suffix}`` in ``directory``
+    (a ``.lat`` lattice or a ``.sr`` semiring), else, for a lattice, the
+    bundled fixture of that name, else ``ParseError`` ``cannot resolve``.
+    A resolved file with a ``name`` line must name the reference; one
+    without is accepted and takes the reference as its name, so a report
+    names it as it would a named one."""
+    noun, parse, bundled = REFERENCED[suffix]
+
+    def resolve(name):
+        path = Path(directory) / f"{name}{suffix}"
+        if path.exists():
+            found = parse(read_text(path))
+        elif name in bundled:
+            found = load_fixture(name)
+        else:
+            raise ParseError(f"cannot resolve {noun} {name!r}")
+        if found.name is None:
+            found.name = name
+        elif found.name != name:
+            raise ParseError(f"{noun} {found.name!r} does not match reference {name!r}")
+        return found
+
+    return resolve
+
+
+# check's reader and report by file suffix; a reader takes the text and the
+# directory in which the names the file refers to resolve
+CHECKS = {
+    ".lat": (lambda text, _: parse_lat(text), _check_lattice),
+    ".sr": (lambda text, _: parse_sr(text), _check_semiring),
+    ".srs": (lambda text, here: parse_srs(text, reference_resolver(here, ".lat")),
+             _check_subsemiring),
+    ".smod": (lambda text, here: parse_smod(text, reference_resolver(here, ".sr")),
+              _check_semimodule),
+}
 
 
 def cmd_check(args, out):
     path = Path(args.path)
     try:
         text = read_text(path)
-        if path.suffix == ".lat":
-            return _check_lattice(parse_lat(text), out, args.format)
-        if path.suffix == ".sr":
-            return _check_semiring(parse_sr(text), out, args.format)
-        if path.suffix == ".srs":
-            return _check_subsemiring(path, text, out, args.format)
-        if path.suffix == ".smod":
-            return _check_semimodule(path, text, out, args.format)
+        if path.suffix in CHECKS:
+            read, report = CHECKS[path.suffix]
+            return report(read(text, path.parent), out, args.format)
     except ValidationError as exc:
         out.write(f"validation failed: {exc}\n")
         return 1

@@ -309,7 +309,11 @@ def identity_is_elementary_sum(lat):
 # text format ".srs": lattice reference, then one member per line
 
 
-def parse_srs(text):
+def parse_srs(text, lattice_of):
+    """The subsemiring a ``.srs`` text lists, its lattice ``lattice_of(name)``
+    for the name on its first line; ``ParseError`` for a malformed line,
+    a repeated member or a member that is not an endomorphism of that
+    lattice.  Closure is left to ``to_semiring``."""
     reader = LineReader(text)
     lattice_name = reader.field("lattice", "name")
     members = {}  # each member and the line it is listed on
@@ -323,17 +327,11 @@ def parse_srs(text):
         width = len(member)
     if not members:
         raise ParseError("no members listed", len(reader.lines))
-    return lattice_name, list(members)
-
-
-def load_srs(lattice_name, members, lat):
-    if lat.name != lattice_name:
-        raise ParseError(f"lattice {lat.name!r} does not match reference {lattice_name!r}")
+    lat = lattice_of(lattice_name)
     for m in members:
         if not is_endomorphism(lat, m):
             raise ParseError(f"member {m} is not an endomorphism of {lattice_name}")
-    sub = EndoSubsemiring(lat, frozenset(members))
-    return sub
+    return EndoSubsemiring(lat, frozenset(members))
 
 
 def serialize_srs(sub):

@@ -20,6 +20,7 @@ from .closure import (
     idempotent,
     identity,
     only_total_principals,
+    principal_test_pairs,
     relabel,
     table_products,
     zero_top_pair,
@@ -213,14 +214,19 @@ def is_module_congruence(mod, cong):
 
 
 def module_congruences(mod):
-    """Every module congruence, as joins of the principal ones."""
+    """Every module congruence, as joins of the principal congruences of
+    the pairs of ``closure.principal_test_pairs``.
+
+    With idempotent addition, every congruence θ is the join of the
+    principal congruences of the covering pairs it relates.  If x < y are
+    related, each step c_i ⋖ c_{i+1} of a maximal chain from x to y is
+    related, since c_i = x + c_i θ y + c_i = y; and an incomparable pair
+    x θ y goes through x + y (x = x + x θ x + y, likewise y).  Without
+    idempotence ``principal_test_pairs`` returns every pair.
+    """
     m = mod.m
-    found = {Congruence(range(m))}
-    principals = set()
-    for x in range(m):
-        for y in range(x + 1, m):
-            principals.add(module_principal(mod, x, y))
-    found |= principals
+    principals = {module_principal(mod, x, y) for x, y in principal_test_pairs(mod.madd)}
+    found = {Congruence(range(m))} | principals
     work = list(found)
     while work:
         c = work.pop()
@@ -473,7 +479,10 @@ def commutant(r, mod):
 # text format ".smod": ring reference, m count, madd rows, blank, act rows
 
 
-def parse_smod(text):
+def parse_smod(text, ring_of):
+    """The module a ``.smod`` text gives, over the semiring
+    ``ring_of(name)`` for the name on its first line, checked by
+    ``validate_semimodule``."""
     reader = LineReader(text)
     ring_name = reader.field("ring", "name")
     m = reader.count("m")
@@ -481,13 +490,7 @@ def parse_smod(text):
     act = []
     while not reader.at_end():
         act.append(reader.row(m, "entry"))
-    return ring_name, madd, tuple(act)
-
-
-def load_smod(ring_name, madd, act, ring):
-    if ring.name != ring_name:
-        raise ParseError(f"ring {ring.name!r} does not match reference {ring_name!r}")
-    return validate_semimodule(ring, madd, act)
+    return validate_semimodule(ring_of(ring_name), madd, act)
 
 
 def serialize_smod(mod):

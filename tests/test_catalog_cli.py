@@ -25,7 +25,7 @@ from semirings.cli import _semiring_facts, main
 from semirings.endo import end_semiring
 from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
-from semirings.lattice import lattice_iso
+from semirings.lattice import lattice_iso, serialize_lat
 from semirings.semimodule import (
     descend_to_irreducible,
     module_lattice,
@@ -177,6 +177,35 @@ def test_check_srs_json_and_text_are_pinned(tmp_path, srs, result, text):
     assert run_cli("check", str(path)) == (0, text)
 
 
+@pytest.mark.parametrize("name_line", ["name foo\n", ""], ids=["named", "unnamed"])
+def test_check_srs_next_to_a_lattice_file_reports_the_reference(tmp_path, name_line):
+    srs, result, text = SRS_JSON_CASES[1]
+    (tmp_path / "foo.lat").write_text(f"n 3\n{name_line}0 1 2\n1 1 2\n2 2 2\n")
+    path = tmp_path / "foo.srs"
+    path.write_text(srs.replace("chain3", "foo"))
+    assert run_cli("check", str(path)) == (0, text.replace("chain3", "foo"))
+    payload = {"command": "check", "ok": True, "result": {**result, "lattice": "foo"}}
+    assert run_cli("--format", "json", "check", str(path)) == (
+        0, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("lattice_line, message", [
+    ("lattice nosuch", "cannot resolve lattice 'nosuch'"),
+    ("lattice renamed", "lattice 'chain3' does not match reference 'renamed'"),
+])
+def test_check_srs_unresolved_lattice_exits_two(tmp_path, lattice_line, message):
+    (tmp_path / "renamed.lat").write_text(serialize_lat(load_fixture("chain3")))
+    path = tmp_path / "sub.srs"
+    path.write_text(SRS_JSON_CASES[0][0].replace("lattice chain3", lattice_line))
+    assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
+
+
+def test_check_unknown_suffix_exits_two(tmp_path):
+    path = tmp_path / "chain3.txt"
+    path.write_text(serialize_lat(load_fixture("chain3")))
+    assert run_cli("check", str(path)) == (2, "error: unknown file type '.txt'\n")
+
+
 @pytest.mark.parametrize("srs", [
     # closed under join, but 001 o 022 = 011 is missing
     "lattice chain3\n0 0 0\n0 0 1\n0 2 2\n",
@@ -240,6 +269,19 @@ def test_check_smod_unresolved_ring_exits_two(tmp_path, ring_line, message):
     path = tmp_path / "nat.smod"
     path.write_text(path.read_text().replace("ring end_chain3", ring_line))
     assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_smod_next_to_an_unnamed_ring_prints_the_named_report(tmp_path, fmt):
+    write_end_chain3_modules(tmp_path)
+    ring = (tmp_path / "end_chain3.sr").read_text()
+    unnamed = tmp_path / "unnamed"
+    unnamed.mkdir()
+    (unnamed / "end_chain3.sr").write_text(ring.replace("name end_chain3\n", ""))
+    (unnamed / "nat.smod").write_text((tmp_path / "nat.smod").read_text())
+    named = run_cli("--format", fmt, "check", str(tmp_path / "nat.smod"))
+    assert named[0] == 0
+    assert run_cli("--format", fmt, "check", str(unnamed / "nat.smod")) == named
 
 
 def test_check_non_utf8_lattice_file_exits_two(tmp_path):
@@ -703,6 +745,45 @@ def test_table1_matches_expected_data():
     # the digest pins every flag of every row and the JSON layout
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "84aca631095d653b193e91e5adfd024af42e5c26111f076c41966487eddb396f")
+
+
+TABLE1_ROWS = """\
+lattice     n |End|  family orders and flags
+--------------------------------------------
+l2          2     2  2<0>(self-anti)
+chain3      3     6  6<0>(self-anti)
+chain4      4    20  20<0>(self-anti)
+diamond     4    16  16<0>(self-anti)
+chain5      5    70  70<0>(self-anti)
+lat50a      5    50  50<0>
+lat50b      5    50  50<0>
+n5          5    43  43<0>(self-anti) 42<1>(no-one,self-anti)
+m3          5    50  50<0>(self-anti) 47<1>(self-anti) 46<2>(self-anti) 46<2>(self-anti) \
+46<2>(self-anti) 45<3>(self-anti) 44<4>(no-one,self-anti)
+"""
+
+
+def test_table1_text_is_pinned():
+    assert run_cli("table1") == (0, TABLE1_ROWS + "all rows match the expected data\n")
+
+
+def test_table1_text_lists_mismatches_and_exits_one(monkeypatch):
+    from semirings import catalog
+
+    expected = catalog.expected_families()
+    expected["chain3"]["has_one"] = [False]
+    monkeypatch.setattr(catalog, "expected_families", lambda: expected)
+    assert run_cli("table1") == (
+        1, TABLE1_ROWS + "MISMATCHES:\n  chain3: has_one [True] != [False]\n")
+
+
+def test_family_report_raises_mismatch_on_a_member_that_is_not_simple(monkeypatch):
+    from semirings import catalog
+    from semirings.errors import Mismatch
+
+    monkeypatch.setattr(catalog, "is_congruence_simple", lambda r: False)
+    with pytest.raises(Mismatch, match="^family member of order 6 is not congruence-simple$"):
+        family_report(load_fixture("chain3"))
 
 
 def test_compare_reports_mismatches():

@@ -6,9 +6,12 @@ shape and axiom checks of the three validators: exception type and
 this table holds the messages and line numbers themselves.
 """
 
+from pathlib import Path
+
 import pytest
 
-from semirings.endo import load_srs, parse_srs
+from semirings.cli import reference_resolver
+from semirings.endo import parse_srs
 from semirings.errors import (
     AddNotAssociative,
     AddNotCommutative,
@@ -23,12 +26,11 @@ from semirings.errors import (
     RightDistFail,
     ZeroNotAbsorbing,
 )
-from semirings.fixtures import boolean_semiring, load_fixture
+from semirings.fixtures import boolean_semiring
 from semirings.lattice import parse_lat, validate_lattice
-from semirings.semimodule import load_smod, parse_smod, validate_semimodule
+from semirings.semimodule import parse_smod, validate_semimodule
 from semirings.semiring import parse_sr, validate_semiring
 
-CHAIN3 = load_fixture("chain3")
 BOOLEAN = boolean_semiring()
 MADD = ((0, 1), (1, 1))
 # Tables that break one axiom each (``AXIOM_CASES``): x + y = x on {1, 2}
@@ -42,12 +44,19 @@ ZERO3 = ((0, 0, 0),) * 3
 ZERO4 = ((0, 0, 0, 0),) * 4
 
 
+# ``check``'s name rule over a directory holding ``boolean.sr`` and two
+# files named otherwise than the reference: ``other.sr`` (the boolean
+# semiring, named boolean) and ``diamond.lat`` (chain3, named chain3); the
+# other lattice names resolve to the bundled fixtures
+REFERENCES = Path(__file__).resolve().parent / "references"
+
+
 def _srs(text):
-    return load_srs(*parse_srs(text), CHAIN3)
+    return parse_srs(text, reference_resolver(REFERENCES, ".lat"))
 
 
 def _smod(text):
-    return load_smod(*parse_smod(text), BOOLEAN)
+    return parse_smod(text, reference_resolver(REFERENCES, ".sr"))
 
 
 def _module(madd, act):
@@ -97,7 +106,7 @@ CASES = [
     ("sr-out-of-range", parse_sr, "n 2\nzero 0\n0 1\n1 1\n\n0 0\n0 3\n", ParseError,
      "entry 3 out of range in row 1"),
     # .smod
-    ("smod-header", parse_smod, "ring\n", ParseError, "line 1: expected 'ring <name>'"),
+    ("smod-header", _smod, "ring\n", ParseError, "line 1: expected 'ring <name>'"),
     ("smod-count-header", _smod, "ring boolean\nn 2\n", ParseError,
      "line 2: expected 'm <count>'"),
     ("smod-bad-count", _smod, "ring boolean\nm z\n", ParseError, "line 2: bad count 'z'"),

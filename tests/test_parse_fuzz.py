@@ -8,15 +8,18 @@ object and serializes to the same text again.  A ``ParseError`` names no
 line or a 1-based line of the text (line 1 for an empty text).
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semirings.endo import enumerate_sr, load_srs, parse_srs, serialize_srs
+from semirings.cli import reference_resolver
+from semirings.endo import enumerate_sr, parse_srs, serialize_srs
 from semirings.errors import ParseError, ValidationError
 from semirings.fixtures import boolean_semiring, load_fixture
 from semirings.lattice import parse_lat, serialize_lat
-from semirings.semimodule import load_smod, parse_smod, regular_module, serialize_smod
+from semirings.semimodule import parse_smod, regular_module, serialize_smod
 from semirings.semiring import parse_sr, serialize_sr
 
 CHAIN3 = load_fixture("chain3")
@@ -24,12 +27,17 @@ BOOLEAN = boolean_semiring()
 LEAST_DENSE_CHAIN3 = enumerate_sr(CHAIN3)[0]
 
 
+# the references resolve by ``check``'s name rule, among them
+# ``boolean.sr`` and the bundled ``chain3``
+REFERENCES = Path(__file__).resolve().parent / "references"
+
+
 def _load_srs(text):
-    return load_srs(*parse_srs(text), CHAIN3)
+    return parse_srs(text, reference_resolver(REFERENCES, ".lat"))
 
 
 def _load_smod(text):
-    return load_smod(*parse_smod(text), BOOLEAN)
+    return parse_smod(text, reference_resolver(REFERENCES, ".sr"))
 
 
 # format -> (load, serialize, identity of a loaded object, fixture texts)

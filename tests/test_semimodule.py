@@ -24,6 +24,7 @@ from semirings.semimodule import (
     find_irreducible,
     ideal_module,
     irreducibility,
+    iso_to_dense_subsemiring,
     maximal_nontotal_congruence,
     minimal_nonzero_submodule,
     module_congruences,
@@ -208,6 +209,12 @@ def test_find_irreducible_boolean():
     assert irreducibility(mod).irreducible
 
 
+def test_iso_to_dense_subsemiring_of_a_ring_is_none():
+    # the addition of F2 is not idempotent, so F2 has no left ideal R·z
+    assert ideal_module(field_f2()) is None
+    assert iso_to_dense_subsemiring(field_f2()) is None
+
+
 def test_find_irreducible_rejects_trivial_mul():
     with pytest.raises(PreconditionFailed):
         find_irreducible(two_element_trivial_mul())
@@ -369,10 +376,9 @@ def test_commutant_of_trivial_ring_is_everything(lats):
 def test_smod_round_trip(nat_chain3):
     nat_chain3.ring.name = "end_chain3"
     text = serialize_smod(nat_chain3)
-    ring_name, madd, act = parse_smod(text)
-    assert ring_name == "end_chain3"
-    assert madd == nat_chain3.madd and act == nat_chain3.act
-    mod2 = validate_semimodule(nat_chain3.ring, madd, act)
+    mod2 = parse_smod(text, {"end_chain3": nat_chain3.ring}.__getitem__)
+    assert mod2.ring is nat_chain3.ring
+    assert mod2.madd == nat_chain3.madd and mod2.act == nat_chain3.act
     assert serialize_smod(mod2) == text
 
 
@@ -383,5 +389,5 @@ def test_smod_round_trip(nat_chain3):
 ])
 def test_parse_smod_bad_action_row_names_its_line(text, line):
     with pytest.raises(ParseError) as info:
-        parse_smod(text)
+        parse_smod(text, {}.__getitem__)  # the ring is looked up after the last row
     assert info.value.line == line
