@@ -219,10 +219,11 @@ def module_congruences(mod):
 
     With idempotent addition, every congruence θ is the join of the
     principal congruences of the covering pairs it relates.  If x < y are
-    related, each step c_i ⋖ c_{i+1} of a maximal chain from x to y is
-    related, since c_i = x + c_i θ y + c_i = y; and an incomparable pair
-    x θ y goes through x + y (x = x + x θ x + y, likewise y).  Without
-    idempotence ``principal_test_pairs`` returns every pair.
+    related, so is each step c_i ⋖ c_{i+1} of a maximal chain from x to
+    y, since c_i = x + c_i θ y + c_i = y for every i; and an incomparable
+    pair x θ y goes through x + y (x = x + x θ x + y, likewise y).
+    Without idempotence ``principal_test_pairs`` returns every pair.  The
+    walk closes those principal congruences under joins.
     """
     m = mod.m
     principals = {module_principal(mod, x, y) for x, y in principal_test_pairs(mod.madd)}
