@@ -105,6 +105,11 @@ def _write_check(info, text, out, fmt):
     return 0
 
 
+def _titled(noun, name):
+    """The head of a report line: ``noun``, then ``name`` if it has one."""
+    return f"{noun} {name}" if name else noun
+
+
 def _check_lattice(lat, out, fmt):
     info = {
         "kind": "lattice",
@@ -114,7 +119,7 @@ def _check_lattice(lat, out, fmt):
         "distributive": is_distributive(lat),
         "unique_dense_family": condition_d(lat),
     }
-    text = (f"lattice {lat.name or ''}: n = {lat.n}, top = {lat.top}\n"
+    text = (f"{_titled('lattice', lat.name)}: n = {lat.n}, top = {lat.top}\n"
             f"distributive: {info['distributive']}\n"
             f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
     return _write_check(info, text, out, fmt)
@@ -161,7 +166,7 @@ def _semiring_facts(r):
 def _semiring_text(r, facts):
     verdict = "congruence-simple" if facts["congruence_simple"] else "not congruence-simple"
     ring = "a ring" if facts["is_ring"] else "not a ring"
-    text = (f"semiring {r.name or ''}: {verdict}, {ring}, |R| = {r.n}\n"
+    text = (f"{_titled('semiring', r.name)}: {verdict}, {ring}, |R| = {r.n}\n"
             f"flags: add_idempotent={facts['add_idempotent']} has_one={facts['has_one']} "
             f"trivial_mul={facts['trivial_mul']}\n")
     witness = facts.get("witness")
@@ -250,16 +255,11 @@ CHECKS = {
 
 def cmd_check(args, out):
     path = Path(args.path)
-    try:
-        text = read_text(path)
-        if path.suffix in CHECKS:
-            read, report = CHECKS[path.suffix]
-            return report(read(text, path.parent), out, args.format)
-    except ValidationError as exc:
-        out.write(f"validation failed: {exc}\n")
-        return 1
-    out.write(f"error: unknown file type {path.suffix!r}\n")
-    return 2
+    if path.suffix not in CHECKS:
+        out.write(f"error: unknown file type {path.suffix!r}\n")
+        return 2
+    read, report = CHECKS[path.suffix]
+    return report(read(read_text(path), path.parent), out, args.format)
 
 
 def cmd_catalog(args, out):
@@ -362,6 +362,9 @@ def main(argv=None, out=None):
     except ParseError as exc:
         out.write(f"parse error: {exc}\n")
         return 2
+    except ValidationError as exc:
+        out.write(f"validation failed: {exc}\n")
+        return 1
     except Error as exc:
         out.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

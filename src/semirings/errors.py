@@ -17,78 +17,19 @@ class Error(Exception):
 
 
 class ValidationError(Error):
-    """An algebraic axiom failed; ``witness`` holds the offending elements."""
+    """A table from outside the package fails an axiom, or a partition or
+    a member set is not what it claims to be; the message names the axiom
+    and ``witness`` holds the offending elements."""
 
     def __init__(self, message, witness=None):
         super().__init__(message if witness is None else f"{message}: witness {witness}")
         self.witness = witness
 
 
-# lattice axioms
-class NotCommutative(ValidationError):
-    pass
-
-
-class NotAssociative(ValidationError):
-    pass
-
-
-class NotIdempotent(ValidationError):
-    pass
-
-
-class BadZero(ValidationError):
-    pass
-
-
-# semiring axioms
-class AddNotCommutative(ValidationError):
-    pass
-
-
-class AddNotAssociative(ValidationError):
-    pass
-
-
-class MulNotAssociative(ValidationError):
-    pass
-
-
-class LeftDistFail(ValidationError):
-    pass
-
-
-class RightDistFail(ValidationError):
-    pass
-
-
-class ZeroNotAbsorbing(ValidationError):
-    pass
-
-
-# semimodule axioms
-class ModuleAxiomFail(ValidationError):
-    pass
-
-
-class NotCompatible(ValidationError):
-    """A partition is not compatible with the operations."""
-
-
-class NotDistributive(Error):
-    """Operation requires a distributive lattice."""
-
-
-class NotALattice(Error):
-    """Operation requires an idempotent (lattice-like) addition."""
-
-
 class PreconditionFailed(Error):
-    pass
-
-
-class AnnulatorIsEverything(Error):
-    """Every element is annihilated, so the quotient would be trivial."""
+    """An operation was asked of a structure it does not apply to: a
+    lattice that is not distributive, an addition that is not idempotent,
+    a semiring that is not congruence-simple, a module with a zero action."""
 
 
 class SizeLimit(Error):
@@ -214,16 +155,17 @@ def check_table(table, width, label=""):
                 raise ParseError(f"{label}entry {v} out of range in row {i}")
 
 
-def check_axiom(error, message, cases):
-    """Raise ``error(message, (*key, z))`` for the first ``(key, lhs, rhs)``
-    in ``cases`` whose rows (two tuples) differ, z being the first position
-    where they do.  Every axiom of the three validators is such an equation
-    between rows, ``key`` naming the elements that fix them, so with
-    ``cases`` in key order the witness is the lexicographically first."""
+def check_axiom(message, cases):
+    """Raise ``ValidationError(message, (*key, z))`` for the first
+    ``(key, lhs, rhs)`` in ``cases`` whose rows (two tuples) differ, z
+    being the first position where they do.  Every axiom of the three
+    validators is such an equation between rows, ``key`` naming the
+    elements that fix them, so with ``cases`` in key order the witness is
+    the lexicographically first."""
     for key, lhs, rhs in cases:
         if lhs != rhs:
             z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            raise error(message, (*key, z))
+            raise ValidationError(message, (*key, z))
 
 
 def commutative_cases(t):

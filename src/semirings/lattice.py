@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 from .closure import down_masks, is_table_iso, table_iso
 from .errors import (
-    BadZero,
     LimitExceeded,
     LineReader,
-    NotAssociative,
-    NotCommutative,
-    NotDistributive,
-    NotIdempotent,
+    PreconditionFailed,
     SizeLimit,
+    ValidationError,
     associative_cases,
     check_axiom,
     check_table,
@@ -116,23 +113,22 @@ def validate_lattice(join_table, zero=0, name=None):
     """The FiniteLattice of a join table from outside the package.
 
     After the shape checks, ``errors.check_axiom`` checks four axioms in
-    this order, each raising its error on the first witness: x + x = x
-    (NotIdempotent), zero + x = x (BadZero), x + y = y + x
-    (NotCommutative) and (x + y) + z = x + (y + z) (NotAssociative).
+    this order, each raising ``ValidationError`` on the first witness:
+    x + x = x, zero + x = x, x + y = y + x and (x + y) + z = x + (y + z).
     """
     join = tuple(tuple(row) for row in join_table)
     n = len(join)
     if n == 0:
-        raise BadZero("empty table")
+        raise ValidationError("empty table")
     check_table(join, n)
     if not (0 <= zero < n):
-        raise BadZero("zero index out of range", (zero,))
+        raise ValidationError("zero index out of range", (zero,))
     ident = tuple(range(n))
     diagonal = tuple(map(tuple.__getitem__, join, ident))
-    check_axiom(NotIdempotent, "x + x != x", [((), diagonal, ident)])
-    check_axiom(BadZero, "zero + x != x", [((), join[zero], ident)])
-    check_axiom(NotCommutative, "x + y != y + x", commutative_cases(join))
-    check_axiom(NotAssociative, "(x+y)+z != x+(y+z)", associative_cases(join))
+    check_axiom("x + x != x", [((), diagonal, ident)])
+    check_axiom("zero + x != x", [((), join[zero], ident)])
+    check_axiom("x + y != y + x", commutative_cases(join))
+    check_axiom("(x+y)+z != x+(y+z)", associative_cases(join))
     # zero + x = x makes the declared zero the bottom
     return FiniteLattice(join, name)
 
@@ -260,10 +256,10 @@ def embed_ring_of_sets(lat):
 
     Returns (omega, phi) with phi[z] a frozenset of lattice elements;
     phi is injective and turns joins into unions and meets into
-    intersections.  Raises NotDistributive otherwise.
+    intersections.  Raises PreconditionFailed otherwise.
     """
     if not condition_d(lat):
-        raise NotDistributive("lattice fails the reconstruction criterion")
+        raise PreconditionFailed("lattice fails the reconstruction criterion")
     n = lat.n
     b = [lower_meet(lat, a) for a in range(n)]
     phi = tuple(

@@ -26,14 +26,11 @@ from .closure import (
     zero_top_pair,
 )
 from .errors import (
-    AnnulatorIsEverything,
     LineReader,
-    ModuleAxiomFail,
-    NotALattice,
-    NotCompatible,
     ParseError,
     PreconditionFailed,
     SizeLimit,
+    ValidationError,
     associative_cases,
     check_axiom,
     check_table,
@@ -47,10 +44,11 @@ from .semiring import Congruence, absorbing_ideal, is_congruence_simple, structu
 
 class Semimodule:
     """The addition ``madd`` on 0..m-1, m = len(madd), with ``mzero`` its
-    identity read by ``closure.identity``, and the action ``act[r][x]`` of
-    ``ring``; unchecked."""
+    identity read by ``closure.identity``, the action ``act[r][x]`` of
+    ``ring`` and ``act_t`` its columns (row x holds r x for each r);
+    unchecked."""
 
-    __slots__ = ("ring", "m", "madd", "act", "mzero", "_act_t")
+    __slots__ = ("ring", "m", "madd", "act", "mzero", "act_t")
 
     def __init__(self, ring, madd, act):
         self.ring = ring
@@ -58,14 +56,7 @@ class Semimodule:
         self.madd = madd
         self.act = act
         self.mzero = identity(madd)
-        self._act_t = None
-
-    @property
-    def act_t(self):
-        """Columns of the action table: per element, its orbit profile."""
-        if self._act_t is None:
-            self._act_t = tuple(zip(*self.act))
-        return self._act_t
+        self.act_t = tuple(zip(*act))
 
     def __repr__(self):
         return f"Semimodule(m={self.m}, ring_n={self.ring.n})"
@@ -77,7 +68,7 @@ def validate_semimodule(ring, madd, act):
 
     After the shape checks, the module zero is the first neutral element
     of ``madd`` (``closure.identity``), and ``errors.check_axiom`` checks
-    six axioms in this order, each raising ModuleAxiomFail on the first
+    six axioms in this order, each raising ``ValidationError`` on the first
     witness: x + y = y + x, (x + y) + z = x + (y + z), 0_R x = 0_M,
     r(sx) = (rs)x, (r + s)x = rx + sx and r(x + y) = rx + ry.  Then
     r 0_M = 0_M holds too: r 0_M = r(0_R 0_M) = (r 0_R) 0_M = 0_R 0_M = 0_M.
@@ -91,17 +82,17 @@ def validate_semimodule(ring, madd, act):
     check_table(act, m, "act ")
     mzero = identity(madd)
     if mzero is None:
-        raise ModuleAxiomFail("addition has no neutral element")
-    check_axiom(ModuleAxiomFail, "x + y != y + x", commutative_cases(madd))
-    check_axiom(ModuleAxiomFail, "(x+y)+z != x+(y+z)", associative_cases(madd))
-    check_axiom(ModuleAxiomFail, "0_R x != 0_M", [((), act[ring.zero], (mzero,) * m)])
-    check_axiom(ModuleAxiomFail, "r(sx) != (rs)x", (
+        raise ValidationError("addition has no neutral element")
+    check_axiom("x + y != y + x", commutative_cases(madd))
+    check_axiom("(x+y)+z != x+(y+z)", associative_cases(madd))
+    check_axiom("0_R x != 0_M", [((), act[ring.zero], (mzero,) * m)])
+    check_axiom("r(sx) != (rs)x", (
         ((r, s), tuple(map(row.__getitem__, act[s])), act[v])
         for r, row in enumerate(act) for s, v in enumerate(ring.mul[r])))
-    check_axiom(ModuleAxiomFail, "(r+s)x != rx+sx", (
+    check_axiom("(r+s)x != rx+sx", (
         ((r, s), act[v], tuple(madd[a][b] for a, b in zip(row, act[s])))
         for r, row in enumerate(act) for s, v in enumerate(ring.add[r])))
-    check_axiom(ModuleAxiomFail, "r(x+y) != rx+ry", (
+    check_axiom("r(x+y) != rx+ry", (
         ((r, x), tuple(map(row.__getitem__, madd[x])), tuple(map(madd[row[x]].__getitem__, row)))
         for r, row in enumerate(act) for x in range(m)))
     return Semimodule(ring, madd, act)
@@ -270,7 +261,7 @@ def maximal_nontotal_congruence(mod):
 
 def quotient_module(mod, cong):
     if not is_module_congruence(mod, cong):
-        raise NotCompatible("partition is not a module congruence")
+        raise ValidationError("partition is not a module congruence")
     return _relabelled(mod, cong.reps, cong.blocks)
 
 
@@ -389,7 +380,7 @@ def find_irreducible(r, check=True):
 def module_lattice(mod):
     """The addition table as a lattice; requires idempotent addition."""
     if not idempotent(mod.madd):
-        raise NotALattice("module addition is not idempotent")
+        raise PreconditionFailed("module addition is not idempotent")
     # a module's addition is a commutative monoid; idempotent, a lattice
     return FiniteLattice(mod.madd)
 
@@ -442,7 +433,7 @@ def annulator_quotient(mod):
     a, b.  The zero class of the quotient is exactly the annulator."""
     ann = annulator(mod)
     if len(ann) == mod.m:
-        raise AnnulatorIsEverything("the action is zero everywhere")
+        raise PreconditionFailed("the action is zero everywhere")
     reach = [frozenset(mod.madd[x][a] for a in ann) for x in range(mod.m)]
     pairs = [(x, y) for x in range(mod.m) for y in range(x + 1, mod.m)
              if reach[x] & reach[y]]
@@ -453,7 +444,18 @@ def annulator_quotient(mod):
 def commutant(r, mod):
     """Endomorphisms of the module lattice commuting with every action map.
 
-    Returns (EndoSubsemiring, is_semifield, is_trivial)."""
+    Returns (EndoSubsemiring, is_semifield, is_trivial).  The commutant is
+    a semifield when every nonzero member has a two-sided inverse among
+    the members, which is exactly when every nonzero member is a
+    bijection:
+
+    - an inverse makes f a bijection;
+    - the inverse of a bijective join homomorphism of a finite lattice is
+      one (the Aut(M) lemma of ``catalog.member_reports``), and it fixes
+      the zero as f does;
+    - the inverse commutes with each action map t, since f∘t = t∘f gives
+      t∘f⁻¹ = f⁻¹∘f∘t∘f⁻¹ = f⁻¹∘t∘f∘f⁻¹ = f⁻¹∘t.
+    """
     lat = module_lattice(mod)
     maps = [tuple(mod.act[x]) for x in range(r.n)]
     members = [
@@ -461,18 +463,9 @@ def commutant(r, mod):
         if all(compose(f, t) == compose(t, f) for t in maps)
     ]
     sub = EndoSubsemiring(lat, frozenset(members))
-    ident = identity_map(lat)
     zmap = zero_map(lat)
-    semifield = True
-    for f in members:
-        if f == zmap:
-            continue
-        if not any(
-            compose(f, g) == ident and compose(g, f) == ident for g in members
-        ):
-            semifield = False
-            break
-    trivial = set(members) == {zmap, ident}
+    semifield = all(len(set(f)) == lat.n for f in members if f != zmap)
+    trivial = set(members) == {zmap, identity_map(lat)}
     return sub, semifield, trivial
 
 

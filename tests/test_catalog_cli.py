@@ -204,6 +204,59 @@ def test_check_unknown_suffix_exits_two(tmp_path):
     path = tmp_path / "chain3.txt"
     path.write_text(serialize_lat(load_fixture("chain3")))
     assert run_cli("check", str(path)) == (2, "error: unknown file type '.txt'\n")
+    # the suffix is rejected before the file is read
+    assert run_cli("check", str(tmp_path / "missing.txt")) == (
+        2, "error: unknown file type '.txt'\n")
+
+
+# a file of each format that fails an axiom, and the failure ``check`` prints;
+# the .smod file is the action of End(chain3) on chain3 with the action of
+# the last member changed to a swap of 1 and 2
+FAILED_AXIOMS = [
+    ("bad.lat", "n 2\n0 1\n1 0\n", "x + x != x: witness (1,)"),
+    ("bad.sr", "n 2\nzero 0\n0 1\n0 1\n\n0 0\n0 0\n", "x + y != y + x: witness (0, 1)"),
+    ("bad.srs", "lattice chain3\n0 0 0\n0 0 1\n0 2 2\n",
+     "member set is not closed under join and composition"),
+    ("bad.smod", "ring end_chain3\nm 3\n0 1 2\n1 1 2\n2 2 2\n\n"
+     "0 0 0\n0 0 1\n0 0 2\n0 1 1\n0 1 2\n0 2 1\n", "r(sx) != (rs)x: witness (1, 5, 2)"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, text, message", FAILED_AXIOMS,
+                         ids=[case[0].split(".")[1] for case in FAILED_AXIOMS])
+def test_check_failed_axiom_exits_one(tmp_path, fmt, name, text, message):
+    write_end_chain3_modules(tmp_path)
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("--format", fmt, "check", str(path)) == (1, f"validation failed: {message}\n")
+
+
+def test_validation_error_of_any_command_exits_one(monkeypatch):
+    from semirings import cli
+    from semirings.errors import ValidationError
+
+    def fail(jobs):
+        raise ValidationError("zero + x != x", (1,))
+
+    monkeypatch.setattr(cli, "fixture_reports", fail)
+    assert run_cli("table1") == (1, "validation failed: zero + x != x: witness (1,)\n")
+
+
+@pytest.mark.parametrize("name, text, report", [
+    ("two.lat", "n 2\n0 1\n1 1\n",
+     "lattice: n = 2, top = 1\ndistributive: True\n"
+     "dense subsemiring family is a singleton: True\n"),
+    ("two.sr", "n 2\nzero 0\n0 1\n1 1\n\n0 0\n0 1\n",
+     "semiring: congruence-simple, not a ring, |R| = 2\n"
+     "flags: add_idempotent=True has_one=True trivial_mul=False\n"),
+], ids=["lat", "sr"])
+def test_check_report_of_an_unnamed_structure(tmp_path, name, text, report):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("check", str(path)) == (0, report)
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 0 and json.loads(out)["result"]["name"] is None
 
 
 @pytest.mark.parametrize("srs", [
