@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success or match, 1 mismatch or failed validation,
-2 usage or parse errors.
+Each command returns its exit code, its JSON object and its text, and
+``main`` writes one of the two, as ``--format`` asks.  Exit codes: 0
+success or match, 1 mismatch or failed validation, 2 usage or parse
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,75 +37,45 @@ def cmd_table1(args, out):
     the expected data file."""
     reports = fixture_reports(jobs=args.jobs)
     diffs = compare_with_expected(reports)
-    if args.format == "json":
-        payload = {
-            "command": "table1",
-            "ok": not diffs,
-            "rows": [report_json(r) for r in reports],
-            "mismatches": diffs,
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_report_table(reports) + "\n")
-        if diffs:
-            out.write("MISMATCHES:\n")
-            for d in diffs:
-                out.write(f"  {d}\n")
-        else:
-            out.write("all rows match the expected data\n")
-    return 1 if diffs else 0
+    verdict = ("MISMATCHES:\n" + "".join(f"  {d}\n" for d in diffs) if diffs
+               else "all rows match the expected data\n")
+    return 1 if diffs else 0, {
+        "command": "table1",
+        "ok": not diffs,
+        "rows": [report_json(r) for r in reports],
+        "mismatches": diffs,
+    }, render_report_table(reports) + "\n" + verdict
 
 
 def cmd_min_order(args, out):
     """Minimum order of a dense subsemiring over lattices of size >= 6.
 
     The least member of every dense family is the set of sums of
-    elementary maps, so only that set is computed per lattice."""
-    rows = []
-    overall = None
-    partial = False
+    elementary maps, so only that set is computed per lattice.  In text,
+    each lattice's line is written as soon as it is done."""
     lats = [l for l in enumerate_lattices(args.max_size) if l.n >= 6] if args.max_size >= 6 else []
-    for i, lat in enumerate(lats):
+    rows = []
+    for i, lat in enumerate(lats, 1):
         try:
             size = dense_closure(lat, max_size=args.max_end_size).size
         except SizeLimit:
-            partial = True
-            if args.format != "json":
-                out.write(f"[{i + 1}/{len(lats)}] {lat.name}: skipped (budget)\n")
-            rows.append({"name": lat.name, "n": lat.n, "min_order": None})
-            continue
+            size = None
         rows.append({"name": lat.name, "n": lat.n, "min_order": size})
-        if overall is None or size < overall:
-            overall = size
-        if args.format != "json":
-            out.write(f"[{i + 1}/{len(lats)}] {lat.name} (n={lat.n}): least dense order {size}\n")
-    if args.format == "json":
-        out.write(json.dumps({
-            "command": "min-order",
-            "max_size": args.max_size,
-            "rows": rows,
-            "minimum": overall,
-            "partial": partial,
-        }, indent=2, sort_keys=True) + "\n")
+        if args.format == "text":
+            out.write(f"[{i}/{len(lats)}] {lat.name}: skipped (budget)\n" if size is None else
+                      f"[{i}/{len(lats)}] {lat.name} (n={lat.n}): least dense order {size}\n")
+    sizes = [row["min_order"] for row in rows if row["min_order"] is not None]
+    minimum = min(sizes, default=None)
+    partial = len(sizes) < len(rows)
+    if not lats:
+        text = "no lattices of size >= 6 in range; empty result\n"
+    elif minimum is None:
+        text = "minimum dense subsemiring order: unknown (every lattice skipped)\n"
     else:
-        if not lats:
-            out.write("no lattices of size >= 6 in range; empty result\n")
-        elif overall is None:
-            out.write("minimum dense subsemiring order: unknown (every lattice skipped)\n")
-        else:
-            suffix = " (partial: some lattices skipped)" if partial else ""
-            out.write(f"minimum dense subsemiring order: {overall}{suffix}\n")
-    return 0
-
-
-def _write_check(info, text, out, fmt):
-    """Write one check result: ``info`` as JSON, or ``text`` as is."""
-    if fmt == "json":
-        out.write(json.dumps({"command": "check", "ok": True, "result": info},
-                             indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(text)
-    return 0
+        suffix = " (partial: some lattices skipped)" if partial else ""
+        text = f"minimum dense subsemiring order: {minimum}{suffix}\n"
+    return 0, {"command": "min-order", "max_size": args.max_size, "rows": rows,
+               "minimum": minimum, "partial": partial}, text
 
 
 def _titled(noun, name):
@@ -110,7 +83,7 @@ def _titled(noun, name):
     return f"{noun} {name}" if name else noun
 
 
-def _check_lattice(lat, out, fmt):
+def _check_lattice(lat):
     info = {
         "kind": "lattice",
         "n": lat.n,
@@ -119,10 +92,9 @@ def _check_lattice(lat, out, fmt):
         "distributive": is_distributive(lat),
         "unique_dense_family": condition_d(lat),
     }
-    text = (f"{_titled('lattice', lat.name)}: n = {lat.n}, top = {lat.top}\n"
-            f"distributive: {info['distributive']}\n"
-            f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
-    return _write_check(info, text, out, fmt)
+    return info, (f"{_titled('lattice', lat.name)}: n = {lat.n}, top = {lat.top}\n"
+                  f"distributive: {info['distributive']}\n"
+                  f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
 
 
 def _witness(r):
@@ -178,13 +150,12 @@ def _semiring_text(r, facts):
     return text
 
 
-def _check_semiring(r, out, fmt):
+def _check_semiring(r):
     facts = _semiring_facts(r)
-    info = {"kind": "semiring", "n": r.n, "name": r.name, **facts}
-    return _write_check(info, _semiring_text(r, facts), out, fmt)
+    return {"kind": "semiring", "n": r.n, "name": r.name, **facts}, _semiring_text(r, facts)
 
 
-def _check_subsemiring(sub, out, fmt):
+def _check_subsemiring(sub):
     name = sub.lattice.name
     r = sub.to_semiring(name=f"sub_of_end_{name}")
     dense = is_dense(sub)
@@ -192,21 +163,19 @@ def _check_subsemiring(sub, out, fmt):
     text = (f"subsemiring of End({name}): {sub.size} members, dense={dense}\n"
             + _semiring_text(r, facts))
     del facts["add_idempotent"]  # the subsemiring JSON result has no such key
-    info = {"kind": "subsemiring", "lattice": name, "size": sub.size,
-            "dense": dense, **facts}
-    return _write_check(info, text, out, fmt)
+    return {"kind": "subsemiring", "lattice": name, "size": sub.size, "dense": dense,
+            **facts}, text
 
 
-def _check_semimodule(mod, out, fmt):
+def _check_semimodule(mod):
     flags = irreducibility(mod)
     info = {"kind": "semimodule", "ring": mod.ring.name, "m": mod.m,
             "acts_nonzero": flags.acts_nonzero,
             "sub_irreducible": flags.sub_irreducible,
             "quotient_irreducible": flags.quotient_irreducible}
-    text = (f"semimodule over {mod.ring.name}: m = {mod.m}, |R| = {mod.ring.n}\n"
-            f"acts_nonzero={flags.acts_nonzero} sub_irreducible={flags.sub_irreducible} "
-            f"quotient_irreducible={flags.quotient_irreducible}\n")
-    return _write_check(info, text, out, fmt)
+    return info, (f"semimodule over {mod.ring.name}: m = {mod.m}, |R| = {mod.ring.n}\n"
+                  f"acts_nonzero={flags.acts_nonzero} sub_irreducible={flags.sub_irreducible} "
+                  f"quotient_irreducible={flags.quotient_irreducible}\n")
 
 
 # what a .srs or .smod file may name, by the suffix of the named file:
@@ -219,14 +188,15 @@ def reference_resolver(directory, suffix):
     the structure it names: the file ``{name}{suffix}`` in ``directory``
     (a ``.lat`` lattice or a ``.sr`` semiring), else, for a lattice, the
     bundled fixture of that name, else ``ParseError`` ``cannot resolve``.
-    A resolved file with a ``name`` line must name the reference; one
-    without is accepted and takes the reference as its name, so a report
-    names it as it would a named one."""
+    A name with a path separator resolves nothing, so no file outside
+    ``directory`` is read.  A resolved file with a ``name`` line must name
+    the reference; one without is accepted and takes the reference as its
+    name, so a report names it as it would a named one."""
     noun, parse, bundled = REFERENCED[suffix]
 
     def resolve(name):
         path = Path(directory) / f"{name}{suffix}"
-        if path.exists():
+        if "/" not in name and os.sep not in name and path.exists():
             found = parse(read_text(path))
         elif name in bundled:
             found = load_fixture(name)
@@ -256,10 +226,10 @@ CHECKS = {
 def cmd_check(args, out):
     path = Path(args.path)
     if path.suffix not in CHECKS:
-        out.write(f"error: unknown file type {path.suffix!r}\n")
-        return 2
+        return 2, None, f"error: unknown file type {path.suffix!r}\n"
     read, report = CHECKS[path.suffix]
-    return report(read(read_text(path), path.parent), out, args.format)
+    info, text = report(read(read_text(path), path.parent))
+    return 0, {"command": "check", "ok": True, "result": info}, text
 
 
 def cmd_catalog(args, out):
@@ -269,27 +239,18 @@ def cmd_catalog(args, out):
                                   max_end=args.max_sr_base, jobs=args.jobs)
         except OSError as exc:
             raise ParseError(f"cannot write catalog at {args.out}: {exc.strerror or exc}")
-        if args.format == "json":
-            out.write(json.dumps({
-                "command": "catalog build",
-                "entries": [{"name": n, "digest": d} for n, d in index],
-            }, indent=2, sort_keys=True) + "\n")
-        else:
-            out.write(f"wrote {len(index)} entries to {args.out}\n")
-        return 0
+        return 0, {
+            "command": "catalog build",
+            "entries": [{"name": n, "digest": d} for n, d in index],
+        }, f"wrote {len(index)} entries to {args.out}\n"
     rows = query_catalog(args.out, min_order=args.min_order, max_order=args.max_order,
                          has_one=args.has_one, lattice_size=args.lattice_size)
-    if args.format == "json":
-        out.write(json.dumps({
-            "command": "catalog query",
-            "rows": [{"lattice": name, "n": n, **member_json(m)} for name, n, m in rows],
-        }, indent=2, sort_keys=True) + "\n")
-    else:
-        for name, n, m in rows:
-            out.write(f"{name} (n={n}): order {m.order} has_one={m.has_one} "
-                      f"self_anti_iso={m.self_anti_iso} iso_class={m.iso_class}\n")
-        out.write(f"{len(rows)} rows\n")
-    return 0
+    return 0, {
+        "command": "catalog query",
+        "rows": [{"lattice": name, "n": n, **member_json(m)} for name, n, m in rows],
+    }, "".join(f"{name} (n={n}): order {m.order} has_one={m.has_one} "
+               f"self_anti_iso={m.self_anti_iso} iso_class={m.iso_class}\n"
+               for name, n, m in rows) + f"{len(rows)} rows\n"
 
 
 def positive_int(text):
@@ -358,16 +319,17 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args, out)
+        code, result, text = args.run(args, out)
     except ParseError as exc:
-        out.write(f"parse error: {exc}\n")
-        return 2
+        code, result, text = 2, None, f"parse error: {exc}\n"
     except ValidationError as exc:
-        out.write(f"validation failed: {exc}\n")
-        return 1
+        code, result, text = 1, None, f"validation failed: {exc}\n"
     except Error as exc:
-        out.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
+        code, result, text = 1, None, f"error: {type(exc).__name__}: {exc}\n"
+    # an error has no JSON object and is written as text in either format
+    out.write(text if result is None or args.format == "text"
+              else json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

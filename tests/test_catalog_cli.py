@@ -43,6 +43,16 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def written_json(text, command):
+    """The object of a ``--format json`` output, which must be written as
+    ``main`` writes every result (sorted keys, indent 2, one newline) and
+    name its command under ``command``."""
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["command"] == command
+    return payload
+
+
 def test_check_lattice_file(tmp_path):
     code, text = run_cli("check", str(tmp_path / "missing.lat"))
     assert code == 2
@@ -256,7 +266,7 @@ def test_check_report_of_an_unnamed_structure(tmp_path, name, text, report):
     path.write_text(text)
     assert run_cli("check", str(path)) == (0, report)
     code, out = run_cli("--format", "json", "check", str(path))
-    assert code == 0 and json.loads(out)["result"]["name"] is None
+    assert code == 0 and written_json(out, "check")["result"]["name"] is None
 
 
 @pytest.mark.parametrize("srs", [
@@ -324,6 +334,31 @@ def test_check_smod_unresolved_ring_exits_two(tmp_path, ring_line, message):
     assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
 
 
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+@pytest.mark.parametrize("suffix", [".srs", ".smod"])
+def test_check_reference_with_a_path_separator_exits_two(tmp_path, suffix, absolute):
+    """A reference resolves only to the file next to the referring one: a
+    name with a path separator resolves nothing, although here it names an
+    unnamed lattice or ring file that would be accepted."""
+    write_end_chain3_modules(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "x.lat").write_text(serialize_lat(load_fixture("chain3")).replace("name chain3\n", ""))
+    ring = (tmp_path / "end_chain3.sr").read_text()
+    (other / "x.sr").write_text(ring.replace("name end_chain3\n", ""))
+    name = str(other / "x") if absolute else "../other/x"
+    if suffix == ".srs":
+        noun, text = "lattice", SRS_JSON_CASES[0][0].replace("chain3", name)
+    else:
+        noun, text = "ring", (tmp_path / "nat.smod").read_text().replace("end_chain3", name)
+    (tmp_path / "here").mkdir()
+    path = tmp_path / "here" / f"sub{suffix}"
+    path.write_text(text)
+    for fmt in ("text", "json"):
+        assert run_cli("--format", fmt, "check", str(path)) == (
+            2, f"parse error: cannot resolve {noun} {name!r}\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_smod_next_to_an_unnamed_ring_prints_the_named_report(tmp_path, fmt):
     write_end_chain3_modules(tmp_path)
@@ -362,8 +397,40 @@ def test_min_order_below_six_is_empty():
 def test_min_order_json_shape():
     code, text = run_cli("--format", "json", "min-order", "--max-size", "5")
     assert code == 0
-    payload = json.loads(text)
+    payload = written_json(text, "min-order")
     assert payload["minimum"] is None and payload["rows"] == []
+    code, text = run_cli("--format", "json", "min-order", "--max-size", "6")
+    assert code == 0
+    payload = written_json(text, "min-order")
+    assert payload["minimum"] == 98 and payload["partial"] is False
+    assert len(payload["rows"]) == 15
+
+
+def test_min_order_writes_each_line_before_the_next_lattice(monkeypatch):
+    """Each ``[i/n]`` line is written as soon as lattice i is done, and the
+    summary after the last one: the writer of results buffers nothing of
+    the progress."""
+    from semirings import cli
+
+    log = []
+    dense_closure = cli.dense_closure
+
+    def logged_closure(lat, **kwargs):
+        log.append("closure")
+        return dense_closure(lat, **kwargs)
+
+    class LoggedOut(io.StringIO):
+        def write(self, text):
+            log.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "dense_closure", logged_closure)
+    assert main(["min-order", "--max-size", "6"], out=LoggedOut()) == 0
+    *steps, summary = log
+    assert steps[0::2] == ["closure"] * 15
+    assert [line[:line.index("]") + 1] for line in steps[1::2]] == [
+        f"[{i}/15]" for i in range(1, 16)]
+    assert summary == "minimum dense subsemiring order: 98\n"
 
 
 def test_min_order_budget_skips_every_lattice_below_98():
@@ -374,7 +441,7 @@ def test_min_order_budget_skips_every_lattice_below_98():
     assert last == "minimum dense subsemiring order: unknown (every lattice skipped)"
     code, text = run_cli("--format", "json", "--max-end-size", "97",
                          "min-order", "--max-size", "6")
-    payload = json.loads(text)
+    payload = written_json(text, "min-order")
     assert code == 0 and payload["partial"] is True and payload["minimum"] is None
     assert [r["min_order"] for r in payload["rows"]] == [None] * 15
 
@@ -382,7 +449,7 @@ def test_min_order_budget_skips_every_lattice_below_98():
 def test_min_order_budget_98_finds_the_minimum():
     code, text = run_cli("--format", "json", "--max-end-size", "98",
                          "min-order", "--max-size", "6")
-    payload = json.loads(text)
+    payload = written_json(text, "min-order")
     assert code == 0 and payload["minimum"] == 98
     code, text = run_cli("--max-end-size", "98", "min-order", "--max-size", "6")
     assert code == 0 and text.splitlines()[-1].startswith("minimum dense subsemiring order: 98")
@@ -422,6 +489,13 @@ def test_catalog_build_query_cycle(tmp_path):
     assert query_catalog(out_dir, lattice_size=4, min_order=17)[0][2].order == 20
     code, text = run_cli("catalog", "query", "--out", str(out_dir), "--max-order", "10")
     assert code == 0 and "2 rows" in text
+    code, text = run_cli("--format", "json", "catalog", "query", "--out", str(out_dir),
+                         "--max-order", "10")
+    assert code == 0
+    assert [row["order"] for row in written_json(text, "catalog query")["rows"]] == [2, 6]
+    code, text = run_cli("--format", "json", "catalog", "build", "--max-size", "4",
+                         "--out", str(out_dir))
+    assert code == 0 and len(written_json(text, "catalog build")["entries"]) == 4
 
 
 def test_catalog_build_above_the_enumeration_limit_creates_nothing(tmp_path):
@@ -790,7 +864,7 @@ def test_worker_count_caps_at_cpus_and_tasks(monkeypatch):
 def test_table1_matches_expected_data():
     code, text = run_cli("--format", "json", "table1")
     assert code == 0
-    payload = json.loads(text)
+    payload = written_json(text, "table1")
     assert payload["ok"] and payload["mismatches"] == []
     orders = {row["name"]: [m["order"] for m in row["members"]]
               for row in payload["rows"]}
