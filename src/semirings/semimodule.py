@@ -235,27 +235,36 @@ def module_congruences(mod):
 def maximal_nontotal_congruence(mod):
     """A module congruence maximal among the nontotal ones.
 
-    Greedy single pass: try to absorb each pair in turn, keeping the
-    closure only while it stays nontotal.  After the pass no further pair
-    can be added, which is exactly maximality.  With idempotent addition
-    a closure that relates the module zero and the top of
-    ``closure.zero_top_pair`` is total (x = x + 0 θ x + top = top), so it
-    is abandoned at that merge; a nontotal closure runs to the end, and
-    the partition kept is the same as with the stop at one block.
+    Greedy single pass over the pairs of ``closure.principal_test_pairs``:
+    try to absorb each pair in turn, keeping the closure only while it
+    stays nontotal.  With idempotent addition those are the covering
+    pairs, and the result θ is still maximal.  Every module congruence is
+    the join of the principal congruences of the covering pairs it
+    relates (the lemma of ``module_congruences``).  Suppose a nontotal
+    ψ ⊋ θ existed.  Then ψ relates some covering pair (c, b) that θ does
+    not.  When (c, b) was tried, the closure of the pairs kept so far lay
+    inside ψ, so it was nontotal and (c, b) was accepted, a contradiction.
+    Without idempotence every pair x < y is tried, and after the pass no
+    further pair can be added, which is exactly maximality.
+
+    With idempotent addition a closure that relates the module zero and
+    the top of ``closure.zero_top_pair`` is total (x = x + 0 θ x + top =
+    top), so it is abandoned at that merge; a nontotal closure runs to
+    the end, and the partition kept is the same as with the stop at one
+    block.
     """
     m = mod.m
     tables = _translations(mod)
     stop = zero_top_pair(mod.madd, mod.mzero)
     current = []
     blocks = Congruence(range(m))
-    for x in range(m):
-        for y in range(x + 1, m):
-            if blocks.same(x, y):
-                continue
-            labels = close_congruence(m, current + [(x, y)], tables, stop)
-            if labels is not None:
-                current.append((x, y))
-                blocks = Congruence(labels)
+    for x, y in principal_test_pairs(mod.madd):
+        if blocks.same(x, y):
+            continue
+        labels = close_congruence(m, current + [(x, y)], tables, stop)
+        if labels is not None:
+            current.append((x, y))
+            blocks = Congruence(labels)
     return blocks
 
 

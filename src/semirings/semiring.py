@@ -48,10 +48,9 @@ from .lattice import FiniteLattice
 class FiniteSemiring:
     """Cayley tables ``add`` and ``mul`` on 0..n-1, n = len(add), with
     ``zero`` the additive identity read from ``add`` by
-    ``closure.identity`` and ``mul_t`` the columns of ``mul`` (row a
-    holds x * a for each x); unchecked."""
+    ``closure.identity``; unchecked."""
 
-    __slots__ = ("n", "add", "mul", "zero", "name", "mul_t")
+    __slots__ = ("n", "add", "mul", "zero", "name")
 
     def __init__(self, add, mul, name=None):
         self.n = len(add)
@@ -59,7 +58,12 @@ class FiniteSemiring:
         self.mul = mul
         self.zero = identity(add)
         self.name = name
-        self.mul_t = tuple(zip(*mul))
+
+    @property
+    def mul_t(self):
+        """The columns of ``mul`` (row a holds x * a for each x), zipped
+        on each read: most semirings never need them."""
+        return tuple(zip(*self.mul))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSemiring):

@@ -519,21 +519,25 @@ def principal_closures(n, pairs, tables, stop=None):
     return out
 
 
-def one_block_maximal_nontotal_congruence(mod):
-    """``maximal_nontotal_congruence`` as it ran before the zero-top stop:
-    every closure runs until it is nontotal or has one block."""
+def all_pairs(n):
+    return [(x, y) for x in range(n) for y in range(x + 1, n)]
+
+
+def one_block_maximal_nontotal_congruence(mod, pairs):
+    """The greedy pass of ``maximal_nontotal_congruence`` over ``pairs``,
+    as it ran before the zero-top stop: every closure runs until it is
+    nontotal or has one block."""
     m = mod.m
     tables = (mod.madd, mod.act_t)
     current = []
     blocks = Congruence(tuple(range(m)))
-    for x in range(m):
-        for y in range(x + 1, m):
-            if blocks.same(x, y):
-                continue
-            labels = close_congruence(m, current + [(x, y)], tables)
-            if labels is not None:
-                current.append((x, y))
-                blocks = Congruence(labels)
+    for x, y in pairs:
+        if blocks.same(x, y):
+            continue
+        labels = close_congruence(m, current + [(x, y)], tables)
+        if labels is not None:
+            current.append((x, y))
+            blocks = Congruence(labels)
     return blocks
 
 
@@ -571,7 +575,7 @@ def test_zero_top_stop_matches_the_one_block_stop(name, count):
     for r in rings:
         stop = assert_zero_top_pair(r.add, r.zero)
         assert (stop is None) == (name == "not-idempotent")
-        pairs = [(x, y) for x in range(r.n) for y in range(x + 1, r.n)]
+        pairs = all_pairs(r.n)
         tables = (r.add, r.mul, r.mul_t)
         assert (principal_closures(r.n, pairs, tables, stop)
                 == principal_closures(r.n, pairs, tables)), (name, r.n)
@@ -585,7 +589,8 @@ def test_zero_top_stop_matches_the_one_block_stop(name, count):
                 == principal_closures(mod.m, pairs, tables)), (name, r.n)
         covers = principal_closures(mod.m, principal_test_pairs(mod.madd), tables)
         assert _only_trivial_congruences(mod) == all(c is None for c in covers)
-        assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod)
+        assert (maximal_nontotal_congruence(mod)
+                == one_block_maximal_nontotal_congruence(mod, principal_test_pairs(mod.madd)))
         stopped += stop is not None and stop[0] != stop[1]
     assert stopped == (0 if name == "not-idempotent" else 2 * (count - 1))
 
@@ -595,7 +600,35 @@ def test_zero_top_stop_matches_the_one_block_stop_on_the_descents(descents):
     for mod in mods:
         stop = assert_zero_top_pair(mod.madd, mod.mzero)
         assert stop is not None
-        assert maximal_nontotal_congruence(mod) == one_block_maximal_nontotal_congruence(mod), mod.m
+        assert (maximal_nontotal_congruence(mod)
+                == one_block_maximal_nontotal_congruence(mod, all_pairs(mod.m))), mod.m
+
+
+def assert_maximal_nontotal(mod):
+    """The θ of ``maximal_nontotal_congruence`` is a nontotal module
+    congruence, and closing it with any pair it does not relate, covering
+    or not, gives the total congruence."""
+    theta = maximal_nontotal_congruence(mod)
+    assert is_module_congruence(mod, theta) and not theta.is_total(), mod.m
+    tables = (mod.madd, mod.act_t)
+    for x, y in all_pairs(mod.m):
+        if not theta.same(x, y):
+            assert close_congruence(mod.m, theta.pairs + [(x, y)], tables) is None, (mod.m, x, y)
+    return theta
+
+
+def test_maximal_nontotal_congruence_is_maximal_against_every_pair(descents, end_subsemirings):
+    """On the regular modules of the lemma rings and their reversals (the
+    ``chain3`` and ``diamond`` lemma rings are the subsemirings of their
+    End), of every subsemiring of End(chain4), and on every module of the
+    descents."""
+    lemma = lemma_rings("not-idempotent") + end_subsemirings["chain3"] + end_subsemirings["diamond"]
+    rings = lemma + [reversed_ring(r) for r in lemma] + end_subsemirings["chain4"]
+    mods = [regular_module(r) for r in rings if r.n > 1]
+    mods += [mod for chains in descents.values() for _, chain in chains for mod in chain]
+    thetas = [assert_maximal_nontotal(mod) for mod in mods]
+    assert len(mods) == 1217
+    assert {theta.is_identity() for theta in thetas} == {False, True}
 
 
 class CountedRows:

@@ -1,5 +1,7 @@
 """Semimodules: validation, congruences, irreducibility, the descent."""
 
+import os
+
 import pytest
 
 from semirings.endo import (
@@ -7,12 +9,13 @@ from semirings.endo import (
     compose,
     end_semiring,
     endomorphisms,
+    enumerate_sr,
     identity_map,
     zero_map,
 )
 from semirings.errors import ParseError, PreconditionFailed, SizeLimit, ValidationError
 from semirings.fixtures import boolean_semiring, field_f2, load_fixture, two_element_trivial_mul
-from semirings.lattice import lattice_iso
+from semirings.lattice import enumerate_lattices, lattice_iso
 from semirings.semimodule import (
     acts_nonzero,
     annihilator,
@@ -301,6 +304,29 @@ def test_ideal_module_is_the_natural_module_of_end(ends, lats):
         assert module_lattice(mod) == recover_monoid(ends[name][0])
         assert lattice_iso(module_lattice(mod), lats[name]) is not None
     assert ideal_module(field_f2()) is None
+
+
+@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
+                    reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+def test_descent_ends_irreducible_on_size_six():
+    """The 37 dense members of lat6_1 .. lat6_9 (the lattices of the
+    ``walk6`` benchmark workload), of orders 108 to 252: the descent ends
+    in an irreducible module whose representation is faithful and dense,
+    on a lattice isomorphic to the one the member came from."""
+    lats = [lat for lat in enumerate_lattices(6)
+            if lat.name in {f"lat6_{k}" for k in range(1, 10)}]
+    orders = []
+    for lat in lats:
+        for fam in enumerate_sr(lat):
+            r = fam.to_semiring()
+            mod = find_irreducible(r)
+            assert irreducibility(mod).irreducible, (lat.name, r.n)
+            rep = representation(r, mod)
+            assert rep.faithful and rep.dense, (lat.name, r.n)
+            assert lattice_iso(module_lattice(mod), lat) is not None, (lat.name, r.n)
+            orders.append(r.n)
+    assert len(lats) == 9 and len(orders) == 37
+    assert (min(orders), max(orders)) == (108, 252)
 
 
 def test_representation_tautological(ends, lats):
