@@ -18,7 +18,9 @@ of End(chain3).  Simplicity, decided on the covering pairs of the additive
 order, is checked against closing every pair.  Closures that stop once they relate the zero
 and the additive top are checked against closures that run to one block,
 and the greedy maximal nontotal module congruence against the same greedy
-with the one-block stop.  The one isomorphism search and check are
+with the one-block stop, over the covering pairs it walks and, on the
+descents, over every pair.  Its result must be maximal against every pair,
+covering or not.  The one isomorphism search and check are
 compared with the lattice search, the semiring search and the semiring
 check they replaced, kept here as references: both searches must agree on
 whether an isomorphism exists, and each mapping found must pass the old
