@@ -182,9 +182,8 @@ def associative_cases(t):
 
 class Mismatch(Error):
     """Computed values disagree with the expected data file, or a computed
-    structure breaks the theorem: a dense family member that is not
-    congruence-simple, or a left ideal R·z that is not an irreducible
-    module."""
+    structure breaks the theorem: a left ideal R·z that is not an
+    irreducible module."""
 
 
 class CatalogMissing(Error):

@@ -90,6 +90,22 @@ def test_criterion_03_simplicity(sr_rings):
     assert is_congruence_simple(boolean_semiring())
 
 
+@pytest.mark.criterion(3, "size-6 part: every family member of lat6_1 .. lat6_9 is "
+                          "congruence-simple (opt-in)")
+@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+def test_criterion_03_simplicity_size_six():
+    # computed from the Cayley tables: the catalog relies on the density
+    # lemma of family_report and checks no member
+    names = {f"lat6_{i}" for i in range(1, 10)}
+    members = 0
+    for lat in enumerate_lattices(6):
+        if lat.name in names:
+            for sub in enumerate_sr(lat):
+                assert is_congruence_simple(sub.to_semiring()), (lat.name, sub.size)
+                members += 1
+    assert members == 37
+
+
 @pytest.mark.criterion(4, "simple iff isomorphic-to-dense over all subsemirings "
                           "of End(chain3), End(diamond) and End(chain4)")
 def test_criterion_04_simple_iff_iso_to_dense(end_subsemirings):

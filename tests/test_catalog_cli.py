@@ -22,7 +22,7 @@ from semirings.catalog import (
     worker_count,
 )
 from semirings.cli import _semiring_facts, main
-from semirings.endo import end_semiring
+from semirings.endo import EndoSubsemiring, end_semiring
 from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
 from semirings.lattice import lattice_iso, serialize_lat
@@ -904,13 +904,25 @@ def test_table1_text_lists_mismatches_and_exits_one(monkeypatch):
         1, TABLE1_ROWS + "MISMATCHES:\n  chain3: has_one [True] != [False]\n")
 
 
-def test_family_report_raises_mismatch_on_a_member_that_is_not_simple(monkeypatch):
-    from semirings import catalog
-    from semirings.errors import Mismatch
+def test_catalog_build_makes_no_cayley_table_and_no_simplicity_check(tmp_path, monkeypatch):
+    """Density proves every member congruence-simple (the lemma of
+    ``family_report``), so the build neither builds a member's table nor
+    runs ``is_congruence_simple``, wherever a module holds it."""
+    from semirings import semiring
 
-    monkeypatch.setattr(catalog, "is_congruence_simple", lambda r: False)
-    with pytest.raises(Mismatch, match="^family member of order 6 is not congruence-simple$"):
-        family_report(load_fixture("chain3"))
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the catalog build checked a member by its Cayley table")
+
+    monkeypatch.setattr(EndoSubsemiring, "to_semiring", forbidden)
+    original = semiring.is_congruence_simple
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("semirings")
+                and getattr(module, "is_congruence_simple", None) is original):
+            monkeypatch.setattr(module, "is_congruence_simple", forbidden)
+    out_dir = tmp_path / "cat"
+    assert run_cli("catalog", "build", "--max-size", "5", "--out", str(out_dir))[0] == 0
+    digest = hashlib.sha256((out_dir / "index.txt").read_bytes()).hexdigest()
+    assert digest == "5d5ba153a754fc082e93f1de277ddc958ed98df6cf28e6de2bce134f624bc3a6"
 
 
 def test_compare_reports_mismatches():

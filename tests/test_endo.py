@@ -1,5 +1,8 @@
 """Endomorphism semirings, elementary maps, dense families, transposes."""
 
+from functools import partial, reduce
+from itertools import permutations
+
 import pytest
 
 from semirings.endo import (
@@ -133,6 +136,30 @@ def test_enumerate_sr_members_are_closed_and_dense(sr_families):
         for fam in fams:
             assert fam.is_closed()
             assert is_dense(fam)
+
+
+def test_dense_members_separate_every_pair_by_elementary_maps(sr_families):
+    """The lemma of ``catalog.family_report``, checked on the maps with no
+    Cayley table: for f ≠ g in a dense R and x with f(x) ≰ g(x), the
+    elementary A = e_{g(x),top} and X = e_{0,x} lie in R, A∘f∘X = e_{0,top}
+    and A∘g∘X = 0; and e_{0,top} is the join of R, the top of its addition."""
+    pairs = 0
+    for fams in sr_families.values():
+        for fam in fams:
+            lat, members = fam.lattice, fam.members
+            z = elementary(lat, lat.zero, lat.top)
+            assert reduce(partial(pointwise_join, lat), members) == z
+            for f, g in permutations(members, 2):
+                x = next((x for x in range(lat.n) if not lat.leq(f[x], g[x])), None)
+                if x is None:  # f <= g, so g(x) ≰ f(x) somewhere
+                    f, g = g, f
+                    x = next(x for x in range(lat.n) if not lat.leq(f[x], g[x]))
+                a, xmap = elementary(lat, g[x], lat.top), elementary(lat, lat.zero, x)
+                assert a in members and xmap in members
+                assert compose(a, compose(f, xmap)) == z
+                assert compose(a, compose(g, xmap)) == zero_map(lat)
+                pairs += 1
+    assert pairs == 28604
 
 
 def test_transpose_of_identity(lats):

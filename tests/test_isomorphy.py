@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from semirings.catalog import MemberReport, family_report, member_reports
+from semirings.catalog import MemberReport, family_report
 from semirings.endo import (
     EndoSubsemiring,
     conjugate,
@@ -53,32 +53,24 @@ def descending_family(lat):
     return list(reversed(enumerate_sr(lat)))
 
 
-@pytest.mark.parametrize("lat", SMALL, ids=lambda lat: lat.name)
+SIX = [lat for lat in enumerate_lattices(6) if lat.n == 6]
+SIZE6_SWEEP = pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+
+
+@pytest.mark.parametrize("lat", SMALL + [pytest.param(lat, marks=SIZE6_SWEEP) for lat in SIX
+                                         if lat.name not in ("lat6_10", "lat6_14", "lat6_15")],
+                         ids=lambda lat: lat.name)
 def test_family_report_matches_the_search_reference(lat):
     report = family_report(lat)
     assert report.members == reference_member_reports(descending_family(lat))
 
 
-SIX = [lat for lat in enumerate_lattices(6) if lat.n == 6]
-
-
-@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
-@pytest.mark.parametrize("lat", [lat for lat in SIX if lat.name not in
-                                 ("lat6_10", "lat6_14", "lat6_15")],
-                         ids=lambda lat: lat.name)
-def test_member_reports_match_the_search_reference_on_size_six(lat):
-    # member_reports alone: family_report's congruence-simplicity check is
-    # criterion 3's and would dominate the sweep
-    families = descending_family(lat)
-    assert member_reports(lat, families) == reference_member_reports(families)
-
-
-@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@SIZE6_SWEEP
 def test_lat6_10_has_312_iso_classes():
     """Computed here (by conjugation, and once by the pairwise searches),
     not taken from the paper: 601 dense subsemirings in 312 classes."""
     lat = next(lat for lat in SIX if lat.name == "lat6_10")
-    reports = member_reports(lat, descending_family(lat))
+    reports = family_report(lat).members
     assert len(reports) == 601
     assert len({m.iso_class for m in reports}) == 312
 
