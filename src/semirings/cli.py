@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Each command returns its exit code, its JSON object and its text, and
-``main`` writes one of the two, as ``--format`` asks.  Exit codes: 0
-success or match, 1 mismatch or failed validation, 2 usage or parse
-errors.
+``main`` writes one of the two, as ``--format`` asks; a failure has the
+object of :func:`failed`.  Exit codes: 0 success or match, 1 mismatch or
+failed validation, 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ CHECKS = {
 def cmd_check(args, out):
     path = Path(args.path)
     if path.suffix not in CHECKS:
-        return 2, None, f"error: unknown file type {path.suffix!r}\n"
+        message = f"unknown file type {path.suffix!r}"
+        return 2, failed(args, "UnknownFileType", message), f"error: {message}\n"
     read, report = CHECKS[path.suffix]
     info, text = report(read(read_text(path), path.parent))
     return 0, {"command": "check", "ok": True, "result": info}, text
@@ -301,6 +302,17 @@ def build_parser():
     return parser
 
 
+def failed(args, kind, message):
+    """The JSON object of a failed command: the ``command`` its success
+    would carry, ``ok`` false, and the ``kind`` and ``message`` of the
+    error."""
+    command = f"catalog {args.action}" if args.command == "catalog" else args.command
+    return {"command": command, "ok": False, "error": {"kind": kind, "message": message}}
+
+
+# exit code and text prefix by error class; any other Error exits 1 with "error: <class name>"
+PREFIXES = {ParseError: (2, "parse error"), ValidationError: (1, "validation failed")}
+
 # the catalog flags that only the other action reads
 FOREIGN_FLAGS = {"build": ("min_order", "max_order", "has_one", "lattice_size"),
                  "query": ("max_size",)}
@@ -320,14 +332,11 @@ def main(argv=None, out=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         code, result, text = args.run(args, out)
-    except ParseError as exc:
-        code, result, text = 2, None, f"parse error: {exc}\n"
-    except ValidationError as exc:
-        code, result, text = 1, None, f"validation failed: {exc}\n"
     except Error as exc:
-        code, result, text = 1, None, f"error: {type(exc).__name__}: {exc}\n"
-    # an error has no JSON object and is written as text in either format
-    out.write(text if result is None or args.format == "text"
+        kind = type(exc).__name__
+        code, prefix = PREFIXES.get(type(exc), (1, f"error: {kind}"))
+        result, text = failed(args, kind, str(exc)), f"{prefix}: {exc}\n"
+    out.write(text if args.format == "text"
               else json.dumps(result, indent=2, sort_keys=True) + "\n")
     return code
 

@@ -4,9 +4,12 @@ check of the package.
 
 Subsemirings of End(M), subsemirings of a Cayley-table semiring and
 subsemimodules are all least sets closed under some binary products and,
-for modules, a unary action.  Each is closed here by :func:`close` and
-enumerated by :func:`closed_sets`; the callers only say what the products
-of two elements are, for a table structure by :func:`table_products`.
+for modules, a unary action; each is closed here by :func:`close`, and
+the callers only say what the products of two elements are, for a table
+structure by :func:`table_products`.  Those closed sets, and the module
+congruences, each named by the set of test pairs it relates, are the
+closed sets of a closure operator, and all are enumerated by the one
+walk :func:`closed_sets`.
 Semiring congruences, module congruences and plain equivalences
 generated by pairs are all least partitions compatible with some
 translation tables; each is closed by :func:`close_congruence`, and the
@@ -31,7 +34,7 @@ from operator import add
 
 from .errors import SizeLimit
 
-# Most closed sets, or module congruences, one enumeration may find.
+# Most closed sets one enumeration may find.
 SET_LIMIT = 100000
 
 
@@ -94,15 +97,20 @@ def relabel(table, rows, cols, label):
     return tuple(tuple(label[table[a][b]] for b in cols) for a in rows)
 
 
-def closed_sets(base, universe, products, images=None, *, noun):
-    """Every closed set between the closed set ``base`` and ``universe``,
-    ordered by ascending (size, sorted members).
+def closed_sets(base, universe, extend, *, noun):
+    """Every closed set of a closure operator between the closed set
+    ``base`` and ``universe``, ordered by ascending (size, sorted members).
 
-    Walks upward: each set found is extended by each element of
-    ``universe`` it lacks, and closed incrementally from that element.
-    Every closed set above ``base`` is reached, because it is the closure
-    of ``base`` and its members added one at a time.  ``SizeLimit`` is
-    raised once more than ``SET_LIMIT`` sets exist.
+    ``extend(s, x)`` is the least closed set containing the closed set
+    ``s`` and the element x.  The walk goes upward: each set found is
+    extended by each element of ``universe`` it lacks.  Every closed set
+    T above ``base`` is reached, for any closure operator c, by this
+    lemma.  List the members of T outside ``base`` as t_1, ..., t_k and
+    let s_0 = base and s_i = c(s_{i-1} ∪ {t_i}).  By induction each s_i
+    lies in T, since c is monotone and T = c(T) contains s_{i-1} and t_i;
+    and s_k contains base and every t_i, so s_k = T.  Each s_i is found
+    from s_{i-1}, which lacks t_i or equals s_i.  ``SizeLimit`` is raised
+    once more than ``SET_LIMIT`` sets exist.
     """
     seen = {base}
     stack = [base]
@@ -111,7 +119,7 @@ def closed_sets(base, universe, products, images=None, *, noun):
         for x in universe:
             if x in s:
                 continue
-            t = close(s, (x,), products, images)
+            t = extend(s, x)
             if t not in seen:
                 if len(seen) >= SET_LIMIT:
                     raise SizeLimit(f"more than {SET_LIMIT} {noun}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 
-from .closure import closed_sets, principal_test_pairs
+from .closure import close, closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import FiniteLattice, homomorphisms
 from .semiring import FiniteSemiring
@@ -265,8 +265,9 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     """
     all_endos = endomorphisms(lat, max_count=max_end)
     base = dense_closure(lat, max_size=None).members
-    families = closed_sets(base, all_endos, _products(lat), noun="dense subsemirings")
-    return [EndoSubsemiring(lat, s) for s in families]
+    products = _products(lat)
+    return [EndoSubsemiring(lat, s) for s in closed_sets(
+        base, all_endos, lambda s, f: close(s, (f,), products), noun="dense subsemirings")]
 
 
 def transpose(lat, f):

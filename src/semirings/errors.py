@@ -181,9 +181,10 @@ def associative_cases(t):
 
 
 class Mismatch(Error):
-    """Computed values disagree with the expected data file, or a computed
-    structure breaks the theorem: a left ideal R·z that is not an
-    irreducible module."""
+    """A computed structure breaks the theorem: ``check`` finds a left
+    ideal R·z that is not an irreducible module.  (``table1`` reports
+    values that disagree with the expected data file as diffs and exits
+    1 without raising.)"""
 
 
 class CatalogMissing(Error):

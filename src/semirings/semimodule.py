@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closure import (
-    SET_LIMIT,
     close,
     close_congruence,
     closed_sets,
@@ -29,7 +28,6 @@ from .errors import (
     LineReader,
     ParseError,
     PreconditionFailed,
-    SizeLimit,
     ValidationError,
     associative_cases,
     check_axiom,
@@ -124,8 +122,10 @@ def close_module_subset(mod, seed):
 
 def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
-    return closed_sets(close_module_subset(mod, ()), range(mod.m), table_products((mod.madd,)),
-                       mod.act_t.__getitem__, noun="subsemimodules")
+    sums = table_products((mod.madd,))
+    return closed_sets(close_module_subset(mod, ()), range(mod.m),
+                       lambda s, x: close(s, (x,), sums, mod.act_t.__getitem__),
+                       noun="subsemimodules")
 
 
 def ideal_module(r):
@@ -205,31 +205,31 @@ def is_module_congruence(mod, cong):
 
 
 def module_congruences(mod):
-    """Every module congruence, as joins of the principal congruences of
-    the pairs of ``closure.principal_test_pairs``.
+    """Every module congruence, finest first: the closed sets of the pairs
+    of ``closure.principal_test_pairs``, walked by ``closure.closed_sets``.
 
     With idempotent addition, every congruence θ is the join of the
     principal congruences of the covering pairs it relates.  If x < y are
     related, so is each step c_i ⋖ c_{i+1} of a maximal chain from x to
     y, since c_i = x + c_i θ y + c_i = y for every i; and an incomparable
     pair x θ y goes through x + y (x = x + x θ x + y, likewise y).
-    Without idempotence ``principal_test_pairs`` returns every pair.  The
-    walk closes those principal congruences under joins.
+    Without idempotence ``principal_test_pairs`` returns every pair.  So
+    θ is the congruence generated by the set of test pairs it relates,
+    and the closure operator that takes a set of test pairs to the test
+    pairs its generated congruence relates has one closed set per
+    congruence.  The identity relates no test pair, so the walk starts
+    from the empty set.
     """
-    m = mod.m
-    principals = {module_principal(mod, x, y) for x, y in principal_test_pairs(mod.madd)}
-    found = {Congruence(range(m))} | principals
-    work = list(found)
-    while work:
-        c = work.pop()
-        for p in principals:
-            joined = Congruence.generated(m, c.pairs + p.pairs, _translations(mod))
-            if joined not in found:
-                if len(found) >= SET_LIMIT:
-                    raise SizeLimit(f"more than {SET_LIMIT} module congruences")
-                found.add(joined)
-                work.append(joined)
-    return sorted(found, key=lambda c: (c.num_blocks, c.blocks), reverse=True)
+    m, tables = mod.m, _translations(mod)
+    pairs = principal_test_pairs(mod.madd)
+
+    def extend(s, pair):
+        cong = Congruence.generated(m, [*s, pair], tables)
+        return frozenset(p for p in pairs if cong.same(*p))
+
+    sets = closed_sets(frozenset(), pairs, extend, noun="module congruences")
+    return sorted([Congruence.generated(m, s, tables) for s in sets],
+                  key=lambda c: (c.num_blocks, c.blocks), reverse=True)
 
 
 def maximal_nontotal_congruence(mod):

@@ -365,7 +365,8 @@ def subsemirings(r):
     Walks the closed-set lattice upward from the closure of {zero};
     deterministic order by (size, member tuple).
     """
-    return closed_sets(close_subset(r, ()), range(r.n), table_products(_translations(r)),
+    products = table_products(_translations(r))
+    return closed_sets(close_subset(r, ()), range(r.n), lambda s, x: close(s, (x,), products),
                        noun="subsemirings")
 
 

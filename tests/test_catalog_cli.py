@@ -53,6 +53,14 @@ def written_json(text, command):
     return payload
 
 
+def failed_json(text, command):
+    """The ``error`` of a failed ``--format json`` run: one object of
+    ``command``, ``ok`` false and the error, and nothing else."""
+    payload = written_json(text, command)
+    assert payload["ok"] is False and set(payload) == {"command", "ok", "error"}
+    return payload["error"]
+
+
 def test_check_lattice_file(tmp_path):
     code, text = run_cli("check", str(tmp_path / "missing.lat"))
     assert code == 2
@@ -210,6 +218,40 @@ def test_check_srs_unresolved_lattice_exits_two(tmp_path, lattice_line, message)
     assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
 
 
+# each way ``main`` fails: its arguments ({tmp} is the test's directory), its
+# exit code, its text, and the kind and message of its JSON error
+FAILURES = [
+    (("check", "{tmp}/missing.lat"), 2,
+     "parse error: cannot read {tmp}/missing.lat: No such file or directory\n",
+     "ParseError", "cannot read {tmp}/missing.lat: No such file or directory"),
+    (("check", "{tmp}/bad.lat"), 1, "validation failed: x + x != x: witness (1,)\n",
+     "ValidationError", "x + x != x: witness (1,)"),
+    (("check", "{tmp}/chain3.txt"), 2, "error: unknown file type '.txt'\n",
+     "UnknownFileType", "unknown file type '.txt'"),
+    (("min-order", "--max-size", "8"), 1, "error: LimitExceeded: max_n=8 exceeds limit 7\n",
+     "LimitExceeded", "max_n=8 exceeds limit 7"),
+    (("catalog", "build", "--max-size", "8", "--out", "{tmp}/cat"), 1,
+     "error: LimitExceeded: max_n=8 exceeds limit 7\n",
+     "LimitExceeded", "max_n=8 exceeds limit 7"),
+    (("catalog", "query", "--out", "{tmp}/cat"), 1,
+     "error: CatalogMissing: no catalog at {tmp}/cat\n",
+     "CatalogMissing", "no catalog at {tmp}/cat"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, kind, message", FAILURES,
+                         ids=["parse", "validation", "suffix", "min-order", "build", "query"])
+def test_each_failure_is_one_json_object(tmp_path, argv, code, text, kind, message):
+    (tmp_path / "bad.lat").write_text("n 2\n0 1\n1 0\n")
+    (tmp_path / "chain3.txt").write_text(serialize_lat(load_fixture("chain3")))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    command = " ".join(argv[:2]) if argv[0] == "catalog" else argv[0]
+    assert run_cli(*argv) == (code, text.format(tmp=tmp_path))
+    got, out = run_cli("--format", "json", *argv)
+    assert got == code
+    assert failed_json(out, command) == {"kind": kind, "message": message.format(tmp=tmp_path)}
+
+
 def test_check_unknown_suffix_exits_two(tmp_path):
     path = tmp_path / "chain3.txt"
     path.write_text(serialize_lat(load_fixture("chain3")))
@@ -239,7 +281,12 @@ def test_check_failed_axiom_exits_one(tmp_path, fmt, name, text, message):
     write_end_chain3_modules(tmp_path)
     path = tmp_path / name
     path.write_text(text)
-    assert run_cli("--format", fmt, "check", str(path)) == (1, f"validation failed: {message}\n")
+    code, out = run_cli("--format", fmt, "check", str(path))
+    assert code == 1
+    if fmt == "text":
+        assert out == f"validation failed: {message}\n"
+    else:
+        assert failed_json(out, "check") == {"kind": "ValidationError", "message": message}
 
 
 def test_validation_error_of_any_command_exits_one(monkeypatch):
@@ -251,6 +298,10 @@ def test_validation_error_of_any_command_exits_one(monkeypatch):
 
     monkeypatch.setattr(cli, "fixture_reports", fail)
     assert run_cli("table1") == (1, "validation failed: zero + x != x: witness (1,)\n")
+    code, out = run_cli("--format", "json", "table1")
+    assert code == 1
+    assert failed_json(out, "table1") == {"kind": "ValidationError",
+                                          "message": "zero + x != x: witness (1,)"}
 
 
 @pytest.mark.parametrize("name, text, report", [
@@ -278,9 +329,11 @@ def test_check_report_of_an_unnamed_structure(tmp_path, name, text, report):
 def test_check_srs_not_closed_exits_one(tmp_path, srs):
     path = tmp_path / "sub.srs"
     path.write_text(srs)
-    message = "validation failed: member set is not closed under join and composition\n"
-    assert run_cli("check", str(path)) == (1, message)
-    assert run_cli("--format", "json", "check", str(path)) == (1, message)
+    message = "member set is not closed under join and composition"
+    assert run_cli("check", str(path)) == (1, f"validation failed: {message}\n")
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 1
+    assert failed_json(out, "check") == {"kind": "ValidationError", "message": message}
 
 
 def write_end_chain3_modules(tmp_path):
@@ -354,9 +407,11 @@ def test_check_reference_with_a_path_separator_exits_two(tmp_path, suffix, absol
     (tmp_path / "here").mkdir()
     path = tmp_path / "here" / f"sub{suffix}"
     path.write_text(text)
-    for fmt in ("text", "json"):
-        assert run_cli("--format", fmt, "check", str(path)) == (
-            2, f"parse error: cannot resolve {noun} {name!r}\n")
+    message = f"cannot resolve {noun} {name!r}"
+    assert run_cli("check", str(path)) == (2, f"parse error: {message}\n")
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 2
+    assert failed_json(out, "check") == {"kind": "ParseError", "message": message}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

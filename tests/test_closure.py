@@ -161,7 +161,8 @@ def dense_family_over_the_end_table(lat):
     r, members = end_semiring(lat)
     index = {f: i for i, f in enumerate(members)}
     base = frozenset(index[f] for f in dense_closure(lat).members)
-    sets = closed_sets(base, range(r.n), table_products((r.add, r.mul, r.mul_t)),
+    products = table_products((r.add, r.mul, r.mul_t))
+    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), products),
                        noun="dense subsemirings")
     return [frozenset(members[i] for i in s) for s in sets]
 
@@ -181,9 +182,9 @@ def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
 
 
 def test_closed_sets_raise_size_limit_past_set_limit(monkeypatch):
-    # with no products every subset of range(3) is closed: 8 sets
+    # under the identity closure every subset of range(3) is closed: 8 sets
     def walk():
-        return closed_sets(frozenset(), range(3), lambda x, y: (), noun="sets")
+        return closed_sets(frozenset(), range(3), lambda s, x: s | {x}, noun="sets")
 
     monkeypatch.setattr(closure, "SET_LIMIT", 8)
     assert len(walk()) == 8
@@ -465,6 +466,19 @@ def test_covering_pair_simplicity_matches_all_pairs(name, count, simple):
         mod = regular_module(r)
         assert _only_trivial_congruences(mod) == all_pairs_trivial(mod), (name, r.n, r.name)
     assert sum(verdicts) == simple
+
+
+def test_module_congruences_match_the_reference_without_idempotent_addition():
+    # + is not idempotent, so every pair x < y is a test pair of the walk
+    counts = []
+    for r in lemma_rings("not-idempotent") + [residue_ring(5), residue_ring(6)]:
+        mod = regular_module(r)
+        assert len(principal_test_pairs(mod.madd)) == mod.m * (mod.m - 1) // 2
+        congs = module_congruences(mod)
+        assert set(congs) == reference_module_congruences(mod), r.name
+        assert congs == sorted(congs, key=lambda c: (c.num_blocks, c.blocks), reverse=True)
+        counts.append(len(congs))
+    assert counts == [2, 2, 3, 3, 2, 4]
 
 
 def test_covering_pair_irreducibility_matches_all_pairs_on_the_descents(descents):

@@ -157,7 +157,7 @@ def test_module_congruences_of_zero_action(zero_action):
 
 
 def test_module_congruences_raise_size_limit_past_set_limit(monkeypatch):
-    from semirings import semimodule
+    from semirings import closure
 
     # chain4 with a zero action: 8 congruences, one of them a join of
     # principal ones that only the walk finds
@@ -165,9 +165,9 @@ def test_module_congruences_raise_size_limit_past_set_limit(monkeypatch):
     mod = validate_semimodule(boolean_semiring(), lat.join, ((0,) * lat.n,) * 2)
     principals = {module_principal(mod, x, y) for x in range(mod.m) for y in range(x + 1, mod.m)}
     assert len(module_congruences(mod)) == 8 > len(principals) + 1
-    monkeypatch.setattr(semimodule, "SET_LIMIT", 8)
+    monkeypatch.setattr(closure, "SET_LIMIT", 8)
     assert len(module_congruences(mod)) == 8
-    monkeypatch.setattr(semimodule, "SET_LIMIT", 7)
+    monkeypatch.setattr(closure, "SET_LIMIT", 7)
     with pytest.raises(SizeLimit, match="more than 7 module congruences"):
         module_congruences(mod)
 
