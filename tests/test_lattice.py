@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ from semirings.lattice import (
     serialize_lat,
     validate_lattice,
 )
+
+REFERENCES = Path(__file__).resolve().parent / "references"
 
 MAX_TABLE = lambda n: [[max(i, j) for j in range(n)] for i in range(n)]
 
@@ -634,6 +637,14 @@ def test_min_order_seven_json_is_pinned():
     assert main(["--format", "json", "min-order", "--max-size", "7"], out=out) == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == "13f32b2577969e696a4ba7f6ba4b9f797c988185a7d5324c749723cf032e03fc"
+
+
+def test_min_order_seven_text_is_pinned():
+    # the text output, byte for byte, as the enumeration before the
+    # mask-carrying extensions and the twin pruning printed it
+    out = io.StringIO()
+    assert main(["min-order", "--max-size", "7"], out=out) == 0
+    assert out.getvalue() == (REFERENCES / "min_order7.txt").read_text()
 
 
 def _without(lat, m):
