@@ -11,8 +11,10 @@ one isomorphism check of the package, ``closure.table_iso`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .closure import down_masks, is_table_iso, table_iso
 from .errors import (
@@ -297,6 +299,12 @@ def lattice_iso(lat1, lat2):
 # generation", J. Algorithms 26, 1998), so fewer tables are canonicalised.
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_lists(n):
+    """The set bits of every mask below 2**n, as tuples: one table per size."""
+    return tuple(tuple(y for y in range(n) if mask >> y & 1) for mask in range(1 << n))
+
+
 def _poset_colors(up, down, n):
     """Colour refinement of a poset given by its up- and down-set bitmasks:
     x starts as (|down-set|, |up-set|), and each round colours x by the
@@ -304,9 +312,10 @@ def _poset_colors(up, down, n):
     up-set.  It stops once a round adds no colour class: every signature
     holds the old colour, so the classes only split, and an equal count
     means an equal partition (the test ``closure._joint_colors`` uses)."""
-    below = [[y for y in range(n) if down[x] >> y & 1] for x in range(n)]
-    above = [[y for y in range(n) if up[x] >> y & 1] for x in range(n)]
-    colors = [(len(below[x]), len(above[x])) for x in range(n)]
+    bits = _bit_lists(n)
+    below = [bits[mask] for mask in down]
+    above = [bits[mask] for mask in up]
+    colors = [(len(b), len(a)) for b, a in zip(below, above)]
     count = len(set(colors))
     while True:
         get = colors.__getitem__
@@ -319,22 +328,42 @@ def _poset_colors(up, down, n):
         count = len(ranks)
 
 
-def _admissible_orders(colors, n):
+def _admissible_orders(colors, n, up, down):
     """The orderings of 0..n-1 that list the colour classes one after
-    another in colour order, each class in every order; the i-th element
-    of an ordering takes the label i."""
+    another in colour order, each class in every order, except that a
+    class of twins comes in one order only; the i-th element of an
+    ordering takes the label i.
+
+    Lemma.  Call x and y twins when they have the same strict down-set and
+    the same strict up-set.  Then x and y are incomparable (x < y would put
+    x in its own strict down-set), and swapping them moves no other
+    element and keeps every relation z < x, x < z, z < y and y < z, so it
+    is an order automorphism, hence a lattice automorphism; so is every
+    permutation a of a set of pairwise twins, a product of such swaps.  If
+    order' lists a(x) wherever order lists x, then label'(a(x)) = label(x),
+    and entry (i, j) of the table relabelled along order' is
+    label'(a(x) + a(y)) = label'(a(x + y)) = label(x + y) for x = order[i]
+    and y = order[j], the entry along order.  So when every two elements
+    of a colour class are twins, every ordering of that class gives the
+    same tables as its sorted one, and the least table is unchanged."""
     groups = {}
     for x in range(n):
         groups.setdefault(colors[x], []).append(x)
-    for choice in itertools.product(*[itertools.permutations(groups[k]) for k in sorted(groups)]):
+    choices = []
+    for key in sorted(groups):
+        group = groups[key]
+        twins = len({(down[x] & ~(1 << x), up[x] & ~(1 << x)) for x in group}) == 1
+        choices.append([group] if twins else itertools.permutations(group))
+    for choice in itertools.product(*choices):
         yield list(itertools.chain.from_iterable(choice))
 
 
-def _coatom_extensions(join, n):
+def _masked_extensions(join, n):
     """Join tables of size n that add a coatom to the lattice ``join`` of
     size n - 1 >= 2 (bottom 0, top n - 2): bottom 0, new coatom n - 2,
-    top n - 1.  Only the extensions in which no other coatom has a larger
-    down-set than the new one are kept.
+    top n - 1, each with its up- and down-set bitmasks.  Only the
+    extensions in which no other coatom has a larger down-set than the new
+    one are kept.
 
     Lemma.  A coatom m of a lattice with at least 3 elements can be
     removed: two elements whose join was m then have only the top above
@@ -345,7 +374,10 @@ def _coatom_extensions(join, n):
     of D join inside D or at t; otherwise that join and m are two
     incomparable least upper bounds.  In the new table a join that was t
     becomes m inside D and the top elsewhere, and x + m is m for x in D
-    and the top otherwise.
+    and the top otherwise.  So the bitmasks follow from the old ones: an
+    element x other than m and the top keeps its down-set, and its up-set
+    gains the top, and m when x is in D; m's down-set is D and m, and the
+    top's is every element.
 
     Pruning.  The other coatoms of the extension are the old coatoms not
     in D, with their down-sets unchanged; m's down-set is D and m.  Take
@@ -360,7 +392,9 @@ def _coatom_extensions(join, n):
     """
     k = n - 2  # the elements other than t are 0..k-1; m takes t's index k
     top = n - 1
+    m_bit, top_bit = 1 << k, 1 << top
     down = down_masks(join[:k])
+    above = [sum(1 << y for y in range(k) if down[y] >> x & 1) | top_bit for x in range(k)]
     coatoms = [(1 << c, bin(down[c]).count("1")) for c in range(k)
                if not any(down[y] >> c & 1 for y in range(k) if y != c)]
     for d in range(1, 1 << k, 2):
@@ -375,28 +409,38 @@ def _coatom_extensions(join, n):
         up = [k if d >> x & 1 else top for x in range(k)]  # x + m
         rows = [[v if v < k else max(up[x], up[y]) for y, v in enumerate(row[:k])]
                 + [up[x], top] for x, row in enumerate(join[:k])]
-        yield rows + [up + [k, top], [top] * n]
+        up_masks = [u | m_bit if d >> x & 1 else u for x, u in enumerate(above)]
+        yield (rows + [up + [k, top], [top] * n],
+               up_masks + [m_bit | top_bit, top_bit], [*down, d | m_bit, (1 << n) - 1])
 
 
-def _canon_join_table(join, n):
+def _coatom_extensions(join, n):
+    """The tables of ``_masked_extensions``, without their bitmasks."""
+    for table, _, _ in _masked_extensions(join, n):
+        yield table
+
+
+def _least_relabelling(join, n, up, down):
     """The least relabelled join table over the orderings of
     ``_admissible_orders``, in which colour classes take consecutive labels
-    in colour order.  Row i of the table relabelled along the ordering
-    ``order`` (with label[order[i]] = i) is the row of order[i], so each
-    candidate is built row by row and dropped at its first row above the
-    least table found so far."""
-    down = down_masks(join)
-    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
+    in colour order; n >= 2, as ``itemgetter`` of one index gives an item,
+    not a tuple.  Row i of the table relabelled along the ordering
+    ``order`` (with label[order[i]] = i) is the row of order[i] with its
+    entries relabelled by ``bytes.translate`` and its columns taken in
+    ``order`` by ``itemgetter``, both in C; so each candidate is built row
+    by row and dropped at its first row above the least table found so
+    far."""
+    rows = [bytes(row) for row in join]
     best = None
-    label = [0] * n
-    for order in _admissible_orders(_poset_colors(up, down, n), n):
+    label = bytearray(256)  # a translate table; only codes below n occur
+    for order in _admissible_orders(_poset_colors(up, down, n), n, up, down):
         for i, x in enumerate(order):
             label[x] = i
+        pick = itemgetter(*order)
         key = []
         tied = best is not None  # every row so far equals best's
         for i, x in enumerate(order):
-            jx = join[x]
-            row = tuple([label[jx[y]] for y in order])
+            row = pick(rows[x].translate(label))
             if tied and row != best[i]:
                 if row > best[i]:
                     break
@@ -404,8 +448,18 @@ def _canon_join_table(join, n):
             key.append(row)
         else:
             if not tied:
-                best = tuple(key)
-    return best
+                best = key
+    return tuple(best)
+
+
+def _canon_join_table(join, n):
+    """The canonical join table of the lattice ``join`` on 0..n-1:
+    ``_least_relabelling`` with the bitmasks of its order."""
+    if n == 1:
+        return ((0,),)
+    down = down_masks(join)
+    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
+    return _least_relabelling(join, n, up, down)
 
 
 def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
@@ -413,9 +467,16 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
 
     The classes of sizes 1 and 2 are the chains; every lattice of size
     n >= 3 adds a coatom to a lattice of size n - 1 (the lemma at
-    ``_coatom_extensions``), so the classes of size n are the canonical
+    ``_masked_extensions``), so the classes of size n are the canonical
     join tables of the kept coatom extensions of the classes of size
-    n - 1.
+    n - 1.  Each extension comes with the order bitmasks that follow from
+    its parent's, so no order is derived from a table.  The canonical
+    table is the least relabelling over the colour-respecting orderings
+    (``_least_relabelling``), each candidate row relabelled in C by
+    ``bytes.translate`` and ``itemgetter``.  A colour class of pairwise
+    twins is listed in one ordering only (the lemma at
+    ``_admissible_orders``): up to size 7 this takes the 120 orderings of
+    M_5 and the 24 of each of three other extensions to one.
 
     Deterministic: classes are sorted by (size, canonical join table), and
     the k-th class of size n is named ``lat{n}_{k}``.  Raises
@@ -424,12 +485,12 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds limit {limit}")
     chains = [((0,),), ((0, 1), (1, 1))][:max(max_n, 0)]
-    # each table is a lattice: a chain, or by the lemma at _coatom_extensions
+    # each table is a lattice: a chain, or by the lemma at _masked_extensions
     out = [FiniteLattice(table, name=f"lat{n}_1") for n, table in enumerate(chains, 1)]
     tables = chains[1:]
     for n in range(3, max_n + 1):
-        tables = sorted({_canon_join_table(ext, n)
-                         for join in tables for ext in _coatom_extensions(join, n)})
+        tables = sorted({_least_relabelling(ext, n, up, down)
+                         for join in tables for ext, up, down in _masked_extensions(join, n)})
         out.extend(FiniteLattice(table, name=f"lat{n}_{k}") for k, table in enumerate(tables, 1))
     return out
 

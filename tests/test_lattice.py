@@ -1,5 +1,6 @@
 """Lattice core: validation, order data, duality, enumeration."""
 
+import collections
 import hashlib
 import io
 import itertools
@@ -16,8 +17,10 @@ from semirings.errors import (
     ValidationError,
 )
 from semirings.cli import main
+from semirings.closure import is_table_iso
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
+    _admissible_orders,
     _canon_join_table,
     _coatom_extensions,
     _poset_colors,
@@ -716,6 +719,63 @@ def test_canonical_form_matches_the_reference_on_every_extension(n):
         assert _canon_join_table(table, n) == want
         assert _canon_join_table(copy, n) == want
         assert _reference_canon_join_table(copy, n) == want
+
+
+def _twin_pairs(lat):
+    """The pairs x < y of elements of ``lat`` with the same strict
+    down-set and the same strict up-set."""
+    n = lat.n
+    strict = [({z for z in range(n) if z != x and lat.leq(z, x)},
+               {z for z in range(n) if z != x and lat.leq(x, z)}) for x in range(n)]
+    return [(x, y) for x, y in itertools.combinations(range(n), 2) if strict[x] == strict[y]]
+
+
+def test_swapping_two_twins_is_an_automorphism():
+    lats = enumerate_lattices(7)
+    swaps = 0
+    for lat in lats:
+        for x, y in _twin_pairs(lat):
+            mapping = list(range(lat.n))
+            mapping[x], mapping[y] = y, x
+            assert is_table_iso(mapping, (lat.join,), lat.zero, (lat.join,), lat.zero), \
+                (lat.name, x, y)
+            swaps += 1
+    assert swaps > len(lats)  # M_3 alone has three pairs of twin atoms
+
+
+def _ordering_counts(join, n):
+    """The number of orderings in the full product of the colour classes
+    and in the twin-pruned ``_admissible_orders``."""
+    up, down = _order_masks(join, n)
+    colors = _poset_colors(up, down, n)
+    return (sum(1 for _ in _reference_admissible_perms(colors, n)),
+            sum(1 for _ in _admissible_orders(colors, n, up, down)))
+
+
+def test_twin_pruned_orderings_give_the_full_product_minimum():
+    # every extension up to size 8 and every fixture, in its own labelling
+    # and a shuffled one; those the pruning cuts short in eight more
+    rng = random.Random(28)
+    for join in [t for ts in _extensions_by_size(8).values() for t in ts] + [
+            load_fixture(name).join for name in FIXTURE_NAMES]:
+        n = len(join)
+        want = _reference_canon_join_table(join, n)
+        full, pruned = _ordering_counts(join, n)
+        assert 1 <= pruned <= full
+        assert _canon_join_table(join, n) == want
+        for _ in range(9 if pruned < full else 1):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _canon_join_table(_relabelled(join, perm), n) == want
+
+
+def test_twin_pruning_takes_m5_and_the_24_orderings_to_one():
+    # the extensions that enumerate_lattices(7) canonicalises
+    counts = collections.Counter(
+        _ordering_counts(join, lat.n + 1) for lat in enumerate_lattices(6) if lat.n >= 2
+        for join in _coatom_extensions(lat.join, lat.n + 1))
+    assert counts[120, 1] == 1 and counts[24, 1] == 3
+    assert max(pruned for _, pruned in counts) == 4
 
 
 def test_enumeration_up_to_eight_is_pinned():
