@@ -4,9 +4,9 @@ An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
-alone: while it is built, a map f on n elements is the string of the codes
-f(x) + n·x (``bytes`` when n² <= 256, ``str`` above), and adding an
-elementary map to every sum is one ``translate`` call per sum.  The Cayley
+alone: while it is built, a map f on n elements is the ``bytes`` string of
+the codes f(x) + n·x (taken in chunks above 16 elements), and adding an
+elementary map to every sum is one ``translate`` call per sum and chunk.  The Cayley
 tables of a subsemiring and its closedness test use the same encoded maps:
 each entry, a join or a composite of two members, is one ``translate``
 call.  The dense subsemirings form an interval between it and End(M),
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product, repeat
+from operator import itemgetter
 
 from .closure import close, closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
@@ -121,7 +122,7 @@ class EndoSubsemiring:
         """
         lat = self.lattice
         n, join, cells = lat.n, lat.join, range(lat.n)
-        pack, table, translate, _ = _codec(n)
+        pack, table, translate = _codec(n)
         members = self.sorted_members()
         strings = [pack([v + n * x for x, v in enumerate(f)]) for f in members]
         at = {s: i for i, s in enumerate(strings)}.__getitem__
@@ -131,8 +132,8 @@ class EndoSubsemiring:
             for f in members:
                 plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
                 after = table([f[v] + n * x for x in cells for v in cells])
-                add.append(tuple(map(at, map(translate, strings, repeat(plus)))))
-                mul.append(tuple(map(at, map(translate, strings, repeat(after)))))
+                add.append(tuple(map(at, translate(strings, plus))))
+                mul.append(tuple(map(at, translate(strings, after))))
         except KeyError:
             raise ValidationError(
                 "member set is not closed under join and composition") from None
@@ -166,24 +167,43 @@ def _products(lat):
 
 
 def _codec(n):
-    """(pack, table, translate, unpack) for maps on an n-element lattice.
+    """(pack, table, translate) for maps on an n-element lattice.
 
-    ``pack`` turns a list of codes below n² into a string, ``bytes`` when
-    n² <= 256 and ``str`` otherwise; ``table`` turns the list of images of
-    the codes 0 .. n² − 1 into a table for ``translate``, which leaves every
-    other code alone; ``unpack`` turns a string back into its codes.
+    ``pack`` turns the list of the codes f(x) + n·x of a map f into a
+    ``bytes`` string; ``table`` turns the list of images of the codes
+    0 .. n² − 1 into a table for ``translate``, which leaves every other
+    code alone; ``translate(strings, table)`` gives the translate of each
+    string of the collection ``strings``, in its order, all in C.  An
+    image is a code of the same position x or a value v < n.
+
+    When n² <= 256 a string is the codes themselves.  Above, position x =
+    w·j + i of the w = ⌊256/n⌋ positions of chunk j holds the code
+    v + n·x mod n·w = v + n·i, below 256; chunk j has its own table, the
+    images of its codes mod n·w, and is cut out, translated and joined
+    back with the others.  Either way equal strings are equal maps, and
+    strings compare as the image tuples do, since each position holds v
+    plus a constant.
     """
     if n * n <= 256:
         pad = bytes(range(n * n, 256))
-        return bytes, lambda codes: bytes(codes) + pad, bytes.translate, tuple
+        return (bytes, lambda codes: bytes(codes) + pad,
+                lambda strings, table: map(bytes.translate, strings, repeat(table)))
+    width = 256 // n
+    span = n * width  # the codes of one chunk
+    cuts = [itemgetter(slice(x, x + width)) for x in range(0, n, width)]
 
     def pack(codes):
-        return "".join(map(chr, codes))
+        return bytes([c % span for c in codes])
 
-    def unpack(s):
-        return tuple(map(ord, s))
+    def table(images):
+        chunks = [[c % span for c in images[s:s + span]] for s in range(0, n * n, span)]
+        return [bytes(chunk + list(range(len(chunk), 256))) for chunk in chunks]
 
-    return pack, list, str.translate, unpack
+    def translate(strings, tables):
+        return map(b"".join, zip(*[map(bytes.translate, map(cut, strings), repeat(t))
+                                   for cut, t in zip(cuts, tables)]))
+
+    return pack, table, translate
 
 
 def dense_closure(lat, max_size=END_SIZE_LIMIT):
@@ -215,7 +235,8 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     sends cell (x, v) to (x, join(v, b)) when x is not below a and fixes
     it otherwise.  That is a substitution of codes, so f + e_{a,b} is
     ``f.translate(T_ab)`` for its table T_ab, and each step of the fold is
-    one ``translate`` per sum, all in C.
+    one ``translate`` per sum (per sum and chunk above 16 elements), all
+    in C.
 
     The generators.  Only the e_{a,b} with a meet-irreducible (one upper
     cover) and b join-irreducible (one lower cover) are folded, taken from
@@ -236,7 +257,7 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     lattice, on the others.
     """
     n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
-    pack, table, translate, unpack = _codec(n)
+    pack, table, translate = _codec(n)
     covers = principal_test_pairs(join)
     meet_irr = [a for a in range(n) if sum(c == a for c, _ in covers) == 1]
     join_irr = [b for b in range(n) if sum(d == b for _, d in covers) == 1]
@@ -247,11 +268,11 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
         below = down[a]
         step = table(list(chain.from_iterable(
             keep[x] if below >> x & 1 else moved[b][x] for x in range(n))))
-        span.update(list(map(translate, span, repeat(step))))
+        span.update(list(translate(span, step)))
         if max_size is not None and len(span) > max_size:
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
     decode = table([c % n for c in range(n * n)])
-    members = frozenset(map(unpack, map(translate, span, repeat(decode))))
+    members = frozenset(map(tuple, translate(span, decode)))
     return EndoSubsemiring(lat, members)
 
 
