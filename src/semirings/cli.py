@@ -2,8 +2,9 @@
 
 Each command returns its exit code, its JSON object and its text, and
 ``main`` writes one of the two, as ``--format`` asks; a failure has the
-object of :func:`failed`.  Exit codes: 0 success or match, 1 mismatch or
-failed validation, 2 usage or parse errors.
+object of :func:`failed`, and so has an argument error under ``--format
+json`` (in text it is argparse's usage on stderr).  Exit codes: 0 success
+or match, 1 mismatch or failed validation, 2 usage or parse errors.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def cmd_check(args, out):
     path = Path(args.path)
     if path.suffix not in CHECKS:
         message = f"unknown file type {path.suffix!r}"
-        return 2, failed(args, "UnknownFileType", message), f"error: {message}\n"
+        return 2, failed("check", "UnknownFileType", message), f"error: {message}\n"
     read, report = CHECKS[path.suffix]
     info, text = report(read(read_text(path), path.parent))
     return 0, {"command": "check", "ok": True, "result": info}, text
@@ -261,8 +262,20 @@ def positive_int(text):
     return value
 
 
+class UsageError(Exception):
+    """An argument error: the parser that met it and its message."""
+
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``UsageError`` where argparse would
+    print the usage and exit, so ``main`` can write the error as JSON."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="semirings",
         description="finite endomorphism semirings and their dense subsemirings",
     )
@@ -302,12 +315,42 @@ def build_parser():
     return parser
 
 
-def failed(args, kind, message):
+def command_name(args):
+    """The ``command`` of the JSON object of the command ``args`` runs."""
+    return f"catalog {args.action}" if args.command == "catalog" else args.command
+
+
+def failed(command, kind, message):
     """The JSON object of a failed command: the ``command`` its success
     would carry, ``ok`` false, and the ``kind`` and ``message`` of the
     error."""
-    command = f"catalog {args.action}" if args.command == "catalog" else args.command
     return {"command": command, "ok": False, "error": {"kind": kind, "message": message}}
+
+
+def requested_format(argv):
+    """The ``--format`` that ``argv`` asks for, read on its own once the
+    whole command line has failed to parse; None if it cannot be read."""
+    pre = Parser(add_help=False)
+    pre.add_argument("--format")
+    try:
+        return pre.parse_known_args(argv)[0].format
+    except UsageError:
+        return None
+
+
+def usage_failed(parser, message, args, argv, out):
+    """Exit code 2 for an argument error met by ``parser``: argparse's usage
+    and message on stderr, or under ``--format json`` the object of
+    :func:`failed` on ``out``, naming the command as far as it was read
+    (``args`` once parsed, else the name that ends a subparser's prog)."""
+    if requested_format(argv) != "json":
+        parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{parser.prog}: error: {message}\n")
+    else:
+        command = command_name(args) if args else parser.prog.partition(" ")[2] or None
+        out.write(json.dumps(failed(command, "UsageError", message), indent=2, sort_keys=True)
+                  + "\n")
+    return 2
 
 
 # exit code and text prefix by error class; any other Error exits 1 with "error: <class name>"
@@ -321,21 +364,26 @@ FOREIGN_FLAGS = {"build": ("min_order", "max_order", "has_one", "lattice_size"),
 def main(argv=None, out=None):
     out = out or sys.stdout
     parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command == "catalog":
             foreign = [f"--{key.replace('_', '-')}" for key in FOREIGN_FLAGS[args.action]
                        if getattr(args, key) is not None]
             if foreign:
                 parser.error(f"catalog {args.action} does not take {', '.join(foreign)}")
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help and --version
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        return usage_failed(*exc.args, args, argv, out)
     try:
         code, result, text = args.run(args, out)
     except Error as exc:
         kind = type(exc).__name__
         code, prefix = PREFIXES.get(type(exc), (1, f"error: {kind}"))
-        result, text = failed(args, kind, str(exc)), f"{prefix}: {exc}\n"
+        result, text = failed(command_name(args), kind, str(exc)), f"{prefix}: {exc}\n"
     out.write(text if args.format == "text"
               else json.dumps(result, indent=2, sort_keys=True) + "\n")
     return code

@@ -841,6 +841,31 @@ def test_usage_errors_exit_two(capsys):
     assert main(["unknown-command"]) == 2
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    (["min-order"], "min-order", "the following arguments are required: --max-size"),
+    (["min-order", "--max-size", "6", "--bogus"], "min-order", "unrecognized arguments: --bogus"),
+    (["catalog", "query", "--out", "x", "--max-size", "3"], "catalog query",
+     "catalog query does not take --max-size"),
+    (["catalog", "build", "--max-size", "six", "--out", "x"], "catalog",
+     "argument --max-size: invalid positive_int value: 'six'"),
+    (["--jobs", "0", "table1"], None, "argument --jobs: must be at least 1, got 0"),
+    (["unknown-command"], None, None),  # argparse words the invalid choice by version
+])
+def test_usage_error_is_one_json_object(argv, command, message, capsys):
+    # text: the usage and the message on stderr, as argparse writes them
+    assert run_cli(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: semirings")
+    assert message is None or err.endswith(f": error: {message}\n")
+    # json: the object of a failed command on stdout, and nothing on stderr
+    code, out = run_cli("--format", "json", *argv)
+    assert code == 2
+    error = failed_json(out, command)
+    assert error["kind"] == "UsageError"
+    assert error["message"] == (message or err.rpartition(": error: ")[2].rstrip("\n"))
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
 def test_jobs_below_one_is_rejected_before_work(jobs, tmp_path, capsys):
     out_dir = tmp_path / "cat"
@@ -866,9 +891,12 @@ def test_max_size_below_one_is_rejected_before_work(value, tmp_path, capsys):
     out_dir = tmp_path / "cat"
     assert main(["catalog", "build", "--max-size", value, "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
-    code, text = run_cli("--format", "json", "min-order", "--max-size", value)
+    code, text = run_cli("min-order", "--max-size", value)
     assert (code, text) == (2, "")
     assert "--max-size" in capsys.readouterr().err
+    code, text = run_cli("--format", "json", "min-order", "--max-size", value)
+    assert code == 2
+    assert "--max-size" in failed_json(text, "min-order")["message"]
 
 
 @pytest.mark.parametrize("flags, named", [
