@@ -839,6 +839,18 @@ def test_jobs_flag_is_deterministic(tmp_path):
 def test_usage_errors_exit_two(capsys):
     assert main(["min-order"]) == 2  # missing --max-size
     assert main(["unknown-command"]) == 2
+    # no value to read a format from: text, so argparse's usage and nothing on out
+    capsys.readouterr()
+    assert run_cli("--format") == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: semirings")
+    assert err.endswith(": error: argument --format: expected one argument\n")
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_zero(flag, capsys):
+    assert main([flag]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, command, message", [

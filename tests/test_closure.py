@@ -24,13 +24,16 @@ covering or not.  The one isomorphism search and check are
 compared with the lattice search, the semiring search and the semiring
 check they replaced, kept here as references: both searches must agree on
 whether an isomorphism exists, and each mapping found must pass the old
-check.  The colour refinement, which codes each profile entry as an
-integer, must colour exactly as the tuple profiles it replaced.  The
+check.  Two graph structures that colour refinement cannot tell apart
+drive the search through every branch.  The colour refinement, which
+codes each profile entry as an integer, must colour exactly as the tuple
+profiles it replaced.  The
 Cayley tables and the closedness test of a subsemiring of End(M), built
 from maps encoded as strings, are compared with the tuple loops they
 replaced.
 """
 
+import itertools
 import os
 import random
 
@@ -42,7 +45,9 @@ from semirings.closure import (
     close,
     close_congruence,
     closed_sets,
+    is_table_iso,
     principal_test_pairs,
+    table_iso,
     table_products,
     zero_top_pair,
 )
@@ -946,6 +951,48 @@ def test_semiring_iso_matches_the_reference_search(name, count, pairs, isomorphi
         assert assert_same_semiring_iso(a, relabelled)
         anti += assert_same_semiring_iso(a, a, anti=True)
     assert (len(found), sum(found), anti) == (pairs, isomorphic, self_anti)
+
+
+def graph_structure(edges):
+    """The tables ``(t, t^T)`` on 0..6 of a graph on the vertices 1..6:
+    0 is the zero, with t[0][a] = 0 and t[x][0] = x, and for two vertices
+    t[x][a] = a when x and a are adjacent and x otherwise.  Every set
+    holding 0 is closed, so the zero and the six vertices are all
+    generators, and an isomorphism is a graph isomorphism fixing 0."""
+    adjacent = {frozenset(e) for e in edges}
+    t = tuple(tuple(0 if x == 0 else x if a == 0 or frozenset((x, a)) not in adjacent else a
+                    for a in range(7)) for x in range(7))
+    return t, tuple(zip(*t))
+
+
+HEXAGON = graph_structure([(x, x % 6 + 1) for x in range(1, 7)])
+TRIANGLES = graph_structure([(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+
+
+def test_table_iso_backtracks_to_exhaustion_when_colours_cannot_tell():
+    """C6 and two triangles are both 2-regular, so colour refinement gives
+    every vertex one colour; the search tries every branch and finds
+    nothing, as brute force over the 720 bijections fixing 0 confirms."""
+    c1, c2 = _joint_colors(((HEXAGON, 0), (TRIANGLES, 0)))
+    assert c1 == c2 and len(set(c1[1:])) == 1
+    assert table_iso(HEXAGON, 0, TRIANGLES, 0) is None
+    assert not any(is_table_iso((0, *perm), HEXAGON, 0, TRIANGLES, 0)
+                   for perm in itertools.permutations(range(1, 7)))
+
+
+@pytest.mark.parametrize("tables", [HEXAGON, TRIANGLES], ids=["hexagon", "triangles"])
+def test_table_iso_finds_a_relabelled_graph_structure(tables):
+    for seed in range(5):
+        perm = shuffled(7, seed)
+        copy = tuple(renamed(t, perm) for t in tables)
+        mapping = table_iso(tables, 0, copy, perm[0])
+        assert mapping is not None and is_table_iso(mapping, tables, 0, copy, perm[0])
+
+
+def test_table_iso_of_tables_of_different_sizes_is_none():
+    chain2, chain3 = ((0, 1), (1, 1)), ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+    assert table_iso((chain2,), 0, (chain3,), 0) is None
+    assert table_iso(HEXAGON, 0, (chain3, chain3), 0) is None
 
 
 def tuple_joint_colors(structures):

@@ -721,6 +721,10 @@ def test_canonical_form_matches_the_reference_on_every_extension(n):
         assert _reference_canon_join_table(copy, n) == want
 
 
+def test_canonical_form_of_the_one_element_lattice():
+    assert _canon_join_table(((0,),), 1) == _reference_canon_join_table([[0]], 1) == ((0,),)
+
+
 def _twin_pairs(lat):
     """The pairs x < y of elements of ``lat`` with the same strict
     down-set and the same strict up-set."""
@@ -825,6 +829,8 @@ def test_lat_round_trip():
         lat = parse_lat(text)
         assert serialize_lat(lat) == text
         assert parse_lat(serialize_lat(lat)) == lat
+    with pytest.raises(KeyError):
+        fixture_text("nope")
 
 
 def test_lat_parse_errors():
