@@ -19,8 +19,9 @@ Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
-the order of a lattice or of an idempotent addition, and :func:`identity`
-the zero of an addition.  Every quotient and
+the order of a lattice or of an idempotent addition, :func:`identity`
+the zero of an addition and :func:`absorbing` its absorbing top.  Every
+quotient and
 restriction of a semiring or a module relabels its tables by
 :func:`relabel`.  Lattices and semirings have one isomorphism search,
 :func:`table_iso`, and one isomorphism check, :func:`is_table_iso`, over
@@ -223,24 +224,38 @@ def identity(table):
     return next((x for x, row in enumerate(table) if row == cells), None)
 
 
-def zero_top_pair(add, zero):
-    """``(zero, top)``, with top the sum of all elements, when the
-    commutative addition ``add`` is idempotent and has identity ``zero``;
-    None otherwise.
+def absorbing(add):
+    """The absorbing element z of the commutative addition ``add``, with
+    z + x = z for every x; None if there is none.
 
-    Only the total congruence relates the two, by this lemma.  Let + be
-    idempotent.  Then x + top = top for every x, since x already occurs in
-    the sum top.  If a congruence θ compatible with + relates zero and
-    top, adding x to both sides gives x = x + zero θ x + top = top for
-    every x, so θ is total.  :func:`close_congruence` stops on this pair
-    (``total_pair``) long before the closure reaches one block.
+    There is at most one, and it is the sum of all elements, by this
+    lemma.  If z and z' both absorb, then z = z + z' = z'.  If z absorbs,
+    the sum of all elements is z plus the sum of the others, which is z.
+    So the sum is the only candidate, and its row tells whether it
+    absorbs.  With idempotent + the sum s always absorbs: x + s = s for
+    every x, since x already occurs in s and x + x = x.
+    """
+    top = 0
+    for x in range(1, len(add)):
+        top = add[top][x]
+    return top if add[top].count(top) == len(add) else None
+
+
+def zero_top_pair(add, zero):
+    """``(zero, top)``, with top the absorbing element of
+    :func:`absorbing`, when the commutative addition ``add`` is idempotent
+    and has identity ``zero``; None otherwise.
+
+    Only the total congruence relates the two, by this lemma.  With
+    idempotent + the top exists and x + top = top for every x.  If a
+    congruence θ compatible with + relates zero and top, adding x to both
+    sides gives x = x + zero θ x + top = top for every x, so θ is total.
+    :func:`close_congruence` stops on this pair (``total_pair``) long
+    before the closure reaches one block.
     """
     if not idempotent(add):
         return None
-    top = zero
-    for x in range(len(add)):
-        top = add[top][x]
-    return zero, top
+    return zero, absorbing(add)
 
 
 def down_masks(add):
@@ -343,14 +358,21 @@ def table_iso(tables1, zero1, tables2, zero2):
     table is its own), so that ``t[x][a]`` over all tables covers every
     product of x and a in both orders.
 
-    Backtracking with colour pruning: the zero is mapped first, then the
-    generators picked from the rarest colour classes (the closure of the
-    zero and the earlier generators under every table lacks each one),
-    and each assignment x -> y propagates ``t1[x][w] -> t2[y][f(w)]`` for
-    every w already mapped.  The images of the zero and the generators
-    therefore determine the whole mapping, and every pair of elements
-    meets once in the propagation, so a completed mapping is an
-    isomorphism.
+    Backtracking with colour pruning: the zero is mapped first, and each
+    level of the search then maps a generator, the least unmapped element
+    by (size of its colour class, index), to each free element of its
+    colour in turn.  Each assignment x -> y propagates
+    ``t1[x][w] -> t2[y][f(w)]`` for every w already mapped, x included, so
+    every pair of mapped elements meets once in the propagation and a
+    completed mapping is an isomorphism.  The unmapped elements are
+    exactly those outside the closure of the zero and the generators taken
+    so far under every table, by this lemma.  After an assignment
+    succeeds, the mapped set is closed, since each t1[a][w] with a and w
+    mapped was pushed when the later of the two was mapped; and each
+    mapped element is the zero, a generator or such a product, so it lies
+    in every closed set holding them.  So each generator lies outside the
+    closure of the earlier ones, and the images of the zero and the
+    generators determine the whole mapping.
     """
     n = len(tables1[0])
     if len(tables2[0]) != n:
@@ -359,13 +381,7 @@ def table_iso(tables1, zero1, tables2, zero2):
     if sorted(c1) != sorted(c2):
         return None
     class_size = Counter(c1)
-    products = table_products(tables1)
-    gens = []
-    members = close(frozenset(), (zero1,), products)
-    while len(members) < n:
-        g = min((x for x in range(n) if x not in members), key=lambda x: (class_size[c1[x]], x))
-        gens.append(g)
-        members = close(members, (g,), products)
+    rarest = sorted(range(n), key=lambda x: (class_size[c1[x]], x))
     pairs = tuple(zip(tables1, tables2))
     fwd = [None] * n
     bwd = [None] * n
@@ -390,15 +406,15 @@ def table_iso(tables1, zero1, tables2, zero2):
                 stack.extend([(row1[w], row2[fwd[w]]) for w in trail])
         return True
 
-    def rec(k):
-        if k == len(gens):
-            return None not in fwd
-        g = gens[k]
+    def rec():
+        g = next((x for x in rarest if fwd[x] is None), None)
+        if g is None:
+            return True
         for v in range(n):
             if bwd[v] is not None or c2[v] != c1[g]:
                 continue
             mark = len(trail)
-            if assign(g, v) and rec(k + 1):
+            if assign(g, v) and rec():
                 return True
             while len(trail) > mark:
                 a = trail.pop()
@@ -406,7 +422,7 @@ def table_iso(tables1, zero1, tables2, zero2):
                 fwd[a] = None
         return False
 
-    if not (assign(zero1, zero2) and rec(0)):
+    if not (assign(zero1, zero2) and rec()):
         return None
     return tuple(fwd)
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .closure import down_masks, is_table_iso, table_iso
+from .closure import absorbing, down_masks, identity, is_table_iso, table_iso
 from .errors import (
     LimitExceeded,
     LineReader,
@@ -38,9 +38,9 @@ class FiniteLattice:
 
     Nothing is checked: a table from outside the package goes through
     ``validate_lattice`` first.  ``down[x]`` is the bitmask of elements
-    <= x (``closure.down_masks``), ``zero`` the bottom, whose down-set is
-    the least mask (every other down-set holds the bottom and one more
-    element), and ``top`` the element whose down-set is every element.
+    <= x (``closure.down_masks``), ``zero`` the bottom, which is the
+    identity of the join (``closure.identity``), and ``top`` the element
+    that absorbs every join (``closure.absorbing``).
     Instances hash and compare by their table, so they can be set members
     and dict keys.
     """
@@ -51,8 +51,8 @@ class FiniteLattice:
         self.n = len(join)
         self.join = join
         self.down = down_masks(join)
-        self.zero = self.down.index(min(self.down))
-        self.top = self.down.index((1 << self.n) - 1)
+        self.zero = identity(join)
+        self.top = absorbing(join)
         self.name = name
         self._meet = None
 

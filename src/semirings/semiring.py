@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .closure import (
+    absorbing,
     close,
     close_congruence,
     closed_sets,
@@ -241,13 +242,6 @@ def find_one(r):
     return None
 
 
-def find_absorbing(r):
-    for z in range(r.n):
-        if all(r.add[z][x] == z for x in range(r.n)):
-            return z
-    return None
-
-
 def structure_flags(r):
     is_ring = all(any(r.add[x][y] == r.zero for y in range(r.n)) for x in range(r.n))
     trivial = all(r.mul[x][y] == r.zero for x in range(r.n) for y in range(r.n))
@@ -258,7 +252,7 @@ def structure_flags(r):
         has_one=one is not None,
         one=one,
         trivial_mul=trivial,
-        absorbing=find_absorbing(r),
+        absorbing=absorbing(r.add),
     )
 
 
@@ -290,18 +284,18 @@ def additive_reachability_congruence(r):
 
 
 def absorbing_ideal(r):
-    """The left ideal R·z of the additively absorbing element z, as the
-    sorted elements {x·z}; None when there is no such z or addition is not
-    idempotent.
+    """The left ideal R·z of the additively absorbing element z
+    (``closure.absorbing``), as the sorted elements {x·z}; None when
+    addition is not idempotent, the only case in which z may not exist.
 
     It is a submonoid of the addition, x·z + y·z = (x+y)·z and 0·z = 0,
     and stable under left multiplication, s·(x·z) = (s·x)·z: a left
     submodule of the regular module, and with idempotent addition a
     lattice (``recover_monoid``).
     """
-    z = find_absorbing(r)
-    if z is None or not idempotent(r.add):
+    if not idempotent(r.add):
         return None
+    z = absorbing(r.add)
     return sorted({row[z] for row in r.mul})
 
 
@@ -310,8 +304,7 @@ def recover_monoid(r):
     with an additively absorbing element z, as the addition of R·z
     (``absorbing_ideal``).
 
-    Returns None when no absorbing element exists or addition is not
-    idempotent.
+    Returns None when addition is not idempotent.
     """
     ideal = absorbing_ideal(r)
     if ideal is None:

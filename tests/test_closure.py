@@ -45,6 +45,7 @@ from semirings.closure import (
     close,
     close_congruence,
     closed_sets,
+    idempotent,
     is_table_iso,
     principal_test_pairs,
     table_iso,
@@ -66,7 +67,13 @@ from semirings.endo import (
     zero_map,
 )
 from semirings.errors import SizeLimit, ValidationError
-from semirings.fixtures import FIXTURE_NAMES, load_fixture
+from semirings.fixtures import (
+    FIXTURE_NAMES,
+    boolean_semiring,
+    field_f2,
+    load_fixture,
+    two_element_trivial_mul,
+)
 from semirings.lattice import (
     LatticeIso,
     _poset_colors,
@@ -92,9 +99,11 @@ from semirings.semiring import (
     is_semiring_congruence,
     principal_congruence,
     opposite,
+    product_semiring,
     restrict,
     semiring_anti_iso,
     semiring_iso,
+    structure_flags,
     subsemirings,
     validate_semiring,
 )
@@ -573,6 +582,39 @@ def assert_zero_top_pair(add, zero):
     top = stop[1]
     assert all(add[x][top] == top == add[top][x] for x in range(n))
     return stop
+
+
+def row_scan_absorbing(r):
+    """The elements z with z + x = z for every x, by scanning every row."""
+    return [z for z in range(r.n) if all(r.add[z][x] == z for x in range(r.n))]
+
+
+def test_absorbing_matches_a_row_scan_on_every_semiring(sr_rings, ends, end_subsemirings):
+    """``structure_flags(r).absorbing`` (``closure.absorbing``) is the one
+    element a row scan finds, or None where it finds none, on the rings of
+    the suite: dense families, End(M) of every fixture, the subsemirings
+    of End(chain3), End(diamond) and End(chain4) and their renamings, the
+    rings without idempotent addition, the two-element semirings, and
+    products and opposites of small ones."""
+    small = [boolean_semiring(), field_f2(), two_element_trivial_mul(), residue_ring(3),
+             saturating_semiring()]
+    rings = [r for fam in sr_rings.values() for r in fam]
+    rings += [r for r, _ in ends.values()]
+    subs = [r for subs in end_subsemirings.values() for r in subs]
+    rings += subs + [reversed_ring(r) for r in subs]
+    rings += lemma_rings("not-idempotent") + [residue_ring(5), residue_ring(7)] + small
+    rings += [product_semiring(a, b) for a in small for b in small]
+    rings += [opposite(r) for r in rings]
+    found = []
+    for r in rings:
+        scan = row_scan_absorbing(r)
+        assert len(scan) <= 1
+        assert structure_flags(r).absorbing == (scan[0] if scan else None)
+        found.append(bool(scan))
+    # none in Z/2, Z/3, Z/4, Z/5, Z/7, F2, Z/3 again and the 16 products
+    # with F2 or Z/3 as a factor, each also as its opposite
+    assert found.count(False) == 2 * (7 + 16)
+    assert all(found[i] for i, r in enumerate(rings) if idempotent(r.add))
 
 
 def reversed_ring(r):

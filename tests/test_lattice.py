@@ -128,6 +128,16 @@ def test_dual_involution(lats):
         assert dd.join == lat.join and dd.zero == lat.zero
 
 
+def test_zero_and_top_are_the_ends_of_the_order():
+    """``zero`` and ``top``, read from the join table, are the elements
+    whose down-sets are the least and the full mask, on every lattice up to
+    size 8 and on its dual."""
+    lats = enumerate_lattices(8, limit=8)
+    for lat in lats + [dual(lat) for lat in lats]:
+        assert lat.zero == lat.down.index(min(lat.down))
+        assert lat.top == lat.down.index((1 << lat.n) - 1)
+
+
 def test_chain_self_dual():
     lat = load_fixture("chain3")
     assert lattice_iso(lat, dual(lat)) is not None
