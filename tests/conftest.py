@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from semirings.endo import end_semiring, enumerate_sr
@@ -9,6 +11,20 @@ from semirings.semiring import restrict, subsemirings
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(num, description): acceptance criterion line")
+    config.addinivalue_line(
+        "markers", "size6: opt-in sweep over size-6 lattices or larger, run only when "
+                   "SEMIRINGS_SIZE6=1")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip every ``size6`` test unless SEMIRINGS_SIZE6=1, the one switch
+    of the opt-in sweeps."""
+    if os.environ.get("SEMIRINGS_SIZE6") == "1":
+        return
+    skip = pytest.mark.skip(reason="set SEMIRINGS_SIZE6=1 to run the opt-in sweeps")
+    for item in items:
+        if item.get_closest_marker("size6"):
+            item.add_marker(skip)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -6,7 +6,6 @@ opt-in: set SEMIRINGS_SIZE6=1.
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -63,9 +62,6 @@ EXPECTED_SR_ORDERS = {
     "m3": [50, 47, 46, 46, 46, 45, 44],
 }
 
-SIZE6 = os.environ.get("SEMIRINGS_SIZE6") == "1"
-
-
 @pytest.mark.criterion(1, "dense family orders match the classification table")
 def test_criterion_01_family_orders(sr_families):
     for name in FIXTURE_NAMES:
@@ -92,7 +88,7 @@ def test_criterion_03_simplicity(sr_rings):
 
 @pytest.mark.criterion(3, "size-6 part: every family member of lat6_1 .. lat6_9 is "
                           "congruence-simple (opt-in)")
-@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.size6
 def test_criterion_03_simplicity_size_six():
     # computed from the Cayley tables: the catalog relies on the density
     # lemma of family_report and checks no member
@@ -201,7 +197,7 @@ def test_criterion_09_condition_d(lats):
 
 @pytest.mark.criterion(9, "size-6 part: criterion matches singleton families "
                           "(opt-in)")
-@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.size6
 def test_criterion_09_condition_d_size_six():
     for lat in enumerate_lattices(6):
         if lat.n != 6:
@@ -214,7 +210,7 @@ def test_criterion_09_condition_d_size_six():
 
 @pytest.mark.criterion(10, "least dense subsemiring order over size-6 lattices "
                            "is 98 (opt-in)")
-@pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.size6
 def test_criterion_10_order_98():
     sixes = [l for l in enumerate_lattices(6) if l.n == 6]
     least = []

@@ -34,7 +34,6 @@ replaced.
 """
 
 import itertools
-import os
 import random
 
 import pytest
@@ -187,8 +186,7 @@ def test_enumerate_sr_matches_the_walk_over_the_end_table():
             lat.name
 
 
-@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
-                    reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.size6
 @pytest.mark.parametrize("k", range(1, 14))
 def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == f"lat6_{k}")
@@ -251,8 +249,7 @@ def test_dense_closure_is_the_closure_of_the_elementary_maps():
         assert sub.is_closed(), lat.name
 
 
-@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
-                    reason="set SEMIRINGS_SIZE6=1 to run the size-7 sweep")
+@pytest.mark.size6
 def test_dense_closure_is_the_closure_of_the_elementary_maps_on_size_seven():
     sevens = [lat for lat in enumerate_lattices(7) if lat.n == 7]
     assert len(sevens) == 53
@@ -300,8 +297,7 @@ def test_dense_closure_on_m15_above_the_bytes_encoding():
     assert dense_closure(lat, max_size=None).size == 22532
 
 
-@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
-                    reason="set SEMIRINGS_SIZE6=1 to run the M_13 .. M_16 sweep")
+@pytest.mark.size6
 @pytest.mark.parametrize("k", [13, 14, 15, 16])
 def test_dense_closure_matches_the_tuple_fold_around_the_bytes_boundary(k):
     lat = m_lattice(k)

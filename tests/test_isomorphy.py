@@ -2,7 +2,6 @@
 off the lattice by ``catalog.member_reports``, against the Cayley-table
 searches they replace, and the lemmas behind them."""
 
-import os
 
 import pytest
 
@@ -21,7 +20,6 @@ from semirings.fixtures import FIXTURE_NAMES
 from semirings.lattice import dual, enumerate_lattices, lattice_iso
 from semirings.semiring import check_iso, semiring_anti_iso, semiring_iso, structure_flags
 
-SIZE6 = os.environ.get("SEMIRINGS_SIZE6") == "1"
 SMALL = [lat for lat in enumerate_lattices(5) if lat.n >= 2]
 
 
@@ -54,10 +52,9 @@ def descending_family(lat):
 
 
 SIX = [lat for lat in enumerate_lattices(6) if lat.n == 6]
-SIZE6_SWEEP = pytest.mark.skipif(not SIZE6, reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
 
 
-@pytest.mark.parametrize("lat", SMALL + [pytest.param(lat, marks=SIZE6_SWEEP) for lat in SIX
+@pytest.mark.parametrize("lat", SMALL + [pytest.param(lat, marks=pytest.mark.size6) for lat in SIX
                                          if lat.name not in ("lat6_10", "lat6_14", "lat6_15")],
                          ids=lambda lat: lat.name)
 def test_family_report_matches_the_search_reference(lat):
@@ -65,7 +62,7 @@ def test_family_report_matches_the_search_reference(lat):
     assert report.members == reference_member_reports(descending_family(lat))
 
 
-@SIZE6_SWEEP
+@pytest.mark.size6
 def test_lat6_10_has_312_iso_classes():
     """Computed here (by conjugation, and once by the pairwise searches),
     not taken from the paper: 601 dense subsemirings in 312 classes."""

@@ -1,6 +1,5 @@
 """Semimodules: validation, congruences, irreducibility, the descent."""
 
-import os
 
 import pytest
 
@@ -306,8 +305,7 @@ def test_ideal_module_is_the_natural_module_of_end(ends, lats):
     assert ideal_module(field_f2()) is None
 
 
-@pytest.mark.skipif(os.environ.get("SEMIRINGS_SIZE6") != "1",
-                    reason="set SEMIRINGS_SIZE6=1 to run the size-6 sweep")
+@pytest.mark.size6
 def test_descent_ends_irreducible_on_size_six():
     """The 37 dense members of lat6_1 .. lat6_9 (the lattices of the
     ``walk6`` benchmark workload), of orders 108 to 252: the descent ends
