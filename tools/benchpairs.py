@@ -16,8 +16,10 @@ any run.  The file holds:
   inclusive quartiles of every end-to-end metric, the pairs the change won
   (read lower) and the rounds each run fitted;
 - ``untraced``: one run of every workload on each side, on ``--all-seed``;
-- ``traced``: one traced run of ``--trace-workload`` on each side, on
-  ``--trace-seed``, with the per-layer metrics named by ``--layer``.
+- ``traced``: for each seed of ``--trace-seeds``, one traced run of
+  ``--trace-workload`` on each side, alternating which side runs first;
+  every run's value and each side's median of the per-layer metrics named
+  by ``--layer``.
 
 Only the standard library is used.
 """
@@ -78,6 +80,11 @@ def values(result):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def per_side(runs, name):
+    """The value of metric ``name`` in each of ``runs``, by side."""
+    return {side: [values(run[side])[name] for run in runs] for side in SIDES}
+
+
 def summary(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
@@ -103,7 +110,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=seed_range, required=True, help="first-last")
     parser.add_argument("--all-seed", type=int, required=True)
     parser.add_argument("--trace-workload", choices=WORKLOADS, required=True)
-    parser.add_argument("--trace-seed", type=int, required=True)
+    parser.add_argument("--trace-seeds", type=seed_range, required=True, help="first-last")
     parser.add_argument("--layer", action="append", required=True, choices=LAYERS, metavar="NAME",
                         help="per-layer metric to keep (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
@@ -123,14 +130,16 @@ def main(argv=None):
         runs = [both(args.workload, seed, 0, SIDES[i % 2]) for i, seed in enumerate(args.seeds)]
         metrics = {}
         for name in runs[0]["parent"]["metrics"]:
-            got = {side: [values(run[side])[name] for run in runs] for side in SIDES}
+            got = per_side(runs, name)
             wins = sum(c < p for p, c in zip(got["parent"], got["change"]))
             metrics[name] = {**{side: summary(got[side]) for side in SIDES},
                              "runs": {side: [round(x, 4) for x in got[side]] for side in SIDES},
                              "change_wins": f"{wins}/{len(runs)}"}
         parent, change = metrics[args.metric]["parent"], metrics[args.metric]["change"]
         untraced = {w: both(w, args.all_seed, 0, SIDES[i % 2]) for i, w in enumerate(WORKLOADS)}
-        traced = both(args.trace_workload, args.trace_seed, 1, "parent")
+        traced = [both(args.trace_workload, seed, 1, SIDES[i % 2])
+                  for i, seed in enumerate(args.trace_seeds)]
+        layers = {name: per_side(traced, name) for name in args.layer}
 
         out = {
             "command": " ".join(["python3", "tools/benchpairs.py", *(argv or sys.argv[1:])]),
@@ -148,9 +157,11 @@ def main(argv=None):
             "untraced": {"seed": args.all_seed,
                          "workloads": {w: {side: {**values(r[side]), "rounds": r[side]["rounds"]}
                                            for side in SIDES} for w, r in untraced.items()}},
-            "traced": {"workload": args.trace_workload, "seed": args.trace_seed,
-                       "metrics": {name: {side: values(traced[side])[name] for side in SIDES}
-                                   for name in args.layer}},
+            "traced": {"workload": args.trace_workload, "seeds": args.trace_seeds,
+                       "metrics": {name: {"runs": got,
+                                          "median": {side: statistics.median(got[side])
+                                                     for side in SIDES}}
+                                   for name, got in layers.items()}},
         }
     finally:
         shutil.rmtree(build, ignore_errors=True)
