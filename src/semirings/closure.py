@@ -221,7 +221,7 @@ def identity(table):
     is the identity row, x op y = y for every y; None if there is none.
     A commutative operation has at most one identity."""
     cells = tuple(range(len(table)))
-    return next((x for x, row in enumerate(table) if row == cells), None)
+    return table.index(cells) if cells in table else None
 
 
 def absorbing(add):
