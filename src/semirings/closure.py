@@ -21,9 +21,8 @@ with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
 the order of a lattice or of an idempotent addition, :func:`identity`
 the zero of an addition and :func:`absorbing` its absorbing top.  Every
-quotient and
-restriction of a semiring or a module relabels its tables by
-:func:`relabel`.  Lattices and semirings have one isomorphism search,
+quotient and restriction of a semiring or a module relabels its tables
+by :func:`relabel`.  Lattices and semirings have one isomorphism search,
 :func:`table_iso`, and one isomorphism check, :func:`is_table_iso`, over
 the same translation tables.
 """

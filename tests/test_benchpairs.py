@@ -30,13 +30,13 @@ def _argv(seeds="1-2", trace_seeds="1-2"):
             "--layer", "trace.wall_s", "--out", "unused.json"]
 
 
-@pytest.mark.parametrize("flag, key", [("--seeds", "seeds"), ("--trace-seeds", "trace_seeds")])
 @pytest.mark.parametrize("seeds", ["5", "5-5", "5-3", "x-3", "5-"])
-def test_bad_seed_ranges_stop_before_any_checkout(benchpairs, flag, key, seeds, capsys):
-    with pytest.raises(SystemExit) as info:
-        benchpairs.main(_argv(**{key: seeds}))
-    assert info.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+def test_bad_seed_ranges_stop_before_any_checkout(benchpairs, seeds, capsys):
+    for flag, argv in [("--seeds", _argv(seeds=seeds)), ("--trace-seeds", _argv(trace_seeds=seeds))]:
+        with pytest.raises(SystemExit) as info:
+            benchpairs.main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_seed_range_reads_first_and_last(benchpairs):
