@@ -69,8 +69,9 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     Members are ordered by descending size; equal-size members keep the
     deterministic enumeration order.
 
-    Every member is congruence-simple, so no Cayley table is built to
-    check it: :func:`enumerate_sr` returns only closed sets of maps above
+    Every member is congruence-simple, so no member's Cayley table is
+    built to check it (the walk builds End(M)'s table alone):
+    :func:`enumerate_sr` returns only closed sets of maps above
     the elementary closure, and a dense R is simple by this lemma (the
     "if" half of the paper's theorem).  Let f ≠ g lie in R, and take x
     with f(x) ≰ g(x), swapping f and g if needed.  A = e_{g(x),top} and

@@ -2,6 +2,8 @@
 
 An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
+A subsemiring is held packed: its lex-sorted member images concatenated,
+one byte per value, and decoded to image tuples only when read.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone: while it is built, a map f on n elements is the ``bytes`` string of
@@ -10,20 +12,22 @@ elementary map to every sum is one ``translate`` call per sum and chunk.  The Ca
 tables of a subsemiring and its closedness test use the same encoded maps:
 each entry, a join or a composite of two members, is one ``translate``
 call.  The dense subsemirings form an interval between it and End(M),
-enumerated by the closed-set walk of ``closure.py``: a closed set
-extended by one map is re-closed from that map alone, and each pair of
-maps is combined once.
+enumerated by the closed-set walk of ``closure.py`` over the Cayley table
+of End(M), on member indices: a closed set extended by one index is
+re-closed from that index alone, each pair is combined once, and each
+product is one table lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product, repeat
 from operator import itemgetter
+from struct import iter_unpack
 
-from .closure import close, closed_sets, principal_test_pairs
+from .closure import close, closed_sets, principal_test_pairs, table_products
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
-from .lattice import FiniteLattice, homomorphisms
+from .lattice import homomorphisms
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
@@ -78,20 +82,47 @@ def elementary_maps(lat):
     return sorted({elementary(lat, a, b) for a in range(lat.n) for b in range(lat.n)})
 
 
-@dataclass
 class EndoSubsemiring:
     """A set of endomorphisms closed under pointwise join and composition,
-    containing the zero map."""
+    containing the zero map, built from any iterable of image tuples.
 
-    lattice: FiniteLattice
-    members: frozenset
+    It is held as ``packed``, the lex-sorted member images concatenated,
+    one byte per value, so the lattice has n <= 256 elements.  ``size`` and
+    ``==`` (same lattice, same ``packed``) read it as it is; ``members``,
+    the frozenset of image tuples, is decoded on first use and kept.
+    """
+
+    def __init__(self, lattice, members):
+        self.lattice = lattice
+        self.packed = b"".join(map(bytes, sorted(frozenset(members))))
+
+    @classmethod
+    def _from_packed(cls, lattice, packed):
+        """The subsemiring whose ``packed`` form is given."""
+        sub = cls.__new__(cls)
+        sub.lattice = lattice
+        sub.packed = packed
+        return sub
+
+    @cached_property
+    def members(self):
+        return frozenset(self.sorted_members())
 
     @property
     def size(self):
-        return len(self.members)
+        return len(self.packed) // self.lattice.n
 
     def sorted_members(self):
-        return sorted(self.members)
+        """The member image tuples in lex order, decoded from ``packed``."""
+        return list(iter_unpack(f"{self.lattice.n}B", self.packed))
+
+    def __eq__(self, other):
+        if not isinstance(other, EndoSubsemiring):
+            return NotImplemented
+        return self.packed == other.packed and self.lattice == other.lattice
+
+    def __repr__(self):
+        return f"EndoSubsemiring({self.lattice!r}, size={self.size})"
 
     def is_closed(self):
         """True iff the zero map, every join and every composite of members
@@ -137,7 +168,7 @@ class EndoSubsemiring:
         except KeyError:
             raise ValidationError(
                 "member set is not closed under join and composition") from None
-        return FiniteSemiring(tuple(add), tuple(mul), name)
+        return FiniteSemiring(add, mul, name)
 
 
 def is_dense(sub):
@@ -152,18 +183,6 @@ def end_semiring(lat):
     name = None if lat.name is None else f"End({lat.name})"
     sub = EndoSubsemiring(lat, frozenset(members))
     return sub.to_semiring(name=name), tuple(members)
-
-
-def _products(lat):
-    """Join and both compositions of two endomorphisms."""
-    join = lat.join
-
-    def products(f, g):
-        return (tuple([join[a][b] for a, b in zip(f, g)]),
-                tuple([f[v] for v in g]),
-                tuple([g[v] for v in f]))
-
-    return products
 
 
 def _codec(n):
@@ -255,6 +274,12 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     The step table of e_{a,b} is the identity on the cells (x, v) with x
     below a and the per-b rows (x, v) -> (x, join(v, b)), built once per
     lattice, on the others.
+
+    The packed result.  The table sending each code v + n·x to v turns the
+    string of a sum into its image bytes, one ``translate`` per sum (and
+    chunk); sorted and joined, these are the ``packed`` form of the
+    ``EndoSubsemiring``, so no image tuple is built.  Byte strings of one
+    length sort as the image tuples do.
     """
     n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
     pack, table, translate = _codec(n)
@@ -272,8 +297,7 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
         if max_size is not None and len(span) > max_size:
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
     decode = table([c % n for c in range(n * n)])
-    members = frozenset(map(tuple, translate(span, decode)))
-    return EndoSubsemiring(lat, members)
+    return EndoSubsemiring._from_packed(lat, b"".join(sorted(translate(span, decode))))
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
@@ -283,12 +307,32 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     Deterministic order: ascending (size, sorted member list).  Only
     End(M) is bounded, by ``max_end``: the least dense subsemiring lies
     inside it.
+
+    The walk runs over the Cayley table of End(M) (``to_semiring``): the
+    closed sets of indices under +, * and the transposed *, from the
+    indices of ``dense_closure``, each product one table lookup.  Index i
+    names the i-th map of the lex-sorted ``endomorphisms``, so i < j iff
+    map i < map j, and index sets ordered by (size, sorted indices) are
+    the member sets ordered by (size, sorted members): the order is the
+    one the walk over maps gave.
+
+    When the least dense subsemiring already holds every endomorphism (M
+    distributive), the interval between it and End(M) is one point, so it
+    is returned alone and no table is built.
     """
     all_endos = endomorphisms(lat, max_count=max_end)
-    base = dense_closure(lat, max_size=None).members
-    products = _products(lat)
-    return [EndoSubsemiring(lat, s) for s in closed_sets(
-        base, all_endos, lambda s, f: close(s, (f,), products), noun="dense subsemirings")]
+    least = dense_closure(lat, max_size=None)
+    if least.size == len(all_endos):
+        return [least]
+    n, rows = lat.n, list(map(bytes, all_endos))
+    r = EndoSubsemiring._from_packed(lat, b"".join(rows)).to_semiring()
+    at = {row: i for i, row in enumerate(rows)}
+    base = frozenset([at[least.packed[k:k + n]] for k in range(0, len(least.packed), n)])
+    products = table_products((r.add, r.mul, r.mul_t))
+    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), products),
+                       noun="dense subsemirings")
+    return [EndoSubsemiring._from_packed(lat, b"".join(map(rows.__getitem__, sorted(s))))
+            for s in sets]
 
 
 def transpose(lat, f):

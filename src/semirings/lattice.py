@@ -34,7 +34,8 @@ ENUM_HARD_LIMIT = 7
 
 
 class FiniteLattice:
-    """A lattice's join table (a tuple of rows) plus derived order data.
+    """A lattice's join table, kept as a tuple of tuple rows, plus derived
+    order data.
 
     Nothing is checked: a table from outside the package goes through
     ``validate_lattice`` first.  ``down[x]`` is the bitmask of elements
@@ -48,6 +49,7 @@ class FiniteLattice:
     __slots__ = ("n", "join", "zero", "top", "down", "name", "_meet")
 
     def __init__(self, join, name=None):
+        join = tuple(map(tuple, join))  # list rows would not match tuple rows
         self.n = len(join)
         self.join = join
         self.down = down_masks(join)

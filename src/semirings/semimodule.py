@@ -43,12 +43,14 @@ from .semiring import Congruence, absorbing_ideal, is_congruence_simple, structu
 class Semimodule:
     """The addition ``madd`` on 0..m-1, m = len(madd), with ``mzero`` its
     identity read by ``closure.identity``, the action ``act[r][x]`` of
-    ``ring`` and ``act_t`` its columns (row x holds r x for each r);
-    unchecked."""
+    ``ring`` and ``act_t`` its columns (row x holds r x for each r), the
+    tables kept as tuples of tuple rows; unchecked."""
 
     __slots__ = ("ring", "m", "madd", "act", "mzero", "act_t")
 
     def __init__(self, ring, madd, act):
+        madd = tuple(map(tuple, madd))  # list rows would not match tuple rows
+        act = tuple(map(tuple, act))
         self.ring = ring
         self.m = len(madd)
         self.madd = madd
@@ -105,7 +107,7 @@ def natural_module(sub):
     """A subsemiring of End(M) acting on M by application."""
     lat = sub.lattice
     # endomorphisms act on a lattice, its zero neutral, as a module
-    return Semimodule(sub.to_semiring(), lat.join, tuple(sub.sorted_members()))
+    return Semimodule(sub.to_semiring(), lat.join, sub.sorted_members())
 
 
 def acts_nonzero(mod):

@@ -47,16 +47,17 @@ from .lattice import FiniteLattice
 
 
 class FiniteSemiring:
-    """Cayley tables ``add`` and ``mul`` on 0..n-1, n = len(add), with
-    ``zero`` the additive identity read from ``add`` by
-    ``closure.identity``; unchecked."""
+    """Cayley tables ``add`` and ``mul`` on 0..n-1, n = len(add), kept as
+    tuples of tuple rows, with ``zero`` the additive identity read from
+    ``add`` by ``closure.identity``; unchecked."""
 
     __slots__ = ("n", "add", "mul", "zero", "name")
 
     def __init__(self, add, mul, name=None):
+        add = tuple(map(tuple, add))  # list rows would not match tuple rows
         self.n = len(add)
         self.add = add
-        self.mul = mul
+        self.mul = tuple(map(tuple, mul))
         self.zero = identity(add)
         self.name = name
 

@@ -22,10 +22,10 @@ from semirings.catalog import (
     worker_count,
 )
 from semirings.cli import _semiring_facts, main
-from semirings.endo import EndoSubsemiring, end_semiring
+from semirings.endo import EndoSubsemiring, end_semiring, endomorphisms, enumerate_sr
 from semirings.errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion
 from semirings.fixtures import load_fixture
-from semirings.lattice import lattice_iso, serialize_lat
+from semirings.lattice import enumerate_lattices, lattice_iso, serialize_lat
 from semirings.semimodule import (
     descend_to_irreducible,
     module_lattice,
@@ -1002,13 +1002,24 @@ def test_table1_text_lists_mismatches_and_exits_one(monkeypatch):
 def test_catalog_build_makes_no_cayley_table_and_no_simplicity_check(tmp_path, monkeypatch):
     """Density proves every member congruence-simple (the lemma of
     ``family_report``), so the build neither builds a member's table nor
-    runs ``is_congruence_simple``, wherever a module holds it."""
+    runs ``is_congruence_simple``, wherever a module holds it.  The one
+    table it builds is End(M)'s, once for each lattice whose family has
+    more than one member, for the walk of ``enumerate_sr``."""
     from semirings import semiring
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the catalog build checked a member by its Cayley table")
+    walked = [lat for lat in enumerate_lattices(5) if lat.n >= 2 and len(enumerate_sr(lat)) > 1]
+    assert [lat.name for lat in walked] == ["lat5_4", "lat5_5"]  # M_3 and N_5
+    tables = []
+    to_semiring = EndoSubsemiring.to_semiring
 
-    monkeypatch.setattr(EndoSubsemiring, "to_semiring", forbidden)
+    def logged(sub, *args, **kwargs):
+        tables.append(sub)
+        return to_semiring(sub, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the catalog build checked a member for simplicity")
+
+    monkeypatch.setattr(EndoSubsemiring, "to_semiring", logged)
     original = semiring.is_congruence_simple
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("semirings")
@@ -1018,6 +1029,8 @@ def test_catalog_build_makes_no_cayley_table_and_no_simplicity_check(tmp_path, m
     assert run_cli("catalog", "build", "--max-size", "5", "--out", str(out_dir))[0] == 0
     digest = hashlib.sha256((out_dir / "index.txt").read_bytes()).hexdigest()
     assert digest == "5d5ba153a754fc082e93f1de277ddc958ed98df6cf28e6de2bce134f624bc3a6"
+    assert [sub.lattice for sub in tables] == walked
+    assert tables == [EndoSubsemiring(lat, endomorphisms(lat)) for lat in walked]
 
 
 def test_compare_reports_mismatches():

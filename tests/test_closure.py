@@ -4,8 +4,8 @@ from-scratch references.
 The reference below re-closes every set from scratch, pairing each popped
 element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
-The dense-family walk over maps is also compared with the same walk over
-the Cayley table of End(M), which could replace it.
+The dense-family walk over the Cayley table of End(M) is also compared
+with the same walk over image tuples, which it replaced.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced, and its fold over maps encoded as ``bytes``
@@ -33,6 +33,7 @@ from maps encoded as strings, are compared with the tuple loops they
 replaced.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -53,7 +54,6 @@ from semirings.closure import (
 )
 from semirings.endo import (
     EndoSubsemiring,
-    _products,
     compose,
     dense_closure,
     elementary,
@@ -166,31 +166,37 @@ def test_enumerate_sr_matches_reference():
         assert [f.members for f in enumerate_sr(lat)] == want, lat.name
 
 
-def dense_family_over_the_end_table(lat):
-    """The dense family walked over the Cayley table of End(M): the closed
-    sets of ``end_semiring(lat)`` under + and both products, started from
-    the indices of ``dense_closure``, with each index set mapped back to
-    its maps."""
-    r, members = end_semiring(lat)
-    index = {f: i for i, f in enumerate(members)}
-    base = frozenset(index[f] for f in dense_closure(lat).members)
-    products = table_products((r.add, r.mul, r.mul_t))
-    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), products),
-                       noun="dense subsemirings")
-    return [frozenset(members[i] for i in s) for s in sets]
+def _products(lat):
+    """Join and both compositions of two endomorphisms."""
+    join = lat.join
+
+    def products(f, g):
+        return (tuple([join[a][b] for a, b in zip(f, g)]),
+                tuple([f[v] for v in g]),
+                tuple([g[v] for v in f]))
+
+    return products
+
+
+def reference_enumerate_sr(lat):
+    """The walk ``enumerate_sr`` replaced: the closed sets of image tuples
+    under join and both compositions, from ``dense_closure``, each re-closed
+    from the one added map by ``close``."""
+    products = _products(lat)
+    return closed_sets(dense_closure(lat, max_size=None).members, endomorphisms(lat),
+                       lambda s, f: close(s, (f,), products), noun="dense subsemirings")
 
 
 def test_enumerate_sr_matches_the_walk_over_the_end_table():
     for lat in small_lattices():
-        assert [f.members for f in enumerate_sr(lat)] == dense_family_over_the_end_table(lat), \
-            lat.name
+        assert [f.members for f in enumerate_sr(lat)] == reference_enumerate_sr(lat), lat.name
 
 
 @pytest.mark.size6
 @pytest.mark.parametrize("k", range(1, 14))
 def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == f"lat6_{k}")
-    assert [f.members for f in enumerate_sr(lat)] == dense_family_over_the_end_table(lat)
+    assert [f.members for f in enumerate_sr(lat)] == reference_enumerate_sr(lat)
 
 
 def test_closed_sets_raise_size_limit_past_set_limit(monkeypatch):
@@ -289,12 +295,29 @@ def test_dense_closure_matches_the_tuple_fold_on_m_k(k):
     assert dense_closure(lat).members == tuple_fold_dense_closure(lat)
 
 
+# sha256 of the packed least dense subsemiring of M_15: its sorted image
+# tuples as bytes, joined; the opt-in test below derives it from the fold
+M15_DENSE_DIGEST = "c7647d2acf580c57aa6d0e45905a8dc61e33c9dd06c847b4983638026960d2e9"
+
+
 def test_dense_closure_on_m15_above_the_bytes_encoding():
+    """M_15 has 17 elements, so its maps are translated in chunks."""
     lat = m_lattice(15)
     assert lat.n ** 2 > 256
     with pytest.raises(SizeLimit):
         dense_closure(lat)
-    assert dense_closure(lat, max_size=None).size == 22532
+    sub = dense_closure(lat, max_size=None)
+    assert sub.size == 22532 and "members" not in vars(sub)
+    assert hashlib.sha256(sub.packed).hexdigest() == M15_DENSE_DIGEST
+    members = sub.sorted_members()
+    assert members == sorted(sub.members) and len(sub.members) == 22532
+    assert b"".join(map(bytes, members)) == sub.packed
+
+
+@pytest.mark.size6
+def test_m15_dense_digest_is_the_packed_tuple_fold():
+    fold = sorted(tuple_fold_dense_closure(m_lattice(15)))
+    assert hashlib.sha256(b"".join(map(bytes, fold))).hexdigest() == M15_DENSE_DIGEST
 
 
 @pytest.mark.size6

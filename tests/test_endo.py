@@ -24,8 +24,9 @@ from semirings.endo import (
     zero_map,
 )
 from semirings.errors import SizeLimit
+from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import condition_d, dual, enumerate_lattices, hom_to_l2
-from semirings.semiring import structure_flags
+from semirings.semiring import structure_flags, subsemirings
 
 
 def test_is_endomorphism_basics(lats):
@@ -230,3 +231,41 @@ def test_srs_round_trip(lats, sr_families):
     back = parse_srs(text, {"n5": lats["n5"]}.__getitem__)
     assert back.lattice is lats["n5"] and back.members == sub.members
     assert serialize_srs(back) == text
+
+
+def assert_packed_matches(subs, sets):
+    """Each packed subsemiring against the tuple set it stands for: ``size``
+    and ``==``/``!=`` agree with the sets without decoding, and the decoded
+    ``members`` and ``sorted_members`` are the set and its sorted list."""
+    for a, s in zip(subs, sets):
+        assert a.size == len(s)
+        for b, t in zip(subs, sets):
+            assert (a == b) == (s == t) and (a != b) == (s != t)
+    assert not any("members" in vars(sub) for sub in subs)
+    for sub, s in zip(subs, sets):
+        assert sub.members == s
+        assert sub.sorted_members() == sorted(s)
+        assert EndoSubsemiring(sub.lattice, s) == sub
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond"])
+def test_packed_subsemirings_of_end_match_their_member_sets(lats, ends, name):
+    r, maps = ends[name]
+    sets = [frozenset(maps[i] for i in s) for s in subsemirings(r)]
+    assert len(sets) == {"chain3": 20, "diamond": 222}[name]
+    assert_packed_matches([EndoSubsemiring(lats[name], s) for s in sets], sets)
+
+
+def test_packed_family_members_match_their_member_sets():
+    for lat in list(enumerate_lattices(5)) + [load_fixture(n) for n in FIXTURE_NAMES]:
+        fams = enumerate_sr(lat)
+        sets = [frozenset(f.sorted_members()) for f in fams]
+        assert_packed_matches(fams, sets)
+
+
+def test_packed_equality_compares_the_lattice(lats):
+    zero = zero_map(lats["diamond"])
+    assert zero == zero_map(lats["chain4"])
+    on_diamond = EndoSubsemiring(lats["diamond"], [zero])
+    on_chain4 = EndoSubsemiring(lats["chain4"], [zero])
+    assert on_diamond.packed == on_chain4.packed and on_diamond != on_chain4

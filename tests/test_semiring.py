@@ -10,9 +10,11 @@ from semirings.fixtures import (
     load_fixture,
     two_element_trivial_mul,
 )
-from semirings.lattice import lattice_iso
+from semirings.lattice import FiniteLattice, enumerate_lattices, lattice_iso
+from semirings.semimodule import Semimodule, regular_module
 from semirings.semiring import (
     Congruence,
+    FiniteSemiring,
     additive_reachability_congruence,
     center,
     check_iso,
@@ -263,3 +265,27 @@ def test_sr_round_trip(ends):
     text = serialize_sr(r)
     back = parse_sr(text)
     assert back == r and serialize_sr(back) == text
+
+
+def as_lists(table):
+    return [list(row) for row in table]
+
+
+def test_list_rows_and_tuple_rows_give_the_same_structures(ends):
+    """The constructors keep tuple rows, so a table given with list rows
+    finds the same zero (``closure.identity`` looks for a tuple row), top
+    and equality as with tuple rows."""
+    for lat in enumerate_lattices(5):
+        listed = FiniteLattice(as_lists(lat.join))
+        assert (listed.zero, listed.top, listed.down) == (lat.zero, lat.top, lat.down)
+        assert listed == lat and hash(listed) == hash(lat)
+    rings = [boolean_semiring(), field_f2(), two_element_trivial_mul(),
+             ends["chain3"][0], ends["diamond"][0]]
+    for r in rings:
+        listed = FiniteSemiring(as_lists(r.add), as_lists(r.mul))
+        assert listed.zero == r.zero is not None
+        assert listed == r and hash(listed) == hash(r)
+        mod = regular_module(r)
+        listed_mod = Semimodule(listed, as_lists(mod.madd), as_lists(mod.act))
+        assert listed_mod.mzero == mod.mzero is not None
+        assert (listed_mod.madd, listed_mod.act, listed_mod.act_t) == (mod.madd, mod.act, mod.act_t)
