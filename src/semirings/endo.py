@@ -87,9 +87,10 @@ class EndoSubsemiring:
     containing the zero map, built from any iterable of image tuples.
 
     It is held as ``packed``, the lex-sorted member images concatenated,
-    one byte per value, so the lattice has n <= 256 elements.  ``size`` and
-    ``==`` (same lattice, same ``packed``) read it as it is; ``members``,
-    the frozenset of image tuples, is decoded on first use and kept.
+    one byte per value, so the lattice has n <= 256 elements.  ``size``,
+    ``==`` (same lattice, same ``packed``) and ``member_bytes`` read it as
+    it is; ``members``, the frozenset of image tuples, is decoded on first
+    use and kept.
     """
 
     def __init__(self, lattice, members):
@@ -115,6 +116,12 @@ class EndoSubsemiring:
     def sorted_members(self):
         """The member image tuples in lex order, decoded from ``packed``."""
         return list(iter_unpack(f"{self.lattice.n}B", self.packed))
+
+    def member_bytes(self):
+        """The member images as ``bytes`` strings in lex order, cut out of
+        ``packed`` with no tuple built."""
+        n, packed = self.lattice.n, self.packed
+        return [packed[k:k + n] for k in range(0, len(packed), n)]
 
     def __eq__(self, other):
         if not isinstance(other, EndoSubsemiring):
@@ -172,8 +179,10 @@ class EndoSubsemiring:
 
 
 def is_dense(sub):
-    """True iff the subsemiring contains every elementary map."""
-    return all(e in sub.members for e in elementary_maps(sub.lattice))
+    """True iff the subsemiring contains every elementary map, read off
+    its ``member_bytes``, so ``members`` is not decoded."""
+    images = set(sub.member_bytes())
+    return all(bytes(e) in images for e in elementary_maps(sub.lattice))
 
 
 def end_semiring(lat):
@@ -324,10 +333,10 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     least = dense_closure(lat, max_size=None)
     if least.size == len(all_endos):
         return [least]
-    n, rows = lat.n, list(map(bytes, all_endos))
+    rows = list(map(bytes, all_endos))
     r = EndoSubsemiring._from_packed(lat, b"".join(rows)).to_semiring()
     at = {row: i for i, row in enumerate(rows)}
-    base = frozenset([at[least.packed[k:k + n]] for k in range(0, len(least.packed), n)])
+    base = frozenset(map(at.__getitem__, least.member_bytes()))
     products = table_products((r.add, r.mul, r.mul_t))
     sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), products),
                        noun="dense subsemirings")

@@ -234,11 +234,14 @@ def test_srs_round_trip(lats, sr_families):
 
 
 def assert_packed_matches(subs, sets):
-    """Each packed subsemiring against the tuple set it stands for: ``size``
-    and ``==``/``!=`` agree with the sets without decoding, and the decoded
-    ``members`` and ``sorted_members`` are the set and its sorted list."""
+    """Each packed subsemiring against the tuple set it stands for: ``size``,
+    ``==``/``!=``, ``member_bytes`` and ``is_dense`` agree with the sets
+    without decoding, and the decoded ``members`` and ``sorted_members``
+    are the set and its sorted list."""
     for a, s in zip(subs, sets):
         assert a.size == len(s)
+        assert a.member_bytes() == [bytes(f) for f in sorted(s)]
+        assert is_dense(a) == all(e in s for e in elementary_maps(a.lattice))
         for b, t in zip(subs, sets):
             assert (a == b) == (s == t) and (a != b) == (s != t)
     assert not any("members" in vars(sub) for sub in subs)
