@@ -5,11 +5,11 @@ check of the package.
 Subsemirings of End(M), subsemirings of a Cayley-table semiring and
 subsemimodules are all least sets closed under some binary products and,
 for modules, a unary action; each is closed here by :func:`close`, and
-the callers only say what the products of two elements are, for a table
-structure by :func:`table_products`.  Those closed sets, and the module
+the callers only pass the translation tables whose entries are the
+products of two elements.  Those closed sets, and the module
 congruences, each named by the set of test pairs it relates, are the
 closed sets of a closure operator, and all are enumerated by the one
-walk :func:`closed_sets`.
+walk :func:`closed_sets`, which builds each closed set once.
 Semiring congruences, module congruences and plain equivalences
 generated by pairs are all least partitions compatible with some
 translation tables; each is closed by :func:`close_congruence`, and the
@@ -38,24 +38,28 @@ from .errors import SizeLimit
 SET_LIMIT = 100000
 
 
-def close(base, seeds, products, images=None):
-    """Least superset of ``base`` and ``seeds`` closed under ``products``
-    and ``images``, as a frozenset.
+def close(base, seeds, tables, images=None):
+    """Least superset of ``base`` and ``seeds`` closed under the products of
+    ``tables`` and the unary ``images``, as a frozenset.
 
-    ``products(f, g)`` returns every product of the unordered pair in both
-    orders (for a semiring: f + g, f * g and g * f); ``images(f)``, if
-    given, returns the unary images of f (for a module: its orbit under the
-    action).  ``base`` must already be closed.  Two facts keep the work
-    small:
+    ``tables`` are translation tables as in :func:`close_congruence`:
+    ``t[f][g]`` is a product of f and g, and each list holds the transpose
+    of each of its tables, so the entries ``t[f][g]`` over all tables
+    cover every product of the pair in both orders (for a semiring
+    ``add``, ``mul`` and ``mul_t``; for a module its addition).
+    ``images``, if given, is a table whose row f lists the unary images of
+    f (for a module: ``act_t``, its orbit under the action).  ``base``
+    must already be closed.  Two facts keep the work small:
 
     - Every pair of members of ``base`` already has its products in
       ``base``, and every member its images.  So only the seeds and the
       elements they generate go on the worklist: closing ``s | {f}`` for a
       closed ``s`` starts from ``f`` alone, not from all of ``s``.
-    - Each unordered pair is visited once.  A popped element is paired
-      only with the elements already processed, itself included; once the
-      worklist is empty every member has been processed, so every pair
-      has met exactly once.
+    - Each unordered pair is visited once.  A popped element f is paired
+      only with the elements already processed, itself included, by
+      reading row f of each table at each of them, one ``map`` per table;
+      once the worklist is empty every member has been processed, so
+      every pair has met exactly once.
     """
     members = set(base)
     done = list(members)
@@ -67,26 +71,15 @@ def close(base, seeds, products, images=None):
     while work:
         f = work.pop()
         done.append(f)
-        new = [h for g in done for h in products(f, g) if h not in members]
+        new = set()
+        for t in tables:
+            new.update(map(t[f].__getitem__, done))
         if images is not None:
-            new.extend(h for h in images(f) if h not in members)
-        for h in new:
-            if h not in members:
-                members.add(h)
-                work.append(h)
+            new.update(images[f])
+        new -= members
+        members |= new
+        work.extend(new)
     return frozenset(members)
-
-
-def table_products(tables):
-    """The ``products`` of :func:`close` for a structure given by its
-    translation ``tables`` (see :func:`close_congruence`): ``t[x][y]`` for
-    every table, which covers both orders when each list holds the
-    transpose of each of its tables (``add``, ``mul`` and ``mul_t``)."""
-
-    def products(x, y):
-        return [t[x][y] for t in tables]
-
-    return products
 
 
 def relabel(table, rows, cols, label):
@@ -98,34 +91,54 @@ def relabel(table, rows, cols, label):
 
 
 def closed_sets(base, universe, extend, *, noun):
-    """Every closed set of a closure operator between the closed set
-    ``base`` and ``universe``, ordered by ascending (size, sorted members).
+    """Every closed set of a closure operator c between the closed set
+    ``base`` and the set of all elements, ordered by ascending (size,
+    sorted members).
 
-    ``extend(s, x)`` is the least closed set containing the closed set
-    ``s`` and the element x.  The walk goes upward: each set found is
-    extended by each element of ``universe`` it lacks.  Every closed set
-    T above ``base`` is reached, for any closure operator c, by this
-    lemma.  List the members of T outside ``base`` as t_1, ..., t_k and
-    let s_0 = base and s_i = c(s_{i-1} ∪ {t_i}).  By induction each s_i
-    lies in T, since c is monotone and T = c(T) contains s_{i-1} and t_i;
-    and s_k contains base and every t_i, so s_k = T.  Each s_i is found
-    from s_{i-1}, which lacks t_i or equals s_i.  ``SizeLimit`` is raised
-    once more than ``SET_LIMIT`` sets exist.
+    ``extend(s, x)`` is c(s ∪ {x}), the least closed set containing the
+    closed set s and the element x.  ``universe`` lists every element
+    outside ``base``; its order, written y < y' below, drives the walk,
+    Close-by-One (Kuznetsov 1993).  A set T found from s by x_i, the i-th
+    element, is kept only when T − s holds no element earlier than x_i,
+    and a kept T is extended only by the elements after x_i that it
+    lacks (``base`` by all of them).  Every closed set T above ``base`` is
+    then built exactly once, by this lemma.  Let the greedy path of T be
+    A_0 = ``base``, y_j the least element of T that A_{j-1} lacks, and
+    A_j = c(A_{j-1} ∪ {y_j}), until A_k = T.
+
+    - The walk takes the greedy path.  Each A_j lies in T, since c is
+      monotone and T = c(T) contains A_{j-1} and y_j; so the path grows
+      strictly inside T and ends at T.  Every element of T below y_j is
+      in A_{j-1}, so A_j − A_{j-1} holds nothing below y_j and the step is
+      kept; and A_j holds every element of T up to y_j, so y_{j+1} > y_j
+      and the walk allows the next step.
+    - The walk takes no other path.  Along any path of kept steps
+      A_0, y_1, A_1, ..., y_k, A_k the y_j increase, and step j adds y_j
+      and nothing below it.  So y_j is the least element of A_k that
+      A_{j-1} lacks, the path is the greedy path of A_k, and a set is
+      found once.
+
+    So no set is built twice and none needs to be looked up.
+    ``SizeLimit`` is raised once more than ``SET_LIMIT`` sets exist.
     """
-    seen = {base}
-    stack = [base]
+    universe = list(universe)
+    position = {x: i for i, x in enumerate(universe)}.__getitem__
+    found = [base]
+    stack = [(base, 0)]
     while stack:
-        s = stack.pop()
-        for x in universe:
+        s, start = stack.pop()
+        for i in range(start, len(universe)):
+            x = universe[i]
             if x in s:
                 continue
             t = extend(s, x)
-            if t not in seen:
-                if len(seen) >= SET_LIMIT:
-                    raise SizeLimit(f"more than {SET_LIMIT} {noun}")
-                seen.add(t)
-                stack.append(t)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+            if min(map(position, t - s)) < i:
+                continue
+            if len(found) >= SET_LIMIT:
+                raise SizeLimit(f"more than {SET_LIMIT} {noun}")
+            found.append(t)
+            stack.append((t, i + 1))
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def close_congruence(n, pairs, tables, total_pair=None):

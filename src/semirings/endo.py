@@ -2,8 +2,9 @@
 
 An endomorphism is a join- and zero-preserving self-map, stored as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
-A subsemiring is held packed: its lex-sorted member images concatenated,
-one byte per value, and decoded to image tuples only when read.
+A subsemiring is held as lex-sorted image rows concatenated, one byte per
+value, and an ``int`` mask of the rows it keeps; the members of a dense
+family share End(M)'s rows, and image tuples are decoded only when read.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone: while it is built, a map f on n elements is the ``bytes`` string of
@@ -12,10 +13,11 @@ elementary map to every sum is one ``translate`` call per sum and chunk.  The Ca
 tables of a subsemiring and its closedness test use the same encoded maps:
 each entry, a join or a composite of two members, is one ``translate``
 call.  The dense subsemirings form an interval between it and End(M),
-enumerated by the closed-set walk of ``closure.py`` over the Cayley table
-of End(M), on member indices: a closed set extended by one index is
-re-closed from that index alone, each pair is combined once, and each
-product is one table lookup.
+enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
+table of End(M), on member indices, which builds each closed set once: a
+closed set extended by one index is re-closed from that index alone, and
+each pair is combined once, by one read of each table's row.  Each set
+found is kept as a mask over End(M)'s rows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import chain, product, repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import close, closed_sets, principal_test_pairs, table_products
+from .closure import close, closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import homomorphisms
 from .semiring import FiniteSemiring
@@ -86,23 +88,32 @@ class EndoSubsemiring:
     """A set of endomorphisms closed under pointwise join and composition,
     containing the zero map, built from any iterable of image tuples.
 
-    It is held as ``packed``, the lex-sorted member images concatenated,
-    one byte per value, so the lattice has n <= 256 elements.  ``size``,
-    ``==`` (same lattice, same ``packed``) and ``member_bytes`` read it as
-    it is; ``members``, the frozenset of image tuples, is decoded on first
-    use and kept.
+    It is held as ``rows``, lex-sorted image rows concatenated, one byte
+    per value (so the lattice has n <= 256 elements), and ``mask``, an
+    ``int`` whose bit k is set iff the k-th row is a member.  One built
+    from a member set, by ``dense_closure`` or by ``parse_srs`` holds its
+    own rows with every bit set; the members of a dense family share the
+    rows of End(M) (``enumerate_sr``).  ``size`` counts the bits.
+    ``packed``, the lex-sorted member images concatenated, is the rows
+    themselves when every bit is set and is cut out of them on first use
+    otherwise.  ``==`` (same lattice, same members) compares masks over
+    equal rows and ``packed`` forms otherwise; ``member_bytes`` cuts the
+    member rows out; ``members``, the frozenset of image tuples, is
+    decoded on first use and kept.
     """
 
     def __init__(self, lattice, members):
         self.lattice = lattice
-        self.packed = b"".join(map(bytes, sorted(frozenset(members))))
+        self.rows = b"".join(map(bytes, sorted(frozenset(members))))
+        self.mask = (1 << len(self.rows) // lattice.n) - 1
 
     @classmethod
-    def _from_packed(cls, lattice, packed):
-        """The subsemiring whose ``packed`` form is given."""
+    def _masked(cls, lattice, rows, mask=None):
+        """The subsemiring of the rows of ``rows`` that ``mask`` keeps, all
+        of them when ``mask`` is None."""
         sub = cls.__new__(cls)
-        sub.lattice = lattice
-        sub.packed = packed
+        sub.lattice, sub.rows = lattice, rows
+        sub.mask = (1 << len(rows) // lattice.n) - 1 if mask is None else mask
         return sub
 
     @cached_property
@@ -111,7 +122,13 @@ class EndoSubsemiring:
 
     @property
     def size(self):
-        return len(self.packed) // self.lattice.n
+        return self.mask.bit_count()
+
+    @cached_property
+    def packed(self):
+        if self.size * self.lattice.n == len(self.rows):
+            return self.rows
+        return b"".join(self.member_bytes())
 
     def sorted_members(self):
         """The member image tuples in lex order, decoded from ``packed``."""
@@ -119,14 +136,16 @@ class EndoSubsemiring:
 
     def member_bytes(self):
         """The member images as ``bytes`` strings in lex order, cut out of
-        ``packed`` with no tuple built."""
-        n, packed = self.lattice.n, self.packed
-        return [packed[k:k + n] for k in range(0, len(packed), n)]
+        ``rows`` with no tuple built."""
+        n, rows = self.lattice.n, self.rows
+        bits = bin(self.mask)[:1:-1]  # bit k at position k
+        return [rows[n * k:n * k + n] for k, bit in enumerate(bits) if bit == "1"]
 
     def __eq__(self, other):
         if not isinstance(other, EndoSubsemiring):
             return NotImplemented
-        return self.packed == other.packed and self.lattice == other.lattice
+        same = self.mask == other.mask if self.rows == other.rows else self.packed == other.packed
+        return same and self.lattice == other.lattice
 
     def __repr__(self):
         return f"EndoSubsemiring({self.lattice!r}, size={self.size})"
@@ -306,7 +325,7 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
         if max_size is not None and len(span) > max_size:
             raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
     decode = table([c % n for c in range(n * n)])
-    return EndoSubsemiring._from_packed(lat, b"".join(sorted(translate(span, decode))))
+    return EndoSubsemiring._masked(lat, b"".join(sorted(translate(span, decode))))
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
@@ -317,13 +336,17 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     End(M) is bounded, by ``max_end``: the least dense subsemiring lies
     inside it.
 
-    The walk runs over the Cayley table of End(M) (``to_semiring``): the
-    closed sets of indices under +, * and the transposed *, from the
-    indices of ``dense_closure``, each product one table lookup.  Index i
-    names the i-th map of the lex-sorted ``endomorphisms``, so i < j iff
-    map i < map j, and index sets ordered by (size, sorted indices) are
-    the member sets ordered by (size, sorted members): the order is the
-    one the walk over maps gave.
+    The walk (``closure.closed_sets``, Close-by-One over the indices in
+    ascending order) runs over the Cayley table of End(M)
+    (``to_semiring``): the closed sets of indices under +, * and the
+    transposed *, from the indices of ``dense_closure``, each closure
+    reading rows of the three tables.  Index i names the i-th map of the
+    lex-sorted ``endomorphisms``, so i < j iff map i < map j, and index
+    sets ordered by (size, sorted indices) are the member sets ordered by
+    (size, sorted members): the order is the one the walk over maps gave.
+    Each member is End(M)'s rows and the mask of its indices, so the
+    family shares one copy of the rows and nothing is sliced out until
+    ``packed`` or ``members`` is read.
 
     When the least dense subsemiring already holds every endomorphism (M
     distributive), the interval between it and End(M) is one point, so it
@@ -333,15 +356,14 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     least = dense_closure(lat, max_size=None)
     if least.size == len(all_endos):
         return [least]
-    rows = list(map(bytes, all_endos))
-    r = EndoSubsemiring._from_packed(lat, b"".join(rows)).to_semiring()
-    at = {row: i for i, row in enumerate(rows)}
+    end = EndoSubsemiring._masked(lat, b"".join(map(bytes, all_endos)))
+    r = end.to_semiring()
+    at = {row: i for i, row in enumerate(end.member_bytes())}
     base = frozenset(map(at.__getitem__, least.member_bytes()))
-    products = table_products((r.add, r.mul, r.mul_t))
-    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), products),
+    tables = (r.add, r.mul, r.mul_t)
+    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), tables),
                        noun="dense subsemirings")
-    return [EndoSubsemiring._from_packed(lat, b"".join(map(rows.__getitem__, sorted(s))))
-            for s in sets]
+    return [EndoSubsemiring._masked(lat, end.rows, sum(map((1).__lshift__, s))) for s in sets]
 
 
 def transpose(lat, f):

@@ -21,7 +21,6 @@ from .closure import (
     only_total_principals,
     principal_test_pairs,
     relabel,
-    table_products,
     zero_top_pair,
 )
 from .errors import (
@@ -118,15 +117,13 @@ def close_module_subset(mod, seed):
     """Least subset containing seed and the module zero, closed under
     addition and the action."""
     # the sums are the products; the action closes through the images act_t[x]
-    return close(frozenset(), (mod.mzero, *seed), table_products((mod.madd,)),
-                 mod.act_t.__getitem__)
+    return close(frozenset(), (mod.mzero, *seed), (mod.madd,), mod.act_t)
 
 
 def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
-    sums = table_products((mod.madd,))
     return closed_sets(close_module_subset(mod, ()), range(mod.m),
-                       lambda s, x: close(s, (x,), sums, mod.act_t.__getitem__),
+                       lambda s, x: close(s, (x,), (mod.madd,), mod.act_t),
                        noun="subsemimodules")
 
 

@@ -31,7 +31,6 @@ from .closure import (
     only_total_principals,
     relabel,
     table_iso,
-    table_products,
 )
 from .errors import (
     LineReader,
@@ -350,7 +349,7 @@ def restrict(r, subset):
 
 def close_subset(r, seed):
     """Least subset containing seed and zero, closed under + and *."""
-    return close(frozenset(), (r.zero, *seed), table_products(_translations(r)))
+    return close(frozenset(), (r.zero, *seed), _translations(r))
 
 
 def subsemirings(r):
@@ -359,8 +358,8 @@ def subsemirings(r):
     Walks the closed-set lattice upward from the closure of {zero};
     deterministic order by (size, member tuple).
     """
-    products = table_products(_translations(r))
-    return closed_sets(close_subset(r, ()), range(r.n), lambda s, x: close(s, (x,), products),
+    tables = _translations(r)
+    return closed_sets(close_subset(r, ()), range(r.n), lambda s, x: close(s, (x,), tables),
                        noun="subsemirings")
 
 

@@ -4,8 +4,12 @@ from-scratch references.
 The reference below re-closes every set from scratch, pairing each popped
 element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
+The Close-by-One walk is compared with that walk on every sweep, builds
+each closed set once, and follows the caller's order of the elements.
 The dense-family walk over the Cayley table of End(M) is also compared
-with the same walk over image tuples, which it replaced.
+with the same from-scratch walk over End(M)'s tables as the tuple loops
+build them, and, opt-in, pinned on two six-element lattices whose walk
+the reference takes too long to repeat.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced, and its fold over maps encoded as ``bytes``
@@ -49,7 +53,6 @@ from semirings.closure import (
     is_table_iso,
     principal_test_pairs,
     table_iso,
-    table_products,
     zero_top_pair,
 )
 from semirings.endo import (
@@ -166,25 +169,19 @@ def test_enumerate_sr_matches_reference():
         assert [f.members for f in enumerate_sr(lat)] == want, lat.name
 
 
-def _products(lat):
-    """Join and both compositions of two endomorphisms."""
-    join = lat.join
-
-    def products(f, g):
-        return (tuple([join[a][b] for a, b in zip(f, g)]),
-                tuple([f[v] for v in g]),
-                tuple([g[v] for v in f]))
-
-    return products
-
-
 def reference_enumerate_sr(lat):
-    """The walk ``enumerate_sr`` replaced: the closed sets of image tuples
-    under join and both compositions, from ``dense_closure``, each re-closed
-    from the one added map by ``close``."""
-    products = _products(lat)
-    return closed_sets(dense_closure(lat, max_size=None).members, endomorphisms(lat),
-                       lambda s, f: close(s, (f,), products), noun="dense subsemirings")
+    """The dense family from the references alone: the from-scratch walk
+    and closure over the indices of the lex-sorted endomorphisms, from the
+    closure of the zero map and the elementary maps, each product looked
+    up in End(M)'s tables as the tuple loops build them."""
+    maps = endomorphisms(lat)
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[pointwise_join(lat, f, g)] for g in maps] for f in maps]
+    mul = [[index[compose(f, g)] for g in maps] for f in maps]
+    ops = (lambda x, y: add[x][y], lambda x, y: mul[x][y])
+    base = reference_close([index[f] for f in (zero_map(lat), *elementary_maps(lat))], ops)
+    sets = reference_walk(base, range(len(maps)), lambda s: reference_close(s, ops))
+    return [frozenset(maps[i] for i in s) for s in sets]
 
 
 def test_enumerate_sr_matches_the_walk_over_the_end_table():
@@ -197,6 +194,56 @@ def test_enumerate_sr_matches_the_walk_over_the_end_table():
 def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == f"lat6_{k}")
     assert [f.members for f in enumerate_sr(lat)] == reference_enumerate_sr(lat)
+
+
+# the dense families of two six-element lattices, taken from the walk
+# that kept every set it had seen: the number of members and the sha256
+# of their ``packed`` forms joined in the walk's order
+SIZE_SIX_FAMILIES = {
+    "lat6_10": (601, "43cd5ea0212880dd61efd0ea50891d355d728e0d075e34872adb5992f7cad646"),
+    "lat6_14": (6370, "dc62880748c4ea259cee0b0bba8895b3a13fc773626c34d50a0489cf7da7bb5d"),
+}
+
+
+@pytest.mark.size6
+@pytest.mark.parametrize("name", sorted(SIZE_SIX_FAMILIES))
+def test_enumerate_sr_matches_the_pinned_size_six_families(name):
+    lat = next(lat for lat in enumerate_lattices(6) if lat.name == name)
+    fams = enumerate_sr(lat)
+    digest = hashlib.sha256(b"".join(f.packed for f in fams)).hexdigest()
+    assert (len(fams), digest) == SIZE_SIX_FAMILIES[name]
+
+
+def test_closed_sets_build_each_set_once():
+    # under the identity closure every subset of range(10) is closed; the
+    # walk that extended each set by every element it lacked made
+    # 10 · 2^9 = 5120 calls, Close-by-One one per nonempty subset
+    calls = []
+
+    def extend(s, x):
+        calls.append((s, x))
+        return s | {x}
+
+    sets = closed_sets(frozenset(), range(10), extend, noun="sets")
+    assert len(calls) == 2 ** 10 - 1
+    assert len(sets) == len(set(sets)) == 2 ** 10
+    assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
+    assert {s | {x} for s, x in calls} == set(sets) - {frozenset()}
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond"])
+def test_closed_sets_follow_the_callers_order(name):
+    """Any order of the universe gives the same sets, each kept once (a
+    set kept twice would be listed twice)."""
+    r, _ = end_semiring(load_fixture(name))
+    ops = ring_ops(r)
+    want = reference_walk(reference_close([r.zero], ops), range(r.n),
+                          lambda s: reference_close(s, ops))
+    tables = (r.add, r.mul, r.mul_t)
+    for universe in (range(r.n - 1, -1, -1), shuffled(r.n, 7)):
+        got = closed_sets(close_subset(r, ()), universe, lambda s, x: close(s, (x,), tables),
+                          noun="subsemirings")
+        assert got == want
 
 
 def test_closed_sets_raise_size_limit_past_set_limit(monkeypatch):
@@ -242,16 +289,10 @@ def test_dense_closure_matches_reference_on_size_six():
     assert min(sizes) == 98
 
 
-def closure_of_elementary_maps(lat):
-    """The path ``dense_closure`` replaced: the incremental closure of the
-    zero map and the elementary maps under join and both compositions."""
-    return close(frozenset(), [zero_map(lat), *elementary_maps(lat)], _products(lat))
-
-
 def test_dense_closure_is_the_closure_of_the_elementary_maps():
     for lat in small_lattices():
         sub = dense_closure(lat)
-        assert sub.members == closure_of_elementary_maps(lat), lat.name
+        assert sub.members == reference_dense_closure(lat), lat.name
         assert sub.is_closed(), lat.name
 
 
@@ -260,7 +301,7 @@ def test_dense_closure_is_the_closure_of_the_elementary_maps_on_size_seven():
     sevens = [lat for lat in enumerate_lattices(7) if lat.n == 7]
     assert len(sevens) == 53
     for lat in sevens:
-        assert dense_closure(lat).members == closure_of_elementary_maps(lat), lat.name
+        assert dense_closure(lat).members == reference_dense_closure(lat), lat.name
 
 
 def tuple_fold_dense_closure(lat):
@@ -337,14 +378,23 @@ def test_dense_closure_size_limit_boundary(name):
         dense_closure(lat, max_size=size - 1)
 
 
+class LoggedRow:
+    """Row x of a table that logs each entry read, at y, as the unordered
+    pair {x, y}."""
+
+    def __init__(self, x, row, pairs):
+        self.x, self.row, self.pairs = x, row, pairs
+
+    def __getitem__(self, y):
+        self.pairs.append(frozenset((self.x, y)))
+        return self.row[y]
+
+
 def test_each_pair_is_combined_once_and_base_pairs_never():
     r, _ = end_semiring(load_fixture("diamond"))
     pairs = []
-
-    def products(x, y):
-        pairs.append(frozenset((x, y)))
-        return r.add[x][y], r.mul[x][y], r.mul[y][x]
-
+    # ``close`` reads every table at the same pairs, so logging one suffices
+    products = ([LoggedRow(x, row, pairs) for x, row in enumerate(r.add)], r.mul, r.mul_t)
     full = close(frozenset(), range(r.n), products)
     assert len(full) == r.n
     assert len(pairs) == len(set(pairs)) == r.n * (r.n + 1) // 2
@@ -1208,7 +1258,7 @@ def test_cayley_tables_on_m15_above_the_bytes_encoding():
     lat = m_lattice(15)
     assert lat.n ** 2 > 256
     gens = [zero_map(lat), identity_map(lat), elementary(lat, 1, 2), elementary(lat, 3, 4)]
-    sub = EndoSubsemiring(lat, close(frozenset(), gens, _products(lat)))
+    sub = EndoSubsemiring(lat, reference_close(gens, endo_ops(lat)))
     assert sub.size == 25
     assert_same_cayley_tables(sub)
     for f in sorted(sub.members)[1:4]:

@@ -23,6 +23,7 @@ from semirings.endo import (
     transpose,
     zero_map,
 )
+from semirings.catalog import member_reports
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import condition_d, dual, enumerate_lattices, hom_to_l2
@@ -235,12 +236,13 @@ def test_srs_round_trip(lats, sr_families):
 
 def assert_packed_matches(subs, sets):
     """Each packed subsemiring against the tuple set it stands for: ``size``,
-    ``==``/``!=``, ``member_bytes`` and ``is_dense`` agree with the sets
-    without decoding, and the decoded ``members`` and ``sorted_members``
-    are the set and its sorted list."""
+    ``==``/``!=``, ``packed``, ``member_bytes`` and ``is_dense`` agree with
+    the sets without decoding, and the decoded ``members`` and
+    ``sorted_members`` are the set and its sorted list."""
     for a, s in zip(subs, sets):
         assert a.size == len(s)
         assert a.member_bytes() == [bytes(f) for f in sorted(s)]
+        assert a.packed == b"".join(map(bytes, sorted(s)))
         assert is_dense(a) == all(e in s for e in elementary_maps(a.lattice))
         for b, t in zip(subs, sets):
             assert (a == b) == (s == t) and (a != b) == (s != t)
@@ -262,8 +264,36 @@ def test_packed_subsemirings_of_end_match_their_member_sets(lats, ends, name):
 def test_packed_family_members_match_their_member_sets():
     for lat in list(enumerate_lattices(5)) + [load_fixture(n) for n in FIXTURE_NAMES]:
         fams = enumerate_sr(lat)
-        sets = [frozenset(f.sorted_members()) for f in fams]
+        assert all(f.size for f in fams) and not any("packed" in vars(f) for f in fams)
+        sets = [frozenset(map(tuple, f.member_bytes())) for f in fams]
         assert_packed_matches(fams, sets)
+
+
+def test_family_members_are_masks_over_the_rows_of_end():
+    """Every member of a family of more than one holds End(M)'s rows and a
+    mask of them; End(M), the last, keeps every row, so its ``packed`` is
+    those rows.  ``dense_closure`` and a built set hold their own rows."""
+    for lat in list(enumerate_lattices(5)) + [load_fixture(n) for n in FIXTURE_NAMES]:
+        fams = enumerate_sr(lat)
+        end = fams[-1]
+        assert end.rows == b"".join(map(bytes, endomorphisms(lat)))
+        assert end.mask == (1 << end.size) - 1 and end.packed is end.rows
+        assert all(f.rows is end.rows for f in fams) or len(fams) == 1
+        least = dense_closure(lat)
+        assert least.rows == least.packed and least.mask == (1 << least.size) - 1
+        built = EndoSubsemiring(lat, least.sorted_members())
+        assert built.rows == least.rows and built.mask == least.mask and built == least
+
+
+def test_masked_members_read_as_their_member_sets():
+    """``is_dense`` and the catalog's member reports give the same results
+    on every family up to size 5 as on the same sets built from tuples."""
+    for lat in enumerate_lattices(5):
+        fams = enumerate_sr(lat)
+        built = [EndoSubsemiring(lat, f.sorted_members()) for f in fams]
+        assert built == fams
+        assert [is_dense(f) for f in fams] == [is_dense(f) for f in built] == [True] * len(fams)
+        assert member_reports(lat, fams[::-1]) == member_reports(lat, built[::-1])
 
 
 def test_packed_equality_compares_the_lattice(lats):
