@@ -96,25 +96,25 @@ class EndoSubsemiring:
     rows of End(M) (``enumerate_sr``).  ``size`` counts the bits.
     ``packed``, the lex-sorted member images concatenated, is the rows
     themselves when every bit is set and is cut out of them on first use
-    otherwise.  ``==`` (same lattice, same members) compares masks over
-    equal rows and ``packed`` forms otherwise; ``member_bytes`` cuts the
-    member rows out; ``members``, the frozenset of image tuples, is
-    decoded on first use and kept.
+    otherwise.  ``==`` (same lattice, same members) compares ``packed``
+    forms; ``member_bytes`` cuts the member rows out; ``members``, the
+    frozenset of image tuples, is decoded on first use and kept.
     """
 
     def __init__(self, lattice, members):
-        self.lattice = lattice
-        self.rows = b"".join(map(bytes, sorted(frozenset(members))))
-        self.mask = (1 << len(self.rows) // lattice.n) - 1
+        self._hold(lattice, b"".join(map(bytes, sorted(frozenset(members)))))
 
     @classmethod
     def _masked(cls, lattice, rows, mask=None):
         """The subsemiring of the rows of ``rows`` that ``mask`` keeps, all
         of them when ``mask`` is None."""
         sub = cls.__new__(cls)
-        sub.lattice, sub.rows = lattice, rows
-        sub.mask = (1 << len(rows) // lattice.n) - 1 if mask is None else mask
+        sub._hold(lattice, rows, mask)
         return sub
+
+    def _hold(self, lattice, rows, mask=None):
+        self.lattice, self.rows = lattice, rows
+        self.mask = (1 << len(rows) // lattice.n) - 1 if mask is None else mask
 
     @cached_property
     def members(self):
@@ -144,8 +144,7 @@ class EndoSubsemiring:
     def __eq__(self, other):
         if not isinstance(other, EndoSubsemiring):
             return NotImplemented
-        same = self.mask == other.mask if self.rows == other.rows else self.packed == other.packed
-        return same and self.lattice == other.lattice
+        return self.packed == other.packed and self.lattice == other.lattice
 
     def __repr__(self):
         return f"EndoSubsemiring({self.lattice!r}, size={self.size})"

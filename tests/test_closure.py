@@ -6,9 +6,9 @@ element with every member, and walks by closing ``s | {x}`` anew.  It is
 the algorithm the incremental one replaced, kept here only as an oracle.
 The Close-by-One walk is compared with that walk on every sweep, builds
 each closed set once, and follows the caller's order of the elements.
-The dense-family walk over the Cayley table of End(M) is also compared
-with the same from-scratch walk over End(M)'s tables as the tuple loops
-build them, and, opt-in, pinned on two six-element lattices whose walk
+The masks of the dense family over End(M)'s rows are compared with the
+same from-scratch walk over the indices of End(M)'s tables as the tuple
+loops build them, and the family is, opt-in, pinned on two six-element lattices whose walk
 the reference takes too long to repeat.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
@@ -170,30 +170,42 @@ def test_enumerate_sr_matches_reference():
 
 
 def reference_enumerate_sr(lat):
-    """The dense family from the references alone: the from-scratch walk
-    and closure over the indices of the lex-sorted endomorphisms, from the
-    closure of the zero map and the elementary maps, each product looked
-    up in End(M)'s tables as the tuple loops build them."""
+    """The dense family from the references alone, as sets of indices into
+    the lex-sorted endomorphisms: the from-scratch walk and closure over
+    those indices, from the closure of the zero map and the elementary
+    maps, each product looked up in End(M)'s tables as the tuple loops
+    build them.  Faster than the walk over tuples, so it also serves the
+    opt-in size-6 twin."""
     maps = endomorphisms(lat)
     index = {f: i for i, f in enumerate(maps)}
     add = [[index[pointwise_join(lat, f, g)] for g in maps] for f in maps]
     mul = [[index[compose(f, g)] for g in maps] for f in maps]
     ops = (lambda x, y: add[x][y], lambda x, y: mul[x][y])
     base = reference_close([index[f] for f in (zero_map(lat), *elementary_maps(lat))], ops)
-    sets = reference_walk(base, range(len(maps)), lambda s: reference_close(s, ops))
-    return [frozenset(maps[i] for i in s) for s in sets]
+    return reference_walk(base, range(len(maps)), lambda s: reference_close(s, ops))
+
+
+def assert_masks_match_the_walk_over_the_end_table(lat):
+    """Each member's mask keeps exactly the rows of End(M) whose indices
+    the reference walk gives, read off the bits with no member decoded;
+    the tuple-form test above checks the decoded ``members`` instead."""
+    fams = enumerate_sr(lat)
+    width = len(fams[-1].rows) // lat.n
+    got = [frozenset(k for k in range(width) if f.mask >> k & 1) for f in fams]
+    assert got == [frozenset(s) for s in reference_enumerate_sr(lat)], lat.name
+    assert fams[-1].rows == b"".join(map(bytes, endomorphisms(lat))), lat.name
 
 
 def test_enumerate_sr_matches_the_walk_over_the_end_table():
     for lat in small_lattices():
-        assert [f.members for f in enumerate_sr(lat)] == reference_enumerate_sr(lat), lat.name
+        assert_masks_match_the_walk_over_the_end_table(lat)
 
 
 @pytest.mark.size6
 @pytest.mark.parametrize("k", range(1, 14))
 def test_enumerate_sr_matches_the_walk_over_the_end_table_on_size_six(k):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == f"lat6_{k}")
-    assert [f.members for f in enumerate_sr(lat)] == reference_enumerate_sr(lat)
+    assert_masks_match_the_walk_over_the_end_table(lat)
 
 
 # the dense families of two six-element lattices, taken from the walk
