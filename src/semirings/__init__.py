@@ -54,6 +54,7 @@ from .semimodule import (
     commutant,
     find_irreducible,
     irreducibility,
+    iso_to_dense_subsemiring,
     module_congruences,
     module_principal,
     representation,

@@ -34,6 +34,7 @@ from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
 SR_BASE_LIMIT = 512
+LATTICE_SIZE_LIMIT = 256  # a map holds one byte per value
 
 
 def is_endomorphism(lat, image):
@@ -69,11 +70,6 @@ def compose(f, g):
     return tuple(f[v] for v in g)
 
 
-def pointwise_join(lat, f, g):
-    join = lat.join
-    return tuple(join[a][b] for a, b in zip(f, g))
-
-
 def elementary(lat, a, b):
     """The map sending x to zero when x <= a and to b otherwise."""
     return tuple(lat.zero if lat.leq(x, a) else b for x in range(lat.n))
@@ -89,8 +85,9 @@ class EndoSubsemiring:
     containing the zero map, built from any iterable of image tuples.
 
     It is held as ``rows``, lex-sorted image rows concatenated, one byte
-    per value (so the lattice has n <= 256 elements), and ``mask``, an
-    ``int`` whose bit k is set iff the k-th row is a member.  One built
+    per value (so a lattice of more than ``LATTICE_SIZE_LIMIT`` = 256
+    elements raises ``SizeLimit``), and ``mask``, an ``int`` whose bit k
+    is set iff the k-th row is a member.  One built
     from a member set, by ``dense_closure`` or by ``parse_srs`` holds its
     own rows with every bit set; the members of a dense family share the
     rows of End(M) (``enumerate_sr``).  ``size`` counts the bits.
@@ -102,6 +99,7 @@ class EndoSubsemiring:
     """
 
     def __init__(self, lattice, members):
+        _check_lattice_size(lattice.n)
         self._hold(lattice, b"".join(map(bytes, sorted(frozenset(members)))))
 
     @classmethod
@@ -212,8 +210,17 @@ def end_semiring(lat):
     return sub.to_semiring(name=name), tuple(members)
 
 
+def _check_lattice_size(n):
+    """Raise ``SizeLimit`` when a value of a map on n elements does not
+    fit in one byte."""
+    if n > LATTICE_SIZE_LIMIT:
+        raise SizeLimit(f"lattice has {n} elements, above the {LATTICE_SIZE_LIMIT} "
+                        "that one byte per value allows")
+
+
 def _codec(n):
-    """(pack, table, translate) for maps on an n-element lattice.
+    """(pack, table, translate) for maps on an n-element lattice, n at
+    most ``LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
 
     ``pack`` turns the list of the codes f(x) + n·x of a map f into a
     ``bytes`` string; ``table`` turns the list of images of the codes
@@ -230,6 +237,7 @@ def _codec(n):
     strings compare as the image tuples do, since each position holds v
     plus a constant.
     """
+    _check_lattice_size(n)
     if n * n <= 256:
         pad = bytes(range(n * n, 256))
         return (bytes, lambda codes: bytes(codes) + pad,
@@ -385,20 +393,6 @@ def conjugate(s, maps):
     ``s`` given by its image tuple."""
     inverse = sorted(range(len(s)), key=s.__getitem__)
     return frozenset(tuple([s[f[x]] for x in inverse]) for f in maps)
-
-
-def identity_is_elementary_sum(lat):
-    """Whether the identity is the pointwise join of all elementary maps
-    lying below it.  Holds exactly when the dense subsemiring is unique."""
-    ident = identity_map(lat)
-    acc = zero_map(lat)
-    join = lat.join
-    for a in range(lat.n):
-        for b in range(lat.n):
-            e = elementary(lat, a, b)
-            if all(join[e[x]][x] == x for x in range(lat.n)):
-                acc = pointwise_join(lat, acc, e)
-    return acc == ident
 
 
 # ---------------------------------------------------------------------------

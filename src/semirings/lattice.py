@@ -416,12 +416,6 @@ def _masked_extensions(join, n):
                up_masks + [m_bit | top_bit, top_bit], [*down, d | m_bit, (1 << n) - 1])
 
 
-def _coatom_extensions(join, n):
-    """The tables of ``_masked_extensions``, without their bitmasks."""
-    for table, _, _ in _masked_extensions(join, n):
-        yield table
-
-
 def _least_relabelling(join, n, up, down):
     """The least relabelled join table over the orderings of
     ``_admissible_orders``, in which colour classes take consecutive labels
@@ -452,16 +446,6 @@ def _least_relabelling(join, n, up, down):
             if not tied:
                 best = key
     return tuple(best)
-
-
-def _canon_join_table(join, n):
-    """The canonical join table of the lattice ``join`` on 0..n-1:
-    ``_least_relabelling`` with the bitmasks of its order."""
-    if n == 1:
-        return ((0,),)
-    down = down_masks(join)
-    up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
-    return _least_relabelling(join, n, up, down)
 
 
 def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):

@@ -102,13 +102,6 @@ def regular_module(ring):
     return Semimodule(ring, ring.add, ring.mul)
 
 
-def natural_module(sub):
-    """A subsemiring of End(M) acting on M by application."""
-    lat = sub.lattice
-    # endomorphisms act on a lattice, its zero neutral, as a module
-    return Semimodule(sub.to_semiring(), lat.join, sub.sorted_members())
-
-
 def acts_nonzero(mod):
     return any(v != mod.mzero for row in mod.act for v in row)
 

@@ -9,15 +9,13 @@ checking it is total.  That closure is the union-find of
 addition, as soon as it relates the zero and the top of the additive
 order (``closure.zero_top_pair``), since x = x + 0 θ x + top = top.
 A given partition is compatible exactly when closing the pairs that
-generate it gives it back.  Isomorphisms are found and checked on the
-same tables by the one isomorphism search and the one isomorphism check
-of the package, ``closure.table_iso`` and ``closure.is_table_iso``; an
+generate it gives it back.  Isomorphisms are found on the same tables by
+the one isomorphism search of the package, ``closure.table_iso``; an
 anti-isomorphism is an isomorphism onto the opposite semiring.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .closure import (
@@ -27,7 +25,6 @@ from .closure import (
     closed_sets,
     idempotent,
     identity,
-    is_table_iso,
     only_total_principals,
     relabel,
     table_iso,
@@ -131,14 +128,6 @@ class Congruence:
         return self.blocks[x] == self.blocks[y]
 
 
-def identity_congruence(n):
-    return Congruence(range(n))
-
-
-def total_congruence(n):
-    return Congruence([0] * n)
-
-
 def validate_semiring(add, mul, zero, name=None):
     """The FiniteSemiring of two Cayley tables from outside the package.
 
@@ -212,12 +201,7 @@ def quotient_semiring(r, cong):
     if not is_semiring_congruence(r, cong):
         raise ValidationError("partition is not a semiring congruence")
     # a quotient by a compatible partition satisfies every axiom r does
-    return _relabelled(r, cong.reps, cong.blocks)
-
-
-def _relabelled(r, keep, label):
-    """The semiring on ``keep``, each element x renamed ``label[x]``: a
-    quotient or a restriction, its tables by ``closure.relabel``."""
+    keep, label = cong.reps, cong.blocks
     return FiniteSemiring(relabel(r.add, keep, keep, label), relabel(r.mul, keep, keep, label))
 
 
@@ -254,12 +238,6 @@ def structure_flags(r):
         trivial_mul=trivial,
         absorbing=absorbing(r.add),
     )
-
-
-def center(r):
-    """Elements commuting multiplicatively with everything."""
-    return [x for x in range(r.n)
-            if all(r.mul[x][a] == r.mul[a][x] for a in range(r.n))]
 
 
 def additive_reachability_congruence(r):
@@ -320,33 +298,6 @@ def opposite(r):
     return FiniteSemiring(r.add, r.mul_t, name)
 
 
-def product_semiring(r1, r2):
-    """Direct product; element (x, y) is encoded as x * r2.n + y."""
-    pairs = list(itertools.product(range(r1.n), range(r2.n)))  # (x, y) is x * r2.n + y
-
-    def table(t1, t2):
-        return tuple(tuple(t1[x1][x2] * r2.n + t2[y1][y2] for x2, y2 in pairs)
-                     for x1, y1 in pairs)
-
-    # the axioms hold componentwise
-    return FiniteSemiring(table(r1.add, r2.add), table(r1.mul, r2.mul))
-
-
-def restrict(r, subset):
-    """Subsemiring on a closed subset containing zero, reindexed sorted.
-
-    ``ValidationError`` is raised when the subset lacks the zero or is not
-    closed under + and *."""
-    members = sorted(subset)
-    index = {m: i for i, m in enumerate(members)}
-    if r.zero not in index:
-        raise ValidationError("subset does not contain the zero")
-    try:
-        return _relabelled(r, members, index)
-    except KeyError:
-        raise ValidationError("subset is not closed under + and *") from None
-
-
 def close_subset(r, seed):
     """Least subset containing seed and zero, closed under + and *."""
     return close(frozenset(), (r.zero, *seed), _translations(r))
@@ -376,13 +327,6 @@ def semiring_iso(r1, r2):
 def semiring_anti_iso(r1, r2):
     """Additive iso reversing multiplication, found as iso onto opposite."""
     return semiring_iso(r1, opposite(r2))
-
-
-def check_iso(r1, r2, mapping, anti=False):
-    """Whether ``mapping`` is an isomorphism of r1 onto r2 (onto
-    ``opposite(r2)`` when ``anti``), by ``closure.is_table_iso``."""
-    target = opposite(r2) if anti else r2
-    return is_table_iso(mapping, _translations(r1), r1.zero, _translations(target), target.zero)
 
 
 # ---------------------------------------------------------------------------

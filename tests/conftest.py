@@ -5,7 +5,9 @@ import pytest
 from semirings.endo import end_semiring, enumerate_sr
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.semimodule import descend_to_irreducible
-from semirings.semiring import restrict, subsemirings
+from semirings.semiring import subsemirings
+
+from reference import restrict
 
 
 def pytest_configure(config):

@@ -336,6 +336,20 @@ def test_check_srs_not_closed_exits_one(tmp_path, srs):
     assert failed_json(out, "check") == {"kind": "ValidationError", "message": message}
 
 
+def test_check_srs_on_a_lattice_above_one_byte_per_value_exits_one(tmp_path):
+    # the zero map and the identity of a chain of 257 elements
+    n = 257
+    rows = [" ".join(str(max(x, y)) for y in range(n)) for x in range(n)]
+    (tmp_path / "c257.lat").write_text("\n".join([f"n {n}", *rows]) + "\n")
+    path = tmp_path / "c257.srs"
+    path.write_text(f"lattice c257\n{' '.join(['0'] * n)}\n{' '.join(map(str, range(n)))}\n")
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 1
+    assert failed_json(out, "check") == {
+        "kind": "SizeLimit",
+        "message": "lattice has 257 elements, above the 256 that one byte per value allows"}
+
+
 def write_end_chain3_modules(tmp_path):
     """``end_chain3.sr`` and two modules over it: the regular module
     (``reg.smod``) and End(chain3) acting on chain3 (``nat.smod``)."""

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from semirings.endo import (
+    LATTICE_SIZE_LIMIT,
     EndoSubsemiring,
     compose,
     dense_closure,
@@ -13,12 +14,10 @@ from semirings.endo import (
     elementary_maps,
     endomorphisms,
     enumerate_sr,
-    identity_is_elementary_sum,
     identity_map,
     is_dense,
     is_endomorphism,
     parse_srs,
-    pointwise_join,
     serialize_srs,
     transpose,
     zero_map,
@@ -26,8 +25,10 @@ from semirings.endo import (
 from semirings.catalog import member_reports
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
-from semirings.lattice import condition_d, dual, enumerate_lattices, hom_to_l2
+from semirings.lattice import FiniteLattice, condition_d, dual, enumerate_lattices, hom_to_l2
 from semirings.semiring import structure_flags, subsemirings
+
+from reference import identity_is_elementary_sum, pointwise_join
 
 
 def test_is_endomorphism_basics(lats):
@@ -64,6 +65,24 @@ def test_endomorphisms_against_filtering_oracle(lats):
 def test_end_size_limit(lats):
     with pytest.raises(SizeLimit):
         endomorphisms(lats["chain5"], max_count=10)
+
+
+def chain(n):
+    return FiniteLattice([[max(x, y) for y in range(n)] for x in range(n)])
+
+
+def test_lattices_above_one_byte_per_value_raise_size_limit():
+    # the zero map and the identity of a chain: at 256 elements a
+    # subsemiring with its Cayley tables, at 257 a SizeLimit from both the
+    # member set and the least dense subsemiring
+    lat = chain(LATTICE_SIZE_LIMIT)
+    assert EndoSubsemiring(lat, [zero_map(lat), identity_map(lat)]).to_semiring().n == 2
+    lat = chain(LATTICE_SIZE_LIMIT + 1)
+    message = "lattice has 257 elements, above the 256 that one byte per value allows"
+    with pytest.raises(SizeLimit, match=message):
+        EndoSubsemiring(lat, [zero_map(lat), identity_map(lat)])
+    with pytest.raises(SizeLimit, match=message):
+        dense_closure(lat)
 
 
 def test_elementary_with_top_annihilates(lats):

@@ -28,7 +28,6 @@ from semirings.semimodule import (
     minimal_nonzero_submodule,
     module_lattice,
     module_principal,
-    natural_module,
     quotient_module,
     regular_module,
     submodule,
@@ -40,9 +39,10 @@ from semirings.semiring import (
     principal_congruence,
     quotient_semiring,
     recover_monoid,
-    restrict,
     subsemirings,
 )
+
+from reference import natural_module, restrict
 
 
 def reference_reps(cong):

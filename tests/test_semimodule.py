@@ -32,7 +32,6 @@ from semirings.semimodule import (
     module_congruences,
     module_lattice,
     module_principal,
-    natural_module,
     parse_smod,
     quotient_module,
     regular_module,
@@ -42,7 +41,9 @@ from semirings.semimodule import (
     subsemimodules,
     validate_semimodule,
 )
-from semirings.semiring import product_semiring, recover_monoid, validate_semiring
+from semirings.semiring import recover_monoid, validate_semiring
+
+from reference import natural_module, product_semiring
 
 
 @pytest.fixture(scope="module")
