@@ -39,6 +39,7 @@ from .semiring import (
 from .endo import (
     EndoSubsemiring,
     dense_closure,
+    dense_order,
     elementary,
     end_semiring,
     endomorphisms,

@@ -25,7 +25,7 @@ from .catalog import (
     render_report_table,
     report_json,
 )
-from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_closure, is_dense, parse_srs
+from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_order, is_dense, parse_srs
 from .errors import Error, Mismatch, ParseError, SizeLimit, ValidationError, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import condition_d, enumerate_lattices, is_distributive, parse_lat
@@ -52,13 +52,14 @@ def cmd_min_order(args, out):
     """Minimum order of a dense subsemiring over lattices of size >= 6.
 
     The least member of every dense family is the set of sums of
-    elementary maps, so only that set is computed per lattice.  In text,
-    each lattice's line is written as soon as it is done."""
+    elementary maps, so only that set is built per lattice, and only its
+    size is counted (``dense_order``): no map is decoded or sorted.  In
+    text, each lattice's line is written as soon as it is done."""
     lats = [l for l in enumerate_lattices(args.max_size) if l.n >= 6] if args.max_size >= 6 else []
     rows = []
     for i, lat in enumerate(lats, 1):
         try:
-            size = dense_closure(lat, max_size=args.max_end_size).size
+            size = dense_order(lat, max_size=args.max_end_size)
         except SizeLimit:
             size = None
         rows.append({"name": lat.name, "n": lat.n, "min_order": size})

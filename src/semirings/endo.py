@@ -9,8 +9,10 @@ The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone: while it is built, a map f on n elements is the ``bytes`` string of
 the codes f(x) + n·x (taken in chunks above 16 elements), and adding an
-elementary map to every sum is one ``translate`` call per sum and chunk.  The Cayley
-tables of a subsemiring and its closedness test use the same encoded maps:
+elementary map to every sum is one ``translate`` call per sum and chunk.
+``dense_closure`` decodes and sorts the sums into a subsemiring;
+``dense_order`` only counts them, which is all ``min-order`` reads.  The
+Cayley tables of a subsemiring and its closedness test use the same encoded maps:
 each entry, a join or a composite of two members, is one ``translate``
 call.  The dense subsemirings form an interval between it and End(M),
 enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
@@ -22,8 +24,9 @@ found is kept as a mask over End(M)'s rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import itemgetter
 from struct import iter_unpack
 
@@ -184,8 +187,8 @@ class EndoSubsemiring:
         try:
             at(pack([lat.zero + n * x for x in cells]))  # KeyError without the zero map
             for f in members:
-                plus = table([join[f[x]][v] + n * x for x in cells for v in cells])
-                after = table([f[v] + n * x for x in cells for v in cells])
+                plus = table(pack([join[f[x]][v] + n * x for x in cells for v in cells]))
+                after = table(pack([f[v] + n * x for x in cells for v in cells]))
                 add.append(tuple(map(at, translate(strings, plus))))
                 mul.append(tuple(map(at, translate(strings, after))))
         except KeyError:
@@ -223,16 +226,17 @@ def _codec(n):
     most ``LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
 
     ``pack`` turns the list of the codes f(x) + n·x of a map f into a
-    ``bytes`` string; ``table`` turns the list of images of the codes
+    ``bytes`` string; ``table`` turns the packed images of the codes
     0 .. n² − 1 into a table for ``translate``, which leaves every other
     code alone; ``translate(strings, table)`` gives the translate of each
     string of the collection ``strings``, in its order, all in C.  An
-    image is a code of the same position x or a value v < n.
+    image is a code of the same position x or a value v < n, which packs
+    to itself.
 
     When n² <= 256 a string is the codes themselves.  Above, position x =
     w·j + i of the w = ⌊256/n⌋ positions of chunk j holds the code
     v + n·x mod n·w = v + n·i, below 256; chunk j has its own table, the
-    images of its codes mod n·w, and is cut out, translated and joined
+    images of its w·n codes, and is cut out, translated and joined
     back with the others.  Either way equal strings are equal maps, and
     strings compare as the image tuples do, since each position holds v
     plus a constant.
@@ -240,7 +244,7 @@ def _codec(n):
     _check_lattice_size(n)
     if n * n <= 256:
         pad = bytes(range(n * n, 256))
-        return (bytes, lambda codes: bytes(codes) + pad,
+        return (bytes, lambda images: images + pad,
                 lambda strings, table: map(bytes.translate, strings, repeat(table)))
     width = 256 // n
     span = n * width  # the codes of one chunk
@@ -250,14 +254,37 @@ def _codec(n):
         return bytes([c % span for c in codes])
 
     def table(images):
-        chunks = [[c % span for c in images[s:s + span]] for s in range(0, n * n, span)]
-        return [bytes(chunk + list(range(len(chunk), 256))) for chunk in chunks]
+        chunks = [images[c:c + span] for c in range(0, n * n, span)]
+        return [chunk + bytes(range(len(chunk), 256)) for chunk in chunks]
 
     def translate(strings, tables):
         return map(b"".join, zip(*[map(bytes.translate, map(cut, strings), repeat(t))
                                    for cut, t in zip(cuts, tables)]))
 
     return pack, table, translate
+
+
+def _dense_span(lat, codec, max_size):
+    """The set of code strings (``codec``, from ``_codec``) of the sums of
+    elementary maps, built by the fold that ``dense_closure`` describes;
+    ``SizeLimit`` as soon as it holds more than ``max_size`` strings."""
+    n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
+    pack, table, translate = codec
+    covers = principal_test_pairs(join)
+    uppers, lowers = Counter(c for c, _ in covers), Counter(d for _, d in covers)
+    meet_irr = [a for a in range(n) if uppers[a] == 1]
+    join_irr = [b for b in range(n) if lowers[b] == 1]
+    keep = [pack(range(n * x, n * x + n)) for x in range(n)]
+    moved = {b: [pack([join[v][b] + n * x for v in range(n)]) for x in range(n)]
+             for b in join_irr}
+    span = {pack([zero + n * x for x in range(n)])}
+    for a, b in product(meet_irr, join_irr):
+        below, rows = down[a], moved[b]
+        step = table(b"".join([keep[x] if below >> x & 1 else rows[x] for x in range(n)]))
+        span.update(list(translate(span, step)))
+        if max_size is not None and len(span) > max_size:
+            raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
+    return span
 
 
 def dense_closure(lat, max_size=END_SIZE_LIMIT):
@@ -278,9 +305,9 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
       map and E, so it is a dense subsemiring; and every subsemiring
       containing E is closed under join, so it contains the span.
 
-    The span is built as a fold, adding one elementary map at a time to
-    every sum found so far.  ``SizeLimit`` is raised as soon as the span
-    holds more than ``max_size`` maps.
+    The span is built as a fold (``_dense_span``), adding one elementary
+    map at a time to every sum found so far.  ``SizeLimit`` is raised as
+    soon as the span holds more than ``max_size`` maps.
 
     The encoding.  Each map f on the n elements is held as the string of
     the codes f(x) + n·x for x = 0 .. n − 1 (see ``_codec``).  Code v + n·x
@@ -306,9 +333,9 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     e_{a_i,b_i}, then every a_i >= a and a is their meet, and the one
     upper cover a* of a lies below every a_i ≠ a, so b, the image of a*,
     is the join of the b_i with a_i = a; hence some (a_i, b_i) = (a, b).
-    The step table of e_{a,b} is the identity on the cells (x, v) with x
-    below a and the per-b rows (x, v) -> (x, join(v, b)), built once per
-    lattice, on the others.
+    The step table of e_{a,b} joins n rows, one per position x: the
+    identity row when x is below a, else the row (x, v) -> (x, join(v, b)),
+    each built once per lattice.
 
     The packed result.  The table sending each code v + n·x to v turns the
     string of a sum into its image bytes, one ``translate`` per sum (and
@@ -316,23 +343,24 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     ``EndoSubsemiring``, so no image tuple is built.  Byte strings of one
     length sort as the image tuples do.
     """
-    n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
-    pack, table, translate = _codec(n)
-    covers = principal_test_pairs(join)
-    meet_irr = [a for a in range(n) if sum(c == a for c, _ in covers) == 1]
-    join_irr = [b for b in range(n) if sum(d == b for _, d in covers) == 1]
-    keep = [list(range(n * x, n * x + n)) for x in range(n)]
-    moved = {b: [[join[v][b] + n * x for v in range(n)] for x in range(n)] for b in join_irr}
-    span = {pack([zero + n * x for x in range(n)])}
-    for a, b in product(meet_irr, join_irr):
-        below = down[a]
-        step = table(list(chain.from_iterable(
-            keep[x] if below >> x & 1 else moved[b][x] for x in range(n))))
-        span.update(list(translate(span, step)))
-        if max_size is not None and len(span) > max_size:
-            raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
-    decode = table([c % n for c in range(n * n)])
+    codec = _, table, translate = _codec(lat.n)
+    span = _dense_span(lat, codec, max_size)
+    decode = table(bytes(range(lat.n)) * lat.n)
     return EndoSubsemiring._masked(lat, b"".join(sorted(translate(span, decode))))
+
+
+def dense_order(lat, max_size=END_SIZE_LIMIT):
+    """The order |D| of the least dense subsemiring D, with no map decoded.
+
+    ``dense_closure`` builds D as the set of code strings of its maps
+    (``_dense_span``) and then decodes, sorts and joins them.  Equal
+    strings are equal maps and distinct strings distinct maps (``_codec``:
+    position x holds f(x) plus a constant), so the number of strings is
+    |D| and this returns it without that last step.  The fold and its
+    check are the same, so ``SizeLimit`` is raised exactly when
+    ``dense_closure`` with the same ``max_size`` raises it.
+    """
+    return len(_dense_span(lat, _codec(lat.n), max_size))
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
@@ -403,7 +431,9 @@ def parse_srs(text, lattice_of):
     """The subsemiring a ``.srs`` text lists, its lattice ``lattice_of(name)``
     for the name on its first line; ``ParseError`` for a malformed line,
     a repeated member or a member that is not an endomorphism of that
-    lattice.  Closure is left to ``to_semiring``."""
+    lattice.  Members wider than ``LATTICE_SIZE_LIMIT`` raise ``SizeLimit``
+    before ``lattice_of`` is called, so no such lattice is read or
+    validated.  Closure is left to ``to_semiring``."""
     reader = LineReader(text)
     lattice_name = reader.field("lattice", "name")
     members = {}  # each member and the line it is listed on
@@ -417,6 +447,7 @@ def parse_srs(text, lattice_of):
         width = len(member)
     if not members:
         raise ParseError("no members listed", len(reader.lines))
+    _check_lattice_size(width)  # before the lattice is read and validated
     lat = lattice_of(lattice_name)
     for m in members:
         if not is_endomorphism(lat, m):

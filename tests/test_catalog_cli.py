@@ -482,21 +482,21 @@ def test_min_order_writes_each_line_before_the_next_lattice(monkeypatch):
     from semirings import cli
 
     log = []
-    dense_closure = cli.dense_closure
+    dense_order = cli.dense_order
 
-    def logged_closure(lat, **kwargs):
-        log.append("closure")
-        return dense_closure(lat, **kwargs)
+    def logged_order(lat, **kwargs):
+        log.append("order")
+        return dense_order(lat, **kwargs)
 
     class LoggedOut(io.StringIO):
         def write(self, text):
             log.append(text)
             return super().write(text)
 
-    monkeypatch.setattr(cli, "dense_closure", logged_closure)
+    monkeypatch.setattr(cli, "dense_order", logged_order)
     assert main(["min-order", "--max-size", "6"], out=LoggedOut()) == 0
     *steps, summary = log
-    assert steps[0::2] == ["closure"] * 15
+    assert steps[0::2] == ["order"] * 15
     assert [line[:line.index("]") + 1] for line in steps[1::2]] == [
         f"[{i}/15]" for i in range(1, 16)]
     assert summary == "minimum dense subsemiring order: 98\n"

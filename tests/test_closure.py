@@ -13,7 +13,10 @@ the reference takes too long to repeat.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced, and its fold over maps encoded as ``bytes``
-(n² <= 256) or ``str`` against the same fold over image tuples.  The
+(n² <= 256) or ``str`` against the same fold over image tuples.  Its
+count, ``dense_order``, which decodes no map, is checked against the size
+of the decoded subsemiring, and against its ``SizeLimit`` at the bounds
+|D| − 1 and |D|.  The
 congruence reference relabels blocks until every translation of every
 element lands in the block of the translation of its block's first element.
 The compatibility checks of semiring and module congruences are compared
@@ -59,6 +62,7 @@ from semirings.endo import (
     EndoSubsemiring,
     compose,
     dense_closure,
+    dense_order,
     elementary,
     elementary_maps,
     end_semiring,
@@ -386,6 +390,53 @@ def test_dense_closure_size_limit_boundary(name):
     assert dense_closure(lat, max_size=size).size == size
     with pytest.raises(SizeLimit):
         dense_closure(lat, max_size=size - 1)
+
+
+def outcome(fn, lat, max_size):
+    """The size ``fn`` gives, or ``SizeLimit`` when it raises that."""
+    try:
+        return fn(lat, max_size=max_size)
+    except SizeLimit:
+        return SizeLimit
+
+
+def assert_dense_order_matches_the_closure(lat):
+    """``dense_order`` is the size of ``dense_closure``, and at the bounds
+    |D| − 1 and |D| both raise ``SizeLimit`` or both succeed."""
+    size = dense_closure(lat, max_size=None).size
+    assert dense_order(lat, max_size=None) == size, lat.name
+    closure_size = lambda lat, max_size: dense_closure(lat, max_size=max_size).size
+    for bound in (size - 1, size):
+        assert outcome(dense_order, lat, bound) == outcome(closure_size, lat, bound), lat.name
+
+
+def test_dense_order_is_the_closure_size_up_to_size_seven_and_on_m_k():
+    lats = (list(enumerate_lattices(7)) + [load_fixture(n) for n in FIXTURE_NAMES]
+            + [m_lattice(k) for k in range(1, 9)])
+    for lat in lats:
+        assert_dense_order_matches_the_closure(lat)
+
+
+def test_dense_order_is_the_closure_size_on_the_lattices_of_size_eight():
+    lats = [lat for lat in enumerate_lattices(8, limit=8) if lat.n == 8]
+    assert len(lats) == 222
+    for lat in lats:
+        assert dense_order(lat) == dense_closure(lat).size, lat.name
+
+
+def test_dense_order_on_m15_counts_the_chunked_span():
+    lat = m_lattice(15)
+    assert lat.n ** 2 > 256
+    assert dense_order(lat, max_size=22532) == 22532
+    assert outcome(dense_order, lat, 22531) is SizeLimit
+
+
+@pytest.mark.size6
+def test_dense_order_is_the_closure_size_on_the_lattices_of_size_nine():
+    lats = [lat for lat in enumerate_lattices(9, limit=9) if lat.n == 9]
+    assert len(lats) == 1078
+    for lat in lats:
+        assert dense_order(lat, max_size=None) == dense_closure(lat, max_size=None).size, lat.name
 
 
 class LoggedRow:

@@ -253,6 +253,20 @@ def test_srs_round_trip(lats, sr_families):
     assert serialize_srs(back) == text
 
 
+def test_parse_srs_above_one_byte_per_value_raises_before_the_lattice_is_read():
+    # the zero map and the identity of a chain of 257 elements: the member
+    # width alone decides, so the lattice is never resolved or validated
+    n = LATTICE_SIZE_LIMIT + 1
+    text = f"lattice c257\n{' '.join(['0'] * n)}\n{' '.join(map(str, range(n)))}\n"
+
+    def lattice_of(name):
+        pytest.fail(f"lattice {name} was resolved")
+
+    message = "lattice has 257 elements, above the 256 that one byte per value allows"
+    with pytest.raises(SizeLimit, match=message):
+        parse_srs(text, lattice_of)
+
+
 def assert_packed_matches(subs, sets):
     """Each packed subsemiring against the tuple set it stands for: ``size``,
     ``==``/``!=``, ``packed``, ``member_bytes`` and ``is_dense`` agree with

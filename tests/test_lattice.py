@@ -646,6 +646,15 @@ def test_enumeration_counts_match_a006966_up_to_eight():
     assert counts == [1, 1, 1, 2, 5, 15, 53, 222]
 
 
+def test_enumeration_counts_match_heitzig_reinhold_up_to_ten():
+    # the number of lattices of n elements up to isomorphism, n = 1 .. 10:
+    # Heitzig and Reinhold 2002, "Counting finite lattices", Algebra
+    # Universalis 48; OEIS A006966
+    lats = enumerate_lattices(10, limit=10)
+    counts = [sum(1 for l in lats if l.n == n) for n in range(1, 11)]
+    assert counts == [1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994]
+
+
 def test_min_order_seven_json_is_pinned():
     # digest of the output of the grow-to-size-n enumeration kept above
     out = io.StringIO()
