@@ -12,9 +12,9 @@ the codes f(x) + n·x (taken in chunks above 16 elements), and adding an
 elementary map to every sum is one ``translate`` call per sum and chunk.
 ``dense_closure`` decodes and sorts the sums into a subsemiring;
 ``dense_order`` only counts them, which is all ``min-order`` reads.  The
-Cayley tables of a subsemiring and its closedness test use the same encoded maps:
-each entry, a join or a composite of two members, is one ``translate``
-call.  The dense subsemirings form an interval between it and End(M),
+Cayley tables of a subsemiring and its closedness test use the same
+encoded maps: each entry, a join or a composite of two members, is one
+``translate`` call.  The dense subsemirings form an interval between it and End(M),
 enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
 table of End(M), on member indices, which builds each closed set once: a
 closed set extended by one index is re-closed from that index alone, and

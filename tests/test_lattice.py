@@ -640,12 +640,6 @@ def test_enumeration_matches_growth_to_full_size(max_n):
     assert facts(enumerate_lattices(max_n)) == facts(_reference_enumerate_lattices(max_n))
 
 
-def test_enumeration_counts_match_a006966_up_to_eight():
-    lats = enumerate_lattices(8, limit=8)
-    counts = [sum(1 for l in lats if l.n == n) for n in range(1, 9)]
-    assert counts == [1, 1, 1, 2, 5, 15, 53, 222]
-
-
 def test_enumeration_counts_match_heitzig_reinhold_up_to_ten():
     # the number of lattices of n elements up to isomorphism, n = 1 .. 10:
     # Heitzig and Reinhold 2002, "Counting finite lattices", Algebra
