@@ -38,9 +38,10 @@ from .errors import SizeLimit
 SET_LIMIT = 100000
 
 
-def close(base, seeds, tables, images=None):
+def close(base, seeds, tables, images=None, *, floor=None):
     """Least superset of ``base`` and ``seeds`` closed under the products of
-    ``tables`` and the unary ``images``, as a frozenset.
+    ``tables`` and the unary ``images``, as a frozenset; None as soon as it
+    adds an element below ``floor``, when that is given.
 
     ``tables`` are translation tables as in :func:`close_congruence`:
     ``t[f][g]`` is a product of f and g, and each list holds the transpose
@@ -60,6 +61,13 @@ def close(base, seeds, tables, images=None):
       reading row f of each table at each of them, one ``map`` per table;
       once the worklist is empty every member has been processed, so
       every pair has met exactly once.
+
+    The ``floor`` stop serves the Close-by-One walk of :func:`closed_sets`,
+    whose step from s by x is kept only when the closure adds nothing below
+    x.  The closure only grows, so the first element below ``floor`` that
+    it adds stays in the result: returning None there gives the walk's
+    decision without finishing, and a closure that never adds one runs in
+    full and returns the same set as without ``floor``.
     """
     members = set(base)
     done = list(members)
@@ -68,6 +76,8 @@ def close(base, seeds, tables, images=None):
         if f not in members:
             members.add(f)
             work.append(f)
+    if floor is not None and work and min(work) < floor:
+        return None
     while work:
         f = work.pop()
         done.append(f)
@@ -77,6 +87,8 @@ def close(base, seeds, tables, images=None):
         if images is not None:
             new.update(images[f])
         new -= members
+        if floor is not None and new and min(new) < floor:
+            return None
         members |= new
         work.extend(new)
     return frozenset(members)
@@ -120,6 +132,16 @@ def closed_sets(base, universe, extend, *, noun):
 
     So no set is built twice and none needs to be looked up.
     ``SizeLimit`` is raised once more than ``SET_LIMIT`` sets exist.
+
+    ``extend(s, x)`` may return None instead of a set T that would not be
+    kept, and may stop its closure early to do so, by this lemma.  If the
+    closure from s ∪ {x_i} adds some y < x_i, then y lies outside s, and
+    since a closure only grows, y is in T − s: the step fails the test
+    above whatever else the closure adds.  So stopping at the first such
+    y gives the same decision, and a kept step never meets one, so it is
+    closed in full and every set found is unchanged.  The walks over
+    ``range(n)``, where an element's position is its value, pass
+    ``floor=x`` to :func:`close` for this.
     """
     universe = list(universe)
     position = {x: i for i, x in enumerate(universe)}.__getitem__
@@ -132,7 +154,7 @@ def closed_sets(base, universe, extend, *, noun):
             if x in s:
                 continue
             t = extend(s, x)
-            if min(map(position, t - s)) < i:
+            if t is None or min(map(position, t - s)) < i:
                 continue
             if len(found) >= SET_LIMIT:
                 raise SizeLimit(f"more than {SET_LIMIT} {noun}")

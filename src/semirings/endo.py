@@ -18,8 +18,11 @@ encoded maps: each entry, a join or a composite of two members, is one
 enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
 table of End(M), on member indices, which builds each closed set once: a
 closed set extended by one index is re-closed from that index alone, and
-each pair is combined once, by one read of each table's row.  Each set
-found is kept as a mask over End(M)'s rows.
+each pair is combined once, by one read of each table's row.  A step by
+index x stops at the first index below x that its closure adds, since the
+closure only grows and the walk would reject the step anyway; a kept step
+never meets one, so the sets found are unchanged.  Each set found is kept
+as a mask over End(M)'s rows.
 """
 
 from __future__ import annotations
@@ -267,7 +270,8 @@ def _codec(n):
 def _dense_span(lat, codec, max_size):
     """The set of code strings (``codec``, from ``_codec``) of the sums of
     elementary maps, built by the fold that ``dense_closure`` describes;
-    ``SizeLimit`` as soon as it holds more than ``max_size`` strings."""
+    ``SizeLimit`` as soon as it holds more than ``max_size`` strings, the
+    zero map alone included."""
     n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
     pack, table, translate = codec
     covers = principal_test_pairs(join)
@@ -278,12 +282,17 @@ def _dense_span(lat, codec, max_size):
     moved = {b: [pack([join[v][b] + n * x for v in range(n)]) for x in range(n)]
              for b in join_irr}
     span = {pack([zero + n * x for x in range(n)])}
+
+    def check():
+        if max_size is not None and len(span) > max_size:
+            raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
+
+    check()  # before any step: a lattice without generators folds none
     for a, b in product(meet_irr, join_irr):
         below, rows = down[a], moved[b]
         step = table(b"".join([keep[x] if below >> x & 1 else rows[x] for x in range(n)]))
         span.update(list(translate(span, step)))
-        if max_size is not None and len(span) > max_size:
-            raise SizeLimit(f"least dense subsemiring exceeds {max_size} elements")
+        check()
     return span
 
 
@@ -375,7 +384,11 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     ascending order) runs over the Cayley table of End(M)
     (``to_semiring``): the closed sets of indices under +, * and the
     transposed *, from the indices of ``dense_closure``, each closure
-    reading rows of the three tables.  Index i names the i-th map of the
+    reading rows of the three tables.  A step by index x closes with
+    ``floor=x`` and stops at the first index below x that it adds: the
+    closure only grows, so that index lies in the new set and the walk
+    would reject the step once it was closed; a kept step meets no such
+    index and is closed in full.  Index i names the i-th map of the
     lex-sorted ``endomorphisms``, so i < j iff map i < map j, and index
     sets ordered by (size, sorted indices) are the member sets ordered by
     (size, sorted members): the order is the one the walk over maps gave.
@@ -396,7 +409,7 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     at = {row: i for i, row in enumerate(end.member_bytes())}
     base = frozenset(map(at.__getitem__, least.member_bytes()))
     tables = (r.add, r.mul, r.mul_t)
-    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), tables),
+    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), tables, floor=x),
                        noun="dense subsemirings")
     return [EndoSubsemiring._masked(lat, end.rows, sum(map((1).__lshift__, s))) for s in sets]
 

@@ -116,7 +116,7 @@ def close_module_subset(mod, seed):
 def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
     return closed_sets(close_module_subset(mod, ()), range(mod.m),
-                       lambda s, x: close(s, (x,), (mod.madd,), mod.act_t),
+                       lambda s, x: close(s, (x,), (mod.madd,), mod.act_t, floor=x),
                        noun="subsemimodules")
 
 

@@ -310,8 +310,8 @@ def subsemirings(r):
     deterministic order by (size, member tuple).
     """
     tables = _translations(r)
-    return closed_sets(close_subset(r, ()), range(r.n), lambda s, x: close(s, (x,), tables),
-                       noun="subsemirings")
+    return closed_sets(close_subset(r, ()), range(r.n),
+                       lambda s, x: close(s, (x,), tables, floor=x), noun="subsemirings")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ replaced.
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -219,13 +220,76 @@ SIZE_SIX_FAMILIES = {
 }
 
 
-@pytest.mark.size6
-@pytest.mark.parametrize("name", sorted(SIZE_SIX_FAMILIES))
+# lat6_10's walk is fast enough for every run; lat6_14's stays opt-in
+@pytest.mark.parametrize("name", ["lat6_10", pytest.param("lat6_14", marks=pytest.mark.size6)])
 def test_enumerate_sr_matches_the_pinned_size_six_families(name):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == name)
     fams = enumerate_sr(lat)
     digest = hashlib.sha256(b"".join(f.packed for f in fams)).hexdigest()
     assert (len(fams), digest) == SIZE_SIX_FAMILIES[name]
+
+
+def assert_floor_stops_match_full_closures(base, n, tables):
+    """Walk the closed sets of ``close`` over ``tables`` from ``base``
+    with full closures, and at every step from s by x check the stopped
+    closure ``close(s, (x,), tables, floor=x)``: None exactly when the full
+    closure adds an element below x, and otherwise the full closure.
+    Returns a Counter of the steps that stopped (True) and of those that
+    ran in full (False)."""
+    outcomes = Counter()
+
+    def extend(s, x):
+        full = close(s, (x,), tables)
+        below = any(y < x for y in full - s)
+        stopped = close(s, (x,), tables, floor=x)
+        assert stopped is None if below else stopped == full, (sorted(s), x)
+        outcomes[below] += 1
+        return full
+
+    closed_sets(base, range(n), extend, noun="sets")
+    return outcomes
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond", "chain4"])
+def test_floor_stop_matches_full_closures_on_the_subsemiring_walks(name):
+    r, _ = end_semiring(load_fixture(name))
+    steps = assert_floor_stops_match_full_closures(close_subset(r, ()), r.n,
+                                                   (r.add, r.mul, r.mul_t))
+    assert steps[True] and steps[False]
+
+
+def test_floor_stop_matches_full_closures_on_the_dense_family_walks():
+    """The walk of ``enumerate_sr``: End(M)'s table over the indices of
+    the lex-sorted endomorphisms, from the indices of ``dense_closure``."""
+    steps = Counter()
+    for lat in enumerate_lattices(5):
+        r, maps = end_semiring(lat)
+        index = {f: i for i, f in enumerate(maps)}
+        base = frozenset(index[f] for f in dense_closure(lat).members)
+        steps += assert_floor_stops_match_full_closures(base, r.n, (r.add, r.mul, r.mul_t))
+    assert steps[True] and steps[False]
+
+
+def test_floor_stop_at_a_seed_below_the_floor():
+    # the seed itself is added, so a seed below ``floor`` stops at once
+    r, _ = end_semiring(load_fixture("chain3"))
+    tables = (r.add, r.mul, r.mul_t)
+    base = close_subset(r, ())
+    x = min(set(range(r.n)) - base)
+    assert close(base, (x,), tables, floor=x + 1) is None
+    assert close(base, (x,), tables, floor=x) == close(base, (x,), tables)
+
+
+# every subsemiring of End(N5), taken from the walk of full closures: the
+# number and the sha256 of their sorted members, one line per set
+END_N5_SUBSEMIRINGS = (23991, "f976140ce2a9ac4ae4587480d9b0d8995e5e93d94327705057b05163a1b832fc")
+
+
+def test_subsemirings_of_end_n5_are_pinned():
+    r, _ = end_semiring(load_fixture("n5"))
+    sets = subsemirings(r)
+    text = "\n".join(" ".join(map(str, sorted(s))) for s in sets)
+    assert (len(sets), hashlib.sha256(text.encode()).hexdigest()) == END_N5_SUBSEMIRINGS
 
 
 def test_closed_sets_build_each_set_once():
@@ -390,6 +454,20 @@ def test_dense_closure_size_limit_boundary(name):
     assert dense_closure(lat, max_size=size).size == size
     with pytest.raises(SizeLimit):
         dense_closure(lat, max_size=size - 1)
+
+
+def test_dense_closure_and_dense_order_at_bounds_zero_and_one():
+    """The zero map alone exceeds a bound of 0, also on the one-element
+    lattice, which folds no step; a bound of 1 holds only that lattice."""
+    for lat in enumerate_lattices(4):
+        for fn in (dense_order, dense_closure):
+            with pytest.raises(SizeLimit):
+                fn(lat, max_size=0)
+            if lat.n == 1:
+                assert dense_order(lat, max_size=1) == dense_closure(lat, max_size=1).size == 1
+            else:
+                with pytest.raises(SizeLimit):
+                    fn(lat, max_size=1)
 
 
 def outcome(fn, lat, max_size):
