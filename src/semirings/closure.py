@@ -40,8 +40,8 @@ SET_LIMIT = 100000
 
 def close(base, seeds, tables, images=None, *, floor=None):
     """Least superset of ``base`` and ``seeds`` closed under the products of
-    ``tables`` and the unary ``images``, as a frozenset; None as soon as it
-    adds an element below ``floor``, when that is given.
+    ``tables`` and the unary ``images``, as a frozenset; None as soon as a
+    product or image it adds lies below ``floor``, when that is given.
 
     ``tables`` are translation tables as in :func:`close_congruence`:
     ``t[f][g]`` is a product of f and g, and each list holds the transpose
@@ -76,8 +76,6 @@ def close(base, seeds, tables, images=None, *, floor=None):
         if f not in members:
             members.add(f)
             work.append(f)
-    if floor is not None and work and min(work) < floor:
-        return None
     while work:
         f = work.pop()
         done.append(f)

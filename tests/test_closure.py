@@ -270,16 +270,6 @@ def test_floor_stop_matches_full_closures_on_the_dense_family_walks():
     assert steps[True] and steps[False]
 
 
-def test_floor_stop_at_a_seed_below_the_floor():
-    # the seed itself is added, so a seed below ``floor`` stops at once
-    r, _ = end_semiring(load_fixture("chain3"))
-    tables = (r.add, r.mul, r.mul_t)
-    base = close_subset(r, ())
-    x = min(set(range(r.n)) - base)
-    assert close(base, (x,), tables, floor=x + 1) is None
-    assert close(base, (x,), tables, floor=x) == close(base, (x,), tables)
-
-
 # every subsemiring of End(N5), taken from the walk of full closures: the
 # number and the sha256 of their sorted members, one line per set
 END_N5_SUBSEMIRINGS = (23991, "f976140ce2a9ac4ae4587480d9b0d8995e5e93d94327705057b05163a1b832fc")
