@@ -38,7 +38,7 @@ from .errors import SizeLimit
 SET_LIMIT = 100000
 
 
-def close(base, seeds, tables, images=None, *, floor=None):
+def close(base, seeds, tables, images=None, *, floor=None, ideal=None):
     """Least superset of ``base`` and ``seeds`` closed under the products of
     ``tables`` and the unary ``images``, as a frozenset; None as soon as a
     product or image it adds lies below ``floor``, when that is given.
@@ -68,20 +68,34 @@ def close(base, seeds, tables, images=None, *, floor=None):
     it adds stays in the result: returning None there gives the walk's
     decision without finishing, and a closure that never adds one runs in
     full and returns the same set as without ``floor``.
+
+    ``ideal``, if given, is a subset of ``base`` that every table but the
+    first absorbs: ``t[f][g]`` lies in it whenever g does (for the tables
+    ``add``, ``mul`` and ``mul_t`` of End(M), the sums of elementary
+    maps, a two-sided ideal).  A popped element then reads the first
+    table at every processed element, and the others only at those
+    outside ``ideal``.  The result is the same, by this lemma: a product
+    read away is in ``ideal``, inside ``base``, so it is already a member
+    and adds nothing.
     """
     members = set(base)
     done = list(members)
+    # the processed elements whose products by the other tables are read
+    outside = done if ideal is None else list(members.difference(ideal))
     work = []
     for f in seeds:
         if f not in members:
             members.add(f)
             work.append(f)
+    first, *rest = tables
     while work:
         f = work.pop()
         done.append(f)
-        new = set()
-        for t in tables:
-            new.update(map(t[f].__getitem__, done))
+        if outside is not done:
+            outside.append(f)
+        new = set(map(first[f].__getitem__, done))
+        for t in rest:
+            new.update(map(t[f].__getitem__, outside))
         if images is not None:
             new.update(images[f])
         new -= members

@@ -21,8 +21,12 @@ closed set extended by one index is re-closed from that index alone, and
 each pair is combined once, by one read of each table's row.  A step by
 index x stops at the first index below x that its closure adds, since the
 closure only grows and the walk would reject the step anyway; a kept step
-never meets one, so the sets found are unchanged.  Each set found is kept
-as a mask over End(M)'s rows.
+never meets one, so the sets found are unchanged.  The least dense
+subsemiring is a two-sided ideal of End(M), so a closure pairs a new map
+with its members by + alone (``close``'s ``ideal``).  The interval is one
+point exactly when M is distributive, decided by join-primes
+(``lattice.is_distributive``); End(M) is then returned alone, with no
+table built.  Each set found is kept as a mask over End(M)'s rows.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from struct import iter_unpack
 
 from .closure import close, closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
-from .lattice import homomorphisms
+from .lattice import homomorphisms, is_distributive
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
@@ -396,20 +400,32 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     family shares one copy of the rows and nothing is sliced out until
     ``packed`` or ``members`` is read.
 
-    When the least dense subsemiring already holds every endomorphism (M
-    distributive), the interval between it and End(M) is one point, so it
-    is returned alone and no table is built.
+    The least dense subsemiring D is a two-sided ideal of End(M), so each
+    closure passes D's indices as ``ideal``: a new map is paired with D's
+    members by + alone, since its composites with them lie in D.  For an
+    elementary map e_{a,b} and an endomorphism f, e_{a,b}∘f is e_{a',b}
+    for a' the largest x with f(x) <= a (such x hold the zero and are
+    closed under joins; e_{top,b} is the zero map), and f∘e_{a,b} =
+    e_{a,f(b)}, since f(zero) is the zero; composition distributes over
+    sums on both sides (see ``dense_closure``), so a composite with a sum
+    of elementary maps is a sum of elementary maps.
+
+    When M is distributive (``lattice.is_distributive``), D is all of
+    End(M), by the lemma behind ``lattice.condition_d``, so the interval
+    is one point: End(M)'s rows with every bit set are returned alone, and
+    neither D nor a table is built.
     """
     all_endos = endomorphisms(lat, max_count=max_end)
-    least = dense_closure(lat, max_size=None)
-    if least.size == len(all_endos):
-        return [least]
     end = EndoSubsemiring._masked(lat, b"".join(map(bytes, all_endos)))
+    if is_distributive(lat):
+        return [end]
+    least = dense_closure(lat, max_size=None)
     r = end.to_semiring()
     at = {row: i for i, row in enumerate(end.member_bytes())}
     base = frozenset(map(at.__getitem__, least.member_bytes()))
     tables = (r.add, r.mul, r.mul_t)
-    sets = closed_sets(base, range(r.n), lambda s, x: close(s, (x,), tables, floor=x),
+    sets = closed_sets(base, range(r.n),
+                       lambda s, x: close(s, (x,), tables, floor=x, ideal=base),
                        noun="dense subsemirings")
     return [EndoSubsemiring._masked(lat, end.rows, sum(map((1).__lshift__, s))) for s in sets]
 

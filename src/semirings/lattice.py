@@ -219,13 +219,38 @@ def hom_to_l2(lat):
 
 
 def is_distributive(lat):
-    """True iff meet distributes over join for all triples."""
-    join, mt, n = lat.join, lat.meet_table, lat.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mt[x][join[y][z]] != join[mt[x][y]][mt[x][z]]:
-                    return False
+    """True iff meet distributes over join, decided on join-primes from
+    the ``down`` masks in O(n²), with no meet table built.
+
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime (j <= x + y implies j <= x or j <= y), and j is join-prime
+    iff the join of the elements not above j is itself not above j.
+
+    - Distributive: if j <= x + y, then j = j∧(x + y) = (j∧x) + (j∧y), and
+      a join-irreducible j equals one of the two, so j <= x or j <= y.
+    - Join-prime: let J(x) be the set of join-irreducibles below x.  Then
+      J(x∧y) = J(x) ∩ J(y) always, and J(x + y) = J(x) ∪ J(y) when every
+      j is join-prime; J is one-to-one, since every x is the join of J(x).
+      So J embeds the lattice into the lattice of subsets, which is
+      distributive, and so is every sublattice of it.
+    - The test: the join s of the elements not above j is above every
+      one of them, so if s is not above j, no join of such elements is,
+      and j is join-prime.  If s is above j, fold the join one element at
+      a time from the zero: the first partial join above j is x + y, with
+      x the partial join before it and y the element added, neither above
+      j, so j is not join-prime.
+
+    j is join-irreducible iff it is not the join of the elements strictly
+    below it (the zero is the empty join), so each element takes two folds
+    of ``join`` over a mask.
+    """
+    join, down, zero, n = lat.join, lat.down, lat.zero, lat.n
+    for j in range(n):
+        if _mask_join(join, down[j] & ~(1 << j), zero) == j:
+            continue  # the zero, or the join of the elements below j
+        not_above = sum(1 << x for x in range(n) if not down[x] >> j & 1)
+        if down[_mask_join(join, not_above, zero)] >> j & 1:
+            return False
     return True
 
 

@@ -1,8 +1,8 @@
 """Helpers the tests share that no command, exported name or benchmark
 workload of the package calls: products and restrictions of semirings,
 their centers, a check of a given isomorphism, the pointwise join of two
-maps, the natural module of a subsemiring of End(M), and the canonical
-join table of one lattice."""
+maps, the natural module of a subsemiring of End(M), the canonical
+join table of one lattice, and distributivity by its definition."""
 
 import itertools
 
@@ -92,3 +92,15 @@ def canon_join_table(join, n):
     down = down_masks(join)
     up = [sum(1 << y for y in range(n) if down[y] >> x & 1) for x in range(n)]
     return _least_relabelling(join, n, up, down)
+
+
+def reference_is_distributive(lat):
+    """Whether meet distributes over join for all triples, read off the
+    meet table: the test ``lattice.is_distributive`` replaced."""
+    join, mt, n = lat.join, lat.meet_table, lat.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mt[x][join[y][z]] != join[mt[x][y]][mt[x][z]]:
+                    return False
+    return True

@@ -10,11 +10,17 @@ At every step of the subsemiring walks of End(chain3), End(diamond) and
 End(chain4), and of the dense-family walks up to size 5, the closure
 stopped at ``floor=x`` is None exactly when the full closure adds an
 element below x, and is the full closure otherwise; the 23,991
-subsemirings of End(N5) are pinned by count and digest.
+subsemirings of End(N5) are pinned by count and digest.  At every step of
+the dense-family walks up to size 5 and of ``lat6_10``, the closure that
+reads ``mul`` and ``mul_t`` only outside the least dense subsemiring
+(``ideal``) is the closure without the hook.  On every lattice up to size
+7 the least dense subsemiring is End(M) exactly when the lattice is
+distributive, and then it is the one member of the family.
 The masks of the dense family over End(M)'s rows are compared with the
 same from-scratch walk over the indices of End(M)'s tables as the tuple
 loops build them, and the family is pinned on two six-element lattices
-whose walk the reference takes too long to repeat, ``lat6_14`` opt-in.
+whose walk the reference takes too long to repeat, ``lat6_10`` and
+``lat6_14``.
 The least dense subsemiring, now built as the join-span of the elementary
 maps, is checked against the generic closure under join and both
 compositions that it replaced, and its fold over maps encoded as ``bytes``
@@ -65,6 +71,7 @@ from semirings.closure import (
     zero_top_pair,
 )
 from semirings.endo import (
+    END_SIZE_LIMIT,
     EndoSubsemiring,
     compose,
     dense_closure,
@@ -90,6 +97,7 @@ from semirings.lattice import (
     _poset_colors,
     dual,
     enumerate_lattices,
+    is_distributive,
     lattice_iso,
     validate_lattice,
 )
@@ -225,8 +233,7 @@ SIZE_SIX_FAMILIES = {
 }
 
 
-# lat6_10's walk is fast enough for every run; lat6_14's stays opt-in
-@pytest.mark.parametrize("name", ["lat6_10", pytest.param("lat6_14", marks=pytest.mark.size6)])
+@pytest.mark.parametrize("name", ["lat6_10", "lat6_14"])
 def test_enumerate_sr_matches_the_pinned_size_six_families(name):
     lat = next(lat for lat in enumerate_lattices(6) if lat.name == name)
     fams = enumerate_sr(lat)
@@ -268,11 +275,67 @@ def test_floor_stop_matches_full_closures_on_the_dense_family_walks():
     the lex-sorted endomorphisms, from the indices of ``dense_closure``."""
     steps = Counter()
     for lat in enumerate_lattices(5):
-        r, maps = end_semiring(lat)
-        index = {f: i for i, f in enumerate(maps)}
-        base = frozenset(index[f] for f in dense_closure(lat).members)
+        r, base = dense_walk(lat)
         steps += assert_floor_stops_match_full_closures(base, r.n, (r.add, r.mul, r.mul_t))
     assert steps[True] and steps[False]
+
+
+def assert_ideal_closures_match_full_closures(base, n, tables, ideal):
+    """Walk the closed sets of ``close`` over ``tables`` from ``base``
+    with full closures, and at every step from s by x check the closure
+    with the ``ideal`` hook: the full closure, and with ``floor=x`` the
+    stopped closure without the hook.  Returns the number of steps."""
+    steps = 0
+
+    def extend(s, x):
+        nonlocal steps
+        full = close(s, (x,), tables)
+        assert close(s, (x,), tables, ideal=ideal) == full, (sorted(s), x)
+        assert (close(s, (x,), tables, floor=x, ideal=ideal)
+                == close(s, (x,), tables, floor=x)), (sorted(s), x)
+        steps += 1
+        return full
+
+    closed_sets(base, range(n), extend, noun="sets")
+    return steps
+
+
+def dense_walk(lat):
+    """End(M)'s Cayley table and the indices of the least dense
+    subsemiring in it, as ``enumerate_sr`` walks them."""
+    r, maps = end_semiring(lat)
+    index = {f: i for i, f in enumerate(maps)}
+    return r, frozenset(index[f] for f in dense_closure(lat).members)
+
+
+def test_ideal_hook_matches_full_closures_on_the_dense_family_walks():
+    """``ideal=D``, the indices of the least dense subsemiring, at every
+    step of the dense-family walks up to size 5 and of ``lat6_10``."""
+    lats = [*enumerate_lattices(5), next(lat for lat in enumerate_lattices(6)
+                                         if lat.name == "lat6_10")]
+    steps = 0
+    for lat in lats:
+        r, base = dense_walk(lat)
+        steps += assert_ideal_closures_match_full_closures(base, r.n, (r.add, r.mul, r.mul_t),
+                                                           base)
+    assert steps
+
+
+def test_distributive_lattices_walk_to_end_alone():
+    """On every lattice up to size 7 the least dense subsemiring is all
+    of End(M) exactly when M is distributive, the lemma ``enumerate_sr``
+    relies on; and on each distributive one its single member equals
+    ``dense_closure`` in ``rows`` and ``mask``."""
+    distributive = 0
+    for lat in enumerate_lattices(7):
+        least = dense_closure(lat)
+        flag = is_distributive(lat)
+        assert (least.size == len(endomorphisms(lat))) == flag, lat.name
+        if flag:
+            (only,) = enumerate_sr(lat, max_end=END_SIZE_LIMIT)
+            assert (only.rows, only.mask) == (least.rows, least.mask), lat.name
+            distributive += 1
+    assert distributive
 
 
 # every subsemiring of End(N5), taken from the walk of full closures: the
@@ -525,6 +588,8 @@ class LoggedRow:
 
 
 def test_each_pair_is_combined_once_and_base_pairs_never():
+    """Each pair is read once per table, and no pair of base members;
+    with an ideal, only the first table meets its members."""
     r, _ = end_semiring(load_fixture("diamond"))
     pairs = []
     # ``close`` reads every table at the same pairs, so logging one suffices
@@ -540,6 +605,24 @@ def test_each_pair_is_combined_once_and_base_pairs_never():
     new = grown - base
     assert len(pairs) == len(set(pairs)) == len(base) * len(new) + len(new) * (len(new) + 1) // 2
     assert all(p & new for p in pairs)
+
+    # with an ideal, mul and mul_t are read only at columns outside it and
+    # add at every one: the least dense subsemiring of End(N5), grown by
+    # its least missing map
+    r, ideal = dense_walk(load_fixture("n5"))
+    reads = [[], [], []]
+    products = [[LoggedRow(x, row, log) for x, row in enumerate(t)]
+                for t, log in zip((r.add, r.mul, r.mul_t), reads)]
+    x = min(set(range(r.n)) - ideal)
+    grown = close(ideal, (x,), products, ideal=ideal)
+    assert grown == close(ideal, (x,), (r.add, r.mul, r.mul_t))
+    new = grown - ideal
+    add_reads, mul_reads, mul_t_reads = map(set, reads)
+    new_pairs = len(new) * (len(new) + 1) // 2
+    assert len(add_reads) == len(reads[0]) == len(ideal) * len(new) + new_pairs
+    assert len(mul_reads) == len(reads[1]) and len(mul_t_reads) == len(reads[2])
+    assert mul_reads == mul_t_reads == {p for p in add_reads if not p & ideal}
+    assert len(mul_reads) == new_pairs < len(add_reads)
 
 
 def reference_congruence(n, pairs, translations):

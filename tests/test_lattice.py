@@ -36,7 +36,7 @@ from semirings.lattice import (
     validate_lattice,
 )
 
-from reference import canon_join_table
+from reference import canon_join_table, reference_is_distributive
 
 REFERENCES = Path(__file__).resolve().parent / "references"
 
@@ -329,6 +329,18 @@ def test_distributivity_flags():
     assert is_distributive(load_fixture("chain5"))
     assert not is_distributive(load_fixture("m3"))
     assert not is_distributive(load_fixture("n5"))
+
+
+def test_join_prime_distributivity_matches_the_triple_loop():
+    """The join-prime test against meet distributing over join for every
+    triple, on every lattice up to size 8 and every fixture."""
+    lats = [*enumerate_lattices(8, limit=8), *map(load_fixture, FIXTURE_NAMES)]
+    flags = collections.Counter()
+    for lat in lats:
+        flag = reference_is_distributive(lat)
+        assert is_distributive(lat) == flag, lat.name
+        flags[flag] += 1
+    assert flags[True] and flags[False]
 
 
 def test_condition_d_flags():

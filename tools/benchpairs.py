@@ -19,14 +19,30 @@ any run.  The file holds:
 - ``traced``: for each seed of ``--trace-seeds``, one traced run of
   ``--trace-workload`` on each side, alternating which side runs first;
   every run's value and each side's median of the per-layer metrics named
-  by ``--layer``.
+  by ``--layer``;
+- ``in_process``, with ``--in-process NAME`` (repeatable): the process time
+  of ``endo.enumerate_sr`` on the lattice ``NAME`` of
+  ``lattice.enumerate_lattices`` (``lat6_14``), in a fresh interpreter per
+  side and pass, ``PASSES`` passes alternating which side runs first;
+  every run and each side's median, and each side's output, the number of
+  sets and the sha256 of their joined ``packed`` forms or the
+  ``SizeLimit`` message.  ``NAME@K`` (``lat6_15@20000``) sets
+  ``closure.SET_LIMIT`` to K inside the timed interpreter, so the walk is
+  timed until it passes K sets.
 
-Only the standard library is used.
+A SIGTERM or SIGINT stops the tool with exit code 128 plus the signal
+number, after the running child and every process it started are
+terminated and ``.bench_build`` is removed.  Only the standard library is
+used.
 """
 
 import argparse
+import contextlib
 import json
+import os
+import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -39,6 +55,56 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 LAYERS = tuple(m["name"] for m in BENCHMARK["per_layer"])
 RUN_SECONDS = 10
+PASSES = 3
+
+# one walk timed in a fresh interpreter: argv is the lattice name and the
+# set limit (0 keeps closure.SET_LIMIT); prints {"seconds", "output"}
+TIMER = """
+import hashlib, json, sys, time
+from semirings import closure
+from semirings.endo import enumerate_sr
+from semirings.errors import SizeLimit
+from semirings.lattice import enumerate_lattices
+name, sets = sys.argv[1], int(sys.argv[2])
+size = int(name[3:].split("_")[0])
+lat = next(lat for lat in enumerate_lattices(size, limit=size) if lat.name == name)
+if sets:
+    closure.SET_LIMIT = sets
+start = time.process_time()
+try:
+    fams = enumerate_sr(lat)
+except SizeLimit as exc:
+    seconds, output = time.process_time() - start, str(exc)
+else:
+    seconds = time.process_time() - start
+    packed = b"".join(f.packed for f in fams)
+    output = f"{len(fams)} sets, sha256 {hashlib.sha256(packed).hexdigest()[:16]}"
+print(json.dumps({"seconds": seconds, "output": output}))
+"""
+
+
+def stop(signum, frame):
+    """Turn SIGTERM or SIGINT into ``SystemExit``, so that every
+    ``finally`` on the way out runs."""
+    print(f"stopped by {signal.Signals(signum).name}", file=sys.stderr, flush=True)
+    raise SystemExit(128 + signum)
+
+
+def run_child(cmd, cwd, env=None):
+    """(exit code, stdout, stderr) of ``cmd`` run in ``cwd``.  The child
+    leads a session of its own; if the wait is cut by an exception (a
+    signal turned into one by ``stop``), the child and every process it
+    started are terminated and reaped before the exception goes on."""
+    proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    finally:
+        if proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):  # the group is gone
+                os.killpg(proc.pid, signal.SIGTERM)
+            proc.communicate()
+    return proc.returncode, out, err
 
 
 def git(*args):
@@ -58,22 +124,65 @@ def bench(tree, workload, seed, trace):
     """The result line of one run, with its round count and ``env`` lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True)
-    lines = proc.stdout.splitlines()
+    code, out, err = run_child(cmd, tree)
+    lines = out.splitlines()
     try:
-        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        result = json.loads(lines[-1]) if code == 0 and lines else None
     except json.JSONDecodeError:
         result = None
     if result is None or not result.get("correct"):
         raise SystemExit(f"{tree.name} {workload} seed {seed}: run failed "
-                         f"(exit {proc.returncode})\n{proc.stderr[-2000:]}")
+                         f"(exit {code})\n{err[-2000:]}")
     info = next(line.split() for line in lines if line.startswith("info workload"))
     result["rounds"] = int(info[info.index("rounds") + 1])
     result["env"] = dict(line[4:].split(" ", 1) for line in lines if line.startswith("env "))
     print(f"{tree.name} {workload} seed {seed} trace {trace}: rounds {result['rounds']}",
           flush=True)
     return result
+
+
+def time_walk(tree, walk):
+    """(process seconds, output) of the ``TIMER`` script on ``walk``,
+    ``NAME`` or ``NAME@SETS``, in a fresh interpreter on ``tree``."""
+    name, _, sets = walk.partition("@")
+    code, out, err = run_child([sys.executable, "-c", TIMER, name, sets or "0"], tree,
+                               {**os.environ, "PYTHONPATH": str(tree / "src")})
+    if code != 0:
+        raise SystemExit(f"{tree.name} {name}: timing failed (exit {code})\n{err[-2000:]}")
+    result = json.loads(out.splitlines()[-1])
+    print(f"{tree.name} {name}: {result['seconds']:.3f} s", flush=True)
+    return result["seconds"], result["output"]
+
+
+def in_process(trees, walks):
+    """The ``in_process`` entry of each walk: ``PASSES`` passes over the
+    walks, one run a side each, the first side alternating by pass.  A
+    side whose output changes between passes stops the tool."""
+    runs = {walk: {side: [] for side in SIDES} for walk in walks}
+    for i in range(PASSES):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for walk in walks:
+            for side in order:
+                runs[walk][side].append(time_walk(trees[side], walk))
+    out = {}
+    for walk, got in runs.items():
+        entry = out[walk] = {"output": {}}
+        for side in SIDES:
+            outputs = {output for _, output in got[side]}
+            if len(outputs) != 1:
+                raise SystemExit(f"{side} {walk}: output differs between passes: {outputs}")
+            entry["output"][side] = outputs.pop()
+            seconds = [round(t, 3) for t, _ in got[side]]
+            entry[side] = {"median_s": statistics.median(seconds), "runs_s": seconds}
+    return out
+
+
+def walk_name(text):
+    """``text`` when it is ``latN_K``, a lattice of ``enumerate_lattices``,
+    or ``latN_K@SETS``, with a positive set limit."""
+    if re.fullmatch(r"lat\d+_\d+(@[1-9]\d*)?", text) is None:
+        raise argparse.ArgumentTypeError(f"need latN_K or latN_K@SETS, got {text!r}")
+    return text
 
 
 def values(result):
@@ -113,11 +222,15 @@ def main(argv=None):
     parser.add_argument("--trace-seeds", type=seed_range, required=True, help="first-last")
     parser.add_argument("--layer", action="append", required=True, choices=LAYERS, metavar="NAME",
                         help="per-layer metric to keep (repeatable)")
+    parser.add_argument("--in-process", type=walk_name, action="append", default=[],
+                        metavar="NAME[@SETS]",
+                        help="lattice whose enumerate_sr is timed in process (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     build = ROOT / ".bench_build"
     trees = dict(zip(SIDES, (build / side for side in SIDES)))
+    handlers = {sig: signal.signal(sig, stop) for sig in (signal.SIGTERM, signal.SIGINT)}
     try:
         commits = {side: git("rev-parse", getattr(args, side)) for side in SIDES}
         for side in SIDES:
@@ -140,6 +253,7 @@ def main(argv=None):
         traced = [both(args.trace_workload, seed, 1, SIDES[i % 2])
                   for i, seed in enumerate(args.trace_seeds)]
         layers = {name: per_side(traced, name) for name in args.layer}
+        walks = in_process(trees, args.in_process)
 
         out = {
             "command": " ".join(["python3", "tools/benchpairs.py", *(argv or sys.argv[1:])]),
@@ -163,10 +277,18 @@ def main(argv=None):
                                                      for side in SIDES}}
                                    for name, got in layers.items()}},
         }
+        if walks:
+            out["in_process"] = {
+                "run": f"time.process_time() around endo.enumerate_sr, in a fresh interpreter "
+                       f"per side and pass, {PASSES} passes alternating the first side",
+                "walks": walks}
     finally:
         shutil.rmtree(build, ignore_errors=True)
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
