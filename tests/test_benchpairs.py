@@ -117,7 +117,9 @@ def test_in_process_walks_alternate_sides_and_keep_every_run(benchpairs, monkeyp
     assert list(walks) == ["lat6_10", "lat6_15@20000"]
 
 
-DRIVER = """
+# the tool with its checkouts faked under argv[2] and its first run replaced
+# by a child that writes its pid to argv[3] and sleeps
+STOPPED_TOOL = """
 import importlib.util, sys
 from pathlib import Path
 
@@ -144,21 +146,21 @@ def test_a_stopping_signal_ends_the_child_and_removes_the_build(signum, tmp_path
     run, removes ``.bench_build`` and exits with 128 plus the signal."""
     pidfile = tmp_path / "child.pid"
     argv = [*_argv()[:-1], str(tmp_path / "bench.json")]
-    driver = subprocess.Popen([sys.executable, "-c", DRIVER, str(PATH), str(tmp_path),
-                               str(pidfile), *argv], stderr=subprocess.PIPE, text=True)
+    tool = subprocess.Popen([sys.executable, "-c", STOPPED_TOOL, str(PATH), str(tmp_path),
+                             str(pidfile), *argv], stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 30
         while not (pidfile.exists() and pidfile.read_text()):
-            assert time.monotonic() < deadline and driver.poll() is None, "no child started"
+            assert time.monotonic() < deadline and tool.poll() is None, "no child started"
             time.sleep(0.05)
         assert (tmp_path / ".bench_build" / "parent").is_dir()
-        driver.send_signal(signum)
-        _, err = driver.communicate(timeout=30)
+        tool.send_signal(signum)
+        _, err = tool.communicate(timeout=30)
     finally:
-        if driver.poll() is None:
-            driver.kill()
-            driver.wait()
-    assert driver.returncode == 128 + signum, err
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+    assert tool.returncode == 128 + signum, err
     assert f"stopped by {signal.Signals(signum).name}" in err
     assert not (tmp_path / ".bench_build").exists()
     with pytest.raises(ProcessLookupError):
