@@ -72,13 +72,9 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     Every member is congruence-simple, so no member's Cayley table is
     built to check it (the walk builds End(M)'s table alone):
     :func:`enumerate_sr` returns only closed sets of maps above
-    the elementary closure, and a dense R is simple by this lemma (the
-    "if" half of the paper's theorem).  Let f ≠ g lie in R, and take x
-    with f(x) ≰ g(x), swapping f and g if needed.  A = e_{g(x),top} and
-    X = e_{0,x} are elementary, so they lie in R, and A∘f∘X = e_{0,top}
-    = z while A∘g∘X = 0.  So the congruence generated by (f, g) relates
-    0 and z, the bottom and top of R's idempotent addition, and is total
-    by :func:`closure.zero_top_pair`.
+    the elementary closure, and a dense R is simple by the "if" half of
+    the paper's theorem, whose lemma is in the docstring of
+    ``semimodule.iso_to_dense_subsemiring``.
     """
     families = list(reversed(enumerate_sr(lat, max_end=max_end)))
     return FamilyReport(name=lat.name or f"lat{lat.n}", join=lat.join,

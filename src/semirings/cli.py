@@ -29,8 +29,8 @@ from .endo import END_SIZE_LIMIT, SR_BASE_LIMIT, dense_order, is_dense, parse_sr
 from .errors import Error, Mismatch, ParseError, SizeLimit, ValidationError, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import condition_d, enumerate_lattices, is_distributive, parse_lat
-from .semimodule import ideal_module, irreducibility, parse_smod, representation
-from .semiring import is_congruence_simple, parse_sr, recover_monoid, structure_flags
+from .semimodule import irreducibility, iso_to_dense_subsemiring, parse_smod
+from .semiring import is_congruence_simple, parse_sr, structure_flags
 
 
 def cmd_table1(args, out):
@@ -99,41 +99,43 @@ def _check_lattice(lat):
                   f"dense subsemiring family is a singleton: {info['unique_dense_family']}\n")
 
 
-def _witness(r):
-    """Recovered lattice and dense irreducible representation for a
-    congruence-simple non-ring of order > 2: the action on the left ideal
-    R·z (``semimodule.ideal_module``), confirmed irreducible; see
-    ``semimodule.iso_to_dense_subsemiring`` for why it is the witness."""
-    mod = ideal_module(r)
-    if mod is None:
-        return None
-    if not irreducibility(mod).irreducible:
-        raise Mismatch("the left ideal R·z is not an irreducible module")
-    rep = representation(r, mod)
-    lat = recover_monoid(r)
-    return {
-        "recovered_lattice_size": lat.n,
-        "module_size": mod.m,
-        "faithful": rep.faithful,
-        "dense": rep.dense,
-        # true by construction: both relabel the addition of R·z by its sorted members
-        "module_matches_recovered_lattice": rep.subsemiring.lattice == lat,
-    }
-
-
 def _semiring_facts(r):
     """Structure flags and congruence-simplicity of a semiring, with the
-    witness of a congruence-simple non-ring of order > 2."""
+    witness of a congruence-simple non-ring of order > 2.
+
+    A non-ring of order > 2 is congruence-simple iff it is isomorphic to
+    a dense subsemiring (the paper's theorem), so its verdict is read off
+    ``iso_to_dense_subsemiring`` first: a witness proves it simple by the
+    "if" half, whose lemma is in that function's docstring, and no
+    congruence closure runs.  Rings, orders <= 2 and non-rings without a
+    witness are decided by ``is_congruence_simple``; that it calls such a
+    non-ring simple would break the "only if" half, a ``Mismatch``.
+    """
     flags = structure_flags(r)
     facts = {
-        "congruence_simple": is_congruence_simple(r),
         "is_ring": flags.is_ring,
         "add_idempotent": flags.add_idempotent,
         "has_one": flags.has_one,
         "trivial_mul": flags.trivial_mul,
     }
-    if facts["congruence_simple"] and not flags.is_ring and r.n > 2:
-        facts["witness"] = _witness(r)
+    theorem = not flags.is_ring and r.n > 2  # the inputs the theorem speaks of
+    dense = iso_to_dense_subsemiring(r) if theorem else None
+    if dense is None:
+        facts["congruence_simple"] = is_congruence_simple(r)
+        if facts["congruence_simple"] and theorem:
+            raise Mismatch("congruence-simple, but not isomorphic to a dense subsemiring")
+        return facts
+    # R acts faithfully with a dense image on R·z, whose addition is the
+    # recovered monoid, relabelled by its sorted members both times
+    size = dense[0].n
+    facts["congruence_simple"] = True
+    facts["witness"] = {
+        "recovered_lattice_size": size,
+        "module_size": size,
+        "faithful": True,
+        "dense": True,
+        "module_matches_recovered_lattice": True,
+    }
     return facts
 
 

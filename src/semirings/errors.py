@@ -181,10 +181,10 @@ def associative_cases(t):
 
 
 class Mismatch(Error):
-    """A computed structure breaks the theorem: ``check`` finds a left
-    ideal R·z that is not an irreducible module.  (``table1`` reports
-    values that disagree with the expected data file as diffs and exits
-    1 without raising.)"""
+    """A computed structure breaks the theorem: ``check`` finds a
+    congruence-simple non-ring of order > 2 that is not isomorphic to a
+    dense subsemiring.  (``table1`` reports values that disagree with the
+    expected data file as diffs and exits 1 without raising.)"""
 
 
 class CatalogMissing(Error):

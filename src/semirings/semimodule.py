@@ -150,6 +150,15 @@ def iso_to_dense_subsemiring(r):
       semiring homomorphism R → End(R·z) (the distributive and
       associative laws, and x·0 = 0).  So a faithful action with a dense
       image is an isomorphism onto a dense subsemiring.
+
+    A witness proves R congruence-simple, by this lemma (the "if" half of
+    the paper's theorem): a dense subsemiring R of End(M) is
+    congruence-simple.  Let f ≠ g lie in R, and take x with f(x) ≰ g(x),
+    swapping f and g if needed.  A = e_{g(x),top} and X = e_{0,x} are
+    elementary, so they lie in R, and A∘f∘X = e_{0,top} = z while
+    A∘g∘X = 0.  So the congruence generated by (f, g) relates 0 and z,
+    the bottom and top of R's idempotent addition, and is total by
+    ``closure.zero_top_pair``.
     """
     mod = ideal_module(r)
     if mod is None:

@@ -91,7 +91,7 @@ def test_criterion_03_simplicity(sr_rings):
 @pytest.mark.size6
 def test_criterion_03_simplicity_size_six():
     # computed from the Cayley tables: the catalog relies on the density
-    # lemma of family_report and checks no member
+    # lemma of iso_to_dense_subsemiring and checks no member
     names = {f"lat6_{i}" for i in range(1, 10)}
     members = 0
     for lat in enumerate_lattices(6):

@@ -111,27 +111,96 @@ def reference_witness(r, chain=None):
     }
 
 
-def test_witness_matches_the_descent_reference(descents, end_subsemirings):
-    cases = [(r, chain) for chains in descents.values() for r, chain in chains]
-    for rings in end_subsemirings.values():
-        cases += [(r, None) for r in rings
-                  if r.n > 2 and not structure_flags(r).is_ring and is_congruence_simple(r)]
-    assert len(cases) == 20
+def assert_facts_match_the_closure(cases):
+    """``check``'s facts on each (semiring, descent chain or None) of
+    ``cases`` against the references: the verdict of the closure
+    ``is_congruence_simple``, and the witness that ``check`` reported
+    before it read the dense representation.  Returns how many non-rings
+    of order > 2 are not simple, the inputs on which ``check`` falls back
+    to the closure."""
+    fallbacks = 0
     for r, chain in cases:
-        assert _semiring_facts(r)["witness"] == reference_witness(r, chain)
+        facts = _semiring_facts(r)
+        simple = is_congruence_simple(r)
+        assert facts["congruence_simple"] == simple
+        theorem = r.n > 2 and not structure_flags(r).is_ring
+        assert facts.get("witness") == (reference_witness(r, chain) if simple and theorem else None)
+        fallbacks += theorem and not simple
+    return fallbacks
 
 
-def test_check_exits_one_when_the_ideal_is_not_irreducible(tmp_path, monkeypatch):
+def test_witness_matches_the_descent_reference(descents, sr_rings, end_subsemirings):
+    """Every fixture family member and every subsemiring of End(chain3),
+    End(diamond) and End(chain4)."""
+    chains = {id(r): chain for pairs in descents.values() for r, chain in pairs}
+    family = [r for rings in sr_rings.values() for r in rings]
+    sweep = [r for rings in end_subsemirings.values() for r in rings]
+    assert (len(family), len(sweep)) == (16, 952)
+    assert assert_facts_match_the_closure([(r, chains.get(id(r))) for r in family + sweep]) == 907
+
+
+@pytest.mark.size6
+def test_witness_matches_the_descent_reference_on_size_six_families():
+    names = ("lat6_11", "lat6_12", "lat6_13")
+    rings = [sub.to_semiring() for lat in enumerate_lattices(6) if lat.name in names
+             for sub in enumerate_sr(lat)]
+    assert len(rings) == 103
+    assert assert_facts_match_the_closure([(r, None) for r in rings]) == 0
+
+
+def forbid_simplicity_closure(monkeypatch, message):
+    """Make ``is_congruence_simple`` fail the test with ``message``,
+    wherever a ``semirings`` module holds it."""
+    from semirings import semiring
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    original = semiring.is_congruence_simple
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("semirings")
+                and getattr(module, "is_congruence_simple", None) is original):
+            monkeypatch.setattr(module, "is_congruence_simple", forbidden)
+
+
+def test_check_on_a_dense_input_runs_no_congruence_closure(tmp_path, monkeypatch):
+    r, _ = end_semiring(load_fixture("chain3"))
+    r.name = "end_chain3"
+    (tmp_path / "end_chain3.sr").write_text(serialize_sr(r))
+    (tmp_path / "end_chain3.srs").write_text(SRS_JSON_CASES[1][0])
+    runs = [(fmt, str(tmp_path / f"end_chain3{suffix}"))
+            for suffix in (".sr", ".srs") for fmt in ("text", "json")]
+    before = [run_cli("--format", fmt, "check", path) for fmt, path in runs]
+    forbid_simplicity_closure(monkeypatch, "check ran a congruence closure on a dense input")
+    assert [run_cli("--format", fmt, "check", path) for fmt, path in runs] == before
+    assert all(code == 0 and "witness" in out for code, out in before)
+
+
+def test_check_on_a_non_dense_input_falls_back_to_the_closure(tmp_path, monkeypatch):
     from semirings import cli
-    from semirings.semimodule import Irreducibility
 
-    monkeypatch.setattr(cli, "irreducibility", lambda mod: Irreducibility(True, False, True))
+    calls = []
+    closure = cli.is_congruence_simple
+    monkeypatch.setattr(cli, "is_congruence_simple", lambda r: calls.append(r) or closure(r))
+    path = tmp_path / "sub.srs"
+    path.write_text(SRS_JSON_CASES[2][0])
+    assert run_cli("check", str(path)) == (0, SRS_JSON_CASES[2][2])
+    assert len(calls) == 1 and calls[0].n == 3
+
+
+def test_check_exits_one_when_a_simple_non_ring_has_no_dense_representation(tmp_path, monkeypatch):
+    from semirings import cli
+
+    monkeypatch.setattr(cli, "iso_to_dense_subsemiring", lambda r: None)
     r, _ = end_semiring(load_fixture("chain3"))
     r.name = "end_chain3"
     path = tmp_path / "end_chain3.sr"
     path.write_text(serialize_sr(r))
-    assert run_cli("check", str(path)) == (
-        1, "error: Mismatch: the left ideal R·z is not an irreducible module\n")
+    message = "congruence-simple, but not isomorphic to a dense subsemiring"
+    assert run_cli("check", str(path)) == (1, f"error: Mismatch: {message}\n")
+    code, out = run_cli("--format", "json", "check", str(path))
+    assert code == 1
+    assert failed_json(out, "check") == {"kind": "Mismatch", "message": message}
 
 
 def test_check_malformed_file(tmp_path):
@@ -181,10 +250,18 @@ SRS_JSON_CASES = [
      "flags: add_idempotent=True has_one=True trivial_mul=False\n"
      "dense representation witness: recovered lattice of size 3, irreducible "
      "module of size 3, faithful=True, dense=True\n"),
+    # not dense, so the closure decides
+    ("lattice chain3\n0 0 0\n0 1 2\n0 2 2\n",
+     {"congruence_simple": False, "dense": False, "has_one": True, "is_ring": False,
+      "kind": "subsemiring", "lattice": "chain3", "size": 3, "trivial_mul": False},
+     "subsemiring of End(chain3): 3 members, dense=False\n"
+     "semiring sub_of_end_chain3: not congruence-simple, not a ring, |R| = 3\n"
+     "flags: add_idempotent=True has_one=True trivial_mul=False\n"),
 ]
 
 
-@pytest.mark.parametrize("srs, result, text", SRS_JSON_CASES, ids=["not-simple", "witness"])
+@pytest.mark.parametrize("srs, result, text", SRS_JSON_CASES,
+                         ids=["not-simple", "witness", "fallback"])
 def test_check_srs_json_and_text_are_pinned(tmp_path, srs, result, text):
     path = tmp_path / "sub.srs"
     path.write_text(srs)
@@ -1014,13 +1091,12 @@ def test_table1_text_lists_mismatches_and_exits_one(monkeypatch):
 
 
 def test_catalog_build_makes_no_cayley_table_and_no_simplicity_check(tmp_path, monkeypatch):
-    """Density proves every member congruence-simple (the lemma of
-    ``family_report``), so the build neither builds a member's table nor
-    runs ``is_congruence_simple``, wherever a module holds it.  The one
-    table it builds is End(M)'s, once for each lattice whose family has
-    more than one member, for the walk of ``enumerate_sr``."""
-    from semirings import semiring
-
+    """Density proves every member congruence-simple (the lemma in
+    ``iso_to_dense_subsemiring``'s docstring), so the build neither builds
+    a member's table nor runs ``is_congruence_simple``, wherever a module
+    holds it.  The one table it builds is End(M)'s, once for each lattice
+    whose family has more than one member, for the walk of
+    ``enumerate_sr``."""
     walked = [lat for lat in enumerate_lattices(5) if lat.n >= 2 and len(enumerate_sr(lat)) > 1]
     assert [lat.name for lat in walked] == ["lat5_4", "lat5_5"]  # M_3 and N_5
     tables = []
@@ -1030,15 +1106,8 @@ def test_catalog_build_makes_no_cayley_table_and_no_simplicity_check(tmp_path, m
         tables.append(sub)
         return to_semiring(sub, *args, **kwargs)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the catalog build checked a member for simplicity")
-
     monkeypatch.setattr(EndoSubsemiring, "to_semiring", logged)
-    original = semiring.is_congruence_simple
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("semirings")
-                and getattr(module, "is_congruence_simple", None) is original):
-            monkeypatch.setattr(module, "is_congruence_simple", forbidden)
+    forbid_simplicity_closure(monkeypatch, "the catalog build checked a member for simplicity")
     out_dir = tmp_path / "cat"
     assert run_cli("catalog", "build", "--max-size", "5", "--out", str(out_dir))[0] == 0
     digest = hashlib.sha256((out_dir / "index.txt").read_bytes()).hexdigest()

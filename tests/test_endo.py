@@ -160,10 +160,11 @@ def test_enumerate_sr_members_are_closed_and_dense(sr_families):
 
 
 def test_dense_members_separate_every_pair_by_elementary_maps(sr_families):
-    """The lemma of ``catalog.family_report``, checked on the maps with no
-    Cayley table: for f ≠ g in a dense R and x with f(x) ≰ g(x), the
-    elementary A = e_{g(x),top} and X = e_{0,x} lie in R, A∘f∘X = e_{0,top}
-    and A∘g∘X = 0; and e_{0,top} is the join of R, the top of its addition."""
+    """The density lemma of ``semimodule.iso_to_dense_subsemiring``,
+    checked on the maps with no Cayley table: for f ≠ g in a dense R and x
+    with f(x) ≰ g(x), the elementary A = e_{g(x),top} and X = e_{0,x} lie
+    in R, A∘f∘X = e_{0,top} and A∘g∘X = 0; and e_{0,top} is the join of R,
+    the top of its addition."""
     pairs = 0
     for fams in sr_families.values():
         for fam in fams:

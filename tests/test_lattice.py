@@ -661,6 +661,13 @@ def test_enumeration_counts_match_heitzig_reinhold_up_to_ten():
     assert counts == [1, 1, 1, 2, 5, 15, 53, 222, 1078, 5994]
 
 
+@pytest.mark.size6
+def test_enumeration_count_matches_heitzig_reinhold_at_eleven():
+    # the same source; about 10 s and 100 MB
+    lats = enumerate_lattices(11, limit=11)
+    assert sum(1 for l in lats if l.n == 11) == 37622
+
+
 def test_min_order_seven_json_is_pinned():
     # digest of the output of the grow-to-size-n enumeration kept above
     out = io.StringIO()
