@@ -213,10 +213,11 @@ def is_dense(sub):
 
 def end_semiring(lat):
     """(End(M) as a FiniteSemiring, lex-sorted member tuples); ``SizeLimit``
-    past ``END_SIZE_LIMIT`` members."""
+    past ``END_SIZE_LIMIT`` members.  The members come lex-sorted, so their
+    rows are joined as they are, with every bit set."""
     members = endomorphisms(lat, max_count=END_SIZE_LIMIT)
     name = None if lat.name is None else f"End({lat.name})"
-    sub = EndoSubsemiring(lat, frozenset(members))
+    sub = EndoSubsemiring._masked(lat, b"".join(map(bytes, members)))
     return sub.to_semiring(name=name), tuple(members)
 
 

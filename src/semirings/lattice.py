@@ -15,6 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
+from struct import iter_unpack
 
 from .closure import absorbing, down_masks, identity, is_table_iso, table_iso
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
 )
 
 ENUM_HARD_LIMIT = 7
+_FRONTIER = 1 << 12  # partial maps that one extended chunk of the homomorphism walk holds
 
 
 class FiniteLattice:
@@ -149,55 +151,97 @@ def homomorphisms(src, dst, max_count=None):
     lattice ``dst``, lex-sorted image tuples; ``SizeLimit`` past ``max_count``.
 
     Walks ``src`` in a linear extension of its order from its zero, sent to
-    the zero.  At a join z = x + y of two elements other than z the value
-    is forced to f(x) + f(y) in ``dst``, which must agree over all such
-    pairs; so only join-irreducibles branch, over every value above the
-    join of the values below them.
+    the zero, one level (element) at a time.  A partial map is the
+    ``bytes`` string of its values in linear-extension positions (a tuple
+    when ``dst`` has more than 256 elements), and a level extends every
+    partial map of a chunk in one list comprehension.  At a join z = x + y
+    of two elements other than z the value is forced to f(x) + f(y) in
+    ``dst``, which must agree over all such pairs; so only
+    join-irreducibles branch.
 
-    The forced value lies above the values below z without a check.  By
-    induction over the linear extension, f(w) <= f(u) for every processed
-    w < u.  Take w < z = x + y and u = w + x <= z.  If u = z, then {w, x}
-    is one of z's decomposing pairs, so f(w) <= f(w) + f(x) = f(z).
+    Monotone.  The forced value lies above the values below z without a
+    check.  By induction over the linear extension, f(w) <= f(u) for every
+    processed w < u.  Take w < z = x + y and u = w + x <= z.  If u = z, then
+    {w, x} is one of z's decomposing pairs, so f(w) <= f(w) + f(x) = f(z).
     Otherwise u < z was processed and u + y = z, so {u, y} is one, and
     f(w) <= f(u) <= f(u) + f(y) = f(z).
+
+    Lower cover.  A join-irreducible z other than the zero is not the join
+    c of the elements below it, so c is its one lower cover and every
+    w < z lies below c.  The partial map being monotone, f(c) is the join
+    of the values below z, and z branches over every value above f(c).
+
+    Lex order.  A level appends one value to each partial map of a chunk,
+    in ascending order per partial map, so a lex-sorted chunk gives a
+    lex-sorted product.  The frontier is walked depth first: the chunk's
+    extension is walked to the end before the next chunk of its level, so
+    the maps come out lex-sorted by positions.  When the linear extension
+    is the index order they are the image tuples in order; otherwise each
+    is permuted back to index order and the rows sorted.
+
+    Memory.  A chunk holds at most ``_FRONTIER`` // |dst| partial maps (at
+    least one), so its extension holds at most ``_FRONTIER`` (|dst| when
+    that is larger), and the stack keeps one frontier per level: at most
+    |src|·max(``_FRONTIER``, |dst|) partial maps, however wide a level of
+    the whole walk is.  Complete maps are kept until the end, at most
+    ``max_count`` + max(``_FRONTIER``, |dst|) of them under a limit.
+
+    Exact limit.  Complete maps are counted as they come out, and
+    ``SizeLimit`` is raised once the count passes ``max_count``; every map
+    found is a homomorphism, so it is raised exactly when there are more
+    than ``max_count`` of them.
     """
-    n, sjoin, djoin, dzero = src.n, src.join, dst.join, dst.zero
-    order = sorted(range(n), key=lambda x: (bin(src.down[x]).count("1"), x))
-    below = [[y for y in range(n) if y != x and src.leq(y, x)] for x in range(n)]
-    decomp = [[(x, y) for x in below[z] for y in below[z] if x < y and sjoin[x][y] == z]
-              for z in range(n)]
-    noun = "endomorphisms" if src is dst else "homomorphisms"
-    results = []
-    img = [None] * n
-    img[src.zero] = dzero  # order[0], the one element with one below it
-
-    def rec(k):
-        if k == n:
-            results.append(tuple(img))
-            if max_count is not None and len(results) > max_count:
-                raise SizeLimit(f"more than {max_count} {noun}")
-            return
+    n, m, sjoin, djoin, down = src.n, dst.n, src.join, dst.join, src.down
+    order = sorted(range(n), key=lambda x: (down[x].bit_count(), x))
+    pos = [0] * n
+    for k, x in enumerate(order):
+        pos[x] = k
+    row = bytes if m <= 256 else tuple
+    value = [row((v,)) for v in range(m)]
+    ups = [[value[u] for u in range(m) if djoin[v][u] == u] for v in range(m)]
+    # per level, in positions: a join-irreducible's lower cover, or a join's pairs
+    covers, pairs = [None] * n, [None] * n
+    for k in range(1, n):
         z = order[k]
-        pairs = decomp[z]
-        if pairs:
-            x0, y0 = pairs[0]
-            v = djoin[img[x0]][img[y0]]
-            for x, y in pairs[1:]:
-                if djoin[img[x]][img[y]] != v:
-                    return
-            img[z] = v
-            rec(k + 1)
+        strict = down[z] & ~(1 << z)
+        c = _mask_join(sjoin, strict, src.zero)
+        if c != z:
+            covers[k] = pos[c]
+            continue
+        below = [x for x in range(n) if strict >> x & 1]
+        pairs[k] = [(pos[x], pos[y]) for i, x in enumerate(below) for y in below[i + 1:]
+                    if sjoin[x][y] == z]
+    noun = "endomorphisms" if src is dst else "homomorphisms"
+    size = max(1, _FRONTIER // m)  # partial maps per chunk
+    found = []
+    stack = [(1, [value[dst.zero]], 0)]  # (level, frontier, start of its next chunk)
+    while stack:
+        k, frontier, start = stack.pop()
+        if k == n:
+            found += frontier
+            if max_count is not None and len(found) > max_count:
+                raise SizeLimit(f"more than {max_count} {noun}")
+            continue
+        chunk = frontier[start:start + size]
+        if start + size < len(frontier):
+            stack.append((k, frontier, start + size))
+        c = covers[k]
+        if c is not None:
+            out = [p + u for p in chunk for u in ups[p[c]]]
         else:
-            lower = dzero
-            for w in below[z]:
-                lower = djoin[lower][img[w]]
-            for v in range(dst.n):
-                if djoin[lower][v] == v:
-                    img[z] = v
-                    rec(k + 1)
-
-    rec(1)
-    return sorted(results)
+            # the first pair forces the value and the last is checked with it;
+            # every other pair filters the extended maps, whose value sits at k
+            (a, b), (x, y) = pairs[k][0], pairs[k][-1]
+            out = [p + value[v] for p in chunk for v in (djoin[p[a]][p[b]],)
+                   if djoin[p[x]][p[y]] == v]
+            for x, y in pairs[k][1:-1]:
+                out = [p for p in out if djoin[p[x]][p[y]] == p[k]]
+        if out:
+            stack.append((k + 1, out, 0))
+    if order != list(range(n)):
+        pick = itemgetter(*pos)
+        found = sorted(row(pick(p)) for p in found)
+    return list(iter_unpack(f"{n}B", b"".join(found))) if row is bytes else found
 
 
 def hom_to_l2(lat):

@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,11 @@ from semirings.errors import (
     ValidationError,
 )
 from semirings.cli import main
+from semirings.endo import END_SIZE_LIMIT, endomorphisms
 from semirings.closure import is_table_iso
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
+    FiniteLattice,
     _admissible_orders,
     _masked_extensions,
     _poset_colors,
@@ -323,6 +327,85 @@ def test_homomorphisms_match_the_walk_with_the_order_check():
     small = enumerate_lattices(5)
     for src, dst in itertools.product(small, repeat=2):
         assert homomorphisms(src, dst) == reference_homomorphisms(src, dst), (src.name, dst.name)
+
+
+def _chain(n):
+    return FiniteLattice([[max(x, y) for y in range(n)] for x in range(n)])
+
+
+def test_the_limit_counts_maps_not_partial_maps():
+    """M_3 has 8 partial maps into the 2-chain once its three atoms are
+    placed, but only 5 homomorphisms: the limit is passed exactly at the
+    sixth map."""
+    m3, chain2 = load_fixture("m3"), _chain(2)
+    atoms = [x for x in range(m3.n) if m3.down[x].bit_count() == 2]
+    assert len(atoms) == 3  # so 2**3 = 8 partial maps at the atom level
+    maps = homomorphisms(m3, chain2, max_count=5)
+    assert maps == homomorphisms(m3, chain2) == reference_homomorphisms(m3, chain2)
+    assert len(maps) == 5
+    with pytest.raises(SizeLimit, match="^more than 4 homomorphisms$"):
+        homomorphisms(m3, chain2, max_count=4)
+
+
+def test_endomorphisms_of_a_twenty_chain_stop_at_the_limit_in_bounded_memory():
+    """A 20-element chain has far more than ``END_SIZE_LIMIT`` monotone
+    self-maps fixing 0, and a level-wide frontier of them would not fit in
+    memory; the walk raises in under a second with a traced peak under
+    32 MB."""
+    lat = _chain(20)
+    message = f"^more than {END_SIZE_LIMIT} endomorphisms$"
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=message):
+        endomorphisms(lat, max_count=END_SIZE_LIMIT)
+    assert time.perf_counter() - start < 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=message):
+            endomorphisms(lat, max_count=END_SIZE_LIMIT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def _index_order_is_a_linear_extension(lat):
+    return all(x <= y for y in range(lat.n) for x in range(lat.n) if lat.leq(x, y))
+
+
+def test_homomorphisms_match_the_reference_when_index_order_is_not_a_linear_extension():
+    """Seeded relabellings, fixing 0, of every lattice up to size 6 and of
+    the fixtures, each drawn until index order is not a linear extension,
+    so the walk permutes its rows back to index order and sorts them: its
+    endomorphisms and its homomorphisms to and from the lattice it came
+    from match the reference walk's."""
+    rng = random.Random(37)
+    relabelled = 0
+    for lat in enumerate_lattices(6) + [load_fixture(n) for n in FIXTURE_NAMES]:
+        if lat.n < 3:  # a relabelling fixing 0 keeps the index order of a chain of two
+            continue
+        assert lat.zero == 0
+        for _ in range(3):
+            copy = lat
+            while _index_order_is_a_linear_extension(copy):
+                perm = [0, *rng.sample(range(1, lat.n), lat.n - 1)]
+                copy = FiniteLattice(_relabelled(lat.join, perm))
+            for src, dst in ((copy, copy), (copy, lat), (lat, copy)):
+                assert homomorphisms(src, dst) == reference_homomorphisms(src, dst), lat.name
+            relabelled += 1
+    assert relabelled == 3 * 31
+
+
+def test_homomorphisms_into_more_values_than_a_byte_holds():
+    """Into a chain of 257 elements a partial map is a tuple, not a
+    ``bytes`` row: the maps, also permuted back to index order, and the
+    limit are the reference walk's."""
+    wide, chain3 = _chain(257), load_fixture("chain3")
+    top_first = FiniteLattice(_relabelled(chain3.join, [0, 2, 1]))  # the top takes label 1
+    assert not _index_order_is_a_linear_extension(top_first)
+    for src in (chain3, top_first):
+        assert homomorphisms(src, wide) == reference_homomorphisms(src, wide)
+    with pytest.raises(SizeLimit, match="^more than 257 homomorphisms$"):
+        homomorphisms(chain3, wide, max_count=257)
 
 
 def test_distributivity_flags():
