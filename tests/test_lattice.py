@@ -330,7 +330,7 @@ def test_homomorphisms_match_the_walk_with_the_order_check():
 
 
 def _chain(n):
-    return FiniteLattice([[max(x, y) for y in range(n)] for x in range(n)])
+    return FiniteLattice(MAX_TABLE(n))
 
 
 def test_the_limit_counts_maps_not_partial_maps():
