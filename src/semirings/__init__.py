@@ -17,6 +17,7 @@ from .lattice import (
     embed_ring_of_sets,
     enumerate_lattices,
     hom_to_l2,
+    homomorphism_rows,
     homomorphisms,
     is_distributive,
     lattice_iso,

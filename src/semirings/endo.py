@@ -1,10 +1,12 @@
 """Endomorphism semirings of finite lattices and their dense subsemirings.
 
-An endomorphism is a join- and zero-preserving self-map, stored as its
+An endomorphism is a join- and zero-preserving self-map, read as its
 image tuple.  End(M) is a semiring under pointwise join and composition.
 A subsemiring is held as lex-sorted image rows concatenated, one byte per
-value, and an ``int`` mask of the rows it keeps; the members of a dense
-family share End(M)'s rows, and image tuples are decoded only when read.
+value, and an ``int`` mask of the rows it keeps.  End(M)'s rows are the
+string of the homomorphism walk (``lattice.homomorphism_rows``) as it
+comes, with every bit set; the members of a dense family share them, and
+image tuples are decoded only when read.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone: while it is built, a map f on n elements is the ``bytes`` string of
@@ -13,8 +15,9 @@ elementary map to every sum is one ``translate`` call per sum and chunk.
 ``dense_closure`` decodes and sorts the sums into a subsemiring;
 ``dense_order`` only counts them, which is all ``min-order`` reads.  The
 Cayley tables of a subsemiring and its closedness test use the same
-encoded maps: each entry, a join or a composite of two members, is one
-``translate`` call.  The dense subsemirings form an interval between it and End(M),
+encoded maps, built from the member rows with no tuple decoded: each
+entry, a join or a composite of two members, is one ``translate`` call.
+The dense subsemirings form an interval between it and End(M),
 enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
 table of End(M), on member indices, which builds each closed set once: a
 closed set extended by one index is re-closed from that index alone, and
@@ -39,7 +42,7 @@ from struct import iter_unpack
 
 from .closure import close, closed_sets, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
-from .lattice import homomorphisms, is_distributive
+from .lattice import homomorphism_rows, homomorphisms, is_distributive
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
@@ -183,19 +186,46 @@ class EndoSubsemiring:
         the zero map, a join or a composite.  The zero map is looked up
         explicitly: a join-closed set without it can still have an
         additive identity, which ``FiniteSemiring`` would take as its zero.
+
+        The shift lemma.  Code v + n·x names cell (x, v), and it packs to
+        v + s_x with s_x = n·(x mod w), w = ⌊256/n⌋: that is v + n·x itself
+        when n² <= 256 (then x < n <= w), and the chunked code of ``_codec``
+        above.  Every packed code is below n·w <= 256.  So all three strings
+        come from a member's image row f (``member_bytes``) with no tuple
+        built:
+
+        - f's string adds s_x to the byte at each x.  As big-endian
+          integers it is f plus the string of the s_x; no byte passes 255,
+          so no carry crosses a position.
+        - Block x of C_f's images, the codes of cell (x, ·), is f's row
+          shifted by s_x: one ``translate`` by the table v -> v + s_x.
+        - Block x of J_f's images is the row join(f(x), ·) shifted by s_x,
+          a block precomputed for the pair (x, f(x)).  It depends on x only
+          through s_x, which takes at most min(n, w) <= 16 values, so at
+          most 16·n blocks are built.
         """
         lat = self.lattice
-        n, join, cells = lat.n, lat.join, range(lat.n)
-        pack, table, translate = _codec(n)
-        members = self.sorted_members()
-        strings = [pack([v + n * x for x, v in enumerate(f)]) for f in members]
+        n = lat.n
+        _, table, translate = _codec(n)
+        offsets = [n * (x % (256 // n)) for x in range(n)]  # s_x
+        shift = {s: bytes(range(s, s + n)) + bytes(256 - n) for s in set(offsets)}
+        blocks = {s: [bytes(row).translate(t) for row in lat.join] for s, t in shift.items()}
+        shifts = [shift[s] for s in offsets]
+        joins = [blocks[s] for s in offsets]  # joins[x][u]: join(u, v) + s_x over v
+        base = int.from_bytes(bytes(offsets), "big")
+
+        def code(row):
+            return (int.from_bytes(row, "big") + base).to_bytes(n, "big")
+
+        rows = self.member_bytes()
+        strings = [code(f) for f in rows]
         at = {s: i for i, s in enumerate(strings)}.__getitem__
         add, mul = [], []
         try:
-            at(pack([lat.zero + n * x for x in cells]))  # KeyError without the zero map
-            for f in members:
-                plus = table(pack([join[f[x]][v] + n * x for x in cells for v in cells]))
-                after = table(pack([f[v] + n * x for x in cells for v in cells]))
+            at(code(bytes([lat.zero]) * n))  # KeyError without the zero map
+            for f in rows:
+                plus = table(b"".join(map(list.__getitem__, joins, f)))
+                after = table(b"".join(map(f.translate, shifts)))
                 add.append(tuple(map(at, translate(strings, plus))))
                 mul.append(tuple(map(at, translate(strings, after))))
         except KeyError:
@@ -213,12 +243,15 @@ def is_dense(sub):
 
 def end_semiring(lat):
     """(End(M) as a FiniteSemiring, lex-sorted member tuples); ``SizeLimit``
-    past ``END_SIZE_LIMIT`` members.  The members come lex-sorted, so their
-    rows are joined as they are, with every bit set."""
-    members = endomorphisms(lat, max_count=END_SIZE_LIMIT)
+    past ``END_SIZE_LIMIT`` members, or before any walk when a value of a
+    map does not fit in one byte.  The walk's string
+    (``lattice.homomorphism_rows``) is End(M)'s rows as they are, with
+    every bit set, and the tables are built from them; only the returned
+    member tuples are decoded."""
+    _check_lattice_size(lat.n)
+    end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, END_SIZE_LIMIT))
     name = None if lat.name is None else f"End({lat.name})"
-    sub = EndoSubsemiring._masked(lat, b"".join(map(bytes, members)))
-    return sub.to_semiring(name=name), tuple(members)
+    return end.to_semiring(name=name), tuple(end.sorted_members())
 
 
 def _check_lattice_size(n):
@@ -397,9 +430,12 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     lex-sorted ``endomorphisms``, so i < j iff map i < map j, and index
     sets ordered by (size, sorted indices) are the member sets ordered by
     (size, sorted members): the order is the one the walk over maps gave.
-    Each member is End(M)'s rows and the mask of its indices, so the
-    family shares one copy of the rows and nothing is sliced out until
-    ``packed`` or ``members`` is read.
+    End(M)'s rows are the string of ``lattice.homomorphism_rows``, taken as
+    they come with every bit set, so no map is decoded or re-encoded
+    between the walk and the table; the lattice size is checked before the
+    walk, since a row holds one byte per value.  Each member is End(M)'s
+    rows and the mask of its indices, so the family shares one copy of the
+    rows and nothing is sliced out until ``packed`` or ``members`` is read.
 
     The least dense subsemiring D is a two-sided ideal of End(M), so each
     closure passes D's indices as ``ideal``: a new map is paired with D's
@@ -416,8 +452,8 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     is one point: End(M)'s rows with every bit set are returned alone, and
     neither D nor a table is built.
     """
-    all_endos = endomorphisms(lat, max_count=max_end)
-    end = EndoSubsemiring._masked(lat, b"".join(map(bytes, all_endos)))
+    _check_lattice_size(lat.n)  # before the walk: its rows hold one byte per value
+    end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, max_end))
     if is_distributive(lat):
         return [end]
     least = dense_closure(lat, max_size=None)

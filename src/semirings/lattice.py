@@ -149,6 +149,19 @@ def dual(lat):
 def homomorphisms(src, dst, max_count=None):
     """All zero- and join-preserving maps from the lattice ``src`` to the
     lattice ``dst``, lex-sorted image tuples; ``SizeLimit`` past ``max_count``.
+    They are the rows of ``homomorphism_rows``, decoded by one
+    ``iter_unpack`` (kept as they are when ``dst`` has more than 256
+    elements)."""
+    rows = homomorphism_rows(src, dst, max_count)
+    return list(iter_unpack(f"{src.n}B", rows)) if dst.n <= 256 else rows
+
+
+def homomorphism_rows(src, dst, max_count=None):
+    """The maps of ``homomorphisms`` as one ``bytes`` string: their
+    lex-sorted image rows joined, one byte per value, so |src| bytes a map.
+    When ``dst`` has more than 256 elements a value does not fit in a byte,
+    and the list of lex-sorted image tuples is returned instead.
+    ``SizeLimit`` past ``max_count``.
 
     Walks ``src`` in a linear extension of its order from its zero, sent to
     the zero, one level (element) at a time.  A partial map is the
@@ -176,8 +189,10 @@ def homomorphisms(src, dst, max_count=None):
     lex-sorted product.  The frontier is walked depth first: the chunk's
     extension is walked to the end before the next chunk of its level, so
     the maps come out lex-sorted by positions.  When the linear extension
-    is the index order they are the image tuples in order; otherwise each
-    is permuted back to index order and the rows sorted.
+    is the index order they are the image rows in order; otherwise each
+    is permuted back to index order and the rows sorted.  Rows of one
+    length compare as their image tuples do, so the joined string holds
+    the maps in lex order.
 
     Memory.  A chunk holds at most ``_FRONTIER`` // |dst| partial maps (at
     least one), so its extension holds at most ``_FRONTIER`` (|dst| when
@@ -241,7 +256,7 @@ def homomorphisms(src, dst, max_count=None):
     if order != list(range(n)):
         pick = itemgetter(*pos)
         found = sorted(row(pick(p)) for p in found)
-    return list(iter_unpack(f"{n}B", b"".join(found))) if row is bytes else found
+    return b"".join(found) if row is bytes else found
 
 
 def hom_to_l2(lat):

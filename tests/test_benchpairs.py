@@ -1,6 +1,8 @@
 """``tools/benchpairs.py`` checks its arguments before any checkout,
-writes every traced and in-process run it takes, and, stopped by a
-signal, ends its child and removes its checkouts."""
+writes every traced and in-process run it takes and each paired run's
+raw round time and calibration mean, times in-process walks per call to
+the microsecond, and, stopped by a signal, ends its child and removes its
+checkouts."""
 
 import argparse
 import importlib.util
@@ -60,7 +62,8 @@ def test_traced_runs_alternate_sides_and_keep_every_value(benchpairs, monkeypatc
         calls.append((tree.name, seed, trace))
         value = seed + (0.5 if tree.name == "change" else 0)
         return {"metrics": {"setup_s": {"value": value}, "trace.wall_s": {"value": value}},
-                "rounds": 1, "env": {"cpu": "cpu", "nproc": "1", "python": "3"}}
+                "rounds": 1, "info": {"wall_s": value, "calibration_mean_ms": 1.0},
+                "env": {"cpu": "cpu", "nproc": "1", "python": "3"}}
 
     monkeypatch.setattr(benchpairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(benchpairs, "git", lambda *args: "0" * 40)
@@ -76,6 +79,39 @@ def test_traced_runs_alternate_sides_and_keep_every_value(benchpairs, monkeypatc
     assert traced["metrics"] == {"trace.wall_s": {
         "runs": {"parent": [7, 8, 9], "change": [7.5, 8.5, 9.5]},
         "median": {"parent": 8, "change": 8.5}}}
+
+
+def test_info_numbers_read_the_raw_round_time_and_the_calibration_mean(benchpairs):
+    lines = ["info workload walk6 seed 1 trace 0 rounds 3 items 27",
+             "info wall_s 0.0152 item_ms_p50 0.1 item_ms_p99 5.0 item_cpu_ms_p50 0.1 "
+             "item_cpu_ms_p99 5.0",
+             "info calibration passes 12 mean_ms 0.912 cpu_median_ms 0.9",
+             "metric wall_ref_s 0.0167 ref_s"]
+    assert benchpairs.info_numbers(lines) == {"wall_s": 0.0152, "calibration_mean_ms": 0.912}
+    assert benchpairs.info_numbers(lines[:1]) == {"wall_s": None, "calibration_mean_ms": None}
+
+
+def test_pairs_keep_every_raw_round_time_and_calibration_mean(benchpairs, monkeypatch,
+                                                              tmp_path):
+    """Beside the metrics, ``pairs`` holds each side's summary of the raw
+    ``info`` numbers, every run's value, and the pairs the change won."""
+    def bench(tree, workload, seed, trace):
+        change = tree.name == "change"
+        return {"metrics": {"setup_s": {"value": 1}, "trace.wall_s": {"value": 1}},
+                "rounds": 1, "env": {"cpu": "cpu", "nproc": "1", "python": "3"},
+                "info": {"wall_s": seed - change, "calibration_mean_ms": seed + change}}
+
+    monkeypatch.setattr(benchpairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(benchpairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(benchpairs, "bench", bench)
+    argv = _argv(seeds="1-3")
+    argv[-1] = str(tmp_path / "bench.json")
+    assert benchpairs.main(argv) == 0
+    raw = json.loads((tmp_path / "bench.json").read_text())["pairs"]["raw"]
+    assert raw["wall_s"]["runs"] == {"parent": [1, 2, 3], "change": [0, 1, 2]}
+    assert raw["wall_s"]["change_wins"] == "3/3"
+    assert raw["calibration_mean_ms"]["parent"] == {"q1": 1.5, "median": 2, "q3": 2.5}
+    assert raw["calibration_mean_ms"]["change_wins"] == "0/3"
 
 
 def test_walk_names_read_a_lattice_and_an_optional_set_limit(benchpairs):
@@ -94,14 +130,15 @@ def test_in_process_walks_alternate_sides_and_keep_every_run(benchpairs, monkeyp
 
     def time_walk(tree, walk):
         calls.append((tree.name, walk))
-        seconds = len(calls) / 10
+        seconds = len(calls) / 10 + 0.0000014
         return seconds, f"{walk} out"
 
     monkeypatch.setattr(benchpairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(benchpairs, "git", lambda *args: "0" * 40)
     monkeypatch.setattr(benchpairs, "bench", lambda *args: {
         "metrics": {"setup_s": {"value": 1}, "trace.wall_s": {"value": 1}},
-        "rounds": 1, "env": {"cpu": "cpu", "nproc": "1", "python": "3"}})
+        "rounds": 1, "info": {"wall_s": 1.0, "calibration_mean_ms": 1.0},
+        "env": {"cpu": "cpu", "nproc": "1", "python": "3"}})
     monkeypatch.setattr(benchpairs, "time_walk", time_walk)
     argv = [*_argv()[:-1], str(tmp_path / "bench.json"),
             "--in-process", "lat6_10", "--in-process", "lat6_15@20000"]
@@ -110,11 +147,41 @@ def test_in_process_walks_alternate_sides_and_keep_every_run(benchpairs, monkeyp
     assert calls == [("parent", a), ("change", a), ("parent", b), ("change", b),
                      ("change", a), ("parent", a), ("change", b), ("parent", b),
                      ("parent", a), ("change", a), ("parent", b), ("change", b)]
-    walks = json.loads((tmp_path / "bench.json").read_text())["in_process"]["walks"]
-    assert walks["lat6_10"] == {"output": {"parent": "lat6_10 out", "change": "lat6_10 out"},
-                                "parent": {"median_s": 0.6, "runs_s": [0.1, 0.6, 0.9]},
-                                "change": {"median_s": 0.5, "runs_s": [0.2, 0.5, 1.0]}}
+    entry = json.loads((tmp_path / "bench.json").read_text())["in_process"]
+    assert entry["calls"] == benchpairs.CALLS
+    walks = entry["walks"]
+    assert walks["lat6_10"] == {
+        "output": {"parent": "lat6_10 out", "change": "lat6_10 out"},
+        "parent": {"median_s": 0.600001, "runs_s": [0.100001, 0.600001, 0.900001]},
+        "change": {"median_s": 0.500001, "runs_s": [0.200001, 0.500001, 1.000001]}}
     assert list(walks) == ["lat6_10", "lat6_15@20000"]
+
+
+def test_the_timer_reports_seconds_per_call(benchpairs, monkeypatch, tmp_path):
+    """The timing script divides the time of its ``CALLS`` calls by their
+    number, with a stand-in ``enumerate_sr`` that counts its calls and a
+    stand-in ``enumerate_lattices``: three calls are made, and the output
+    is the last call's."""
+    monkeypatch.setattr(benchpairs, "CALLS", 3)
+    package = tmp_path / "src" / "semirings"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "closure.py").write_text("SET_LIMIT = 100000\n")
+    (package / "errors.py").write_text("class SizeLimit(Exception):\n    pass\n")
+    (package / "lattice.py").write_text(
+        "class Lat:\n    name = 'lat6_1'\n\n"
+        "def enumerate_lattices(size, limit):\n    return [Lat()]\n")
+    (package / "endo.py").write_text(
+        "import time\nCALLS = []\n\n"
+        "class Fam:\n    packed = b'x'\n\n"
+        "def enumerate_sr(lat):\n"
+        "    CALLS.append(lat)\n"
+        "    start = time.process_time()\n"
+        "    while time.process_time() - start < 0.01:\n        pass\n"
+        "    return [Fam()] * len(CALLS)\n")
+    seconds, output = benchpairs.time_walk(tmp_path, "lat6_1")
+    assert output.startswith("3 sets, sha256 ")
+    assert 0.01 <= seconds < 0.05
 
 
 # the tool with its checkouts faked under argv[2] and its first run replaced

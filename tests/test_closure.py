@@ -48,7 +48,8 @@ codes each profile entry as an integer, must colour exactly as the tuple
 profiles it replaced.  The
 Cayley tables and the closedness test of a subsemiring of End(M), built
 from maps encoded as strings, are compared with the tuple loops they
-replaced.
+replaced: End(M)'s tables built from the walk's packed rows, and the
+chunked encoding at chunk widths of 15, 6 and 1 positions.
 """
 
 import hashlib
@@ -93,6 +94,7 @@ from semirings.fixtures import (
     two_element_trivial_mul,
 )
 from semirings.lattice import (
+    FiniteLattice,
     LatticeIso,
     _poset_colors,
     dual,
@@ -1471,6 +1473,23 @@ def test_cayley_tables_match_the_tuple_loops(name, count):
     assert 0 < closed < variants
 
 
+@pytest.mark.parametrize("size", [5, pytest.param(6, marks=pytest.mark.size6)])
+def test_end_tables_match_the_tuple_loops(size):
+    """``end_semiring`` builds End(M)'s tables from the walk's packed rows:
+    they are the tuple loops' tables over the same maps on every lattice
+    up to size 5 and the fixtures, and opt-in on the 15 lattices of size 6."""
+    if size == 5:
+        lats = enumerate_lattices(5) + [load_fixture(name) for name in FIXTURE_NAMES]
+    else:
+        lats = [lat for lat in enumerate_lattices(6) if lat.n == 6]
+    assert len(lats) == {5: 19, 6: 15}[size]
+    for lat in lats:
+        r, members = end_semiring(lat)
+        assert list(members) == endomorphisms(lat)
+        sub = EndoSubsemiring._masked(lat, b"".join(map(bytes, members)))
+        assert (r.add, r.mul, r.zero) == reference_to_semiring(sub), lat.name
+
+
 def test_cayley_tables_on_m15_above_the_bytes_encoding():
     lat = m_lattice(15)
     assert lat.n ** 2 > 256
@@ -1481,3 +1500,35 @@ def test_cayley_tables_on_m15_above_the_bytes_encoding():
     for f in sorted(sub.members)[1:4]:
         assert not assert_same_closedness(EndoSubsemiring(lat, sub.members - {f}))
     assert not assert_same_closedness(EndoSubsemiring(lat, sub.members - {zero_map(lat)}))
+
+
+def test_m15_least_dense_subsemiring_without_a_member_is_not_closed():
+    """On the chunked path (17 elements, chunks of 15 positions), M_15's
+    least dense subsemiring without its largest member, which is nonzero,
+    raises the typed error from ``to_semiring``."""
+    lat = m_lattice(15)
+    least = dense_closure(lat, max_size=None)
+    sub = EndoSubsemiring._masked(lat, least.rows, least.mask ^ 1 << least.size - 1)
+    assert sub.size == 22531 and least.member_bytes()[-1] != bytes(lat.n)
+    with pytest.raises(ValidationError,
+                       match="^member set is not closed under join and composition$"):
+        sub.to_semiring()
+
+
+@pytest.mark.parametrize("n, width", [(17, 15), (40, 6), (256, 1)])
+def test_cayley_tables_of_chains_on_every_chunk_width(n, width):
+    """Chains whose maps are taken in chunks of 15, 6 and 1 positions: the
+    sets closed from the zero map, the identity and two elementary maps
+    have the tuple loops' tables, and each without one nonzero member is
+    closed exactly when the tuple loops find it so, and some are not."""
+    lat = FiniteLattice([[max(x, y) for y in range(n)] for x in range(n)])
+    assert 256 // n == width and n * n > 256
+    closed = []
+    for a, b in [(0, n - 1), (n // 2, 1), (n - 2, n // 3)]:
+        gens = [zero_map(lat), identity_map(lat), elementary(lat, a, b), elementary(lat, 1, b)]
+        sub = EndoSubsemiring(lat, reference_close(gens, endo_ops(lat)))
+        assert sub.size > 3
+        assert_same_cayley_tables(sub)
+        closed += [assert_same_closedness(EndoSubsemiring(lat, sub.members - {f}))
+                   for f in sorted(sub.members)[1:]]
+    assert any(closed) and not all(closed)

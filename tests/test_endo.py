@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from semirings import endo
 from semirings.endo import (
     LATTICE_SIZE_LIMIT,
     EndoSubsemiring,
@@ -65,8 +66,10 @@ def test_endomorphisms_against_filtering_oracle(lats):
 
 
 def test_end_semiring_text_is_pinned():
-    """``end_semiring`` joins the lex-sorted rows of ``endomorphisms``
-    once, where it used to sort a frozenset of them again: the ``.sr``
+    """``end_semiring`` takes the lex-sorted rows of the walk
+    (``lattice.homomorphism_rows``) as they come, and builds its tables
+    from them, where it used to sort a frozenset of the image tuples
+    again and build the tables from tuples: the ``.sr``
     text of End(M) on every lattice up to size 5 and on the fixtures, in
     that order, hashes as that build's (sha256 computed by it)."""
     digest = hashlib.sha256()
@@ -99,6 +102,23 @@ def test_lattices_above_one_byte_per_value_raise_size_limit():
         EndoSubsemiring(lat, [zero_map(lat), identity_map(lat)])
     with pytest.raises(SizeLimit, match=message):
         dense_closure(lat)
+
+
+def test_end_m_above_one_byte_per_value_raises_before_the_walk(monkeypatch):
+    """``enumerate_sr`` and ``end_semiring`` check the lattice size before
+    they walk: a 257-element chain raises the one-byte ``SizeLimit`` with
+    the walk replaced by one that fails when it is entered, as it is on a
+    chain small enough to walk."""
+    def walk(*args):
+        raise AssertionError("the homomorphism walk was entered")
+
+    monkeypatch.setattr(endo, "homomorphism_rows", walk)
+    message = "^lattice has 257 elements, above the 256 that one byte per value allows$"
+    for build in (enumerate_sr, end_semiring):
+        with pytest.raises(SizeLimit, match=message):
+            build(chain(LATTICE_SIZE_LIMIT + 1))
+        with pytest.raises(AssertionError, match="walk was entered"):
+            build(chain(3))
 
 
 def test_elementary_with_top_annihilates(lats):

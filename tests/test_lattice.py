@@ -32,6 +32,7 @@ from semirings.lattice import (
     embed_ring_of_sets,
     enumerate_lattices,
     hom_to_l2,
+    homomorphism_rows,
     homomorphisms,
     is_distributive,
     lattice_iso,
@@ -312,21 +313,27 @@ def reference_homomorphisms(src, dst):
     return sorted(results)
 
 
+def assert_walk_matches_the_reference(src, dst):
+    """``homomorphisms`` gives the reference walk's maps, and
+    ``homomorphism_rows`` their image rows joined; the number of maps."""
+    want = reference_homomorphisms(src, dst)
+    assert homomorphisms(src, dst) == want, (src.name, dst.name)
+    assert homomorphism_rows(src, dst) == b"".join(map(bytes, want)), (src.name, dst.name)
+    return len(want)
+
+
 def test_homomorphisms_match_the_walk_with_the_order_check():
     """Dropping the check that a forced value lies above the values below
     its element loses no rejection: the same endomorphisms of every
     lattice up to size 7 and of the fixtures, and the same homomorphisms
-    between any two lattices up to size 5."""
+    between any two lattices up to size 5, as tuples and as the packed
+    string."""
     lats = enumerate_lattices(7) + [load_fixture(n) for n in FIXTURE_NAMES]
-    endos = 0
-    for lat in lats:
-        got = homomorphisms(lat, lat)
-        assert got == reference_homomorphisms(lat, lat), lat.name
-        endos += len(got)
+    endos = sum(assert_walk_matches_the_reference(lat, lat) for lat in lats)
     assert endos == 23743  # computed by both walks, not taken from the paper
     small = enumerate_lattices(5)
     for src, dst in itertools.product(small, repeat=2):
-        assert homomorphisms(src, dst) == reference_homomorphisms(src, dst), (src.name, dst.name)
+        assert_walk_matches_the_reference(src, dst)
 
 
 def _chain(n):
@@ -343,8 +350,10 @@ def test_the_limit_counts_maps_not_partial_maps():
     maps = homomorphisms(m3, chain2, max_count=5)
     assert maps == homomorphisms(m3, chain2) == reference_homomorphisms(m3, chain2)
     assert len(maps) == 5
-    with pytest.raises(SizeLimit, match="^more than 4 homomorphisms$"):
-        homomorphisms(m3, chain2, max_count=4)
+    assert homomorphism_rows(m3, chain2, max_count=5) == b"".join(map(bytes, maps))
+    for walk in (homomorphisms, homomorphism_rows):
+        with pytest.raises(SizeLimit, match="^more than 4 homomorphisms$"):
+            walk(m3, chain2, max_count=4)
 
 
 def test_endomorphisms_of_a_twenty_chain_stop_at_the_limit_in_bounded_memory():
@@ -377,7 +386,7 @@ def test_homomorphisms_match_the_reference_when_index_order_is_not_a_linear_exte
     the fixtures, each drawn until index order is not a linear extension,
     so the walk permutes its rows back to index order and sorts them: its
     endomorphisms and its homomorphisms to and from the lattice it came
-    from match the reference walk's."""
+    from match the reference walk's, as tuples and as the packed string."""
     rng = random.Random(37)
     relabelled = 0
     for lat in enumerate_lattices(6) + [load_fixture(n) for n in FIXTURE_NAMES]:
@@ -390,20 +399,22 @@ def test_homomorphisms_match_the_reference_when_index_order_is_not_a_linear_exte
                 perm = [0, *rng.sample(range(1, lat.n), lat.n - 1)]
                 copy = FiniteLattice(_relabelled(lat.join, perm))
             for src, dst in ((copy, copy), (copy, lat), (lat, copy)):
-                assert homomorphisms(src, dst) == reference_homomorphisms(src, dst), lat.name
+                assert_walk_matches_the_reference(src, dst)
             relabelled += 1
     assert relabelled == 3 * 31
 
 
 def test_homomorphisms_into_more_values_than_a_byte_holds():
     """Into a chain of 257 elements a partial map is a tuple, not a
-    ``bytes`` row: the maps, also permuted back to index order, and the
-    limit are the reference walk's."""
+    ``bytes`` row, and ``homomorphism_rows`` returns the tuples: the maps,
+    also permuted back to index order, and the limit are the reference
+    walk's."""
     wide, chain3 = _chain(257), load_fixture("chain3")
     top_first = FiniteLattice(_relabelled(chain3.join, [0, 2, 1]))  # the top takes label 1
     assert not _index_order_is_a_linear_extension(top_first)
     for src in (chain3, top_first):
-        assert homomorphisms(src, wide) == reference_homomorphisms(src, wide)
+        want = reference_homomorphisms(src, wide)
+        assert homomorphisms(src, wide) == homomorphism_rows(src, wide) == want
     with pytest.raises(SizeLimit, match="^more than 257 homomorphisms$"):
         homomorphisms(chain3, wide, max_count=257)
 

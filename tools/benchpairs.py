@@ -14,19 +14,25 @@ any run.  The file holds:
 - ``pairs``: for each seed, one untraced run of ``--workload`` on each side,
   back to back, alternating which side runs first; each side's median and
   inclusive quartiles of every end-to-end metric, the pairs the change won
-  (read lower) and the rounds each run fitted;
+  (read lower) and the rounds each run fitted.  ``raw`` holds the same for
+  two numbers the run prints on its ``info`` lines: ``wall_s``, the median
+  round time in seconds, and ``calibration_mean_ms``, the mean of the
+  calibration passes that turn seconds into ref units; a ref metric that
+  moves while both stay put moved with the calibration alone;
 - ``untraced``: one run of every workload on each side, on ``--all-seed``;
 - ``traced``: for each seed of ``--trace-seeds``, one traced run of
   ``--trace-workload`` on each side, alternating which side runs first;
   every run's value and each side's median of the per-layer metrics named
   by ``--layer``;
 - ``in_process``, with ``--in-process NAME`` (repeatable): the process time
-  of ``endo.enumerate_sr`` on the lattice ``NAME`` of
-  ``lattice.enumerate_lattices`` (``lat6_14``), in a fresh interpreter per
-  side and pass, ``PASSES`` passes alternating which side runs first;
-  every run and each side's median, and each side's output, the number of
-  sets and the sha256 of their joined ``packed`` forms or the
-  ``SizeLimit`` message.  ``NAME@K`` (``lat6_15@20000``) sets
+  of one call of ``endo.enumerate_sr`` on the lattice ``NAME`` of
+  ``lattice.enumerate_lattices`` (``lat6_14``), in seconds to the
+  microsecond: ``CALLS`` calls are timed together in a fresh interpreter
+  per side and pass, and their time divided by their number, so a walk of
+  well under a millisecond still reads; ``PASSES`` passes alternate which
+  side runs first.  It holds every run and each side's median, and each
+  side's output, the number of sets and the sha256 of their joined
+  ``packed`` forms or the ``SizeLimit`` message, from the last call.  ``NAME@K`` (``lat6_15@20000``) sets
   ``closure.SET_LIMIT`` to K inside the timed interpreter, so the walk is
   timed until it passes K sets.
 
@@ -56,27 +62,36 @@ METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 LAYERS = tuple(m["name"] for m in BENCHMARK["per_layer"])
 RUN_SECONDS = 10
 PASSES = 3
+CALLS = 20  # a distributive walk of size 6 takes about 0.1 ms, lat6_14's 0.6 s
 
-# one walk timed in a fresh interpreter: argv is the lattice name and the
-# set limit (0 keeps closure.SET_LIMIT); prints {"seconds", "output"}
+# one walk timed in a fresh interpreter: argv is the lattice name, the set
+# limit (0 keeps closure.SET_LIMIT) and the number of calls timed together;
+# prints {"seconds", "output"}, the seconds per call
 TIMER = """
 import hashlib, json, sys, time
 from semirings import closure
 from semirings.endo import enumerate_sr
 from semirings.errors import SizeLimit
 from semirings.lattice import enumerate_lattices
-name, sets = sys.argv[1], int(sys.argv[2])
+name, sets, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 size = int(name[3:].split("_")[0])
 lat = next(lat for lat in enumerate_lattices(size, limit=size) if lat.name == name)
 if sets:
     closure.SET_LIMIT = sets
+
+def walk():
+    try:
+        return enumerate_sr(lat)
+    except SizeLimit as exc:
+        return exc
+
 start = time.process_time()
-try:
-    fams = enumerate_sr(lat)
-except SizeLimit as exc:
-    seconds, output = time.process_time() - start, str(exc)
+for _ in range(calls):
+    fams = walk()
+seconds = (time.process_time() - start) / calls
+if isinstance(fams, SizeLimit):
+    output = str(fams)
 else:
-    seconds = time.process_time() - start
     packed = b"".join(f.packed for f in fams)
     output = f"{len(fams)} sets, sha256 {hashlib.sha256(packed).hexdigest()[:16]}"
 print(json.dumps({"seconds": seconds, "output": output}))
@@ -120,8 +135,23 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def info_numbers(lines):
+    """``wall_s`` and ``calibration_mean_ms`` from a run's ``info`` lines,
+    the median raw round time and the mean calibration pass (None for a
+    traced run, which prints neither)."""
+    found = {"wall_s": None, "calibration_mean_ms": None}
+    for line in lines:
+        words = line.split()
+        if words[:2] == ["info", "wall_s"]:
+            found["wall_s"] = float(words[2])
+        elif words[:2] == ["info", "calibration"]:
+            found["calibration_mean_ms"] = float(words[words.index("mean_ms") + 1])
+    return found
+
+
 def bench(tree, workload, seed, trace):
-    """The result line of one run, with its round count and ``env`` lines."""
+    """The result line of one run, with its round count, its ``info``
+    numbers (``info_numbers``) and its ``env`` lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     code, out, err = run_child(cmd, tree)
@@ -135,6 +165,7 @@ def bench(tree, workload, seed, trace):
                          f"(exit {code})\n{err[-2000:]}")
     info = next(line.split() for line in lines if line.startswith("info workload"))
     result["rounds"] = int(info[info.index("rounds") + 1])
+    result["info"] = info_numbers(lines)
     result["env"] = dict(line[4:].split(" ", 1) for line in lines if line.startswith("env "))
     print(f"{tree.name} {workload} seed {seed} trace {trace}: rounds {result['rounds']}",
           flush=True)
@@ -142,22 +173,24 @@ def bench(tree, workload, seed, trace):
 
 
 def time_walk(tree, walk):
-    """(process seconds, output) of the ``TIMER`` script on ``walk``,
-    ``NAME`` or ``NAME@SETS``, in a fresh interpreter on ``tree``."""
+    """(process seconds per call, output) of the ``TIMER`` script on
+    ``walk``, ``NAME`` or ``NAME@SETS``, over ``CALLS`` calls in a fresh
+    interpreter on ``tree``."""
     name, _, sets = walk.partition("@")
-    code, out, err = run_child([sys.executable, "-c", TIMER, name, sets or "0"], tree,
-                               {**os.environ, "PYTHONPATH": str(tree / "src")})
+    code, out, err = run_child([sys.executable, "-c", TIMER, name, sets or "0", str(CALLS)],
+                               tree, {**os.environ, "PYTHONPATH": str(tree / "src")})
     if code != 0:
         raise SystemExit(f"{tree.name} {name}: timing failed (exit {code})\n{err[-2000:]}")
     result = json.loads(out.splitlines()[-1])
-    print(f"{tree.name} {name}: {result['seconds']:.3f} s", flush=True)
+    print(f"{tree.name} {name}: {result['seconds']:.6f} s a call", flush=True)
     return result["seconds"], result["output"]
 
 
 def in_process(trees, walks):
     """The ``in_process`` entry of each walk: ``PASSES`` passes over the
-    walks, one run a side each, the first side alternating by pass.  A
-    side whose output changes between passes stops the tool."""
+    walks, one run of ``CALLS`` calls a side each, the first side
+    alternating by pass.  A side whose output changes between passes stops
+    the tool."""
     runs = {walk: {side: [] for side in SIDES} for walk in walks}
     for i in range(PASSES):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -172,7 +205,7 @@ def in_process(trees, walks):
             if len(outputs) != 1:
                 raise SystemExit(f"{side} {walk}: output differs between passes: {outputs}")
             entry["output"][side] = outputs.pop()
-            seconds = [round(t, 3) for t, _ in got[side]]
+            seconds = [round(t, 6) for t, _ in got[side]]
             entry[side] = {"median_s": statistics.median(seconds), "runs_s": seconds}
     return out
 
@@ -197,6 +230,15 @@ def per_side(runs, name):
 def summary(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
+
+
+def compared(got):
+    """Each side's summary of the values ``got[side]``, one per pair, every
+    value, and the pairs in which the change read lower."""
+    wins = sum(c < p for p, c in zip(got["parent"], got["change"]))
+    return {**{side: summary(got[side]) for side in SIDES},
+            "runs": {side: [round(x, 4) for x in got[side]] for side in SIDES},
+            "change_wins": f"{wins}/{len(got['parent'])}"}
 
 
 def seed_range(text):
@@ -241,13 +283,9 @@ def main(argv=None):
             return {side: bench(trees[side], workload, seed, trace) for side in order}
 
         runs = [both(args.workload, seed, 0, SIDES[i % 2]) for i, seed in enumerate(args.seeds)]
-        metrics = {}
-        for name in runs[0]["parent"]["metrics"]:
-            got = per_side(runs, name)
-            wins = sum(c < p for p, c in zip(got["parent"], got["change"]))
-            metrics[name] = {**{side: summary(got[side]) for side in SIDES},
-                             "runs": {side: [round(x, 4) for x in got[side]] for side in SIDES},
-                             "change_wins": f"{wins}/{len(runs)}"}
+        metrics = {name: compared(per_side(runs, name)) for name in runs[0]["parent"]["metrics"]}
+        raw = {name: compared({side: [run[side]["info"][name] for run in runs] for side in SIDES})
+               for name in runs[0]["parent"]["info"]}
         parent, change = metrics[args.metric]["parent"], metrics[args.metric]["change"]
         untraced = {w: both(w, args.all_seed, 0, SIDES[i % 2]) for i, w in enumerate(WORKLOADS)}
         traced = [both(args.trace_workload, seed, 1, SIDES[i % 2])
@@ -267,6 +305,7 @@ def main(argv=None):
                       "parent_iqr": round(parent["q3"] - parent["q1"], 4),
                       "change_wins": metrics[args.metric]["change_wins"]},
             "pairs": {"workload": args.workload, "seeds": args.seeds, "metrics": metrics,
+                      "raw": raw,
                       "rounds": {side: [run[side]["rounds"] for run in runs] for side in SIDES}},
             "untraced": {"seed": args.all_seed,
                          "workloads": {w: {side: {**values(r[side]), "rounds": r[side]["rounds"]}
@@ -279,8 +318,10 @@ def main(argv=None):
         }
         if walks:
             out["in_process"] = {
-                "run": f"time.process_time() around endo.enumerate_sr, in a fresh interpreter "
-                       f"per side and pass, {PASSES} passes alternating the first side",
+                "run": f"time.process_time() around {CALLS} calls of endo.enumerate_sr, "
+                       f"divided by {CALLS}, in a fresh interpreter per side and pass, "
+                       f"{PASSES} passes alternating the first side",
+                "calls": CALLS,
                 "walks": walks}
     finally:
         shutil.rmtree(build, ignore_errors=True)
