@@ -9,7 +9,15 @@ the callers only pass the translation tables whose entries are the
 products of two elements.  Those closed sets, and the module
 congruences, each named by the set of test pairs it relates, are the
 closed sets of a closure operator, and all are enumerated by the one
-walk :func:`closed_sets`, which builds each closed set once.
+walk :func:`closed_sets`, which builds each closed set once.  Inside
+the closure and the walk a set is an ``int`` mask, bit x set for each
+member x (:func:`members_of` and :func:`mask_of` convert), so the walk's
+canonicity test and the closure's floor stop are each one AND; callers
+that return frozensets or congruences convert at their edge.  A set that
+lies in every set a walk closes and that every table but the first
+absorbs (the least dense subsemiring in End(M)) is passed as ``ideal``:
+its products by the first table with each element are read once per
+walk (:func:`ideal_sums`), not once per closure.
 Semiring congruences, module congruences and plain equivalences
 generated by pairs are all least partitions compatible with some
 translation tables; each is closed by :func:`close_congruence`, and the
@@ -30,18 +38,52 @@ the same translation tables.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress, count
 from operator import add
 
 from .errors import SizeLimit
 
 # Most closed sets one enumeration may find.
 SET_LIMIT = 100000
+# the characters of a binary string as the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def members_of(mask):
+    """The elements of the set ``mask`` in ascending order: the positions
+    of its set bits.  A mask of a few bits is taken apart by its lowest
+    bit, one step a member; a larger one is read off its binary string in
+    C, whose cost barely grows with the count."""
+    if 16 * mask.bit_count() > mask.bit_length() + 128:
+        return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_of(elements):
+    """The mask of the set of distinct ``elements``: bit x set for each."""
+    return sum(map((1).__lshift__, elements))
+
+
+def ideal_sums(table, ideal):
+    """The ``ideal`` argument of :func:`close` for the set ``ideal`` (a
+    mask) and the first of the tables: the pair of ``ideal`` and the list
+    whose entry f is the mask of the products ``table[f][d]`` over d in
+    ``ideal``, for each f outside it (0 inside, where no closure reads)."""
+    inside = members_of(ideal)
+    return ideal, [0 if ideal >> f & 1 else mask_of(set(map(row.__getitem__, inside)))
+                   for f, row in enumerate(table)]
 
 
 def close(base, seeds, tables, images=None, *, floor=None, ideal=None):
     """Least superset of ``base`` and ``seeds`` closed under the products of
-    ``tables`` and the unary ``images``, as a frozenset; None as soon as a
-    product or image it adds lies below ``floor``, when that is given.
+    ``tables`` and the unary ``images``, as a mask (bit x set for each
+    member x); None as soon as a product or image it adds lies below
+    ``floor``, when that is given.
 
     ``tables`` are translation tables as in :func:`close_congruence`:
     ``t[f][g]`` is a product of f and g, and each list holds the transpose
@@ -49,8 +91,9 @@ def close(base, seeds, tables, images=None, *, floor=None, ideal=None):
     cover every product of the pair in both orders (for a semiring
     ``add``, ``mul`` and ``mul_t``; for a module its addition).
     ``images``, if given, is a table whose row f lists the unary images of
-    f (for a module: ``act_t``, its orbit under the action).  ``base``
-    must already be closed.  Two facts keep the work small:
+    f (for a module: ``act_t``, its orbit under the action).  ``base``, a
+    mask, must already be closed, and ``seeds`` lists elements.  Two facts
+    keep the work small:
 
     - Every pair of members of ``base`` already has its products in
       ``base``, and every member its images.  So only the seeds and the
@@ -62,48 +105,63 @@ def close(base, seeds, tables, images=None, *, floor=None, ideal=None):
       once the worklist is empty every member has been processed, so
       every pair has met exactly once.
 
-    The ``floor`` stop serves the Close-by-One walk of :func:`closed_sets`,
-    whose step from s by x is kept only when the closure adds nothing below
-    x.  The closure only grows, so the first element below ``floor`` that
-    it adds stays in the result: returning None there gives the walk's
-    decision without finishing, and a closure that never adds one runs in
-    full and returns the same set as without ``floor``.
+    The products read are gathered in a set and turned into a mask, and
+    the members they add are that mask less ``members``.  The ``floor``
+    stop serves the Close-by-One walk of :func:`closed_sets`, whose step
+    from s by x is kept only when the closure adds nothing below x.  The
+    closure only grows, so the first element below ``floor`` that it adds
+    stays in the result: returning None there gives the walk's decision
+    without finishing, and a closure that never adds one runs in full and
+    returns the same set as without ``floor``.  The test is one AND of the
+    added members with the mask of the elements below ``floor``.
 
-    ``ideal``, if given, is a subset of ``base`` that every table but the
-    first absorbs: ``t[f][g]`` lies in it whenever g does (for the tables
-    ``add``, ``mul`` and ``mul_t`` of End(M), the sums of elementary
-    maps, a two-sided ideal).  A popped element then reads the first
-    table at every processed element, and the others only at those
-    outside ``ideal``.  The result is the same, by this lemma: a product
-    read away is in ``ideal``, inside ``base``, so it is already a member
-    and adds nothing.
+    ``ideal``, if given, is the pair ``(I, sums)`` of :func:`ideal_sums`:
+    a set I inside ``base`` that every table but the first absorbs
+    (``t[f][g]`` lies in I whenever g does; for the tables ``add``,
+    ``mul`` and ``mul_t`` of End(M), I the sums of elementary maps, a
+    two-sided ideal), and for each f outside I the mask of the products
+    ``first[f][d]`` over d in I.  A popped element then reads every table
+    only at the processed elements outside I, and takes its products
+    with I by the first table from ``sums``.  The result is the same, by
+    two lemmas:
+
+    - A product with a member of I read away by the other tables is in
+      I, inside ``base``, so it is already a member and adds nothing.
+    - The products of f with I by the first table depend on f alone, not
+      on the set being closed, so they are read once per walk, in
+      :func:`ideal_sums`, and not once per closure: a walk of
+      :func:`closed_sets` from a ``base`` holding I closes only sets
+      holding ``base``, and a popped element lies outside ``base``.
     """
-    members = set(base)
-    done = list(members)
-    # the processed elements whose products by the other tables are read
-    outside = done if ideal is None else list(members.difference(ideal))
+    members = base
+    if ideal is None:
+        outside, sums = members_of(base), None
+    else:
+        inside, sums = ideal
+        outside = members_of(base & ~inside)
     work = []
     for f in seeds:
-        if f not in members:
-            members.add(f)
+        if not members >> f & 1:
+            members |= 1 << f
             work.append(f)
-    first, *rest = tables
+    below = 0 if floor is None else (1 << floor) - 1
     while work:
         f = work.pop()
-        done.append(f)
-        if outside is not done:
-            outside.append(f)
-        new = set(map(first[f].__getitem__, done))
-        for t in rest:
+        outside.append(f)
+        new = set()
+        for t in tables:
             new.update(map(t[f].__getitem__, outside))
         if images is not None:
             new.update(images[f])
-        new -= members
-        if floor is not None and new and min(new) < floor:
+        added = mask_of(new)
+        if sums is not None:
+            added |= sums[f]
+        added &= ~members
+        if added & below:
             return None
-        members |= new
-        work.extend(new)
-    return frozenset(members)
+        members |= added
+        work.extend(members_of(added))
+    return members
 
 
 def relabel(table, rows, cols, label):
@@ -114,21 +172,22 @@ def relabel(table, rows, cols, label):
     return tuple(tuple(label[table[a][b]] for b in cols) for a in rows)
 
 
-def closed_sets(base, universe, extend, *, noun):
-    """Every closed set of a closure operator c between the closed set
-    ``base`` and the set of all elements, ordered by ascending (size,
-    sorted members).
+def closed_sets(base, n, extend, *, noun):
+    """Every closed set of a closure operator c on the elements
+    ``range(n)`` between the closed set ``base`` and the set of all
+    elements, each a mask (bit x set for each member x), ordered by
+    ascending (size, sorted members).
 
-    ``extend(s, x)`` is c(s ∪ {x}), the least closed set containing the
-    closed set s and the element x.  ``universe`` lists every element
-    outside ``base``; its order, written y < y' below, drives the walk,
-    Close-by-One (Kuznetsov 1993).  A set T found from s by x_i, the i-th
-    element, is kept only when T − s holds no element earlier than x_i,
-    and a kept T is extended only by the elements after x_i that it
-    lacks (``base`` by all of them).  Every closed set T above ``base`` is
-    then built exactly once, by this lemma.  Let the greedy path of T be
-    A_0 = ``base``, y_j the least element of T that A_{j-1} lacks, and
-    A_j = c(A_{j-1} ∪ {y_j}), until A_k = T.
+    ``extend(s, x)`` is c(s ∪ {x}), as a mask, the least closed set
+    containing the closed set s and the element x.  The walk runs over
+    the elements in ascending order, Close-by-One (Kuznetsov 1993).  A set
+    T found from s by x is kept only when T − s holds no element below x,
+    one AND of ``t & ~s`` with the mask ``(1 << x) - 1``, and a kept T is
+    extended only by the elements above x that it lacks (``base`` by all
+    of them).  Every closed set T above ``base`` is then built exactly
+    once, by this lemma.  Let the greedy path of T be A_0 = ``base``, y_j
+    the least element of T that A_{j-1} lacks, and A_j = c(A_{j-1} ∪
+    {y_j}), until A_k = T.
 
     - The walk takes the greedy path.  Each A_j lies in T, since c is
       monotone and T = c(T) contains A_{j-1} and y_j; so the path grows
@@ -147,32 +206,36 @@ def closed_sets(base, universe, extend, *, noun):
 
     ``extend(s, x)`` may return None instead of a set T that would not be
     kept, and may stop its closure early to do so, by this lemma.  If the
-    closure from s ∪ {x_i} adds some y < x_i, then y lies outside s, and
+    closure from s ∪ {x} adds some y < x, then y lies outside s, and
     since a closure only grows, y is in T − s: the step fails the test
     above whatever else the closure adds.  So stopping at the first such
     y gives the same decision, and a kept step never meets one, so it is
     closed in full and every set found is unchanged.  The walks over
-    ``range(n)``, where an element's position is its value, pass
-    ``floor=x`` to :func:`close` for this.
+    element tables pass ``floor=x`` to :func:`close` for this.
+
+    The order needs no member list.  Two sets of one size with sorted
+    members a < b first differ at some index k, where a_k < b_k; they
+    agree below, so y = a_k is the least element of the symmetric
+    difference, and it lies in the first set.  Reading each mask's bits
+    from bit 0 up as a string of ``0`` and ``1``, the first string holds
+    ``1`` at y where the second holds ``0``, and the two agree before y:
+    sets of one size in ascending member order are their bit strings in
+    descending order.
     """
-    universe = list(universe)
-    position = {x: i for i, x in enumerate(universe)}.__getitem__
+    rest = (1 << n) - 1
     found = [base]
     stack = [(base, 0)]
     while stack:
         s, start = stack.pop()
-        for i in range(start, len(universe)):
-            x = universe[i]
-            if x in s:
-                continue
+        for x in members_of((rest & ~s) >> start << start):
             t = extend(s, x)
-            if t is None or min(map(position, t - s)) < i:
+            if t is None or (t & ~s) & ((1 << x) - 1):
                 continue
             if len(found) >= SET_LIMIT:
                 raise SizeLimit(f"more than {SET_LIMIT} {noun}")
             found.append(t)
-            stack.append((t, i + 1))
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+            stack.append((t, x + 1))
+    return sorted(found, key=lambda s: (-s.bit_count(), bin(s)[:1:-1]), reverse=True)
 
 
 def close_congruence(n, pairs, tables, total_pair=None):

@@ -25,11 +25,12 @@ each pair is combined once, by one read of each table's row.  A step by
 index x stops at the first index below x that its closure adds, since the
 closure only grows and the walk would reject the step anyway; a kept step
 never meets one, so the sets found are unchanged.  The least dense
-subsemiring is a two-sided ideal of End(M), so a closure pairs a new map
-with its members by + alone (``close``'s ``ideal``).  The interval is one
-point exactly when M is distributive, decided by join-primes
+subsemiring is a two-sided ideal of End(M), so a closure never pairs a
+new map with its members by composition, and their sums with each map
+outside it are read once per walk (``close``'s ``ideal``).  The interval
+is one point exactly when M is distributive, decided by join-primes
 (``lattice.is_distributive``); End(M) is then returned alone, with no
-table built.  Each set found is kept as a mask over End(M)'s rows.
+table built.  Each set found is the walk's mask over End(M)'s rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import product, repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import close, closed_sets, principal_test_pairs
+from .closure import close, closed_sets, ideal_sums, mask_of, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import homomorphism_rows, homomorphisms, is_distributive
 from .semiring import FiniteSemiring
@@ -390,10 +391,15 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     ``EndoSubsemiring``, so no image tuple is built.  Byte strings of one
     length sort as the image tuples do.
     """
+    return EndoSubsemiring._masked(lat, b"".join(sorted(_dense_rows(lat, max_size))))
+
+
+def _dense_rows(lat, max_size):
+    """The image rows of the sums of elementary maps, as ``bytes``
+    strings in no set order: one ``translate`` of each code string of
+    ``_dense_span`` by the table sending each code v + n·x to v."""
     codec = _, table, translate = _codec(lat.n)
-    span = _dense_span(lat, codec, max_size)
-    decode = table(bytes(range(lat.n)) * lat.n)
-    return EndoSubsemiring._masked(lat, b"".join(sorted(translate(span, decode))))
+    return translate(_dense_span(lat, codec, max_size), table(bytes(range(lat.n)) * lat.n))
 
 
 def dense_order(lat, max_size=END_SIZE_LIMIT):
@@ -421,8 +427,12 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     The walk (``closure.closed_sets``, Close-by-One over the indices in
     ascending order) runs over the Cayley table of End(M)
     (``to_semiring``): the closed sets of indices under +, * and the
-    transposed *, from the indices of ``dense_closure``, each closure
-    reading rows of the three tables.  A step by index x closes with
+    transposed *, each a mask, from the mask of the indices of the least
+    dense subsemiring, each closure reading rows of the three tables.
+    Those indices come straight from the code strings of ``_dense_span``:
+    one ``translate`` a string gives its image row, and a dict of
+    End(M)'s rows its index, with no ``dense_closure`` built, sorted or
+    sliced.  A step by index x closes with
     ``floor=x`` and stops at the first index below x that it adds: the
     closure only grows, so that index lies in the new set and the walk
     would reject the step once it was closed; a kept step meets no such
@@ -434,12 +444,15 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     they come with every bit set, so no map is decoded or re-encoded
     between the walk and the table; the lattice size is checked before the
     walk, since a row holds one byte per value.  Each member is End(M)'s
-    rows and the mask of its indices, so the family shares one copy of the
-    rows and nothing is sliced out until ``packed`` or ``members`` is read.
+    rows and the walk's mask of its indices, as it comes, so the family
+    shares one copy of the rows and nothing is sliced out until ``packed``
+    or ``members`` is read.
 
     The least dense subsemiring D is a two-sided ideal of End(M), so each
-    closure passes D's indices as ``ideal``: a new map is paired with D's
-    members by + alone, since its composites with them lie in D.  For an
+    closure passes D as ``ideal`` (``closure.ideal_sums``): a new map is
+    never paired with D's members by composition, since its composites
+    with them lie in D, and its sums with them, which every set of the
+    walk holds, are read once per walk for each map outside D.  For an
     elementary map e_{a,b} and an endomorphism f, e_{a,b}∘f is e_{a',b}
     for a' the largest x with f(x) <= a (such x hold the zero and are
     closed under joins; e_{top,b} is the zero map), and f∘e_{a,b} =
@@ -456,15 +469,14 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, max_end))
     if is_distributive(lat):
         return [end]
-    least = dense_closure(lat, max_size=None)
     r = end.to_semiring()
-    at = {row: i for i, row in enumerate(end.member_bytes())}
-    base = frozenset(map(at.__getitem__, least.member_bytes()))
+    at = {row: i for i, row in enumerate(end.member_bytes())}.__getitem__
+    base = mask_of(map(at, _dense_rows(lat, None)))
     tables = (r.add, r.mul, r.mul_t)
-    sets = closed_sets(base, range(r.n),
-                       lambda s, x: close(s, (x,), tables, floor=x, ideal=base),
+    ideal = ideal_sums(r.add, base)
+    sets = closed_sets(base, r.n, lambda s, x: close(s, (x,), tables, floor=x, ideal=ideal),
                        noun="dense subsemirings")
-    return [EndoSubsemiring._masked(lat, end.rows, sum(map((1).__lshift__, s))) for s in sets]
+    return [EndoSubsemiring._masked(lat, end.rows, s) for s in sets]
 
 
 def transpose(lat, f):

@@ -18,6 +18,8 @@ from .closure import (
     closed_sets,
     idempotent,
     identity,
+    mask_of,
+    members_of,
     only_total_principals,
     principal_test_pairs,
     relabel,
@@ -110,14 +112,15 @@ def close_module_subset(mod, seed):
     """Least subset containing seed and the module zero, closed under
     addition and the action."""
     # the sums are the products; the action closes through the images act_t[x]
-    return close(frozenset(), (mod.mzero, *seed), (mod.madd,), mod.act_t)
+    return frozenset(members_of(close(0, (mod.mzero, *seed), (mod.madd,), mod.act_t)))
 
 
 def subsemimodules(mod):
     """All action-stable submonoids, smallest first."""
-    return closed_sets(close_module_subset(mod, ()), range(mod.m),
+    sets = closed_sets(close(0, (mod.mzero,), (mod.madd,), mod.act_t), mod.m,
                        lambda s, x: close(s, (x,), (mod.madd,), mod.act_t, floor=x),
                        noun="subsemimodules")
+    return [frozenset(members_of(s)) for s in sets]
 
 
 def ideal_module(r):
@@ -219,18 +222,21 @@ def module_congruences(mod):
     and the closure operator that takes a set of test pairs to the test
     pairs its generated congruence relates has one closed set per
     congruence.  The identity relates no test pair, so the walk starts
-    from the empty set.
+    from the empty set.  A set of test pairs is a mask over their
+    positions in that list.
     """
     m, tables = mod.m, _translations(mod)
     pairs = principal_test_pairs(mod.madd)
 
-    def extend(s, pair):
-        cong = Congruence.generated(m, [*s, pair], tables)
-        return frozenset(p for p in pairs if cong.same(*p))
+    def generated(s, *more):
+        return Congruence.generated(m, [*map(pairs.__getitem__, members_of(s)), *more], tables)
 
-    sets = closed_sets(frozenset(), pairs, extend, noun="module congruences")
-    return sorted([Congruence.generated(m, s, tables) for s in sets],
-                  key=lambda c: (c.num_blocks, c.blocks), reverse=True)
+    def extend(s, k):
+        cong = generated(s, pairs[k])
+        return mask_of(j for j, p in enumerate(pairs) if cong.same(*p))
+
+    sets = closed_sets(0, len(pairs), extend, noun="module congruences")
+    return sorted(map(generated, sets), key=lambda c: (c.num_blocks, c.blocks), reverse=True)
 
 
 def maximal_nontotal_congruence(mod):

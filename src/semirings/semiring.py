@@ -25,6 +25,7 @@ from .closure import (
     closed_sets,
     idempotent,
     identity,
+    members_of,
     only_total_principals,
     relabel,
     table_iso,
@@ -298,20 +299,16 @@ def opposite(r):
     return FiniteSemiring(r.add, r.mul_t, name)
 
 
-def close_subset(r, seed):
-    """Least subset containing seed and zero, closed under + and *."""
-    return close(frozenset(), (r.zero, *seed), _translations(r))
-
-
 def subsemirings(r):
     """All subsets containing zero closed under both operations.
 
-    Walks the closed-set lattice upward from the closure of {zero};
-    deterministic order by (size, member tuple).
+    Walks the closed-set lattice upward from the closure of {zero}, on
+    masks; deterministic order by (size, member tuple).
     """
     tables = _translations(r)
-    return closed_sets(close_subset(r, ()), range(r.n),
+    sets = closed_sets(close(0, (r.zero,), tables), r.n,
                        lambda s, x: close(s, (x,), tables, floor=x), noun="subsemirings")
+    return [frozenset(members_of(s)) for s in sets]
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,23 @@
 workload of the package calls: products and restrictions of semirings,
 their centers, a check of a given isomorphism, the pointwise join of two
 maps, the natural module of a subsemiring of End(M), the canonical
-join table of one lattice, and distributivity by its definition."""
+join table of one lattice, distributivity by its definition, and the
+least subsemiring holding given elements."""
 
 import itertools
 
-from semirings.closure import down_masks, is_table_iso, relabel
+from semirings.closure import close, down_masks, is_table_iso, members_of, relabel
 from semirings.endo import elementary, identity_map, zero_map
 from semirings.errors import ValidationError
 from semirings.lattice import _least_relabelling
 from semirings.semimodule import Semimodule
 from semirings.semiring import FiniteSemiring, opposite
+
+
+def close_subset(r, seed):
+    """Least subset containing seed and zero, closed under + and *, as a
+    frozenset: ``closure.close`` over the translation tables."""
+    return frozenset(members_of(close(0, (r.zero, *seed), (r.add, r.mul, r.mul_t))))
 
 
 def center(r):

@@ -5,6 +5,7 @@ the microsecond, and, stopped by a signal, ends its child and removes its
 checkouts."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -161,8 +162,11 @@ def test_the_timer_reports_seconds_per_call(benchpairs, monkeypatch, tmp_path):
     """The timing script divides the time of its ``CALLS`` calls by their
     number, with a stand-in ``enumerate_sr`` that counts its calls and a
     stand-in ``enumerate_lattices``: three calls are made, and the output
-    is the last call's."""
+    is the last call's.  Each member's ``packed`` form is the child's
+    ``PYTHONHASHSEED``, which the tool sets to 0 whatever the caller's
+    environment holds."""
     monkeypatch.setattr(benchpairs, "CALLS", 3)
+    monkeypatch.setenv("PYTHONHASHSEED", "random")
     package = tmp_path / "src" / "semirings"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -172,15 +176,15 @@ def test_the_timer_reports_seconds_per_call(benchpairs, monkeypatch, tmp_path):
         "class Lat:\n    name = 'lat6_1'\n\n"
         "def enumerate_lattices(size, limit):\n    return [Lat()]\n")
     (package / "endo.py").write_text(
-        "import time\nCALLS = []\n\n"
-        "class Fam:\n    packed = b'x'\n\n"
+        "import os, time\nCALLS = []\n\n"
+        "class Fam:\n    packed = os.environ.get('PYTHONHASHSEED', 'unset').encode()\n\n"
         "def enumerate_sr(lat):\n"
         "    CALLS.append(lat)\n"
         "    start = time.process_time()\n"
         "    while time.process_time() - start < 0.01:\n        pass\n"
         "    return [Fam()] * len(CALLS)\n")
     seconds, output = benchpairs.time_walk(tmp_path, "lat6_1")
-    assert output.startswith("3 sets, sha256 ")
+    assert output == f"3 sets, sha256 {hashlib.sha256(b'000').hexdigest()[:16]}"
     assert 0.01 <= seconds < 0.05
 
 

@@ -10,10 +10,13 @@ At every step of the subsemiring walks of End(chain3), End(diamond) and
 End(chain4), and of the dense-family walks up to size 5, the closure
 stopped at ``floor=x`` is None exactly when the full closure adds an
 element below x, and is the full closure otherwise; the 23,991
-subsemirings of End(N5) are pinned by count and digest.  At every step of
+subsemirings of End(N5) are pinned by count and digest; the walks take
+their sets as ``int`` masks.  At every step of
 the dense-family walks up to size 5 and of ``lat6_10``, the closure that
-reads ``mul`` and ``mul_t`` only outside the least dense subsemiring
-(``ideal``) is the closure without the hook.  On every lattice up to size
+reads every table only outside the least dense subsemiring, with the
+sums by its members read once for the walk (``ideal``), is the closure
+without the hook.  Opt-in, M_4's walk to 20,000 sets stays under a
+tracemalloc peak bound.  On every lattice up to size
 7 the least dense subsemiring is End(M) exactly when the lattice is
 distributive, and then it is the one member of the family.
 The masks of the dense family over End(M)'s rows are compared with the
@@ -55,6 +58,7 @@ chunked encoding at chunk widths of 15, 6 and 1 positions.
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -66,8 +70,12 @@ from semirings.closure import (
     close_congruence,
     closed_sets,
     idempotent,
+    ideal_sums,
     is_table_iso,
+    mask_of,
+    members_of,
     principal_test_pairs,
+    relabel,
     table_iso,
     zero_top_pair,
 )
@@ -114,7 +122,6 @@ from semirings.semimodule import (
 )
 from semirings.semiring import (
     Congruence,
-    close_subset,
     is_congruence_simple,
     is_semiring_congruence,
     principal_congruence,
@@ -126,7 +133,7 @@ from semirings.semiring import (
     validate_semiring,
 )
 
-from reference import check_iso, pointwise_join, product_semiring, restrict
+from reference import check_iso, close_subset, pointwise_join, product_semiring, restrict
 
 
 def reference_close(seed, binary, unary=()):
@@ -243,32 +250,54 @@ def test_enumerate_sr_matches_the_pinned_size_six_families(name):
     assert (len(fams), digest) == SIZE_SIX_FAMILIES[name]
 
 
+# tracemalloc's peak while M_4's walk runs to 20,000 sets: the sets are
+# masks, and it reads about 2.7 MB; held as frozensets they took 88 MB
+M4_WALK_PEAK_BYTES = 8_000_000
+
+
+@pytest.mark.size6
+def test_m4_walk_to_twenty_thousand_sets_stays_small(monkeypatch):
+    """M_4 (``lat6_15``) has more than 10^6 dense subsemirings; its walk,
+    cut by ``SET_LIMIT`` at 20,000 sets, raises ``SizeLimit`` below the
+    peak of ``M4_WALK_PEAK_BYTES``."""
+    lat = next(lat for lat in enumerate_lattices(6) if lat.name == "lat6_15")
+    monkeypatch.setattr(closure, "SET_LIMIT", 20000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="more than 20000 dense subsemirings"):
+            enumerate_sr(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M4_WALK_PEAK_BYTES
+
+
 def assert_floor_stops_match_full_closures(base, n, tables):
-    """Walk the closed sets of ``close`` over ``tables`` from ``base``
-    with full closures, and at every step from s by x check the stopped
-    closure ``close(s, (x,), tables, floor=x)``: None exactly when the full
-    closure adds an element below x, and otherwise the full closure.
-    Returns a Counter of the steps that stopped (True) and of those that
-    ran in full (False)."""
+    """Walk the closed sets of ``close`` over ``tables`` from the mask
+    ``base`` with full closures, and at every step from s by x check the
+    stopped closure ``close(s, (x,), tables, floor=x)``: None exactly when
+    the full closure adds an element below x, and otherwise the full
+    closure.  Returns a Counter of the steps that stopped (True) and of
+    those that ran in full (False)."""
     outcomes = Counter()
 
     def extend(s, x):
         full = close(s, (x,), tables)
-        below = any(y < x for y in full - s)
+        below = any(y < x for y in members_of(full & ~s))
         stopped = close(s, (x,), tables, floor=x)
-        assert stopped is None if below else stopped == full, (sorted(s), x)
+        assert stopped is None if below else stopped == full, (members_of(s), x)
         outcomes[below] += 1
         return full
 
-    closed_sets(base, range(n), extend, noun="sets")
+    closed_sets(base, n, extend, noun="sets")
     return outcomes
 
 
 @pytest.mark.parametrize("name", ["chain3", "diamond", "chain4"])
 def test_floor_stop_matches_full_closures_on_the_subsemiring_walks(name):
     r, _ = end_semiring(load_fixture(name))
-    steps = assert_floor_stops_match_full_closures(close_subset(r, ()), r.n,
-                                                   (r.add, r.mul, r.mul_t))
+    tables = (r.add, r.mul, r.mul_t)
+    steps = assert_floor_stops_match_full_closures(close(0, (r.zero,), tables), r.n, tables)
     assert steps[True] and steps[False]
 
 
@@ -283,31 +312,34 @@ def test_floor_stop_matches_full_closures_on_the_dense_family_walks():
 
 
 def assert_ideal_closures_match_full_closures(base, n, tables, ideal):
-    """Walk the closed sets of ``close`` over ``tables`` from ``base``
-    with full closures, and at every step from s by x check the closure
-    with the ``ideal`` hook: the full closure, and with ``floor=x`` the
-    stopped closure without the hook.  Returns the number of steps."""
+    """Walk the closed sets of ``close`` over ``tables`` from the mask
+    ``base`` with full closures, and at every step from s by x check the
+    closure with the ``ideal`` hook, the sums of the set ``ideal`` by the
+    first table read once for the walk (``ideal_sums``): the full closure,
+    and with ``floor=x`` the stopped closure without the hook.  Returns
+    the number of steps."""
     steps = 0
+    hook = ideal_sums(tables[0], ideal)
 
     def extend(s, x):
         nonlocal steps
         full = close(s, (x,), tables)
-        assert close(s, (x,), tables, ideal=ideal) == full, (sorted(s), x)
-        assert (close(s, (x,), tables, floor=x, ideal=ideal)
-                == close(s, (x,), tables, floor=x)), (sorted(s), x)
+        assert close(s, (x,), tables, ideal=hook) == full, (members_of(s), x)
+        assert (close(s, (x,), tables, floor=x, ideal=hook)
+                == close(s, (x,), tables, floor=x)), (members_of(s), x)
         steps += 1
         return full
 
-    closed_sets(base, range(n), extend, noun="sets")
+    closed_sets(base, n, extend, noun="sets")
     return steps
 
 
 def dense_walk(lat):
-    """End(M)'s Cayley table and the indices of the least dense
-    subsemiring in it, as ``enumerate_sr`` walks them."""
+    """End(M)'s Cayley table and the mask of the indices of the least
+    dense subsemiring in it, as ``enumerate_sr`` walks them."""
     r, maps = end_semiring(lat)
     index = {f: i for i, f in enumerate(maps)}
-    return r, frozenset(index[f] for f in dense_closure(lat).members)
+    return r, mask_of(index[f] for f in dense_closure(lat).members)
 
 
 def test_ideal_hook_matches_full_closures_on_the_dense_family_walks():
@@ -352,6 +384,19 @@ def test_subsemirings_of_end_n5_are_pinned():
     assert (len(sets), hashlib.sha256(text.encode()).hexdigest()) == END_N5_SUBSEMIRINGS
 
 
+def test_members_of_and_mask_of_invert_each_other():
+    """``members_of`` takes a mask apart bit by bit up to 16 members and
+    off its binary string above; both give the ascending members, and
+    ``mask_of`` puts them back."""
+    rng = random.Random(39)
+    for k in [*range(0, 40), 100, 234]:
+        for width in (k, 2 * k + 1, 300):
+            xs = sorted(rng.sample(range(width), k))
+            mask = mask_of(xs)
+            assert members_of(mask) == xs == [x for x in range(width) if mask >> x & 1]
+            assert mask.bit_count() == k
+
+
 def test_closed_sets_build_each_set_once():
     # under the identity closure every subset of range(10) is closed; the
     # walk that extended each set by every element it lacked made
@@ -360,34 +405,39 @@ def test_closed_sets_build_each_set_once():
 
     def extend(s, x):
         calls.append((s, x))
-        return s | {x}
+        return s | 1 << x
 
-    sets = closed_sets(frozenset(), range(10), extend, noun="sets")
+    sets = closed_sets(0, 10, extend, noun="sets")
     assert len(calls) == 2 ** 10 - 1
     assert len(sets) == len(set(sets)) == 2 ** 10
-    assert sets == sorted(sets, key=lambda s: (len(s), sorted(s)))
-    assert {s | {x} for s, x in calls} == set(sets) - {frozenset()}
+    assert sets == sorted(sets, key=lambda s: (s.bit_count(), members_of(s)))
+    assert {s | 1 << x for s, x in calls} == set(sets) - {0}
 
 
 @pytest.mark.parametrize("name", ["chain3", "diamond"])
 def test_closed_sets_follow_the_callers_order(name):
-    """Any order of the universe gives the same sets, each kept once (a
-    set kept twice would be listed twice)."""
+    """Any order of the elements gives the same sets, each kept once (a
+    set kept twice would be listed twice).  The walk runs in ascending
+    order, so an order is given by renaming the elements: the i-th element
+    of ``order`` becomes i, and each set found is renamed back."""
     r, _ = end_semiring(load_fixture(name))
     ops = ring_ops(r)
     want = reference_walk(reference_close([r.zero], ops), range(r.n),
                           lambda s: reference_close(s, ops))
-    tables = (r.add, r.mul, r.mul_t)
-    for universe in (range(r.n - 1, -1, -1), shuffled(r.n, 7)):
-        got = closed_sets(close_subset(r, ()), universe, lambda s, x: close(s, (x,), tables),
-                          noun="subsemirings")
-        assert got == want
+    for order in (range(r.n - 1, -1, -1), shuffled(r.n, 7)):
+        order = list(order)
+        label = {x: i for i, x in enumerate(order)}
+        tables = [relabel(t, order, order, label) for t in (r.add, r.mul, r.mul_t)]
+        sets = closed_sets(close(0, (label[r.zero],), tables), r.n,
+                           lambda s, x: close(s, (x,), tables), noun="subsemirings")
+        got = [frozenset(order[i] for i in members_of(s)) for s in sets]
+        assert sorted(got, key=lambda s: (len(s), sorted(s))) == want
 
 
 def test_closed_sets_raise_size_limit_past_set_limit(monkeypatch):
     # under the identity closure every subset of range(3) is closed: 8 sets
     def walk():
-        return closed_sets(frozenset(), range(3), lambda s, x: s | {x}, noun="sets")
+        return closed_sets(0, 3, lambda s, x: s | 1 << x, noun="sets")
 
     monkeypatch.setattr(closure, "SET_LIMIT", 8)
     assert len(walk()) == 8
@@ -591,40 +641,50 @@ class LoggedRow:
 
 def test_each_pair_is_combined_once_and_base_pairs_never():
     """Each pair is read once per table, and no pair of base members;
-    with an ideal, only the first table meets its members."""
+    with an ideal, the closure meets none of its members, and the sums
+    with them are read once for the walk, each pair once."""
     r, _ = end_semiring(load_fixture("diamond"))
     pairs = []
     # ``close`` reads every table at the same pairs, so logging one suffices
     products = ([LoggedRow(x, row, pairs) for x, row in enumerate(r.add)], r.mul, r.mul_t)
-    full = close(frozenset(), range(r.n), products)
-    assert len(full) == r.n
+    full = close(0, range(r.n), products)
+    assert full.bit_count() == r.n
     assert len(pairs) == len(set(pairs)) == r.n * (r.n + 1) // 2
 
-    base = next(s for s in subsemirings(r) if 1 < len(s) < r.n - 1)
-    x = min(set(range(r.n)) - base)
+    base = mask_of(next(s for s in subsemirings(r) if 1 < len(s) < r.n - 1))
+    x = min(set(range(r.n)) - set(members_of(base)))
     pairs.clear()
     grown = close(base, (x,), products)
-    new = grown - base
-    assert len(pairs) == len(set(pairs)) == len(base) * len(new) + len(new) * (len(new) + 1) // 2
+    new = set(members_of(grown & ~base))
+    assert (len(pairs) == len(set(pairs))
+            == base.bit_count() * len(new) + len(new) * (len(new) + 1) // 2)
     assert all(p & new for p in pairs)
 
-    # with an ideal, mul and mul_t are read only at columns outside it and
-    # add at every one: the least dense subsemiring of End(N5), grown by
-    # its least missing map
+    # with an ideal, the closure reads add, mul and mul_t only at columns
+    # outside it, and ``ideal_sums`` reads add once at each pair of an
+    # element outside it and a member: the least dense subsemiring of
+    # End(N5), grown by its least missing map
     r, ideal = dense_walk(load_fixture("n5"))
+    inside = set(members_of(ideal))
     reads = [[], [], []]
     products = [[LoggedRow(x, row, log) for x, row in enumerate(t)]
                 for t, log in zip((r.add, r.mul, r.mul_t), reads)]
-    x = min(set(range(r.n)) - ideal)
-    grown = close(ideal, (x,), products, ideal=ideal)
+    hook = ideal_sums(products[0], ideal)
+    sum_reads = reads[0][:]
+    assert len(sum_reads) == len(set(sum_reads)) == (r.n - len(inside)) * len(inside)
+    assert all(len(p & inside) == 1 for p in sum_reads)
+    reads[0].clear()
+    x = min(set(range(r.n)) - inside)
+    grown = close(ideal, (x,), products, ideal=hook)
     assert grown == close(ideal, (x,), (r.add, r.mul, r.mul_t))
-    new = grown - ideal
+    new = set(members_of(grown & ~ideal))
     add_reads, mul_reads, mul_t_reads = map(set, reads)
     new_pairs = len(new) * (len(new) + 1) // 2
-    assert len(add_reads) == len(reads[0]) == len(ideal) * len(new) + new_pairs
+    assert len(add_reads) == len(reads[0]) == new_pairs
     assert len(mul_reads) == len(reads[1]) and len(mul_t_reads) == len(reads[2])
-    assert mul_reads == mul_t_reads == {p for p in add_reads if not p & ideal}
-    assert len(mul_reads) == new_pairs < len(add_reads)
+    assert mul_reads == mul_t_reads == add_reads
+    assert not any(p & inside for p in add_reads)
+    assert len(mul_reads) == new_pairs < len(sum_reads)
 
 
 def reference_congruence(n, pairs, translations):

@@ -16,7 +16,6 @@ from semirings.semiring import (
     Congruence,
     FiniteSemiring,
     additive_reachability_congruence,
-    close_subset,
     is_congruence_simple,
     is_semiring_congruence,
     opposite,
@@ -32,7 +31,7 @@ from semirings.semiring import (
     validate_semiring,
 )
 
-from reference import center, check_iso, product_semiring, restrict
+from reference import center, check_iso, close_subset, product_semiring, restrict
 
 
 def test_validate_order_two_semirings():

@@ -28,7 +28,8 @@ any run.  The file holds:
   of one call of ``endo.enumerate_sr`` on the lattice ``NAME`` of
   ``lattice.enumerate_lattices`` (``lat6_14``), in seconds to the
   microsecond: ``CALLS`` calls are timed together in a fresh interpreter
-  per side and pass, and their time divided by their number, so a walk of
+  per side and pass, run with ``PYTHONHASHSEED=0`` as ``perfbench/run.py``
+  runs itself, and their time divided by their number, so a walk of
   well under a millisecond still reads; ``PASSES`` passes alternate which
   side runs first.  It holds every run and each side's median, and each
   side's output, the number of sets and the sha256 of their joined
@@ -175,10 +176,13 @@ def bench(tree, workload, seed, trace):
 def time_walk(tree, walk):
     """(process seconds per call, output) of the ``TIMER`` script on
     ``walk``, ``NAME`` or ``NAME@SETS``, over ``CALLS`` calls in a fresh
-    interpreter on ``tree``."""
+    interpreter on ``tree``, with string hashing fixed by
+    ``PYTHONHASHSEED=0``, so that set and dict layouts repeat from one
+    interpreter to the next."""
     name, _, sets = walk.partition("@")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
     code, out, err = run_child([sys.executable, "-c", TIMER, name, sets or "0", str(CALLS)],
-                               tree, {**os.environ, "PYTHONPATH": str(tree / "src")})
+                               tree, env)
     if code != 0:
         raise SystemExit(f"{tree.name} {name}: timing failed (exit {code})\n{err[-2000:]}")
     result = json.loads(out.splitlines()[-1])
@@ -319,8 +323,9 @@ def main(argv=None):
         if walks:
             out["in_process"] = {
                 "run": f"time.process_time() around {CALLS} calls of endo.enumerate_sr, "
-                       f"divided by {CALLS}, in a fresh interpreter per side and pass, "
-                       f"{PASSES} passes alternating the first side",
+                       f"divided by {CALLS}, in a fresh interpreter per side and pass "
+                       f"run with PYTHONHASHSEED=0, {PASSES} passes alternating the "
+                       "first side",
                 "calls": CALLS,
                 "walks": walks}
     finally:
