@@ -385,9 +385,9 @@ def test_subsemirings_of_end_n5_are_pinned():
 
 
 def test_members_of_and_mask_of_invert_each_other():
-    """``members_of`` takes a mask apart bit by bit up to 16 members and
-    off its binary string above; both give the ascending members, and
-    ``mask_of`` puts them back."""
+    """``members_of`` takes a mask of few members for its length apart bit
+    by bit, and any other off its binary string; both give the ascending
+    members, and ``mask_of`` puts them back."""
     rng = random.Random(39)
     for k in [*range(0, 40), 100, 234]:
         for width in (k, 2 * k + 1, 300):
