@@ -9,14 +9,15 @@ comes, with every bit set; the members of a dense family share them, and
 image tuples are decoded only when read.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
-alone: while it is built, a map f on n elements is the ``bytes`` string of
-the codes f(x) + n·x (taken in chunks above 16 elements), and adding an
-elementary map to every sum is one ``translate`` call per sum and chunk.
+alone.  It and the Cayley tables share one encoding of maps (``_codec``):
+a map f on n elements is the ``bytes`` string of the codes f(x) + s_x of
+its cells (x, f(x)), with s_x = n·(x mod ⌊256/n⌋), so adding an elementary
+map to every sum, and each entry of a Cayley table, a join or a composite
+of two members, is one ``translate`` call (per chunk above 16 elements).
 ``dense_closure`` decodes and sorts the sums into a subsemiring;
 ``dense_order`` only counts them, which is all ``min-order`` reads.  The
-Cayley tables of a subsemiring and its closedness test use the same
-encoded maps, built from the member rows with no tuple decoded: each
-entry, a join or a composite of two members, is one ``translate`` call.
+Cayley tables of a subsemiring and its closedness test are built from the
+member rows with no tuple decoded.
 The dense subsemirings form an interval between it and End(M),
 enumerated by the Close-by-One walk of ``closure.py`` over the Cayley
 table of End(M), on member indices, which builds each closed set once: a
@@ -41,7 +42,7 @@ from itertools import product, repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import close, closed_sets, ideal_sums, mask_of, principal_test_pairs
+from .closure import close, closed_sets, ideal_sums, mask_of, members_of, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
 from .lattice import homomorphism_rows, homomorphisms, is_distributive
 from .semiring import FiniteSemiring
@@ -150,8 +151,7 @@ class EndoSubsemiring:
         """The member images as ``bytes`` strings in lex order, cut out of
         ``rows`` with no tuple built."""
         n, rows = self.lattice.n, self.rows
-        bits = bin(self.mask)[:1:-1]  # bit k at position k
-        return [rows[n * k:n * k + n] for k, bit in enumerate(bits) if bit == "1"]
+        return [rows[n * k:n * k + n] for k in members_of(self.mask)]
 
     def __eq__(self, other):
         if not isinstance(other, EndoSubsemiring):
@@ -173,57 +173,32 @@ class EndoSubsemiring:
     def to_semiring(self, name=None):
         """The Cayley tables over the sorted members, as a ``FiniteSemiring``.
 
-        Each map f on the n elements is the string of the codes f(x) + n·x
-        (see ``_codec``), and both operations are substitutions of codes:
+        Each member is its code string (``_codec``), and both operations
+        are substitutions of codes:
 
-        - f o g is ``g.translate(C_f)`` for the table C_f sending the code
-          v + n·x to f(v) + n·x, since g's code at x is g(x) + n·x.
-        - f + g is ``g.translate(J_f)`` for the table J_f sending v + n·x to
-          join(f(x), v) + n·x, since the join is taken pointwise.
+        - f o g is ``g.translate(C_f)`` for the table C_f sending the code of
+          cell (x, v) to that of (x, f(v)), since g's code at x is that of
+          (x, g(x)).  Block x of C_f's images is f's row by ``shifts[x]``.
+        - f + g is ``g.translate(J_f)`` for the table J_f sending the code of
+          (x, v) to that of (x, join(f(x), v)), since the join is taken
+          pointwise.  Block x of J_f's images is ``joins[x][f(x)]``.
 
-        So each row of ``add`` and ``mul`` is two tables for its member f and
-        one ``translate`` per entry, and a dict from member strings to indices
-        gives the entry.  ``ValidationError`` is raised when the members lack
-        the zero map, a join or a composite.  The zero map is looked up
-        explicitly: a join-closed set without it can still have an
+        So each row of ``add`` and ``mul`` is two tables for its member f,
+        built from its image row (``member_bytes``) with no tuple decoded,
+        and one ``translate`` per entry, and a dict from member strings to
+        indices gives the entry.  ``ValidationError`` is raised when the
+        members lack the zero map, a join or a composite.  The zero map is
+        looked up explicitly: a join-closed set without it can still have an
         additive identity, which ``FiniteSemiring`` would take as its zero.
-
-        The shift lemma.  Code v + n·x names cell (x, v), and it packs to
-        v + s_x with s_x = n·(x mod w), w = ⌊256/n⌋: that is v + n·x itself
-        when n² <= 256 (then x < n <= w), and the chunked code of ``_codec``
-        above.  Every packed code is below n·w <= 256.  So all three strings
-        come from a member's image row f (``member_bytes``) with no tuple
-        built:
-
-        - f's string adds s_x to the byte at each x.  As big-endian
-          integers it is f plus the string of the s_x; no byte passes 255,
-          so no carry crosses a position.
-        - Block x of C_f's images, the codes of cell (x, ·), is f's row
-          shifted by s_x: one ``translate`` by the table v -> v + s_x.
-        - Block x of J_f's images is the row join(f(x), ·) shifted by s_x,
-          a block precomputed for the pair (x, f(x)).  It depends on x only
-          through s_x, which takes at most min(n, w) <= 16 values, so at
-          most 16·n blocks are built.
         """
         lat = self.lattice
-        n = lat.n
-        _, table, translate = _codec(n)
-        offsets = [n * (x % (256 // n)) for x in range(n)]  # s_x
-        shift = {s: bytes(range(s, s + n)) + bytes(256 - n) for s in set(offsets)}
-        blocks = {s: [bytes(row).translate(t) for row in lat.join] for s, t in shift.items()}
-        shifts = [shift[s] for s in offsets]
-        joins = [blocks[s] for s in offsets]  # joins[x][u]: join(u, v) + s_x over v
-        base = int.from_bytes(bytes(offsets), "big")
-
-        def code(row):
-            return (int.from_bytes(row, "big") + base).to_bytes(n, "big")
-
+        code, shifts, joins, table, translate = _codec(lat)
         rows = self.member_bytes()
         strings = [code(f) for f in rows]
         at = {s: i for i, s in enumerate(strings)}.__getitem__
         add, mul = [], []
         try:
-            at(code(bytes([lat.zero]) * n))  # KeyError without the zero map
+            at(code(bytes([lat.zero]) * lat.n))  # KeyError without the zero map
             for f in rows:
                 plus = table(b"".join(map(list.__getitem__, joins, f)))
                 after = table(b"".join(map(f.translate, shifts)))
@@ -263,37 +238,53 @@ def _check_lattice_size(n):
                         "that one byte per value allows")
 
 
-def _codec(n):
-    """(pack, table, translate) for maps on an n-element lattice, n at
-    most ``LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
+def _codec(lat):
+    """(code, shifts, joins, table, translate): the one encoding of the
+    maps on the lattice ``lat`` of n elements, n at most
+    ``LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
 
-    ``pack`` turns the list of the codes f(x) + n·x of a map f into a
-    ``bytes`` string; ``table`` turns the packed images of the codes
-    0 .. n² − 1 into a table for ``translate``, which leaves every other
-    code alone; ``translate(strings, table)`` gives the translate of each
-    string of the collection ``strings``, in its order, all in C.  An
-    image is a code of the same position x or a value v < n, which packs
-    to itself.
+    A map f is the ``bytes`` string whose byte x is f(x) + s_x, the code of
+    the cell (x, f(x)), with s_x = n·(x mod w) and w = ⌊256/n⌋.  Every code
+    is below n·w <= 256.  Position x holds f(x) plus a constant, so equal
+    strings are equal maps, and strings compare as the image tuples do.
+    When n² <= 256, s_x = n·x (x < n <= w), so every cell has its own code.
+    Above, position x = w·j + i of chunk j holds v + n·i: the cells of one
+    chunk have distinct codes, and each chunk has its own table.
 
-    When n² <= 256 a string is the codes themselves.  Above, position x =
-    w·j + i of the w = ⌊256/n⌋ positions of chunk j holds the code
-    v + n·x mod n·w = v + n·i, below 256; chunk j has its own table, the
-    images of its w·n codes, and is cut out, translated and joined
-    back with the others.  Either way equal strings are equal maps, and
-    strings compare as the image tuples do, since each position holds v
-    plus a constant.
+    - ``code(row)`` is the string of the map with image row ``row``
+      (``bytes``): as big-endian integers, the row plus the string of the
+      s_x, since no byte passes 255 and so no carry crosses a position.
+    - ``shifts[x]`` is the ``translate`` table v -> v + s_x.
+    - ``joins[x][u]`` is the block of the codes join(u, v) + s_x over v.  It
+      depends on x only through s_x, which takes at most min(n, w) <= 16
+      values, so at most 16·n blocks are built.
+    - ``table(images)`` turns the images of the codes of the cells (0, 0),
+      (0, 1) .. (n − 1, n − 1), in that order, into a table (a list of
+      chunk tables above 16 elements) that leaves every other code alone.
+    - ``translate(strings, table)`` gives the translate of each string of
+      the collection ``strings``, in its order, all in C; above 16
+      elements each chunk is cut out, translated by its own table and
+      joined back with the others.
     """
+    n = lat.n
     _check_lattice_size(n)
+    width = 256 // n
+    offsets = [n * (x % width) for x in range(n)]  # s_x
+    shift = {s: bytes(range(s, s + n)) + bytes(256 - n) for s in set(offsets)}
+    blocks = {s: [bytes(row).translate(t) for row in lat.join] for s, t in shift.items()}
+    shifts = [shift[s] for s in offsets]
+    joins = [blocks[s] for s in offsets]
+    base = int.from_bytes(bytes(offsets), "big")
+
+    def code(row):
+        return (int.from_bytes(row, "big") + base).to_bytes(n, "big")
+
     if n * n <= 256:
         pad = bytes(range(n * n, 256))
-        return (bytes, lambda images: images + pad,
+        return (code, shifts, joins, lambda images: images + pad,
                 lambda strings, table: map(bytes.translate, strings, repeat(table)))
-    width = 256 // n
     span = n * width  # the codes of one chunk
     cuts = [itemgetter(slice(x, x + width)) for x in range(0, n, width)]
-
-    def pack(codes):
-        return bytes([c % span for c in codes])
 
     def table(images):
         chunks = [images[c:c + span] for c in range(0, n * n, span)]
@@ -303,7 +294,7 @@ def _codec(n):
         return map(b"".join, zip(*[map(bytes.translate, map(cut, strings), repeat(t))
                                    for cut, t in zip(cuts, tables)]))
 
-    return pack, table, translate
+    return code, shifts, joins, table, translate
 
 
 def _dense_span(lat, codec, max_size):
@@ -311,16 +302,13 @@ def _dense_span(lat, codec, max_size):
     elementary maps, built by the fold that ``dense_closure`` describes;
     ``SizeLimit`` as soon as it holds more than ``max_size`` strings, the
     zero map alone included."""
-    n, join, down, zero = lat.n, lat.join, lat.down, lat.zero
-    pack, table, translate = codec
-    covers = principal_test_pairs(join)
+    n, down, zero = lat.n, lat.down, lat.zero
+    code, _, joins, table, translate = codec
+    covers = principal_test_pairs(lat.join)
     uppers, lowers = Counter(c for c, _ in covers), Counter(d for _, d in covers)
     meet_irr = [a for a in range(n) if uppers[a] == 1]
     join_irr = [b for b in range(n) if lowers[b] == 1]
-    keep = [pack(range(n * x, n * x + n)) for x in range(n)]
-    moved = {b: [pack([join[v][b] + n * x for v in range(n)]) for x in range(n)]
-             for b in join_irr}
-    span = {pack([zero + n * x for x in range(n)])}
+    span = {code(bytes([zero]) * n)}
 
     def check():
         if max_size is not None and len(span) > max_size:
@@ -328,8 +316,8 @@ def _dense_span(lat, codec, max_size):
 
     check()  # before any step: a lattice without generators folds none
     for a, b in product(meet_irr, join_irr):
-        below, rows = down[a], moved[b]
-        step = table(b"".join([keep[x] if below >> x & 1 else rows[x] for x in range(n)]))
+        below = down[a]
+        step = table(b"".join([joins[x][zero if below >> x & 1 else b] for x in range(n)]))
         span.update(list(translate(span, step)))
         check()
     return span
@@ -357,15 +345,13 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     map at a time to every sum found so far.  ``SizeLimit`` is raised as
     soon as the span holds more than ``max_size`` maps.
 
-    The encoding.  Each map f on the n elements is held as the string of
-    the codes f(x) + n·x for x = 0 .. n − 1 (see ``_codec``).  Code v + n·x
-    names the cell (x, v) and f(x) is its code mod n, so equal strings are
-    equal maps, and strings compare as the image tuples do.  Adding e_{a,b}
-    sends cell (x, v) to (x, join(v, b)) when x is not below a and fixes
-    it otherwise.  That is a substitution of codes, so f + e_{a,b} is
-    ``f.translate(T_ab)`` for its table T_ab, and each step of the fold is
-    one ``translate`` per sum (per sum and chunk above 16 elements), all
-    in C.
+    The step.  Each sum is held as its code string (``_codec``).  Adding
+    e_{a,b} sends cell (x, v) to (x, join(b, v)) when x is not below a and
+    to (x, join(zero, v)) = (x, v) otherwise.  That is a substitution of
+    codes, whose table has the block ``joins[x][b]`` or ``joins[x][zero]``
+    at x: the table ``to_semiring`` builds to add e_{a,b}.  So each step of
+    the fold is one ``translate`` per sum (per sum and chunk above 16
+    elements), all in C.
 
     The generators.  Only the e_{a,b} with a meet-irreducible (one upper
     cover) and b join-irreducible (one lower cover) are folded, taken from
@@ -381,15 +367,12 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
     e_{a_i,b_i}, then every a_i >= a and a is their meet, and the one
     upper cover a* of a lies below every a_i ≠ a, so b, the image of a*,
     is the join of the b_i with a_i = a; hence some (a_i, b_i) = (a, b).
-    The step table of e_{a,b} joins n rows, one per position x: the
-    identity row when x is below a, else the row (x, v) -> (x, join(v, b)),
-    each built once per lattice.
 
-    The packed result.  The table sending each code v + n·x to v turns the
-    string of a sum into its image bytes, one ``translate`` per sum (and
-    chunk); sorted and joined, these are the ``packed`` form of the
-    ``EndoSubsemiring``, so no image tuple is built.  Byte strings of one
-    length sort as the image tuples do.
+    The packed result.  The table sending the code of each cell (x, v) to v
+    turns the string of a sum into its image bytes, one ``translate`` per
+    sum (and chunk); sorted and joined, these are the ``packed`` form of
+    the ``EndoSubsemiring``, so no image tuple is built.  Byte strings of
+    one length sort as the image tuples do.
     """
     return EndoSubsemiring._masked(lat, b"".join(sorted(_dense_rows(lat, max_size))))
 
@@ -397,8 +380,8 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
 def _dense_rows(lat, max_size):
     """The image rows of the sums of elementary maps, as ``bytes``
     strings in no set order: one ``translate`` of each code string of
-    ``_dense_span`` by the table sending each code v + n·x to v."""
-    codec = _, table, translate = _codec(lat.n)
+    ``_dense_span`` by the table sending the code of each cell (x, v) to v."""
+    codec = *_, table, translate = _codec(lat)
     return translate(_dense_span(lat, codec, max_size), table(bytes(range(lat.n)) * lat.n))
 
 
@@ -413,7 +396,7 @@ def dense_order(lat, max_size=END_SIZE_LIMIT):
     check are the same, so ``SizeLimit`` is raised exactly when
     ``dense_closure`` with the same ``max_size`` raises it.
     """
-    return len(_dense_span(lat, _codec(lat.n), max_size))
+    return len(_dense_span(lat, _codec(lat), max_size))
 
 
 def enumerate_sr(lat, max_end=SR_BASE_LIMIT):

@@ -481,10 +481,10 @@ def _masked_extensions(join, n):
     m_bit, top_bit = 1 << k, 1 << top
     down = down_masks(join[:k])
     above = [sum(1 << y for y in range(k) if down[y] >> x & 1) | top_bit for x in range(k)]
-    coatoms = [(1 << c, bin(down[c]).count("1")) for c in range(k)
+    coatoms = [(1 << c, down[c].bit_count()) for c in range(k)
                if not any(down[y] >> c & 1 for y in range(k) if y != c)]
     for d in range(1, 1 << k, 2):
-        size = bin(d).count("1") + 1  # m and its strict down-set d
+        size = d.bit_count() + 1  # m and its strict down-set d
         if any(size < below for bit, below in coatoms if not d & bit):
             continue
         inside = [x for x in range(k) if d >> x & 1]

@@ -1,9 +1,10 @@
 """Helpers the tests share that no command, exported name or benchmark
-workload of the package calls: products and restrictions of semirings,
-their centers, a check of a given isomorphism, the pointwise join of two
-maps, the natural module of a subsemiring of End(M), the canonical
-join table of one lattice, distributivity by its definition, and the
-least subsemiring holding given elements."""
+workload of the package calls: three two-element semirings, products and
+restrictions of semirings, their centers, a check of a given isomorphism,
+the pointwise join of two maps, the natural module of a subsemiring of
+End(M), the canonical join table of one lattice, distributivity by its
+definition, the least subsemiring holding given elements, and every
+semiring with zero of a small order."""
 
 import itertools
 
@@ -12,7 +13,22 @@ from semirings.endo import elementary, identity_map, zero_map
 from semirings.errors import ValidationError
 from semirings.lattice import _least_relabelling
 from semirings.semimodule import Semimodule
-from semirings.semiring import FiniteSemiring, opposite
+from semirings.semiring import FiniteSemiring, opposite, validate_semiring
+
+
+def boolean_semiring():
+    """Two elements, 1 + 1 = 1 and 1 * 1 = 1 (the max/and semiring)."""
+    return validate_semiring([[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, name="boolean")
+
+
+def two_element_trivial_mul():
+    """Two elements with idempotent addition and all products zero."""
+    return validate_semiring([[0, 1], [1, 1]], [[0, 0], [0, 0]], 0, name="two_trivial")
+
+
+def field_f2():
+    """The two-element field viewed as a semiring (addition is xor)."""
+    return validate_semiring([[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, name="f2")
 
 
 def close_subset(r, seed):
@@ -111,3 +127,44 @@ def reference_is_distributive(lat):
                 if mt[x][join[y][z]] != join[mt[x][y]][mt[x][z]]:
                     return False
     return True
+
+
+def commutative_monoids(n):
+    """The commutative monoids on ``range(n)`` with identity 0, one per
+    class of relabellings that fix 0: the least addition table of each
+    class, as a tuple of rows, in ascending order."""
+    others = range(1, n)
+    cells = list(itertools.combinations_with_replacement(others, 2))
+    orders = [(0, *p) for p in itertools.permutations(others)]  # old label at each new one
+    found = set()
+    for values in itertools.product(range(n), repeat=len(cells)):
+        add = [list(range(n))] + [[x] + [0] * (n - 1) for x in others]
+        for (x, y), v in zip(cells, values):
+            add[x][y] = add[y][x] = v
+        if all(add[add[x][y]][z] == add[x][add[y][z]]
+               for x, y, z in itertools.product(others, repeat=3)):
+            found.add(min(relabel(add, q, q, sorted(range(n), key=q.__getitem__))
+                          for q in orders))
+    return sorted(found)
+
+
+def semirings_with_zero(n):
+    """Every semiring with zero 0 on ``range(n)`` whose addition is one of
+    ``commutative_monoids(n)``.
+
+    A multiplication is a map φ from S to the additive endomorphisms, x·y
+    = φ(x)(y): left distributivity and x·0 = 0 say that each φ(x) is an
+    additive endomorphism, right distributivity that φ is additive, 0·x =
+    0 that φ(0) is the zero map, and associativity, φ(x·y)(z) =
+    φ(x)(φ(y)(z)), that φ(φ(x)(y)) = φ(x)∘φ(y)."""
+    others = range(1, n)
+    pairs = list(itertools.product(others, repeat=2))
+    for add in commutative_monoids(n):
+        ends = [e for e in itertools.product(range(n), repeat=n)
+                if e[0] == 0 and all(e[add[x][y]] == add[e[x]][e[y]] for x, y in pairs)]
+        for images in itertools.product(ends, repeat=n - 1):
+            phi = ((0,) * n, *images)
+            if all(phi[add[x][y]] == tuple(add[a][b] for a, b in zip(phi[x], phi[y]))
+                   for x, y in pairs) and all(
+                    phi[phi[x][y]] == tuple(phi[x][v] for v in phi[y]) for x, y in pairs):
+                yield FiniteSemiring(add, phi)

@@ -18,11 +18,7 @@ from semirings.endo import (
     is_dense,
     zero_map,
 )
-from semirings.fixtures import (
-    FIXTURE_NAMES,
-    boolean_semiring,
-    two_element_trivial_mul,
-)
+from semirings.fixtures import FIXTURE_NAMES
 from semirings.lattice import (
     condition_d,
     enumerate_lattices,
@@ -46,9 +42,17 @@ from semirings.semiring import (
     semiring_anti_iso,
     semiring_iso,
     structure_flags,
+    validate_semiring,
 )
 
-from reference import center, check_iso
+from reference import (
+    boolean_semiring,
+    center,
+    check_iso,
+    commutative_monoids,
+    semirings_with_zero,
+    two_element_trivial_mul,
+)
 
 EXPECTED_SR_ORDERS = {
     "l2": [2],
@@ -125,6 +129,24 @@ def test_criterion_04_simple_iff_iso_to_dense(end_subsemirings):
                 assert semiring_iso(r, sub.to_semiring()) is not None, (name, i)
                 assert lat == sub.lattice == recover_monoid(r), (name, i)
     assert positive == 10
+
+
+@pytest.mark.parametrize("n, counts", [(2, (2, 4, 4, 2)), (3, (5, 23, 3, 3)),
+                                       (4, (19, 335, 3, 3))])
+def test_simple_iff_dense_over_every_semiring_with_zero_up_to_order_4(n, counts):
+    # (additions, semirings over them, simple ones, simple rings), from a
+    # search that no lattice seeds; the additions are the commutative
+    # monoids of OEIS A058131 (1, 2, 5, 19, 78, ...)
+    rings = list(semirings_with_zero(n))
+    for r in rings:
+        validate_semiring(r.add, r.mul, 0)  # ValidationError if the search is wrong
+    simple = [r for r in rings if is_congruence_simple(r)]
+    assert (len(commutative_monoids(n)), len(rings), len(simple),
+            sum(structure_flags(r).is_ring for r in simple)) == counts
+    if n > 2:
+        for r in rings:
+            if not structure_flags(r).is_ring:
+                assert is_congruence_simple(r) == (iso_to_dense_subsemiring(r) is not None)
 
 
 @pytest.mark.criterion(5, "descent reaches a faithful dense irreducible module "

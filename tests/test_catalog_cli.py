@@ -36,6 +36,8 @@ from semirings.semimodule import (
 )
 from semirings.semiring import is_congruence_simple, recover_monoid, serialize_sr, structure_flags
 
+from reference import boolean_semiring
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -72,8 +74,6 @@ def test_check_lattice_file(tmp_path):
 
 
 def test_check_semiring_file(tmp_path):
-    from semirings.fixtures import boolean_semiring
-
     path = tmp_path / "r2b.sr"
     path.write_text(serialize_sr(boolean_semiring()))
     code, text = run_cli("check", str(path))

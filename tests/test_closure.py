@@ -94,13 +94,7 @@ from semirings.endo import (
     zero_map,
 )
 from semirings.errors import SizeLimit, ValidationError
-from semirings.fixtures import (
-    FIXTURE_NAMES,
-    boolean_semiring,
-    field_f2,
-    load_fixture,
-    two_element_trivial_mul,
-)
+from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import (
     FiniteLattice,
     LatticeIso,
@@ -133,7 +127,16 @@ from semirings.semiring import (
     validate_semiring,
 )
 
-from reference import check_iso, close_subset, pointwise_join, product_semiring, restrict
+from reference import (
+    boolean_semiring,
+    check_iso,
+    close_subset,
+    field_f2,
+    pointwise_join,
+    product_semiring,
+    restrict,
+    two_element_trivial_mul,
+)
 
 
 def reference_close(seed, binary, unary=()):

@@ -16,10 +16,11 @@ import semirings
 from semirings.cli import reference_resolver
 from semirings.endo import parse_srs
 from semirings.errors import ParseError, PreconditionFailed, ValidationError
-from semirings.fixtures import boolean_semiring
 from semirings.lattice import parse_lat, validate_lattice
 from semirings.semimodule import parse_smod, validate_semimodule
 from semirings.semiring import parse_sr, validate_semiring
+
+from reference import boolean_semiring
 
 BOOLEAN = boolean_semiring()
 MADD = ((0, 1), (1, 1))

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from semirings.cli import reference_resolver
 from semirings.endo import enumerate_sr, parse_srs, serialize_srs
 from semirings.errors import ParseError, ValidationError
-from semirings.fixtures import boolean_semiring, load_fixture
+from semirings.fixtures import load_fixture
 from semirings.lattice import parse_lat, serialize_lat
 from semirings.semimodule import parse_smod, regular_module, serialize_smod
 from semirings.semiring import parse_sr, serialize_sr
+
+from reference import boolean_semiring
 
 CHAIN3 = load_fixture("chain3")
 BOOLEAN = boolean_semiring()

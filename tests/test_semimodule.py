@@ -13,7 +13,7 @@ from semirings.endo import (
     zero_map,
 )
 from semirings.errors import ParseError, PreconditionFailed, SizeLimit, ValidationError
-from semirings.fixtures import boolean_semiring, field_f2, load_fixture, two_element_trivial_mul
+from semirings.fixtures import load_fixture
 from semirings.lattice import enumerate_lattices, lattice_iso
 from semirings.semimodule import (
     acts_nonzero,
@@ -43,7 +43,13 @@ from semirings.semimodule import (
 )
 from semirings.semiring import recover_monoid, validate_semiring
 
-from reference import natural_module, product_semiring
+from reference import (
+    boolean_semiring,
+    field_f2,
+    natural_module,
+    product_semiring,
+    two_element_trivial_mul,
+)
 
 
 @pytest.fixture(scope="module")

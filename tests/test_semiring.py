@@ -4,12 +4,7 @@ import pytest
 
 from semirings.endo import end_semiring
 from semirings.errors import ValidationError
-from semirings.fixtures import (
-    boolean_semiring,
-    field_f2,
-    load_fixture,
-    two_element_trivial_mul,
-)
+from semirings.fixtures import load_fixture
 from semirings.lattice import FiniteLattice, enumerate_lattices, lattice_iso
 from semirings.semimodule import Semimodule, regular_module
 from semirings.semiring import (
@@ -31,7 +26,16 @@ from semirings.semiring import (
     validate_semiring,
 )
 
-from reference import center, check_iso, close_subset, product_semiring, restrict
+from reference import (
+    boolean_semiring,
+    center,
+    check_iso,
+    close_subset,
+    field_f2,
+    product_semiring,
+    restrict,
+    two_element_trivial_mul,
+)
 
 
 def test_validate_order_two_semirings():

@@ -21,9 +21,6 @@ UNCALLED = {
     "serialize_sr": "writes a .sr file; round trips and CI use it",
     "serialize_srs": "writes a .srs file; round trips and CI use it",
     "serialize_smod": "writes a .smod file; round trips and CI use it",
-    "boolean_semiring": "a reference semiring of the fixtures",
-    "two_element_trivial_mul": "a reference semiring of the fixtures",
-    "field_f2": "a reference semiring of the fixtures",
 }
 
 

@@ -17,13 +17,7 @@ import pytest
 
 from semirings.endo import end_semiring
 from semirings.errors import ParseError, ValidationError, check_table
-from semirings.fixtures import (
-    FIXTURE_NAMES,
-    boolean_semiring,
-    field_f2,
-    load_fixture,
-    two_element_trivial_mul,
-)
+from semirings.fixtures import FIXTURE_NAMES, load_fixture
 from semirings.lattice import FiniteLattice, dual, enumerate_lattices, hom_to_l2, validate_lattice
 from semirings.semimodule import (
     Semimodule,
@@ -40,7 +34,13 @@ from semirings.semiring import (
     validate_semiring,
 )
 
-from reference import natural_module, product_semiring
+from reference import (
+    boolean_semiring,
+    field_f2,
+    natural_module,
+    product_semiring,
+    two_element_trivial_mul,
+)
 
 # ---------------------------------------------------------------------------
 # the former validators
