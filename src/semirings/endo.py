@@ -10,10 +10,11 @@ image tuples are decoded only when read.
 The least dense subsemiring is the set of sums (pointwise joins) of
 elementary maps (zero below a, constant b elsewhere), built with joins
 alone.  It and the Cayley tables share one encoding of maps (``_codec``):
-a map f on n elements is the ``bytes`` string of the codes f(x) + s_x of
-its cells (x, f(x)), with s_x = n·(x mod ⌊256/n⌋), so adding an elementary
-map to every sum, and each entry of a Cayley table, a join or a composite
-of two members, is one ``translate`` call (per chunk above 16 elements).
+on n elements the cell (x, v) has the code v + s_x, s_x = n·(x mod
+⌊256/n⌋), and a map f is the ``bytes`` string of the codes of its cells
+(x, f(x)), so adding an elementary map to every sum, and each entry of a
+Cayley table, a join or a composite of two members, is one ``translate``
+call (per chunk above 16 elements).
 ``dense_closure`` decodes and sorts the sums into a subsemiring;
 ``dense_order`` only counts them, which is all ``min-order`` reads.  The
 Cayley tables of a subsemiring and its closedness test are built from the

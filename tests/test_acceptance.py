@@ -137,14 +137,14 @@ def test_simple_iff_dense_over_every_semiring_with_zero_up_to_order_4(n, counts)
     # (additions, semirings over them, simple ones, simple rings), from a
     # search that no lattice seeds; the additions are the commutative
     # monoids of OEIS A058131 (1, 2, 5, 19, 78, ...)
-    rings = list(semirings_with_zero(n))
-    for r in rings:
+    found = list(semirings_with_zero(n))
+    for r in found:
         validate_semiring(r.add, r.mul, 0)  # ValidationError if the search is wrong
-    simple = [r for r in rings if is_congruence_simple(r)]
-    assert (len(commutative_monoids(n)), len(rings), len(simple),
+    simple = [r for r in found if is_congruence_simple(r)]
+    assert (len(commutative_monoids(n)), len(found), len(simple),
             sum(structure_flags(r).is_ring for r in simple)) == counts
     if n > 2:
-        for r in rings:
+        for r in found:
             if not structure_flags(r).is_ring:
                 assert is_congruence_simple(r) == (iso_to_dense_subsemiring(r) is not None)
 
