@@ -16,7 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .endo import SR_BASE_LIMIT, conjugate, enumerate_sr, identity_map, transpose
+from .closure import mask_of
+from .endo import SR_BASE_LIMIT, enumerate_sr, transpose
 from .errors import CatalogCorrupt, CatalogMissing, ParseError, StaleVersion, read_text
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .lattice import FiniteLattice, dual, enumerate_lattices, lattice_iso
@@ -92,36 +93,68 @@ def member_reports(lat, families):
       ``semimodule.iso_to_dense_subsemiring``), onto S·z; ψ is read off
       φ(e_{0,m}) = e_{0,ψ(m)}, and φ(r)∘e_{0,ψ(m)} = φ(r∘e_{0,m}) =
       e_{0,ψ(r(m))} gives φ(r) = ψ∘r∘ψ⁻¹.  So two members are isomorphic
-      iff one orbit of Aut(M), acting by conjugation, holds both: the
-      orbit is the class key, and classes are numbered by first member.
+      iff one orbit of Aut(M), acting by conjugation, holds both.
     - Aut(M) consists of the bijective members of End(M): if f is a
       bijective join homomorphism and f(x) <= f(y), then f(x ∨ y) = f(y),
       so x ∨ y = y.
+    - The class key.  Conjugation by σ in Aut(M) is an automorphism of
+      End(M), so it permutes End(M)'s rows; each σ is one list, the index
+      of σ∘f∘σ⁻¹ for each row f, and a member S, as the indices of its
+      rows, goes to σ(S) by reading that list.  The σ-images of S are
+      exactly S's orbit, so their least mask is a member of the orbit and
+      determines it: the key of S.  Classes are numbered by first member,
+      so the numbers depend on the partition into orbits alone, not on the
+      key that tells the orbits apart.
     - Anti-isomorphy.  ``endo.transpose`` is an anti-isomorphism
       End(M) -> End(M^d) with e_{a,b}^T = e^d_{b,a}, so S^op is isomorphic
       to S^T, a dense subsemiring of End(M^d).  By the isomorphy lemma,
       S ≅ S^T needs an isomorphism τ: M^d -> M, and then holds iff
-      τ∘S^T∘τ⁻¹ lies in the orbit of S; any τ serves, the others being
-      α∘τ with α in Aut(M).
+      t(S) = τ∘S^T∘τ⁻¹ lies in the orbit of S, that is, has the key of S;
+      any τ serves, the others being α∘τ with α in Aut(M).  t is one more
+      list of indices, the index of τ∘f^T∘τ⁻¹ for each row f.
     - A one e of S satisfies e∘e_{0,b} = e_{0,b}, which at the top reads
       e(b) = b, so S has a one iff the identity is a member (on one
       element the identity is the zero map, the one of the zero ring).
+
+    A member is the list of its rows' indices in End(M), read off its
+    ``member_bytes`` by End(M)'s row dict, so no image tuple is decoded
+    and sets built from tuples serve too; the lists of σ and of t are built
+    once per lattice, by :func:`_conjugations`.
     """
-    end = families[0].members  # End(M) is dense: the top of the family
-    autos = [f for f in end if len(set(f)) == lat.n]
-    flip = lattice_iso(dual(lat), lat)
-    transposed = {f: transpose(lat, f) for f in end}
-    ident = identity_map(lat)
+    at, perms, t = _conjugations(lat, families[0].member_bytes())  # End(M) first
+    ident = at(bytes(range(lat.n)))
     classes = {}
-    reports = []
-    for s in families:
-        orbit = frozenset(conjugate(a, s.members) for a in autos)
-        self_anti = flip is not None and conjugate(
-            flip.mapping, map(transposed.__getitem__, s.members)) in orbit
-        reports.append(MemberReport(order=s.size, has_one=ident in s.members,
-                                    self_anti_iso=self_anti,
-                                    iso_class=classes.setdefault(orbit, len(classes))))
-    return tuple(reports)
+
+    def key(index):
+        return min(mask_of(map(p.__getitem__, index)) for p in perms)
+
+    def report(s):
+        index = list(map(at, s.member_bytes()))
+        k = key(index)
+        return MemberReport(order=s.size, has_one=ident in index,
+                            self_anti_iso=t is not None and key([t[i] for i in index]) == k,
+                            iso_class=classes.setdefault(k, len(classes)))
+
+    return tuple(map(report, families))
+
+
+def _conjugations(lat, end):
+    """(at, perms, t) for End(M)'s rows ``end``, M the lattice ``lat``:
+    ``at`` gives the index of a row; ``perms`` holds one list per σ in
+    Aut(M), the bijective rows in order, of the index of σ∘f∘σ⁻¹ for each
+    row f; ``t`` is the list of the index of τ∘f^T∘τ⁻¹ for each row f, τ
+    an isomorphism M^d -> M, or None when there is none."""
+    at = {f: i for i, f in enumerate(end)}.__getitem__
+
+    def conjugation(s, maps):
+        """The index of s∘f∘s⁻¹ for each f of ``maps``, s a bijection: it
+        sends s(x) to s(f(x)), so its row is read off the pairs (s(x), f(x))
+        in ascending order."""
+        return [at(bytes([s[v] for _, v in sorted(zip(s, f))])) for f in maps]
+
+    flip = lattice_iso(dual(lat), lat)
+    t = None if flip is None else conjugation(flip.mapping, [transpose(lat, f) for f in end])
+    return at, [conjugation(s, end) for s in end if len(set(s)) == lat.n], t
 
 
 def worker_count(jobs, tasks):
@@ -194,10 +227,8 @@ def fixture_reports(jobs=1):
 
 
 def render_report_table(reports):
-    lines = []
     header = f"{'lattice':10s} {'n':>2s} {'|End|':>5s}  family orders and flags"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for r in reports:
         cells = []
         for m in r.members:

@@ -111,7 +111,9 @@ class EndoSubsemiring:
     themselves when every bit is set and is cut out of them on first use
     otherwise.  ``==`` (same lattice, same members) compares ``packed``
     forms; ``member_bytes`` cuts the member rows out; ``members``, the
-    frozenset of image tuples, is decoded on first use and kept.
+    frozenset of image tuples, is decoded on first use and kept, and is
+    read only by the tests and the benchmark: the package itself reads
+    ``member_bytes`` or the mask.
     """
 
     def __init__(self, lattice, members):
@@ -476,13 +478,6 @@ def transpose(lat, f):
                 acc = join[acc][x]
         out.append(acc)
     return tuple(out)
-
-
-def conjugate(s, maps):
-    """The frozenset of the maps s∘f∘s⁻¹ for f in ``maps``, for a bijection
-    ``s`` given by its image tuple."""
-    inverse = sorted(range(len(s)), key=s.__getitem__)
-    return frozenset(tuple([s[f[x]] for x in inverse]) for f in maps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@ workload of the package calls: three two-element semirings, products and
 restrictions of semirings, their centers, a check of a given isomorphism,
 the pointwise join of two maps, the natural module of a subsemiring of
 End(M), the canonical join table of one lattice, distributivity by its
-definition, the least subsemiring holding given elements, and every
-semiring with zero of a small order."""
+definition, the least subsemiring holding given elements, every semiring
+with zero of a small order, and the classing of dense members by their
+orbits of image-tuple sets."""
 
 import itertools
 
+from semirings.catalog import MemberReport
 from semirings.closure import close, down_masks, is_table_iso, members_of, relabel
-from semirings.endo import elementary, identity_map, zero_map
+from semirings.endo import elementary, identity_map, transpose, zero_map
 from semirings.errors import ValidationError
-from semirings.lattice import _least_relabelling
+from semirings.lattice import _least_relabelling, dual, lattice_iso
 from semirings.semimodule import Semimodule
 from semirings.semiring import FiniteSemiring, opposite, validate_semiring
 
@@ -168,3 +170,32 @@ def semirings_with_zero(n):
                    for x, y in pairs) and all(
                     phi[phi[x][y]] == tuple(phi[x][v] for v in phi[y]) for x, y in pairs):
                 yield FiniteSemiring(add, phi)
+
+
+def conjugate(s, maps):
+    """The frozenset of the maps s∘f∘s⁻¹ for f in ``maps``, for a bijection
+    ``s`` given by its image tuple."""
+    inverse = sorted(range(len(s)), key=s.__getitem__)
+    return frozenset(tuple([s[f[x]] for x in inverse]) for f in maps)
+
+
+def reference_orbit_reports(lat, families):
+    """The reports of ``catalog.member_reports`` in the representation it
+    replaced: each member a frozenset of image tuples, conjugated tuple by
+    tuple once per automorphism, its orbit (a frozenset of those sets) the
+    class key, and the conjugated transposes looked up in the orbit."""
+    end = families[0].members  # End(M) is dense: the top of the family
+    autos = [f for f in end if len(set(f)) == lat.n]
+    flip = lattice_iso(dual(lat), lat)
+    transposed = {f: transpose(lat, f) for f in end}
+    ident = identity_map(lat)
+    classes = {}
+    reports = []
+    for s in families:
+        orbit = frozenset(conjugate(a, s.members) for a in autos)
+        self_anti = flip is not None and conjugate(
+            flip.mapping, map(transposed.__getitem__, s.members)) in orbit
+        reports.append(MemberReport(order=s.size, has_one=ident in s.members,
+                                    self_anti_iso=self_anti,
+                                    iso_class=classes.setdefault(orbit, len(classes))))
+    return tuple(reports)

@@ -1,14 +1,19 @@
 """Iso classes, self-anti-isomorphy and ones of the dense families, read
 off the lattice by ``catalog.member_reports``, against the Cayley-table
-searches they replace, and the lemmas behind them."""
+searches and the orbit classing they replace, and the lemmas behind
+them."""
 
+import hashlib
+from itertools import product
 
 import pytest
 
-from semirings.catalog import MemberReport, family_report
+from semirings.catalog import MemberReport, _conjugations, family_report, member_reports
+from semirings.closure import mask_of, members_of
 from semirings.endo import (
     EndoSubsemiring,
-    conjugate,
+    dense_closure,
+    elementary,
     endomorphisms,
     enumerate_sr,
     identity_map,
@@ -20,7 +25,7 @@ from semirings.fixtures import FIXTURE_NAMES
 from semirings.lattice import dual, enumerate_lattices, lattice_iso
 from semirings.semiring import semiring_anti_iso, semiring_iso, structure_flags
 
-from reference import check_iso
+from reference import check_iso, conjugate, reference_orbit_reports
 
 SMALL = [lat for lat in enumerate_lattices(5) if lat.n >= 2]
 
@@ -64,14 +69,73 @@ def test_family_report_matches_the_search_reference(lat):
     assert report.members == reference_member_reports(descending_family(lat))
 
 
+@pytest.mark.parametrize("lat", SMALL + [pytest.param(lat, marks=pytest.mark.size6) for lat in SIX
+                                         if lat.name != "lat6_15"],
+                         ids=lambda lat: lat.name)
+def test_member_reports_match_the_orbit_classing(lat):
+    families = descending_family(lat)
+    assert member_reports(lat, families) == reference_orbit_reports(lat, families)
+
+
+def report_digest(reports):
+    """The SHA-256 of one line per member, in ``family_report`` order."""
+    text = "".join(f"{m.order} {int(m.has_one)} {int(m.self_anti_iso)} {m.iso_class}\n"
+                   for m in reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.size6
 def test_lat6_10_has_312_iso_classes():
     """Computed here (by conjugation, and once by the pairwise searches),
-    not taken from the paper: 601 dense subsemirings in 312 classes."""
+    not taken from the paper: 601 dense subsemirings in 312 classes, 50
+    with a one and 111 self-anti-isomorphic."""
     lat = next(lat for lat in SIX if lat.name == "lat6_10")
     reports = family_report(lat).members
     assert len(reports) == 601
     assert len({m.iso_class for m in reports}) == 312
+    assert sum(m.has_one for m in reports) == 50
+    assert sum(m.self_anti_iso for m in reports) == 111
+    assert report_digest(reports) == (
+        "04ddd714890823a902341db2dbf2d2e95223bb6065827929209de830f501e257")
+
+
+@pytest.mark.size6
+def test_lat6_14_reports_are_pinned():
+    """Computed here (by the orbit classing and by the permuted masks), not
+    taken from the paper: 6370 dense subsemirings in 3482 classes, 1521
+    with a one and 1024 self-anti-isomorphic."""
+    lat = next(lat for lat in SIX if lat.name == "lat6_14")
+    reports = family_report(lat).members
+    assert len(reports) == 6370
+    assert len({m.iso_class for m in reports}) == 3482
+    assert sum(m.has_one for m in reports) == 1521
+    assert sum(m.self_anti_iso for m in reports) == 1024
+    assert report_digest(reports) == (
+        "f8bcb956256b55a429583ec407c4799b33b0d7189bf6c342f84151c643741bfc")
+
+
+@pytest.mark.parametrize("lat", SMALL, ids=lambda lat: lat.name)
+def test_conjugations_permute_end_and_fix_the_least_dense_subsemiring(lat):
+    """σ∘e_{a,b}∘σ⁻¹ = e_{σ(a),σ(b)}, so each σ-permutation is a bijection
+    of End(M)'s indices that maps D's mask onto itself; τ∘e_{a,b}^T∘τ⁻¹ =
+    e_{τ(b),τ(a)}, so for self-dual M the list t is one too."""
+    endos = endomorphisms(lat)
+    rows = [bytes(f) for f in endos]
+    at, perms, t = _conjugations(lat, rows)
+    everything = list(range(len(rows)))
+    assert list(map(at, rows)) == everything
+    least = mask_of(map(at, dense_closure(lat).member_bytes()))
+    autos = [s for s in endos if len(set(s)) == lat.n]
+    assert len(perms) == len(autos)
+    for s, p in zip(autos, perms):
+        assert sorted(p) == everything
+        assert mask_of(p[i] for i in members_of(least)) == least
+        for a, b in product(range(lat.n), repeat=2):
+            assert p[at(bytes(elementary(lat, a, b)))] == at(bytes(elementary(lat, s[a], s[b])))
+    assert (t is None) == (lattice_iso(lat, dual(lat)) is None)
+    if t is not None:
+        assert sorted(t) == everything
+        assert mask_of(t[i] for i in members_of(least)) == least
 
 
 @pytest.mark.parametrize("lat", SMALL, ids=lambda lat: lat.name)
