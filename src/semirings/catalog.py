@@ -67,8 +67,9 @@ def family_report(lat, max_end=SR_BASE_LIMIT):
     """Compute the dense-subsemiring family of a lattice with all flags,
     read off the lattice by :func:`member_reports`.
 
-    Members are ordered by descending size; equal-size members keep the
-    deterministic enumeration order.
+    Members come in the reverse of :func:`enumerate_sr`'s order: by
+    descending size, and members of one size in descending order of their
+    sorted member lists.
 
     Every member is congruence-simple, so no member's Cayley table is
     built to check it (the walk builds End(M)'s table alone):

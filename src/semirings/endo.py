@@ -45,12 +45,11 @@ from struct import iter_unpack
 
 from .closure import close, closed_sets, ideal_sums, mask_of, members_of, principal_test_pairs
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
-from .lattice import homomorphism_rows, homomorphisms, is_distributive
+from .lattice import check_lattice_size, homomorphism_rows, homomorphisms, is_distributive
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
 SR_BASE_LIMIT = 512
-LATTICE_SIZE_LIMIT = 256  # a map holds one byte per value
 
 
 def is_endomorphism(lat, image):
@@ -101,9 +100,9 @@ class EndoSubsemiring:
     containing the zero map, built from any iterable of image tuples.
 
     It is held as ``rows``, lex-sorted image rows concatenated, one byte
-    per value (so a lattice of more than ``LATTICE_SIZE_LIMIT`` = 256
-    elements raises ``SizeLimit``), and ``mask``, an ``int`` whose bit k
-    is set iff the k-th row is a member.  One built
+    per value (so a lattice of more than ``lattice.LATTICE_SIZE_LIMIT`` =
+    256 elements raises ``SizeLimit``), and ``mask``, an ``int`` whose
+    bit k is set iff the k-th row is a member.  One built
     from a member set, by ``dense_closure`` or by ``parse_srs`` holds its
     own rows with every bit set; the members of a dense family share the
     rows of End(M) (``enumerate_sr``).  ``size`` counts the bits.
@@ -117,7 +116,7 @@ class EndoSubsemiring:
     """
 
     def __init__(self, lattice, members):
-        _check_lattice_size(lattice.n)
+        check_lattice_size(lattice.n)
         self._hold(lattice, b"".join(map(bytes, sorted(frozenset(members)))))
 
     @classmethod
@@ -222,29 +221,20 @@ def is_dense(sub):
 
 def end_semiring(lat):
     """(End(M) as a FiniteSemiring, lex-sorted member tuples); ``SizeLimit``
-    past ``END_SIZE_LIMIT`` members, or before any walk when a value of a
-    map does not fit in one byte.  The walk's string
+    past ``END_SIZE_LIMIT`` members, or from the walk before it starts when
+    a value of a map does not fit in one byte.  The walk's string
     (``lattice.homomorphism_rows``) is End(M)'s rows as they are, with
     every bit set, and the tables are built from them; only the returned
     member tuples are decoded."""
-    _check_lattice_size(lat.n)
     end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, END_SIZE_LIMIT))
     name = None if lat.name is None else f"End({lat.name})"
     return end.to_semiring(name=name), tuple(end.sorted_members())
 
 
-def _check_lattice_size(n):
-    """Raise ``SizeLimit`` when a value of a map on n elements does not
-    fit in one byte."""
-    if n > LATTICE_SIZE_LIMIT:
-        raise SizeLimit(f"lattice has {n} elements, above the {LATTICE_SIZE_LIMIT} "
-                        "that one byte per value allows")
-
-
 def _codec(lat):
     """(code, shifts, joins, table, translate): the one encoding of the
     maps on the lattice ``lat`` of n elements, n at most
-    ``LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
+    ``lattice.LATTICE_SIZE_LIMIT`` (else ``SizeLimit``).
 
     A map f is the ``bytes`` string whose byte x is f(x) + s_x, the code of
     the cell (x, f(x)), with s_x = n·(x mod w) and w = ⌊256/n⌋.  Every code
@@ -270,7 +260,7 @@ def _codec(lat):
       joined back with the others.
     """
     n = lat.n
-    _check_lattice_size(n)
+    check_lattice_size(n)
     width = 256 // n
     offsets = [n * (x % width) for x in range(n)]  # s_x
     shift = {s: bytes(range(s, s + n)) + bytes(256 - n) for s in set(offsets)}
@@ -428,8 +418,8 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     (size, sorted members): the order is the one the walk over maps gave.
     End(M)'s rows are the string of ``lattice.homomorphism_rows``, taken as
     they come with every bit set, so no map is decoded or re-encoded
-    between the walk and the table; the lattice size is checked before the
-    walk, since a row holds one byte per value.  Each member is End(M)'s
+    between the walk and the table; the walk checks the lattice size before
+    it starts, since a row holds one byte per value.  Each member is End(M)'s
     rows and the walk's mask of its indices, as it comes, so the family
     shares one copy of the rows and nothing is sliced out until ``packed``
     or ``members`` is read.
@@ -451,7 +441,6 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     is one point: End(M)'s rows with every bit set are returned alone, and
     neither D nor a table is built.
     """
-    _check_lattice_size(lat.n)  # before the walk: its rows hold one byte per value
     end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, max_end))
     if is_distributive(lat):
         return [end]
@@ -488,9 +477,9 @@ def parse_srs(text, lattice_of):
     """The subsemiring a ``.srs`` text lists, its lattice ``lattice_of(name)``
     for the name on its first line; ``ParseError`` for a malformed line,
     a repeated member or a member that is not an endomorphism of that
-    lattice.  Members wider than ``LATTICE_SIZE_LIMIT`` raise ``SizeLimit``
-    before ``lattice_of`` is called, so no such lattice is read or
-    validated.  Closure is left to ``to_semiring``."""
+    lattice.  Members wider than ``lattice.LATTICE_SIZE_LIMIT`` raise
+    ``SizeLimit`` before ``lattice_of`` is called, so no such lattice is
+    read or validated.  Closure is left to ``to_semiring``."""
     reader = LineReader(text)
     lattice_name = reader.field("lattice", "name")
     members = {}  # each member and the line it is listed on
@@ -504,7 +493,7 @@ def parse_srs(text, lattice_of):
         width = len(member)
     if not members:
         raise ParseError("no members listed", len(reader.lines))
-    _check_lattice_size(width)  # before the lattice is read and validated
+    check_lattice_size(width)  # before the lattice is read and validated
     lat = lattice_of(lattice_name)
     for m in members:
         if not is_endomorphism(lat, m):

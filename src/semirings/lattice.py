@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import absorbing, down_masks, identity, is_table_iso, table_iso
+from .closure import absorbing, down_masks, identity, is_table_iso, principal_test_pairs, table_iso
 from .errors import (
     LimitExceeded,
     LineReader,
@@ -32,6 +32,7 @@ from .errors import (
 )
 
 ENUM_HARD_LIMIT = 7
+LATTICE_SIZE_LIMIT = 256  # a map holds one byte per value
 _FRONTIER = 1 << 12  # partial maps that one extended chunk of the homomorphism walk holds
 
 
@@ -146,30 +147,37 @@ def dual(lat):
     return FiniteLattice(lat.meet_table, name=name)
 
 
+def check_lattice_size(n):
+    """Raise ``SizeLimit`` when a value of a map into n elements does not
+    fit in one byte: the one bound of the packed rows of
+    ``homomorphism_rows`` and of every map of ``endo``."""
+    if n > LATTICE_SIZE_LIMIT:
+        raise SizeLimit(f"lattice has {n} elements, above the {LATTICE_SIZE_LIMIT} "
+                        "that one byte per value allows")
+
+
 def homomorphisms(src, dst, max_count=None):
     """All zero- and join-preserving maps from the lattice ``src`` to the
-    lattice ``dst``, lex-sorted image tuples; ``SizeLimit`` past ``max_count``.
-    They are the rows of ``homomorphism_rows``, decoded by one
-    ``iter_unpack`` (kept as they are when ``dst`` has more than 256
-    elements)."""
-    rows = homomorphism_rows(src, dst, max_count)
-    return list(iter_unpack(f"{src.n}B", rows)) if dst.n <= 256 else rows
+    lattice ``dst``, lex-sorted image tuples; ``SizeLimit`` past
+    ``max_count``, or before any walk when ``dst`` has more than
+    ``LATTICE_SIZE_LIMIT`` elements.  They are the rows of
+    ``homomorphism_rows``, decoded by one ``iter_unpack``."""
+    return list(iter_unpack(f"{src.n}B", homomorphism_rows(src, dst, max_count)))
 
 
 def homomorphism_rows(src, dst, max_count=None):
     """The maps of ``homomorphisms`` as one ``bytes`` string: their
     lex-sorted image rows joined, one byte per value, so |src| bytes a map.
-    When ``dst`` has more than 256 elements a value does not fit in a byte,
-    and the list of lex-sorted image tuples is returned instead.
-    ``SizeLimit`` past ``max_count``.
+    ``SizeLimit`` past ``max_count``, and before any partial map is built
+    when ``dst`` has more than ``LATTICE_SIZE_LIMIT`` elements, since a
+    value would not fit in a byte (``check_lattice_size``).
 
     Walks ``src`` in a linear extension of its order from its zero, sent to
     the zero, one level (element) at a time.  A partial map is the
-    ``bytes`` string of its values in linear-extension positions (a tuple
-    when ``dst`` has more than 256 elements), and a level extends every
-    partial map of a chunk in one list comprehension.  At a join z = x + y
-    of two elements other than z the value is forced to f(x) + f(y) in
-    ``dst``, which must agree over all such pairs; so only
+    ``bytes`` string of its values in linear-extension positions, and a
+    level extends every partial map of a chunk in one list comprehension.
+    At a join z = x + y of two elements other than z the value is forced to
+    f(x) + f(y) in ``dst``, which must agree over all such pairs; so only
     join-irreducibles branch.
 
     Monotone.  The forced value lies above the values below z without a
@@ -206,13 +214,13 @@ def homomorphism_rows(src, dst, max_count=None):
     found is a homomorphism, so it is raised exactly when there are more
     than ``max_count`` of them.
     """
+    check_lattice_size(dst.n)
     n, m, sjoin, djoin, down = src.n, dst.n, src.join, dst.join, src.down
     order = sorted(range(n), key=lambda x: (down[x].bit_count(), x))
     pos = [0] * n
     for k, x in enumerate(order):
         pos[x] = k
-    row = bytes if m <= 256 else tuple
-    value = [row((v,)) for v in range(m)]
+    value = [bytes((v,)) for v in range(m)]
     ups = [[value[u] for u in range(m) if djoin[v][u] == u] for v in range(m)]
     # per level, in positions: a join-irreducible's lower cover, or a join's pairs
     covers, pairs = [None] * n, [None] * n
@@ -255,8 +263,8 @@ def homomorphism_rows(src, dst, max_count=None):
             stack.append((k + 1, out, 0))
     if order != list(range(n)):
         pick = itemgetter(*pos)
-        found = sorted(row(pick(p)) for p in found)
-    return b"".join(found) if row is bytes else found
+        found = sorted(bytes(pick(p)) for p in found)
+    return b"".join(found)
 
 
 def hom_to_l2(lat):
@@ -313,49 +321,68 @@ def is_distributive(lat):
     return True
 
 
-def lower_meet(lat, a):
-    """Meet of every element not below a (top when that set is empty)."""
+def _reconstruction_sets(lat):
+    """For each z, the frozenset of the b(a) = ⋀{x : x ≰ a} over the
+    meet-irreducible a (one upper cover, read off the covering pairs of
+    ``closure.principal_test_pairs``) with z ≰ a.  The one table behind
+    ``condition_d`` and ``embed_ring_of_sets``.
+
+    Lemma 1 (the meet-irreducible a suffice).  The join of the set of z is
+    the join of b(a) over every a with z ≰ a.  Take such an a and a′
+    maximal among the x ≥ a with z ≰ x: a′ is not the top, which lies
+    above z, and if a′ were the meet of two elements strictly above it, z
+    would lie below both by maximality, so below a′; hence a′ is
+    meet-irreducible.  And b is monotone: a ≤ a′ gives {x : x ≰ a′} ⊆
+    {x : x ≰ a}, a meet over fewer elements, so b(a) ≤ b(a′).  Every term
+    of the full join thus lies below a term of the set, whose terms are
+    among the full join's.
+
+    Lemma 2 (Birkhoff's sets).  On a distributive lattice the set of z is
+    the set J(z) of the join-irreducibles below z.  A meet-irreducible a
+    is meet-prime there (the dual of the join-prime lemma at
+    ``is_distributive``), so {x : x ≰ a} is closed under meets: it is the
+    filter above its meet b(a), and z ≰ a iff b(a) ≤ z.  b(a) is
+    join-irreducible: it is not the zero, which lies below a, and if it
+    were the join of two elements strictly below it, both would lie below
+    a, and so would b(a).  Every join-irreducible j is some b(a): j is
+    join-prime, so a = ⋁{x : j ≰ x} is not above j, {x : x ≰ a} is the
+    filter above j, and a is meet-irreducible: it is not the top, and two
+    elements strictly above it lie above j, and so would their meet.
+    """
+    n, down = lat.n, lat.down
+    uppers = [c for c, _ in principal_test_pairs(lat.join)]
     # the top is the identity of meet, as the zero is of join
-    return _mask_join(lat.meet_table, ((1 << lat.n) - 1) & ~lat.down[a], lat.top)
+    b = {a: _mask_join(lat.meet_table, ((1 << n) - 1) & ~down[a], lat.top)
+         for a in range(n) if uppers.count(a) == 1}
+    return [frozenset(b[a] for a in b if not down[a] >> z & 1) for z in range(n)]
 
 
 def condition_d(lat):
-    """Pointwise reconstruction criterion equivalent to distributivity.
-
-    Checks that every z equals the join, over all a with z not<= a, of the
-    meet of all elements not below a.  Exactly the lattices passing this
-    have a unique dense subsemiring in their endomorphism semiring.
+    """Pointwise reconstruction criterion equivalent to distributivity:
+    every z is the join of its set of ``_reconstruction_sets``, that is
+    (Lemma 1 there), of the meets b(a) of the elements not below a, over
+    every a with z not<= a.  Exactly the lattices passing this have a
+    unique dense subsemiring in their endomorphism semiring.
     """
-    n = lat.n
-    join = lat.join
-    b = [lower_meet(lat, a) for a in range(n)]
-    for z in range(n):
-        acc = lat.zero
-        for a in range(n):
-            if not lat.leq(z, a):
-                acc = join[acc][b[a]]
-        if acc != z:
-            return False
-    return True
+    return all(_mask_join(lat.join, sum(1 << x for x in s), lat.zero) == z
+               for z, s in enumerate(_reconstruction_sets(lat)))
 
 
 def embed_ring_of_sets(lat):
     """Represent a distributive lattice as a family of sets.
 
-    Returns (omega, phi) with phi[z] a frozenset of lattice elements;
-    phi is injective and turns joins into unions and meets into
-    intersections.  Raises PreconditionFailed otherwise.
+    Returns (omega, phi) with phi[z] the set of ``_reconstruction_sets``,
+    by its Lemma 2 the join-irreducibles below z: Birkhoff's embedding
+    into a ring of sets (Birkhoff 1937, "Rings of sets", Duke Math. J. 3).
+    phi is injective, since z is the join of phi[z], and turns meets into
+    intersections always and joins into unions, since every
+    join-irreducible is join-prime.  Raises PreconditionFailed when
+    ``condition_d`` fails.
     """
     if not condition_d(lat):
         raise PreconditionFailed("lattice fails the reconstruction criterion")
-    n = lat.n
-    b = [lower_meet(lat, a) for a in range(n)]
-    phi = tuple(
-        frozenset(b[a] for a in range(n) if not lat.leq(z, a) and b[a] != lat.zero)
-        for z in range(n)
-    )
-    omega = frozenset().union(*phi) if n else frozenset()
-    return omega, phi
+    phi = tuple(_reconstruction_sets(lat))
+    return frozenset().union(*phi), phi
 
 
 # ---------------------------------------------------------------------------

@@ -220,17 +220,17 @@ class StructureFlags:
     absorbing: object
 
 
-def find_one(r):
-    for e in range(r.n):
-        if all(r.mul[e][x] == x and r.mul[x][e] == x for x in range(r.n)):
-            return e
-    return None
-
-
 def structure_flags(r):
+    """The flags of ``StructureFlags``.  ``one`` is the multiplicative
+    identity, or None: the left identity ``closure.identity`` finds in the
+    rows of ``mul`` when it is the right identity it finds in the rows of
+    ``mul_t``.  A left identity e and a right identity e′ coincide, since
+    e = e·e′ = e′; so both exist iff a two-sided one does, and then it is
+    the only left and the only right identity."""
     is_ring = all(any(r.add[x][y] == r.zero for y in range(r.n)) for x in range(r.n))
     trivial = all(r.mul[x][y] == r.zero for x in range(r.n) for y in range(r.n))
-    one = find_one(r)
+    left = identity(r.mul)
+    one = left if left == identity(r.mul_t) else None
     return StructureFlags(
         is_ring=is_ring,
         add_idempotent=idempotent(r.add),

@@ -4,8 +4,9 @@ restrictions of semirings, their centers, a check of a given isomorphism,
 the pointwise join of two maps, the natural module of a subsemiring of
 End(M), the canonical join table of one lattice, distributivity by its
 definition, the least subsemiring holding given elements, every semiring
-with zero of a small order, and the classing of dense members by their
-orbits of image-tuple sets."""
+with zero of a small order, the classing of dense members by their
+orbits of image-tuple sets, condition (D) over every element, and the
+multiplicative identity by search."""
 
 import itertools
 
@@ -13,7 +14,7 @@ from semirings.catalog import MemberReport
 from semirings.closure import close, down_masks, is_table_iso, members_of, relabel
 from semirings.endo import elementary, identity_map, transpose, zero_map
 from semirings.errors import ValidationError
-from semirings.lattice import _least_relabelling, dual, lattice_iso
+from semirings.lattice import _least_relabelling, _mask_join, dual, lattice_iso
 from semirings.semimodule import Semimodule
 from semirings.semiring import FiniteSemiring, opposite, validate_semiring
 
@@ -129,6 +130,38 @@ def reference_is_distributive(lat):
                 if mt[x][join[y][z]] != join[mt[x][y]][mt[x][z]]:
                     return False
     return True
+
+
+def lower_meet(lat, a):
+    """Meet of every element not below a (top when that set is empty)."""
+    # the top is the identity of meet, as the zero is of join
+    return _mask_join(lat.meet_table, ((1 << lat.n) - 1) & ~lat.down[a], lat.top)
+
+
+def reference_condition_d(lat):
+    """Whether every z is the join, over all a with z not<= a, of
+    ``lower_meet(lat, a)``: the test ``lattice.condition_d`` replaced,
+    which joins over the meet-irreducible a alone."""
+    n = lat.n
+    join = lat.join
+    b = [lower_meet(lat, a) for a in range(n)]
+    for z in range(n):
+        acc = lat.zero
+        for a in range(n):
+            if not lat.leq(z, a):
+                acc = join[acc][b[a]]
+        if acc != z:
+            return False
+    return True
+
+
+def reference_find_one(r):
+    """The first two-sided multiplicative identity, or None, by trying
+    each element: the search ``semiring.structure_flags`` replaced."""
+    for e in range(r.n):
+        if all(r.mul[e][x] == x and r.mul[x][e] == x for x in range(r.n)):
+            return e
+    return None
 
 
 def commutative_monoids(n):

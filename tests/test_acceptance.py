@@ -50,6 +50,7 @@ from reference import (
     center,
     check_iso,
     commutative_monoids,
+    reference_find_one,
     semirings_with_zero,
     two_element_trivial_mul,
 )
@@ -137,9 +138,11 @@ def test_simple_iff_dense_over_every_semiring_with_zero_up_to_order_4(n, counts)
     # (additions, semirings over them, simple ones, simple rings), from a
     # search that no lattice seeds; the additions are the commutative
     # monoids of OEIS A058131 (1, 2, 5, 19, 78, ...)
+    # the one of structure_flags is the one a search of every element finds
     found = list(semirings_with_zero(n))
     for r in found:
         validate_semiring(r.add, r.mul, 0)  # ValidationError if the search is wrong
+        assert structure_flags(r).one == reference_find_one(r)
     simple = [r for r in found if is_congruence_simple(r)]
     assert (len(commutative_monoids(n)), len(found), len(simple),
             sum(structure_flags(r).is_ring for r in simple)) == counts

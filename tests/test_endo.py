@@ -6,9 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from semirings import endo
+from semirings import lattice
 from semirings.endo import (
-    LATTICE_SIZE_LIMIT,
     EndoSubsemiring,
     compose,
     dense_closure,
@@ -28,7 +27,14 @@ from semirings.endo import (
 from semirings.catalog import member_reports
 from semirings.errors import SizeLimit
 from semirings.fixtures import FIXTURE_NAMES, load_fixture
-from semirings.lattice import FiniteLattice, condition_d, dual, enumerate_lattices, hom_to_l2
+from semirings.lattice import (
+    LATTICE_SIZE_LIMIT,
+    FiniteLattice,
+    condition_d,
+    dual,
+    enumerate_lattices,
+    hom_to_l2,
+)
 from semirings.semiring import serialize_sr, structure_flags, subsemirings
 
 from reference import identity_is_elementary_sum, pointwise_join
@@ -105,14 +111,15 @@ def test_lattices_above_one_byte_per_value_raise_size_limit():
 
 
 def test_end_m_above_one_byte_per_value_raises_before_the_walk(monkeypatch):
-    """``enumerate_sr`` and ``end_semiring`` check the lattice size before
-    they walk: a 257-element chain raises the one-byte ``SizeLimit`` with
-    the walk replaced by one that fails when it is entered, as it is on a
-    chain small enough to walk."""
-    def walk(*args):
+    """``enumerate_sr`` and ``end_semiring`` raise the one-byte
+    ``SizeLimit`` of the homomorphism walk on a 257-element chain before
+    the walk takes its first step, the fold of the elements below each
+    element (``lattice._mask_join``), replaced here by one that fails when
+    it is entered, as it is on a chain small enough to walk."""
+    def step(*args):
         raise AssertionError("the homomorphism walk was entered")
 
-    monkeypatch.setattr(endo, "homomorphism_rows", walk)
+    monkeypatch.setattr(lattice, "_mask_join", step)
     message = "^lattice has 257 elements, above the 256 that one byte per value allows$"
     for build in (enumerate_sr, end_semiring):
         with pytest.raises(SizeLimit, match=message):

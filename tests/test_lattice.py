@@ -41,7 +41,7 @@ from semirings.lattice import (
     validate_lattice,
 )
 
-from reference import canon_join_table, reference_is_distributive
+from reference import canon_join_table, reference_condition_d, reference_is_distributive
 
 REFERENCES = Path(__file__).resolve().parent / "references"
 
@@ -405,18 +405,19 @@ def test_homomorphisms_match_the_reference_when_index_order_is_not_a_linear_exte
 
 
 def test_homomorphisms_into_more_values_than_a_byte_holds():
-    """Into a chain of 257 elements a partial map is a tuple, not a
-    ``bytes`` row, and ``homomorphism_rows`` returns the tuples: the maps,
-    also permuted back to index order, and the limit are the reference
-    walk's."""
-    wide, chain3 = _chain(257), load_fixture("chain3")
+    """Into a chain of 257 elements a value does not fit in a byte, so
+    ``homomorphisms`` and ``homomorphism_rows`` raise the one-byte
+    ``SizeLimit``, also from a lattice whose index order is not a linear
+    extension; into a chain of 256 the maps are the reference walk's."""
+    chain3 = load_fixture("chain3")
     top_first = FiniteLattice(_relabelled(chain3.join, [0, 2, 1]))  # the top takes label 1
     assert not _index_order_is_a_linear_extension(top_first)
+    message = "^lattice has 257 elements, above the 256 that one byte per value allows$"
     for src in (chain3, top_first):
-        want = reference_homomorphisms(src, wide)
-        assert homomorphisms(src, wide) == homomorphism_rows(src, wide) == want
-    with pytest.raises(SizeLimit, match="^more than 257 homomorphisms$"):
-        homomorphisms(chain3, wide, max_count=257)
+        for walk in (homomorphisms, homomorphism_rows):
+            with pytest.raises(SizeLimit, match=message):
+                walk(src, _chain(257))
+        assert homomorphisms(src, _chain(256)) == reference_homomorphisms(src, _chain(256))
 
 
 def test_distributivity_flags():
@@ -442,9 +443,17 @@ def test_condition_d_flags():
     assert not condition_d(load_fixture("m3"))
 
 
-def test_condition_d_matches_distributivity_up_to_six():
-    for lat in enumerate_lattices(6):
-        assert condition_d(lat) == is_distributive(lat)
+def test_condition_d_matches_distributivity_up_to_eight():
+    """Condition (D) over the meet-irreducibles alone against the parent
+    test over every element (``reference_condition_d``) and against
+    distributivity, on all 300 lattices up to size 8 and the fixtures."""
+    lats = [*enumerate_lattices(8, limit=8), *map(load_fixture, FIXTURE_NAMES)]
+    flags = collections.Counter()
+    for lat in lats:
+        flag = condition_d(lat)
+        assert flag == reference_condition_d(lat) == is_distributive(lat), lat.name
+        flags[flag] += 1
+    assert flags[True] and flags[False]
 
 
 def test_ring_of_sets_chain():
@@ -467,10 +476,18 @@ def test_ring_of_sets_rejects_m3():
 
 
 def test_ring_of_sets_preserves_structure():
-    for lat in enumerate_lattices(6):
-        if not is_distributive(lat):
-            continue
+    """On each of the 36 distributive lattices up to size 8, phi(z) is the
+    set of join-irreducibles below z (Birkhoff's embedding): one-to-one,
+    joins to unions and meets to intersections."""
+    distributive = [lat for lat in enumerate_lattices(8, limit=8) if is_distributive(lat)]
+    assert len(distributive) == 36
+    for lat in distributive:
         _, phi = embed_ring_of_sets(lat)
+        irreducible = [j for j in range(lat.n) if lat.down[j].bit_count() > 1
+                       and all(lat.join[x][y] != j for x in range(lat.n) for y in range(lat.n)
+                               if x != j != y)]
+        for z in range(lat.n):
+            assert phi[z] == {j for j in irreducible if lat.leq(j, z)}, lat.name
         assert len(set(phi)) == lat.n
         for x in range(lat.n):
             for y in range(lat.n):

@@ -1,8 +1,9 @@
 """The package source: no ``assert`` statement, which ``python -O`` strips,
-only the closed-set walk reads its size limit, no import inside a
-function but two, and no public function or class that only the tests
-call.  The lazy ``concurrent.futures``
-keeps multiprocessing out of the commands that do not need it.  The lazy
+only the closed-set walk reads its size limit, one function raises the
+one-byte bound of a map, no import inside a function but two, and no
+public function or class that only the tests call.  The lazy
+``concurrent.futures`` keeps multiprocessing out of the commands that do
+not need it.  The lazy
 ``hashlib`` serves only the fallback of the catalog digest on an
 interpreter built without its own SHA-256 module; everywhere else no
 command loads OpenSSL."""
@@ -47,6 +48,20 @@ def test_only_the_closed_set_walk_reads_set_limit():
                 yield node.name
 
     assert {path.name for path in SOURCES if "SET_LIMIT" in names(path)} == {"closure.py"}
+
+
+def test_one_function_raises_the_one_byte_bound():
+    # so every map of one byte per value is checked by lattice.check_lattice_size
+    def raisers(path):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, ast.Constant) and "one byte per value" in str(node.value)
+                       for stmt in ast.walk(func) if isinstance(stmt, ast.Raise)
+                       for node in ast.walk(stmt)):
+                    yield path.name, func.name
+
+    assert [found for path in SOURCES for found in raisers(path)] == [
+        ("lattice.py", "check_lattice_size")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
