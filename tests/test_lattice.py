@@ -444,9 +444,10 @@ def test_condition_d_flags():
 
 
 def test_condition_d_matches_distributivity_up_to_eight():
-    """Condition (D) over the meet-irreducibles alone against the parent
-    test over every element (``reference_condition_d``) and against
-    distributivity, on all 300 lattices up to size 8 and the fixtures."""
+    """Condition (D) over the meet-irreducibles alone against the test
+    over every element that it replaced (``reference_condition_d``) and
+    against distributivity, on all 300 lattices up to size 8 and the
+    fixtures."""
     lats = [*enumerate_lattices(8, limit=8), *map(load_fixture, FIXTURE_NAMES)]
     flags = collections.Counter()
     for lat in lats:
