@@ -27,8 +27,9 @@ Whether every principal congruence is total is decided on the pairs of
 :func:`principal_test_pairs` alone (:func:`only_total_principals`), and
 with idempotent addition a closure is known to be total as soon as it
 relates the pair of :func:`zero_top_pair`.  :func:`down_masks` derives
-the order of a lattice or of an idempotent addition, :func:`identity`
-the zero of an addition and :func:`absorbing` its absorbing top.  Every
+the order of a lattice or of an idempotent addition, :func:`lower_covers`
+its covering relation, :func:`identity` the zero of an addition and
+:func:`absorbing` its absorbing top.  Every
 quotient and restriction of a semiring or a module relabels its tables
 by :func:`relabel`.  Lattices and semirings have one isomorphism search,
 :func:`table_iso`, and one isomorphism check, :func:`is_table_iso`, over
@@ -373,6 +374,26 @@ def down_masks(add):
     return tuple([sum(1 << x for x, v in enumerate(row) if v == y) for y, row in enumerate(add)])
 
 
+def lower_covers(down):
+    """The covering relation of the order given by the bitmasks ``down``
+    of :func:`down_masks`, one mask per element: bit c of ``covers[b]`` is
+    set iff c ⋖ b, that is c < b and no x has c < x < b.  ``down[b]``
+    holds every x ≤ b, so the elements strictly below b that lie below
+    another element strictly below b are the union of the strict down-sets
+    of those elements, and the rest are b's lower covers."""
+    covers = []
+    for b, below in enumerate(down):
+        strict = below & ~(1 << b)
+        shadowed = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            shadowed |= down[low.bit_length() - 1] & ~low
+            rest ^= low
+        covers.append(strict & ~shadowed)
+    return tuple(covers)
+
+
 def principal_test_pairs(add):
     """Pairs whose principal congruences decide simplicity: the covering
     pairs (c, b), c ⋖ b, of the order x ≤ y iff x + y = y when the
@@ -389,29 +410,14 @@ def principal_test_pairs(add):
     so every principal congruence Θ(x, y) contains Θ(c, w) for a covering
     pair, and if those are all total, so is every Θ(x, y).
 
-    The covers come from the bitmasks of :func:`down_masks`: ``down[y]``
-    holds every x ≤ y, and c ⋖ b iff c < b and c lies below no other
-    element strictly below b.
+    The covers are the masks of :func:`lower_covers`, read by b and then
+    by ascending c.
     """
     n = len(add)
     if not idempotent(add):
         return [(x, y) for x in range(n) for y in range(x + 1, n)]
-    down = down_masks(add)
-    pairs = []
-    for b in range(n):
-        strict = down[b] & ~(1 << b)
-        shadowed = 0
-        rest = strict
-        while rest:
-            low = rest & -rest
-            shadowed |= down[low.bit_length() - 1] & ~low
-            rest ^= low
-        covered = strict & ~shadowed
-        while covered:
-            low = covered & -covered
-            pairs.append((low.bit_length() - 1, b))
-            covered ^= low
-    return pairs
+    return [(c, b) for b, covered in enumerate(lower_covers(down_masks(add)))
+            for c in members_of(covered)]
 
 
 def _joint_colors(structures):

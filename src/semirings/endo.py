@@ -30,22 +30,25 @@ never meets one, so the sets found are unchanged.  The least dense
 subsemiring is a two-sided ideal of End(M), so a closure never pairs a
 new map with its members by composition, and their sums with each map
 outside it are read once per walk (``close``'s ``ideal``).  The interval
-is one point exactly when M is distributive, decided by join-primes
-(``lattice.is_distributive``); End(M) is then returned alone, with no
-table built.  Each set found is the walk's mask over End(M)'s rows.
+is one point when M is distributive, decided by join-primes
+(``lattice.is_distributive``), by the lemma at ``enumerate_sr``; End(M)
+is then returned alone, with no table built.  That it is more than one
+point on every other M is the converse, which
+``test_distributive_lattices_walk_to_end_alone`` checks on every lattice
+up to size 7.  Each set found is the walk's mask over End(M)'s rows.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import product, repeat
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import close, closed_sets, ideal_sums, mask_of, members_of, principal_test_pairs
+from .closure import close, closed_sets, ideal_sums, mask_of, members_of
 from .errors import LineReader, ParseError, SizeLimit, ValidationError, format_tables
-from .lattice import check_lattice_size, homomorphism_rows, homomorphisms, is_distributive
+from .lattice import (check_lattice_size, homomorphism_rows, homomorphisms, irreducibles,
+                      is_distributive)
 from .semiring import FiniteSemiring
 
 END_SIZE_LIMIT = 20000
@@ -297,10 +300,7 @@ def _dense_span(lat, codec, max_size):
     zero map alone included."""
     n, down, zero = lat.n, lat.down, lat.zero
     code, _, joins, table, translate = codec
-    covers = principal_test_pairs(lat.join)
-    uppers, lowers = Counter(c for c, _ in covers), Counter(d for _, d in covers)
-    meet_irr = [a for a in range(n) if uppers[a] == 1]
-    join_irr = [b for b in range(n) if lowers[b] == 1]
+    meet_irr, join_irr = irreducibles(lat)
     span = {code(bytes([zero]) * n)}
 
     def check():
@@ -348,12 +348,12 @@ def dense_closure(lat, max_size=END_SIZE_LIMIT):
 
     The generators.  Only the e_{a,b} with a meet-irreducible (one upper
     cover) and b join-irreducible (one lower cover) are folded, taken from
-    the covering pairs of ``closure.principal_test_pairs``.  The span is
-    the same: x goes to zero in e_{a,b} + e_{a',b} iff x <= a and x <= a',
-    so e_{a,b} + e_{a',b} = e_{a∧a',b}, and pointwise e_{a,b} + e_{a,b'} =
-    e_{a,b∨b'}.  In a finite lattice every a ≠ top is a meet of
-    meet-irreducibles and every b ≠ zero a join of join-irreducibles, so
-    every e_{a,b} with a ≠ top and b ≠ zero (the others are the zero map)
+    ``lattice.irreducibles``.  The span is the same: x goes to zero in
+    e_{a,b} + e_{a',b} iff x <= a and x <= a', so e_{a,b} + e_{a',b} =
+    e_{a∧a',b}, and pointwise e_{a,b} + e_{a,b'} = e_{a,b∨b'}.  In a
+    finite lattice every a ≠ top is a meet of meet-irreducibles and every
+    b ≠ zero a join of join-irreducibles, so every e_{a,b} with a ≠ top
+    and b ≠ zero (the others are the zero map)
     is a sum of generators.  These are distinct, since a is the largest
     element sent to zero and b the image of the top, and none is a sum of
     others, so each step finds new sums: if e_{a,b} is the sum of the
@@ -437,9 +437,23 @@ def enumerate_sr(lat, max_end=SR_BASE_LIMIT):
     of elementary maps is a sum of elementary maps.
 
     When M is distributive (``lattice.is_distributive``), D is all of
-    End(M), by the lemma behind ``lattice.condition_d``, so the interval
-    is one point: End(M)'s rows with every bit set are returned alone, and
-    neither D nor a table is built.
+    End(M), by the lemma below, so the interval is one point: End(M)'s
+    rows with every bit set are returned alone, and neither D nor a table
+    is built.
+
+    Lemma (D = End(M) on a distributive M).  Each join-irreducible j of a
+    distributive M is join-prime (the lemma at ``lattice.is_distributive``),
+    so a_j = ⋁{x : j ≰ x} is not above j, and x ≤ a_j iff j ≰ x: an x with
+    j ≰ x lies below a_j by its definition, and an x ≤ a_j is not above j,
+    since a_j is not.  So e_{a_j,b} sends x to b when j ≤ x and to the
+    zero otherwise.  Every x is the join of the join-irreducibles j ≤ x
+    (the zero the empty join), so an endomorphism f, which preserves joins
+    and the zero, has f(x) = ⋁{f(j) : j ∈ J, j ≤ x} for the set J of
+    join-irreducibles: f = Σ_{j∈J} e_{a_j,f(j)}, a sum of elementary maps,
+    lies in D.  Hence D = End(M).  The converse, that D ≠ End(M) when M is
+    not distributive, is checked by
+    ``test_distributive_lattices_walk_to_end_alone`` on every lattice up
+    to size 7.
     """
     end = EndoSubsemiring._masked(lat, homomorphism_rows(lat, lat, max_end))
     if is_distributive(lat):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from struct import iter_unpack
 
-from .closure import absorbing, down_masks, identity, is_table_iso, principal_test_pairs, table_iso
+from .closure import absorbing, down_masks, identity, is_table_iso, lower_covers, table_iso
 from .errors import (
     LimitExceeded,
     LineReader,
@@ -42,20 +42,22 @@ class FiniteLattice:
 
     Nothing is checked: a table from outside the package goes through
     ``validate_lattice`` first.  ``down[x]`` is the bitmask of elements
-    <= x (``closure.down_masks``), ``zero`` the bottom, which is the
+    <= x (``closure.down_masks``), ``covers[x]`` the bitmask of its lower
+    covers (``closure.lower_covers``), ``zero`` the bottom, which is the
     identity of the join (``closure.identity``), and ``top`` the element
     that absorbs every join (``closure.absorbing``).
     Instances hash and compare by their table, so they can be set members
     and dict keys.
     """
 
-    __slots__ = ("n", "join", "zero", "top", "down", "name", "_meet")
+    __slots__ = ("n", "join", "zero", "top", "down", "covers", "name", "_meet")
 
     def __init__(self, join, name=None):
         join = tuple(map(tuple, join))  # list rows would not match tuple rows
         self.n = len(join)
         self.join = join
         self.down = down_masks(join)
+        self.covers = lower_covers(self.down)
         self.zero = identity(join)
         self.top = absorbing(join)
         self.name = name
@@ -187,10 +189,14 @@ def homomorphism_rows(src, dst, max_count=None):
     Otherwise u < z was processed and u + y = z, so {u, y} is one, and
     f(w) <= f(u) <= f(u) + f(y) = f(z).
 
-    Lower cover.  A join-irreducible z other than the zero is not the join
-    c of the elements below it, so c is its one lower cover and every
-    w < z lies below c.  The partial map being monotone, f(c) is the join
-    of the values below z, and z branches over every value above f(c).
+    Lower cover.  Every w < z lies below a lower cover of z
+    (``src.covers``), and two lower covers of z join to z: their join lies
+    strictly above each, as they are incomparable, and below z.  So a z
+    other than the zero is the join of two elements other than itself when
+    it has two or more lower covers, and join-irreducible when it has one,
+    c, as every w < z then lies below c.  The partial map being monotone,
+    f(c) is the join of the values below z, and z branches over every
+    value above f(c).
 
     Lex order.  A level appends one value to each partial map of a chunk,
     in ascending order per partial map, so a lex-sorted chunk gives a
@@ -215,7 +221,7 @@ def homomorphism_rows(src, dst, max_count=None):
     than ``max_count`` of them.
     """
     check_lattice_size(dst.n)
-    n, m, sjoin, djoin, down = src.n, dst.n, src.join, dst.join, src.down
+    n, m, sjoin, djoin, down, covers = src.n, dst.n, src.join, dst.join, src.down, src.covers
     order = sorted(range(n), key=lambda x: (down[x].bit_count(), x))
     pos = [0] * n
     for k, x in enumerate(order):
@@ -223,15 +229,13 @@ def homomorphism_rows(src, dst, max_count=None):
     value = [bytes((v,)) for v in range(m)]
     ups = [[value[u] for u in range(m) if djoin[v][u] == u] for v in range(m)]
     # per level, in positions: a join-irreducible's lower cover, or a join's pairs
-    covers, pairs = [None] * n, [None] * n
+    lower, pairs = [None] * n, [None] * n
     for k in range(1, n):
         z = order[k]
-        strict = down[z] & ~(1 << z)
-        c = _mask_join(sjoin, strict, src.zero)
-        if c != z:
-            covers[k] = pos[c]
+        if covers[z].bit_count() == 1:
+            lower[k] = pos[covers[z].bit_length() - 1]
             continue
-        below = [x for x in range(n) if strict >> x & 1]
+        below = [x for x in range(n) if down[z] >> x & 1 and x != z]
         pairs[k] = [(pos[x], pos[y]) for i, x in enumerate(below) for y in below[i + 1:]
                     if sjoin[x][y] == z]
     noun = "endomorphisms" if src is dst else "homomorphisms"
@@ -248,7 +252,7 @@ def homomorphism_rows(src, dst, max_count=None):
         chunk = frontier[start:start + size]
         if start + size < len(frontier):
             stack.append((k, frontier, start + size))
-        c = covers[k]
+        c = lower[k]
         if c is not None:
             out = [p + u for p in chunk for u in ups[p[c]]]
         else:
@@ -287,7 +291,7 @@ def hom_to_l2(lat):
 
 def is_distributive(lat):
     """True iff meet distributes over join, decided on join-primes from
-    the ``down`` masks in O(n²), with no meet table built.
+    the ``down`` and ``covers`` masks in O(n²), with no meet table built.
 
     A finite lattice is distributive iff every join-irreducible j is
     join-prime (j <= x + y implies j <= x or j <= y), and j is join-prime
@@ -307,25 +311,40 @@ def is_distributive(lat):
       x the partial join before it and y the element added, neither above
       j, so j is not join-prime.
 
-    j is join-irreducible iff it is not the join of the elements strictly
-    below it (the zero is the empty join), so each element takes two folds
-    of ``join`` over a mask.
+    j is join-irreducible iff it has one lower cover (``irreducibles``),
+    read off its one-bit mask of ``covers``, so each join-irreducible
+    takes one fold of ``join`` over a mask.
     """
     join, down, zero, n = lat.join, lat.down, lat.zero, lat.n
     for j in range(n):
-        if _mask_join(join, down[j] & ~(1 << j), zero) == j:
-            continue  # the zero, or the join of the elements below j
+        if lat.covers[j].bit_count() != 1:
+            continue  # the zero, or the join of its lower covers
         not_above = sum(1 << x for x in range(n) if not down[x] >> j & 1)
         if down[_mask_join(join, not_above, zero)] >> j & 1:
             return False
     return True
 
 
+def irreducibles(lat):
+    """(meet-irreducibles, join-irreducibles) of ``lat``, each ascending:
+    the elements with one upper cover and those with one lower cover,
+    read off the masks of ``covers``.
+
+    Two lower covers of an element join to it (see ``homomorphism_rows``),
+    and the zero is the empty join, so the join-irreducibles are the
+    elements that are not the join of the elements strictly below them;
+    dually for the meet-irreducibles.
+    """
+    covers = lat.covers
+    meets = [a for a in range(lat.n) if sum(c >> a & 1 for c in covers) == 1]
+    return meets, [b for b, c in enumerate(covers) if c.bit_count() == 1]
+
+
 def _reconstruction_sets(lat):
     """For each z, the frozenset of the b(a) = ⋀{x : x ≰ a} over the
-    meet-irreducible a (one upper cover, read off the covering pairs of
-    ``closure.principal_test_pairs``) with z ≰ a.  The one table behind
-    ``condition_d`` and ``embed_ring_of_sets``.
+    meet-irreducible a (one upper cover, from ``irreducibles``) with
+    z ≰ a.  The one table behind ``condition_d`` and
+    ``embed_ring_of_sets``.
 
     Lemma 1 (the meet-irreducible a suffice).  The join of the set of z is
     the join of b(a) over every a with z ≰ a.  Take such an a and a′
@@ -350,10 +369,9 @@ def _reconstruction_sets(lat):
     elements strictly above it lie above j, and so would their meet.
     """
     n, down = lat.n, lat.down
-    uppers = [c for c, _ in principal_test_pairs(lat.join)]
     # the top is the identity of meet, as the zero is of join
     b = {a: _mask_join(lat.meet_table, ((1 << n) - 1) & ~down[a], lat.top)
-         for a in range(n) if uppers.count(a) == 1}
+         for a in irreducibles(lat)[0]}
     return [frozenset(b[a] for a in b if not down[a] >> z & 1) for z in range(n)]
 
 
@@ -361,8 +379,11 @@ def condition_d(lat):
     """Pointwise reconstruction criterion equivalent to distributivity:
     every z is the join of its set of ``_reconstruction_sets``, that is
     (Lemma 1 there), of the meets b(a) of the elements not below a, over
-    every a with z not<= a.  Exactly the lattices passing this have a
-    unique dense subsemiring in their endomorphism semiring.
+    every a with z not<= a.  The lattices passing this, the distributive
+    ones, have End(M) as their one dense subsemiring (the lemma at
+    ``endo.enumerate_sr``); that every other lattice has more than one is
+    checked by ``test_distributive_lattices_walk_to_end_alone`` on every
+    lattice up to size 7.
     """
     return all(_mask_join(lat.join, sum(1 << x for x in s), lat.zero) == z
                for z, s in enumerate(_reconstruction_sets(lat)))

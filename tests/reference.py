@@ -5,13 +5,22 @@ the pointwise join of two maps, the natural module of a subsemiring of
 End(M), the canonical join table of one lattice, distributivity by its
 definition, the least subsemiring holding given elements, every semiring
 with zero of a small order, the classing of dense members by their
-orbits of image-tuple sets, condition (D) over every element, and the
-multiplicative identity by search."""
+orbits of image-tuple sets, condition (D) over every element, the
+multiplicative identity by search, and the covering relation and the
+irreducibles by their definitions and by the derivations they replaced."""
 
+import collections
 import itertools
 
 from semirings.catalog import MemberReport
-from semirings.closure import close, down_masks, is_table_iso, members_of, relabel
+from semirings.closure import (
+    close,
+    down_masks,
+    is_table_iso,
+    members_of,
+    principal_test_pairs,
+    relabel,
+)
 from semirings.endo import elementary, identity_map, transpose, zero_map
 from semirings.errors import ValidationError
 from semirings.lattice import _least_relabelling, _mask_join, dual, lattice_iso
@@ -153,6 +162,41 @@ def reference_condition_d(lat):
         if acc != z:
             return False
     return True
+
+
+def covering_pairs_by_definition(lat):
+    """The pairs (c, b) with c < b and no x such that c < x < b, by b and
+    then by c."""
+    n, leq = lat.n, lat.leq
+    return [(c, b) for b in range(n) for c in range(n) if c != b and leq(c, b)
+            and not any(x not in (b, c) and leq(c, x) and leq(x, b) for x in range(n))]
+
+
+def fold_irreducibles(lat):
+    """(meet-irreducibles, join-irreducibles) by folding strict up- and
+    down-sets, the test ``lattice.irreducibles`` replaced in
+    ``homomorphism_rows`` and ``is_distributive``: j is join-irreducible
+    iff the join of the elements strictly below it (the zero when there
+    are none) is not j, and a meet-irreducible iff the meet of the
+    elements strictly above it (the top when there are none) is not a."""
+    n, down = lat.n, lat.down
+    joins = [j for j in range(n) if _mask_join(lat.join, down[j] & ~(1 << j), lat.zero) != j]
+    ups = [sum(1 << y for y in range(n) if down[y] >> a & 1 and y != a) for a in range(n)]
+    # the top is the identity of meet, as the zero is of join
+    meets = [a for a in range(n) if _mask_join(lat.meet_table, ups[a], lat.top) != a]
+    return meets, joins
+
+
+def counted_irreducibles(lat):
+    """(meet-irreducibles, join-irreducibles) as the elements that are
+    the lower end of one pair of ``closure.principal_test_pairs`` and
+    those that are the upper end of one, the count ``lattice.irreducibles``
+    replaced in ``endo._dense_span`` and ``lattice._reconstruction_sets``."""
+    pairs = principal_test_pairs(lat.join)
+    uppers = collections.Counter(c for c, _ in pairs)
+    lowers = collections.Counter(b for _, b in pairs)
+    return ([a for a in range(lat.n) if uppers[a] == 1],
+            [b for b in range(lat.n) if lowers[b] == 1])
 
 
 def reference_find_one(r):

@@ -6,7 +6,6 @@ from itertools import permutations
 
 import pytest
 
-from semirings import lattice
 from semirings.endo import (
     EndoSubsemiring,
     compose,
@@ -110,22 +109,30 @@ def test_lattices_above_one_byte_per_value_raise_size_limit():
         dense_closure(lat)
 
 
-def test_end_m_above_one_byte_per_value_raises_before_the_walk(monkeypatch):
-    """``enumerate_sr`` and ``end_semiring`` raise the one-byte
-    ``SizeLimit`` of the homomorphism walk on a 257-element chain before
-    the walk takes its first step, the fold of the elements below each
-    element (``lattice._mask_join``), replaced here by one that fails when
-    it is entered, as it is on a chain small enough to walk."""
-    def step(*args):
+class _WalkEntered:
+    """A ``covers`` whose every item access fails: the homomorphism walk
+    reads ``src.covers`` first, as it builds the step of each level."""
+
+    def __getitem__(self, z):
         raise AssertionError("the homomorphism walk was entered")
 
-    monkeypatch.setattr(lattice, "_mask_join", step)
+
+def test_end_m_above_one_byte_per_value_raises_before_the_walk():
+    """``enumerate_sr`` and ``end_semiring`` raise the one-byte
+    ``SizeLimit`` of the homomorphism walk on a 257-element chain before
+    the walk takes its first step, the read of each element's lower
+    covers (``FiniteLattice.covers``), replaced here by one that fails
+    when it is read, as it is on a chain small enough to walk."""
     message = "^lattice has 257 elements, above the 256 that one byte per value allows$"
     for build in (enumerate_sr, end_semiring):
+        lat = chain(LATTICE_SIZE_LIMIT + 1)
+        lat.covers = _WalkEntered()
         with pytest.raises(SizeLimit, match=message):
-            build(chain(LATTICE_SIZE_LIMIT + 1))
+            build(lat)
+        lat = chain(3)
+        lat.covers = _WalkEntered()
         with pytest.raises(AssertionError, match="walk was entered"):
-            build(chain(3))
+            build(lat)
 
 
 def test_elementary_with_top_annihilates(lats):

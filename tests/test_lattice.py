@@ -20,7 +20,7 @@ from semirings.errors import (
 )
 from semirings.cli import main
 from semirings.endo import END_SIZE_LIMIT, endomorphisms
-from semirings.closure import is_table_iso
+from semirings.closure import is_table_iso, principal_test_pairs
 from semirings.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from semirings.lattice import (
     FiniteLattice,
@@ -34,6 +34,7 @@ from semirings.lattice import (
     hom_to_l2,
     homomorphism_rows,
     homomorphisms,
+    irreducibles,
     is_distributive,
     lattice_iso,
     parse_lat,
@@ -41,7 +42,14 @@ from semirings.lattice import (
     validate_lattice,
 )
 
-from reference import canon_join_table, reference_condition_d, reference_is_distributive
+from reference import (
+    canon_join_table,
+    counted_irreducibles,
+    covering_pairs_by_definition,
+    fold_irreducibles,
+    reference_condition_d,
+    reference_is_distributive,
+)
 
 REFERENCES = Path(__file__).resolve().parent / "references"
 
@@ -436,6 +444,29 @@ def test_join_prime_distributivity_matches_the_triple_loop():
         assert is_distributive(lat) == flag, lat.name
         flags[flag] += 1
     assert flags[True] and flags[False]
+
+
+def _check_covering_relation(lat, name):
+    pairs = covering_pairs_by_definition(lat)
+    assert lat.covers == tuple(sum(1 << c for c, d in pairs if d == b)
+                               for b in range(lat.n)), name
+    assert irreducibles(lat) == fold_irreducibles(lat) == counted_irreducibles(lat), name
+    assert principal_test_pairs(lat.join) == pairs, name
+
+
+def test_one_covering_relation():
+    """On every lattice up to size 7, its dual and its lattice of maps
+    into the two-element lattice, ``covers`` is the covering relation by
+    its definition, ``irreducibles`` agrees with the fold of strict
+    down- and up-sets and with the ends counted over the covering pairs,
+    and ``closure.principal_test_pairs`` of the join gives those pairs.
+    Each lattice is checked before the walk of ``hom_to_l2`` reads it."""
+    lats = enumerate_lattices(7)
+    assert len(lats) == 78
+    for lat in lats:
+        _check_covering_relation(lat, lat.name)
+        _check_covering_relation(dual(lat), f"{lat.name}~")
+        _check_covering_relation(hom_to_l2(lat)[0], f"hom({lat.name}, 2)")
 
 
 def test_condition_d_flags():
