@@ -445,28 +445,53 @@ def _poset_colors(up, down, n):
     rank of its colour with the sorted colours of its down-set and of its
     up-set.  It stops once a round adds no colour class: every signature
     holds the old colour, so the classes only split, and an equal count
-    means an equal partition (the test ``closure._joint_colors`` uses)."""
+    means an equal partition (the test ``closure._joint_colors`` uses).
+
+    Two shortcuts give the colours of the full rounds.  Signatures sort by
+    their first component, the old colour, so an element alone in its
+    class ranks right after the signatures of the classes before it,
+    whatever its neighbours' colours: only the elements of classes of two
+    or more build their sorted neighbour colours.  And a round that leaves
+    every class a singleton ends the refinement (the discrete exit): its
+    colours are the ranks 0..n-1, and a further round would rank each
+    element by its colour alone, add no class and give them back."""
     bits = _bit_lists(n)
     below = [bits[mask] for mask in down]
     above = [bits[mask] for mask in up]
-    colors = [(len(b), len(a)) for b, a in zip(below, above)]
-    count = len(set(colors))
+    # (|down-set|, |up-set|) as one int in the same order, as |up-set| <= n
+    colors = [len(b) * (n + 1) + len(a) for b, a in zip(below, above)]
     while True:
+        classes = {}
+        for x, c in enumerate(colors):
+            classes.setdefault(c, []).append(x)
         get = colors.__getitem__
-        sig = [(colors[x], tuple(sorted(map(get, below[x]))), tuple(sorted(map(get, above[x]))))
-               for x in range(n)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colors = [ranks[s] for s in sig]
-        if len(ranks) == count:
-            return colors
-        count = len(ranks)
+        new = [0] * n
+        rank = 0
+        for c in sorted(classes):
+            group = classes[c]
+            if len(group) == 1:
+                new[group[0]] = rank
+                rank += 1
+                continue
+            sig = [(tuple(sorted(map(get, below[x]))), tuple(sorted(map(get, above[x]))))
+                   for x in group]
+            ranks = {s: i for i, s in enumerate(sorted(set(sig)), rank)}
+            for x, s in zip(group, sig):
+                new[x] = ranks[s]
+            rank += len(ranks)
+        if rank in (len(classes), n):
+            return new
+        colors = new
 
 
 def _admissible_orders(colors, n, up, down):
     """The orderings of 0..n-1 that list the colour classes one after
     another in colour order, each class in every order, except that a
     class of twins comes in one order only; the i-th element of an
-    ordering takes the label i.
+    ordering takes the label i.  ``colors`` are ranks 0, 1, ..., as
+    ``_poset_colors`` gives them, so a discrete colouring, whose classes
+    are singletons, has one ordering, the elements by colour, yielded
+    without a product; a singleton class takes no twin test.
 
     Lemma.  Call x and y twins when they have the same strict down-set and
     the same strict up-set.  Then x and y are incomparable (x < y would put
@@ -480,24 +505,32 @@ def _admissible_orders(colors, n, up, down):
     and y = order[j], the entry along order.  So when every two elements
     of a colour class are twins, every ordering of that class gives the
     same tables as its sorted one, and the least table is unchanged."""
+    if max(colors) == n - 1:
+        order = [0] * n
+        for x, c in enumerate(colors):
+            order[c] = x
+        yield order
+        return
     groups = {}
     for x in range(n):
         groups.setdefault(colors[x], []).append(x)
     choices = []
     for key in sorted(groups):
         group = groups[key]
-        twins = len({(down[x] & ~(1 << x), up[x] & ~(1 << x)) for x in group}) == 1
+        twins = len(group) == 1 or len(
+            {(down[x] & ~(1 << x), up[x] & ~(1 << x)) for x in group}) == 1
         choices.append([group] if twins else itertools.permutations(group))
     for choice in itertools.product(*choices):
         yield list(itertools.chain.from_iterable(choice))
 
 
-def _masked_extensions(join, n):
-    """Join tables of size n that add a coatom to the lattice ``join`` of
-    size n - 1 >= 2 (bottom 0, top n - 2): bottom 0, new coatom n - 2,
-    top n - 1, each with its up- and down-set bitmasks.  Only the
-    extensions in which no other coatom has a larger down-set than the new
-    one are kept.
+def _masked_extensions(parent, n):
+    """Join tables of size n that add a coatom to the FiniteLattice
+    ``parent`` of size n - 1 >= 2 (bottom 0, top n - 2): bottom 0, new
+    coatom n - 2, top n - 1, each with its up- and down-set bitmasks.
+    Only the extensions in which no other coatom has a larger down-set
+    than the new one are kept.  The parent's order is read off its
+    ``down`` and ``covers``: its coatoms are its top's lower covers.
 
     Lemma.  A coatom m of a lattice with at least 3 elements can be
     removed: two elements whose join was m then have only the top above
@@ -506,12 +539,17 @@ def _masked_extensions(join, n):
     strict down-set D is a down-set of the elements other than t that
     contains the bottom.  Such a D gives a lattice iff every two elements
     of D join inside D or at t; otherwise that join and m are two
-    incomparable least upper bounds.  In the new table a join that was t
-    becomes m inside D and the top elsewhere, and x + m is m for x in D
-    and the top otherwise.  So the bitmasks follow from the old ones: an
-    element x other than m and the top keeps its down-set, and its up-set
-    gains the top, and m when x is in D; m's down-set is D and m, and the
-    top's is every element.
+    incomparable least upper bounds.  Two comparable elements of D join to
+    the larger, inside D, so only incomparable pairs are tested.  In the
+    new table a join that was t becomes m inside D and the top elsewhere,
+    and x + m is m for x in D and the top otherwise.  So the bitmasks
+    follow from the old ones: an element x other than m and the top keeps
+    its down-set, and its up-set gains the top, and m when x is in D; m's
+    down-set is D and m, and the top's is every element.
+
+    Down-sets.  They are built one element at a time in order of
+    down-set size, a linear extension: x joins each down-set found so far
+    that holds its strict down-set, whose elements all come before x.
 
     Pruning.  The other coatoms of the extension are the old coatoms not
     in D, with their down-sets unchanged; m's down-set is D and m.  Take
@@ -524,21 +562,24 @@ def _masked_extensions(join, n):
     instead of 116 for the 53 classes of size 7, 341 instead of 541 for
     the 222 of size 8).
     """
+    join = parent.join
     k = n - 2  # the elements other than t are 0..k-1; m takes t's index k
     top = n - 1
     m_bit, top_bit = 1 << k, 1 << top
-    down = down_masks(join[:k])
+    down = parent.down[:k]  # t lies below no other element
     above = [sum(1 << y for y in range(k) if down[y] >> x & 1) | top_bit for x in range(k)]
-    coatoms = [(1 << c, down[c].bit_count()) for c in range(k)
-               if not any(down[y] >> c & 1 for y in range(k) if y != c)]
-    for d in range(1, 1 << k, 2):
+    coatoms = [(1 << c, down[c].bit_count()) for c in _bit_lists(k)[parent.covers[k]]]
+    ideals = [1]  # the bottom's down-set
+    for x in sorted(range(1, k), key=lambda x: down[x].bit_count()):
+        strict = down[x] & ~(1 << x)
+        ideals += [d | 1 << x for d in ideals if not strict & ~d]
+    # the incomparable pairs whose join lies below t, and that join
+    clash = [(1 << x | 1 << y, 1 << v) for x in range(k) for y in range(x + 1, k)
+             for v in (join[x][y],) if v < k and v != x and v != y]
+    for d in ideals:
         size = d.bit_count() + 1  # m and its strict down-set d
-        if any(size < below for bit, below in coatoms if not d & bit):
-            continue
-        inside = [x for x in range(k) if d >> x & 1]
-        if any(down[x] & ~d for x in inside) or any(
-                join[x][y] < k and not d >> join[x][y] & 1
-                for x in inside for y in inside):
+        if any(size < below for bit, below in coatoms if not d & bit) or any(
+                d & pair == pair and not d & v for pair, v in clash):
             continue
         up = [k if d >> x & 1 else top for x in range(k)]  # x + m
         rows = [[v if v < k else max(up[x], up[y]) for y, v in enumerate(row[:k])]
@@ -587,14 +628,20 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     n >= 3 adds a coatom to a lattice of size n - 1 (the lemma at
     ``_masked_extensions``), so the classes of size n are the canonical
     join tables of the kept coatom extensions of the classes of size
-    n - 1.  Each extension comes with the order bitmasks that follow from
-    its parent's, so no order is derived from a table.  The canonical
-    table is the least relabelling over the colour-respecting orderings
+    n - 1.  Each extension is built from its parent's ``down`` and
+    ``covers`` and comes with the order bitmasks that follow from them, so
+    no order is derived from a table.  The canonical table is the least
+    relabelling over the colour-respecting orderings
     (``_least_relabelling``), each candidate row relabelled in C by
-    ``bytes.translate`` and ``itemgetter``.  A colour class of pairwise
-    twins is listed in one ordering only (the lemma at
-    ``_admissible_orders``): up to size 7 this takes the 120 orderings of
-    M_5 and the 24 of each of three other extensions to one.
+    ``bytes.translate`` and ``itemgetter``.  Three shortcuts leave every
+    table unchanged, each with its lemma in its docstring: the colour
+    refinement builds neighbour signatures only for classes of two or
+    more and stops at a discrete colouring (``_poset_colors``), a discrete
+    colouring has its one ordering yielded directly (26 of the 80
+    extensions of size 7), and a colour class of pairwise twins is listed
+    in one ordering only (``_admissible_orders``): up to size 7 this takes
+    the 120 orderings of M_5 and the 24 of each of three other extensions
+    to one.
 
     Deterministic: classes are sorted by (size, canonical join table), and
     the k-th class of size n is named ``lat{n}_{k}``.  Raises
@@ -605,11 +652,12 @@ def enumerate_lattices(max_n, limit=ENUM_HARD_LIMIT):
     chains = [((0,),), ((0, 1), (1, 1))][:max(max_n, 0)]
     # each table is a lattice: a chain, or by the lemma at _masked_extensions
     out = [FiniteLattice(table, name=f"lat{n}_1") for n, table in enumerate(chains, 1)]
-    tables = chains[1:]
+    level = out[1:]
     for n in range(3, max_n + 1):
-        tables = sorted({_least_relabelling(ext, n, up, down)
-                         for join in tables for ext, up, down in _masked_extensions(join, n)})
-        out.extend(FiniteLattice(table, name=f"lat{n}_{k}") for k, table in enumerate(tables, 1))
+        tables = sorted({_least_relabelling(ext, n, up, down) for parent in level
+                         for ext, up, down in _masked_extensions(parent, n)})
+        level = [FiniteLattice(table, name=f"lat{n}_{k}") for k, table in enumerate(tables, 1)]
+        out.extend(level)
     return out
 
 

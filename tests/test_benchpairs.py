@@ -1,8 +1,8 @@
 """``tools/benchpairs.py`` checks its arguments before any checkout,
 writes every traced and in-process run it takes and each paired run's
-raw round time and calibration mean, times in-process walks per call to
-the microsecond, and, stopped by a signal, ends its child and removes its
-checkouts."""
+raw round time and calibration mean, times in-process walks and the
+lattice enumeration per call to the microsecond, and, stopped by a
+signal, ends its child and removes its checkouts."""
 
 import argparse
 import hashlib
@@ -118,7 +118,9 @@ def test_pairs_keep_every_raw_round_time_and_calibration_mean(benchpairs, monkey
 def test_walk_names_read_a_lattice_and_an_optional_set_limit(benchpairs):
     assert benchpairs.walk_name("lat6_14") == "lat6_14"
     assert benchpairs.walk_name("lat6_15@20000") == "lat6_15@20000"
-    for bad in ["m4", "lat6", "lat6_15@", "lat6_15@0", "lat6_15@x"]:
+    assert benchpairs.walk_name("enumerate@7") == "enumerate@7"
+    for bad in ["m4", "lat6", "lat6_15@", "lat6_15@0", "lat6_15@x", "enumerate",
+                "enumerate@", "enumerate@0", "enumerate@x", "enumerate@7@1"]:
         with pytest.raises(argparse.ArgumentTypeError):
             benchpairs.walk_name(bad)
 
@@ -126,8 +128,10 @@ def test_walk_names_read_a_lattice_and_an_optional_set_limit(benchpairs):
 def test_in_process_walks_alternate_sides_and_keep_every_run(benchpairs, monkeypatch, tmp_path):
     """``PASSES`` passes over the named walks, one run a side each, the
     first side alternating by pass; every run, each side's median and
-    each side's output go into the ``in_process`` key."""
+    each side's output go into the ``in_process`` key, and the ``run``
+    line names the pass count."""
     calls = []
+    monkeypatch.setattr(benchpairs, "PASSES", 3)
 
     def time_walk(tree, walk):
         calls.append((tree.name, walk))
@@ -150,12 +154,41 @@ def test_in_process_walks_alternate_sides_and_keep_every_run(benchpairs, monkeyp
                      ("parent", a), ("change", a), ("parent", b), ("change", b)]
     entry = json.loads((tmp_path / "bench.json").read_text())["in_process"]
     assert entry["calls"] == benchpairs.CALLS
+    assert "3 passes" in entry["run"]
     walks = entry["walks"]
     assert walks["lat6_10"] == {
         "output": {"parent": "lat6_10 out", "change": "lat6_10 out"},
         "parent": {"median_s": 0.600001, "runs_s": [0.100001, 0.600001, 0.900001]},
         "change": {"median_s": 0.500001, "runs_s": [0.200001, 0.500001, 1.000001]}}
     assert list(walks) == ["lat6_10", "lat6_15@20000"]
+
+
+def test_the_timer_times_the_enumeration_and_hashes_names_and_tables(benchpairs, monkeypatch,
+                                                                     tmp_path):
+    """``enumerate@N`` times ``enumerate_lattices(N, limit=N)`` per call, and
+    its output is the number of lattices and the sha256 of the ``repr`` of
+    their (name, join table) pairs, from a stand-in that records its
+    arguments in the names."""
+    monkeypatch.setattr(benchpairs, "CALLS", 3)
+    package = tmp_path / "src" / "semirings"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "closure.py").write_text("SET_LIMIT = 100000\n")
+    (package / "errors.py").write_text("class SizeLimit(Exception):\n    pass\n")
+    (package / "endo.py").write_text("def enumerate_sr(lat):\n    raise AssertionError\n")
+    (package / "lattice.py").write_text(
+        "import time\n\n"
+        "class Lat:\n"
+        "    def __init__(self, name, join):\n"
+        "        self.name, self.join = name, join\n\n"
+        "def enumerate_lattices(size, limit):\n"
+        "    start = time.process_time()\n"
+        "    while time.process_time() - start < 0.01:\n        pass\n"
+        "    return [Lat(f'lat{size}_{limit}', ((0,),)), Lat('b', ((0, 1), (1, 1)))]\n")
+    seconds, output = benchpairs.time_walk(tmp_path, "enumerate@5")
+    tables = repr([("lat5_5", ((0,),)), ("b", ((0, 1), (1, 1)))]).encode()
+    assert output == f"2 lattices, sha256 {hashlib.sha256(tables).hexdigest()}"
+    assert 0.01 <= seconds < 0.05
 
 
 def test_the_timer_reports_seconds_per_call(benchpairs, monkeypatch, tmp_path):

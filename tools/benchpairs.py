@@ -31,11 +31,15 @@ any run.  The file holds:
   per side and pass, run with ``PYTHONHASHSEED=0`` as ``perfbench/run.py``
   runs itself, and their time divided by their number, so a walk of
   well under a millisecond still reads; ``PASSES`` passes alternate which
-  side runs first.  It holds every run and each side's median, and each
-  side's output, the number of sets and the sha256 of their joined
-  ``packed`` forms or the ``SizeLimit`` message, from the last call.
-  ``NAME@K`` (``lat6_15@20000``) sets ``closure.SET_LIMIT`` to K inside
-  the timed interpreter, so the walk is timed until it passes K sets.
+  side runs first.  It holds every run and
+  each side's median, and each side's output, the number of sets and the
+  sha256 of their joined ``packed`` forms or the ``SizeLimit`` message,
+  from the last call.  ``NAME@K`` (``lat6_15@20000``) sets
+  ``closure.SET_LIMIT`` to K inside the timed interpreter, so the walk is
+  timed until it passes K sets.  ``enumerate@N`` times the enumeration
+  layer instead, one call of ``lattice.enumerate_lattices(N)``, and its
+  output is the number of lattices and the sha256 of the ``repr`` of
+  their (name, join table) pairs.
 
 A SIGTERM or SIGINT stops the tool with exit code 128 plus the signal
 number, after the running child and every process it started are
@@ -62,11 +66,11 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 LAYERS = tuple(m["name"] for m in BENCHMARK["per_layer"])
 RUN_SECONDS = 10
-PASSES = 3
+PASSES = 10  # fresh interpreters of one tree time in two bands, so 3 a side cannot resolve 10%
 CALLS = 20  # a distributive walk of size 6 takes about 0.1 ms, lat6_14's 0.6 s
 
-# one walk timed in a fresh interpreter: argv is the lattice name, the set
-# limit (0 keeps closure.SET_LIMIT) and the number of calls timed together;
+# one walk timed in a fresh interpreter: argv is the walk (latN_K,
+# latN_K@SETS or enumerate@N) and the number of calls timed together;
 # prints {"seconds", "output"}, the seconds per call
 TIMER = """
 import hashlib, json, sys, time
@@ -74,27 +78,36 @@ from semirings import closure
 from semirings.endo import enumerate_sr
 from semirings.errors import SizeLimit
 from semirings.lattice import enumerate_lattices
-name, sets, calls = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-size = int(name[3:].split("_")[0])
-lat = next(lat for lat in enumerate_lattices(size, limit=size) if lat.name == name)
-if sets:
-    closure.SET_LIMIT = sets
+(name, _, sets), calls = sys.argv[1].partition("@"), int(sys.argv[2])
+if name == "enumerate":
+    size = int(sets)
 
-def walk():
-    try:
-        return enumerate_sr(lat)
-    except SizeLimit as exc:
-        return exc
+    def walk():
+        return enumerate_lattices(size, limit=size)
+else:
+    size = int(name[3:].split("_")[0])
+    lat = next(lat for lat in enumerate_lattices(size, limit=size) if lat.name == name)
+    if sets:
+        closure.SET_LIMIT = int(sets)
+
+    def walk():
+        try:
+            return enumerate_sr(lat)
+        except SizeLimit as exc:
+            return exc
 
 start = time.process_time()
 for _ in range(calls):
-    fams = walk()
+    got = walk()
 seconds = (time.process_time() - start) / calls
-if isinstance(fams, SizeLimit):
-    output = str(fams)
+if name == "enumerate":
+    tables = repr([(lat.name, lat.join) for lat in got]).encode()
+    output = f"{len(got)} lattices, sha256 {hashlib.sha256(tables).hexdigest()}"
+elif isinstance(got, SizeLimit):
+    output = str(got)
 else:
-    packed = b"".join(f.packed for f in fams)
-    output = f"{len(fams)} sets, sha256 {hashlib.sha256(packed).hexdigest()[:16]}"
+    packed = b"".join(f.packed for f in got)
+    output = f"{len(got)} sets, sha256 {hashlib.sha256(packed).hexdigest()[:16]}"
 print(json.dumps({"seconds": seconds, "output": output}))
 """
 
@@ -175,18 +188,16 @@ def bench(tree, workload, seed, trace):
 
 def time_walk(tree, walk):
     """(process seconds per call, output) of the ``TIMER`` script on
-    ``walk``, ``NAME`` or ``NAME@SETS``, over ``CALLS`` calls in a fresh
-    interpreter on ``tree``, with string hashing fixed by
+    ``walk``, ``NAME``, ``NAME@SETS`` or ``enumerate@N``, over ``CALLS``
+    calls in a fresh interpreter on ``tree``, with string hashing fixed by
     ``PYTHONHASHSEED=0``, so that set and dict layouts repeat from one
     interpreter to the next."""
-    name, _, sets = walk.partition("@")
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
-    code, out, err = run_child([sys.executable, "-c", TIMER, name, sets or "0", str(CALLS)],
-                               tree, env)
+    code, out, err = run_child([sys.executable, "-c", TIMER, walk, str(CALLS)], tree, env)
     if code != 0:
-        raise SystemExit(f"{tree.name} {name}: timing failed (exit {code})\n{err[-2000:]}")
+        raise SystemExit(f"{tree.name} {walk}: timing failed (exit {code})\n{err[-2000:]}")
     result = json.loads(out.splitlines()[-1])
-    print(f"{tree.name} {name}: {result['seconds']:.6f} s a call", flush=True)
+    print(f"{tree.name} {walk}: {result['seconds']:.6f} s a call", flush=True)
     return result["seconds"], result["output"]
 
 
@@ -216,9 +227,11 @@ def in_process(trees, walks):
 
 def walk_name(text):
     """``text`` when it is ``latN_K``, a lattice of ``enumerate_lattices``,
-    or ``latN_K@SETS``, with a positive set limit."""
-    if re.fullmatch(r"lat\d+_\d+(@[1-9]\d*)?", text) is None:
-        raise argparse.ArgumentTypeError(f"need latN_K or latN_K@SETS, got {text!r}")
+    ``latN_K@SETS``, with a positive set limit, or ``enumerate@N``, the
+    enumeration up to a positive size N."""
+    if re.fullmatch(r"lat\d+_\d+(@[1-9]\d*)?|enumerate@[1-9]\d*", text) is None:
+        raise argparse.ArgumentTypeError(
+            f"need latN_K, latN_K@SETS or enumerate@N, got {text!r}")
     return text
 
 
@@ -270,7 +283,8 @@ def main(argv=None):
                         help="per-layer metric to keep (repeatable)")
     parser.add_argument("--in-process", type=walk_name, action="append", default=[],
                         metavar="NAME[@SETS]",
-                        help="lattice whose enumerate_sr is timed in process (repeatable)")
+                        help="lattice whose enumerate_sr is timed in process, or "
+                             "enumerate@N for enumerate_lattices(N) (repeatable)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -322,7 +336,8 @@ def main(argv=None):
         }
         if walks:
             out["in_process"] = {
-                "run": f"time.process_time() around {CALLS} calls of endo.enumerate_sr, "
+                "run": f"time.process_time() around {CALLS} calls of endo.enumerate_sr "
+                       "(latN_K) or lattice.enumerate_lattices (enumerate@N), "
                        f"divided by {CALLS}, in a fresh interpreter per side and pass "
                        f"run with PYTHONHASHSEED=0, {PASSES} passes alternating the "
                        "first side",
