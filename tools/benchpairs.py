@@ -31,15 +31,15 @@ any run.  The file holds:
   per side and pass, run with ``PYTHONHASHSEED=0`` as ``perfbench/run.py``
   runs itself, and their time divided by their number, so a walk of
   well under a millisecond still reads; ``PASSES`` passes alternate which
-  side runs first.  It holds every run and
-  each side's median, and each side's output, the number of sets and the
-  sha256 of their joined ``packed`` forms or the ``SizeLimit`` message,
-  from the last call.  ``NAME@K`` (``lat6_15@20000``) sets
-  ``closure.SET_LIMIT`` to K inside the timed interpreter, so the walk is
-  timed until it passes K sets.  ``enumerate@N`` times the enumeration
-  layer instead, one call of ``lattice.enumerate_lattices(N)``, and its
-  output is the number of lattices and the sha256 of the ``repr`` of
-  their (name, join table) pairs.
+  side runs first.  It holds every run and each side's median, and each
+  side's output, the number of sets and the sha256 of their joined
+  ``packed`` forms or the ``SizeLimit`` message, from the last call.
+  ``NAME@K`` (``lat6_15@20000``) sets ``closure.SET_LIMIT`` to K inside
+  the timed interpreter, so the walk is timed until it passes K sets.
+  ``enumerate@N`` times the enumeration layer instead, one call of
+  ``lattice.enumerate_lattices(N)``, and its output is the number of
+  lattices and the sha256 of the ``repr`` of their (name, join table)
+  pairs.
 
 A SIGTERM or SIGINT stops the tool with exit code 128 plus the signal
 number, after the running child and every process it started are
